@@ -82,8 +82,6 @@ from .numkit import (
     make_rng,
     pseudoinverse,
     sample_bernoulli,
-    sample_gaussian,
-    sample_uniform_int,
 )
 
 __version__ = "0.1.0"

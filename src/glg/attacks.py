@@ -10,17 +10,17 @@ each step is projected back into [0, 1], and the final probabilistic
 matrix is binarized by Bernoulli sampling or min-max thresholding.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGradientError, ShapeError
+from .errors import ConfigError, DegenerateGradientError, NumericError, ShapeError
 from .federated import LeakRecord
 from .graphs import dummy_tree, normalize_dense, normalize_dense_backward
 from .models import (
-    PARAM_ORDER,
     GradientBundle,
     graph_bundles,
     graph_ctx,
@@ -84,6 +84,12 @@ class AttackSpec:
             raise ConfigError(
                 f"finalization must be one of {FINALIZATIONS}", "finalization"
             )
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError("learning_rate must be finite and positive",
+                              "learning_rate")
+        for name in ("alpha", "beta", "init_value", "threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError("must be finite", name)
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("regularizer weights must be non-negative", "alpha")
         if self.iterations < 1:
@@ -116,7 +122,7 @@ class RecoveryResult:
 # ---------------------------------------------------------------------------
 
 def _stack_tensors(bundles):
-    names = [k for k in PARAM_ORDER if k in bundles[0].tensors]
+    names = bundles[0].param_names
     return {k: np.stack([b.tensors[k] for b in bundles]) for k in names}
 
 
@@ -155,44 +161,28 @@ def _objective_and_grad(dummy_stacks, leaked_flat, kind, names):
     return value, _unflatten(vgrad, dummy_stacks, names)
 
 
-def _pair_flat(bundle):
-    names = [k for k in PARAM_ORDER if k in bundle.tensors]
-    return np.concatenate([np.ravel(bundle.tensors[k]) for k in names]), names
+def _pair_match(leaked, dummy, kind):
+    """:func:`_objective_and_grad` value on one-row stacks of two bundles."""
+    lf = _flatten(_stack_tensors([leaked]), leaked.param_names)
+    df = _flatten(_stack_tensors([dummy]), dummy.param_names)
+    if leaked.param_names != dummy.param_names or lf.shape != df.shape:
+        raise ShapeError("bundles are not congruent")
+    return _objective_and_grad({"flat": df}, lf, kind, ["flat"])[0]
 
 
 def grad_match_l2(leaked, dummy):
     """Squared entrywise distance between two gradient bundles."""
-    lf, ln = _pair_flat(leaked)
-    df, dn = _pair_flat(dummy)
-    if ln != dn or lf.shape != df.shape:
-        raise ShapeError("bundles are not congruent")
-    d = df - lf
-    return float(d @ d)
+    return _pair_match(leaked, dummy, "l2")
 
 
 def grad_match_cosine(leaked, dummy):
     """One minus the cosine similarity of two flattened gradient bundles."""
-    lf, ln = _pair_flat(leaked)
-    df, dn = _pair_flat(dummy)
-    if ln != dn or lf.shape != df.shape:
-        raise ShapeError("bundles are not congruent")
-    nl = np.linalg.norm(lf)
-    nd = np.linalg.norm(df)
-    if nl == 0.0 or nd == 0.0:
-        raise DegenerateGradientError("zero-norm gradient bundle in cosine objective")
-    w = df / nd - lf / nl
-    return float(0.5 * (w @ w))
+    return _pair_match(leaked, dummy, "cosine")
 
 
 # ---------------------------------------------------------------------------
 # Regularizers, projection, finalization
 # ---------------------------------------------------------------------------
-
-def _degree_scaled(x, a):
-    d = a.sum(axis=1)
-    r = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
-    return d, r, x * r[:, None]
-
 
 def smoothness(x, a):
     """Dirichlet energy of the degree-scaled features over the edge set.
@@ -201,25 +191,20 @@ def smoothness(x, a):
     contribute nothing. Accepts a weighted adjacency (each ordered pair
     counts half).
     """
-    x = np.asarray(x, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    _, _, u = _degree_scaled(x, a)
-    sq = (u * u).sum(axis=1)
-    pair = sq[:, None] + sq[None, :] - 2.0 * (u @ u.T)
-    return float(0.5 * (a * pair).sum())
+    return smoothness_grads(x, a, False, False)[0]
 
 
 def smoothness_grads(x, a, wrt_features, wrt_adjacency):
     """Value and exact gradients of :func:`smoothness`, degrees included."""
     x = np.asarray(x, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
-    d, r, u = _degree_scaled(x, a)
+    d = a.sum(axis=1)
+    r = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
+    u = x * r[:, None]
     sq = (u * u).sum(axis=1)
     pair = sq[:, None] + sq[None, :] - 2.0 * (u @ u.T)
     value = float(0.5 * (a * pair).sum())
-    rowsum = a.sum(axis=1)
-    colsum = a.sum(axis=0)
-    gu = (rowsum + colsum)[:, None] * u - a @ u - a.T @ u
+    gu = (d + a.sum(axis=0))[:, None] * u - a @ u - a.T @ u
     gx = None
     if wrt_features:
         gx = gu * r[:, None]
@@ -253,7 +238,6 @@ def finalize_adjacency(prob, rule, rng=None, tau=0.5):
     zeroed.
     """
     prob = np.asarray(prob, dtype=np.float64)
-    n = prob.shape[0]
     if rule == "bernoulli":
         if rng is None:
             raise ValueError("bernoulli finalization needs an rng")
@@ -273,7 +257,7 @@ def finalize_adjacency(prob, rule, rng=None, tau=0.5):
 
 
 # ---------------------------------------------------------------------------
-# Optimized variables
+# The optimization loop shared by every attack
 # ---------------------------------------------------------------------------
 
 class _SymmetricAdjacency:
@@ -295,13 +279,17 @@ class _SymmetricAdjacency:
         self.theta = np.clip(adam_step(self.adam, self.theta, g), 0.0, 1.0)
 
 
-def _init_features(rng, spec, shape):
+def _init_features(rng, spec, shape, warm=None):
+    if warm is not None:
+        return np.array(warm, dtype=np.float64)
     if spec.init == "constant":
         return np.full(shape, float(spec.init_value))
     return rng.standard_normal(shape)
 
 
-def _init_adjacency(rng, spec, n):
+def _init_adjacency(rng, spec, n, warm=None):
+    if warm is not None:
+        return np.asarray(warm, dtype=np.float64)
     if spec.init == "constant":
         return np.full((n, n), float(spec.init_value))
     return project_interval(rng.standard_normal((n, n)))
@@ -315,9 +303,119 @@ def _bundles_of(leak):
     return list(leak)
 
 
+def _known_matrix(value, name):
+    if value is None:
+        raise ConfigError(f"scenario requires known {name}", name)
+    return np.asarray(value, dtype=np.float64)
+
+
+def _matching_objective(spec, params, bundles, forward, pullback, known_x=None,
+                        known_a=None, anorm=None, regularize=False):
+    """The objective the loop descends: ``f(x, a, update) -> (value, gx, ga)``.
+
+    The loop passes None for a known input; ``known_x``, or ``known_a``
+    with its normalization ``anorm``, stands in. ``forward(x, anorm)`` gives
+    the model context and dummy bundle stacks, ``pullback(ctx, v,
+    want_adjacency)`` the gradient of <stacks, v> on the features and the
+    normalized adjacency. With ``update``, gradients of the unknowns come
+    back (None otherwise); an optimized adjacency's goes back through
+    :func:`normalize_dense_backward`. ``regularize`` adds the smoothness and
+    Frobenius terms weighted by spec.alpha / spec.beta.
+    """
+    names = bundles[0].param_names
+    leaked_flat = _flatten(_stack_tensors(bundles), names)
+    mode = params.norm_mode
+
+    def objective(x, a, update):
+        opt_x = x is not None
+        opt_a = a is not None
+        x = x if opt_x else known_x
+        a = a if opt_a else known_a
+        ctx, stacks = forward(x, normalize_dense(a, mode) if opt_a else anorm)
+        value, v = _objective_and_grad(stacks, leaked_flat, spec.objective, names)
+        gx = ga = None
+        if update:
+            xbar, abar_norm = pullback(ctx, v, opt_a)
+            if opt_x:
+                gx = xbar
+            if opt_a:
+                ga = normalize_dense_backward(abar_norm, a, mode)
+        if regularize and spec.alpha > 0.0:
+            s_val, s_gx, s_ga = smoothness_grads(
+                x, a, wrt_features=gx is not None, wrt_adjacency=ga is not None)
+            value += spec.alpha * s_val
+            if gx is not None:
+                gx += spec.alpha * s_gx
+            if ga is not None:
+                ga += spec.alpha * s_ga
+        if regularize and spec.beta > 0.0:
+            value += spec.beta * frobenius_penalty(a)
+            if ga is not None:
+                ga += spec.beta * 2.0 * a
+        return value, gx, ga
+
+    return objective
+
+
+def _finite(value, restart, iteration):
+    if not math.isfinite(value):
+        raise NumericError(f"attack objective is {value} at restart {restart}, "
+                           f"iteration {iteration}")
+    return value
+
+
+def _optimize(spec, rng, objective, x_shape=None, n_adj=None, warm_x=None,
+              warm_a=None):
+    """Restarted Adam on the unknown features and/or adjacency.
+
+    ``x_shape`` / ``n_adj`` size the unknown features / adjacency and are
+    None where that input is known. Each restart draws its starting
+    features, then its starting adjacency (``warm_x`` / ``warm_a`` replace
+    the draws), and steps the adjacency through :class:`_SymmetricAdjacency`.
+    A non-finite objective raises :class:`NumericError`. Returns the restart
+    with the lowest final objective; the result holds the optimized inputs
+    (None where known), the objective trace and the wall time.
+    """
+    start = time.perf_counter()
+    best = None
+    for restart in range(spec.restarts):
+        x = None if x_shape is None else _init_features(rng, spec, x_shape, warm_x)
+        adj = None if n_adj is None else _SymmetricAdjacency(
+            _init_adjacency(rng, spec, n_adj, warm_a), spec.learning_rate)
+        x_state = AdamState(lr=spec.learning_rate)
+        trace = np.zeros(spec.iterations)
+        for p in range(spec.iterations):
+            value, gx, ga = objective(x, None if adj is None else adj.matrix(), True)
+            trace[p] = _finite(value, restart, p)
+            if x is not None:
+                x = adam_step(x_state, x, gx)
+            if adj is not None:
+                adj.step(ga)
+        a = None if adj is None else adj.matrix()
+        final = _finite(objective(x, a, False)[0], restart, spec.iterations)
+        if best is None or final < best.final_objective:
+            best = RecoveryResult(features=x, adjacency_prob=a,
+                                  objective_trace=trace, final_objective=final)
+    best.wall_time_s = time.perf_counter() - start
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Attacks
 # ---------------------------------------------------------------------------
+
+def _node_task(params, targets, labels):
+    """Forward and pull-back adapters of the node task at the target rows."""
+
+    def forward(x, anorm):
+        ctx = node_ctx(params, x, anorm, targets, labels)
+        return ctx, node_bundles(ctx, params)
+
+    def pullback(ctx, v, want_adjacency):
+        return node_matching_grad(ctx, params, v, want_adjacency)
+
+    return forward, pullback
+
 
 def attack_node1(leak, spec, params, rng=None, init_features=None):
     """Recover target (and neighbor) features from one node-task bundle.
@@ -333,53 +431,46 @@ def attack_node1(leak, spec, params, rng=None, init_features=None):
         raise ConfigError("node1 needs a node-task model", "scenario")
     rng = rng or make_rng(spec.seed)
     bundle = _bundles_of(leak)[0]
-    label = infer_label(bundle)
-    leaked_flat = _flatten(_stack_tensors([bundle]), bundle.param_names)
-    names = bundle.param_names
-
+    labels = np.array([infer_label(bundle)])
     tree = dummy_tree(rng, spec.d_tree, params.feature_dim)
-    anorm = normalize_dense(tree.adjacency, params.norm_mode)
-    targets = np.array([0])
-    labels = np.array([label])
-
-    start = time.perf_counter()
-    best = None
-    for _ in range(spec.restarts):
-        if init_features is not None:
-            x = np.array(init_features, dtype=np.float64)
-        elif spec.init == "constant":
-            x = np.full_like(tree.features, float(spec.init_value))
-        else:
-            x = rng.standard_normal(tree.features.shape)
-        state = AdamState(lr=spec.learning_rate)
-        trace = np.zeros(spec.iterations)
-        for p in range(spec.iterations):
-            ctx = node_ctx(params, x, anorm, targets, labels)
-            stacks = node_bundles(ctx, params)
-            value, v = _objective_and_grad(stacks, leaked_flat, spec.objective, names)
-            trace[p] = value
-            xbar, _ = node_matching_grad(ctx, params, v, want_adjacency=False)
-            x = adam_step(state, x, xbar)
-        ctx = node_ctx(params, x, anorm, targets, labels)
-        final, _ = _objective_and_grad(
-            node_bundles(ctx, params), leaked_flat, spec.objective, names)
-        if best is None or final < best.final_objective:
-            best = RecoveryResult(
-                features=x,
-                labels=labels.copy(),
-                objective_trace=trace,
-                target_feature=x[0].copy(),
-                neighbor_features=x[1:1 + spec.d_tree].copy(),
-                final_objective=final,
-            )
-    best.wall_time_s = time.perf_counter() - start
+    forward, pullback = _node_task(params, np.array([0]), labels)
+    objective = _matching_objective(
+        spec, params, [bundle], forward, pullback,
+        anorm=normalize_dense(tree.adjacency, params.norm_mode))
+    best = _optimize(spec, rng, objective, x_shape=tree.features.shape,
+                     warm_x=init_features)
+    best.labels = labels
+    best.target_feature = best.features[0].copy()
+    best.neighbor_features = best.features[1:1 + spec.d_tree].copy()
     return best
 
 
-def _known_matrix(value, name):
-    if value is None:
-        raise ConfigError(f"scenario requires known {name}", name)
-    return np.asarray(value, dtype=np.float64)
+def _attack_unknowns(spec, params, rng, bundles, n, labels, forward, pullback,
+                     known_features, known_adjacency, init_features,
+                     init_adjacency):
+    """Subgraph / whole-graph attack body: the scenario picks the unknowns.
+
+    Scenario suffix a optimizes the adjacency, b the features, c both; the
+    known input is required. A recovered adjacency is binarized with the
+    configured finalization after the best restart is chosen.
+    """
+    opt_x = spec.scenario[-1] in "bc"
+    opt_a = spec.scenario[-1] in "ac"
+    known_x = None if opt_x else _known_matrix(known_features, "features")
+    known_a = None if opt_a else _known_matrix(known_adjacency, "adjacency")
+    anorm = None if opt_a else normalize_dense(known_a, params.norm_mode)
+    objective = _matching_objective(spec, params, bundles, forward, pullback,
+                                    known_x, known_a, anorm, regularize=True)
+    rng = rng or make_rng(spec.seed)
+    best = _optimize(spec, rng, objective,
+                     x_shape=(n, params.feature_dim) if opt_x else None,
+                     n_adj=n if opt_a else None,
+                     warm_x=init_features, warm_a=init_adjacency)
+    best.labels = labels
+    if opt_a:
+        best.adjacency = finalize_adjacency(
+            best.adjacency_prob, spec.finalization, rng=rng, tau=spec.threshold)
+    return best
 
 
 def attack_node2(leak, spec, params, known_features=None, known_adjacency=None,
@@ -397,92 +488,13 @@ def attack_node2(leak, spec, params, known_features=None, known_adjacency=None,
                           "scenario")
     if params.task != "node":
         raise ConfigError("node2 needs a node-task model", "scenario")
-    rng = rng or make_rng(spec.seed)
     bundles = _bundles_of(leak)
     n = len(bundles)
-    opt_x = spec.scenario in ("node2b", "node2c")
-    opt_a = spec.scenario in ("node2a", "node2c")
     labels = np.array([infer_label(b) for b in bundles])
-    targets = np.arange(n)
-    names = bundles[0].param_names
-    leaked_flat = _flatten(_stack_tensors(bundles), names)
-
-    x_known = None if opt_x else _known_matrix(known_features, "features")
-    a_known = None if opt_a else _known_matrix(known_adjacency, "adjacency")
-
-    start = time.perf_counter()
-    best = None
-    for _ in range(spec.restarts):
-        if opt_x:
-            x = (np.array(init_features, dtype=np.float64)
-                 if init_features is not None
-                 else _init_features(rng, spec, (n, params.feature_dim)))
-        else:
-            x = x_known
-        if opt_a:
-            a0 = (np.asarray(init_adjacency, dtype=np.float64)
-                  if init_adjacency is not None
-                  else _init_adjacency(rng, spec, n))
-            adj = _SymmetricAdjacency(a0, spec.learning_rate)
-        else:
-            adj = None
-        x_state = AdamState(lr=spec.learning_rate) if opt_x else None
-        trace = np.zeros(spec.iterations)
-
-        def objective_step(x_cur, a_cur, update):
-            anorm = normalize_dense(a_cur, params.norm_mode)
-            ctx = node_ctx(params, x_cur, anorm, targets, labels)
-            stacks = node_bundles(ctx, params)
-            value, v = _objective_and_grad(stacks, leaked_flat, spec.objective,
-                                           names)
-            gx_total = None
-            ga_total = None
-            if update:
-                xbar, abar_norm = node_matching_grad(ctx, params, v,
-                                                     want_adjacency=opt_a)
-                if opt_a:
-                    ga_total = normalize_dense_backward(
-                        abar_norm, a_cur, params.norm_mode)
-                if opt_x:
-                    gx_total = xbar
-            if spec.alpha > 0.0:
-                s_val, s_gx, s_ga = smoothness_grads(
-                    x_cur, a_cur, wrt_features=update and opt_x,
-                    wrt_adjacency=update and opt_a)
-                value += spec.alpha * s_val
-                if update and opt_x:
-                    gx_total += spec.alpha * s_gx
-                if update and opt_a:
-                    ga_total += spec.alpha * s_ga
-            if spec.beta > 0.0:
-                value += spec.beta * frobenius_penalty(a_cur)
-                if update and opt_a:
-                    ga_total += spec.beta * 2.0 * a_cur
-            return value, gx_total, ga_total
-
-        for p in range(spec.iterations):
-            a_cur = adj.matrix() if opt_a else a_known
-            value, gx, ga = objective_step(x, a_cur, update=True)
-            trace[p] = value
-            if opt_x:
-                x = adam_step(x_state, x, gx)
-            if opt_a:
-                adj.step(ga)
-        a_cur = adj.matrix() if opt_a else a_known
-        final, _, _ = objective_step(x, a_cur, update=False)
-        if best is None or final < best.final_objective:
-            best = RecoveryResult(
-                features=x.copy() if opt_x else None,
-                adjacency_prob=a_cur.copy() if opt_a else None,
-                labels=labels.copy(),
-                objective_trace=trace,
-                final_objective=final,
-            )
-    if opt_a:
-        best.adjacency = finalize_adjacency(
-            best.adjacency_prob, spec.finalization, rng=rng, tau=spec.threshold)
-    best.wall_time_s = time.perf_counter() - start
-    return best
+    forward, pullback = _node_task(params, np.arange(n), labels)
+    return _attack_unknowns(spec, params, rng, bundles, n, labels, forward,
+                            pullback, known_features, known_adjacency,
+                            init_features, init_adjacency)
 
 
 def attack_graph(leak, spec, params, known_features=None, known_adjacency=None,
@@ -498,92 +510,20 @@ def attack_graph(leak, spec, params, known_features=None, known_adjacency=None,
                           "scenario")
     if params.task != "graph":
         raise ConfigError("graph attack needs a graph-task model", "scenario")
-    rng = rng or make_rng(spec.seed)
     bundle = _bundles_of(leak)[0]
-    n = params.num_nodes
-    opt_x = spec.scenario in ("graph_b", "graph_c")
-    opt_a = spec.scenario in ("graph_a", "graph_c")
-    label = infer_label(bundle)
-    names = bundle.param_names
-    leaked_flat = _flatten(_stack_tensors([bundle]), names)
-    glabels = np.array([label])
+    labels = np.array([infer_label(bundle)])
 
-    x_known = None if opt_x else _known_matrix(known_features, "features")
-    a_known = None if opt_a else _known_matrix(known_adjacency, "adjacency")
+    def forward(x, anorm):
+        ctx = graph_ctx(params, x[None], anorm, labels)
+        return ctx, graph_bundles(ctx, params)
 
-    start = time.perf_counter()
-    best = None
-    for _ in range(spec.restarts):
-        if opt_x:
-            x = (np.array(init_features, dtype=np.float64)
-                 if init_features is not None
-                 else _init_features(rng, spec, (n, params.feature_dim)))
-        else:
-            x = x_known
-        if opt_a:
-            a0 = (np.asarray(init_adjacency, dtype=np.float64)
-                  if init_adjacency is not None
-                  else _init_adjacency(rng, spec, n))
-            adj = _SymmetricAdjacency(a0, spec.learning_rate)
-        else:
-            adj = None
-        x_state = AdamState(lr=spec.learning_rate) if opt_x else None
-        trace = np.zeros(spec.iterations)
+    def pullback(ctx, v, want_adjacency):
+        xbar, abar_norm = graph_matching_grad(ctx, params, v, want_adjacency)
+        return xbar[0], None if abar_norm is None else abar_norm[0]
 
-        def objective_step(x_cur, a_cur, update):
-            anorm = normalize_dense(a_cur, params.norm_mode)
-            ctx = graph_ctx(params, x_cur[None], anorm, glabels)
-            stacks = graph_bundles(ctx, params)
-            value, v = _objective_and_grad(stacks, leaked_flat, spec.objective,
-                                           names)
-            gx_total = None
-            ga_total = None
-            if update:
-                xbar, abar_norm = graph_matching_grad(ctx, params, v,
-                                                      want_adjacency=opt_a)
-                if opt_a:
-                    ga_total = normalize_dense_backward(
-                        abar_norm[0], a_cur, params.norm_mode)
-                if opt_x:
-                    gx_total = xbar[0]
-            if spec.alpha > 0.0:
-                s_val, s_gx, s_ga = smoothness_grads(
-                    x_cur, a_cur, wrt_features=update and opt_x,
-                    wrt_adjacency=update and opt_a)
-                value += spec.alpha * s_val
-                if update and opt_x:
-                    gx_total += spec.alpha * s_gx
-                if update and opt_a:
-                    ga_total += spec.alpha * s_ga
-            if spec.beta > 0.0:
-                value += spec.beta * frobenius_penalty(a_cur)
-                if update and opt_a:
-                    ga_total += spec.beta * 2.0 * a_cur
-            return value, gx_total, ga_total
-
-        for p in range(spec.iterations):
-            a_cur = adj.matrix() if opt_a else a_known
-            value, gx, ga = objective_step(x, a_cur, update=True)
-            trace[p] = value
-            if opt_x:
-                x = adam_step(x_state, x, gx)
-            if opt_a:
-                adj.step(ga)
-        a_cur = adj.matrix() if opt_a else a_known
-        final, _, _ = objective_step(x, a_cur, update=False)
-        if best is None or final < best.final_objective:
-            best = RecoveryResult(
-                features=x.copy() if opt_x else None,
-                adjacency_prob=a_cur.copy() if opt_a else None,
-                labels=np.array([label]),
-                objective_trace=trace,
-                final_objective=final,
-            )
-    if opt_a:
-        best.adjacency = finalize_adjacency(
-            best.adjacency_prob, spec.finalization, rng=rng, tau=spec.threshold)
-    best.wall_time_s = time.perf_counter() - start
-    return best
+    return _attack_unknowns(spec, params, rng, [bundle], params.num_nodes,
+                            labels, forward, pullback, known_features,
+                            known_adjacency, init_features, init_adjacency)
 
 
 def attack_batched(leak, spec, params, labels, known_adjacencies=None, rng=None):
@@ -601,8 +541,6 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, rng=None)
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape[0] != b:
         raise ConfigError(f"{labels.shape[0]} labels for batch of {b}", "labels")
-    names = bundle.param_names
-    leaked_flat = _flatten(_stack_tensors([bundle]), names)
 
     if params.task == "node":
         tree = dummy_tree(rng, spec.d_tree, params.feature_dim)
@@ -619,50 +557,33 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, rng=None)
         ])
         n = params.num_nodes
 
-    def batch_objective(x):
+    def forward(x, anorm):
         if params.task == "node":
             ctx = node_ctx(params, x, anorm, targets, labels, batch=True)
             stacks = node_bundles(ctx, params)
         else:
             ctx = graph_ctx(params, x, anorm, labels)
             stacks = graph_bundles(ctx, params)
-        avg = {k: v.mean(axis=0, keepdims=True) for k, v in stacks.items()}
-        value, v1 = _objective_and_grad(avg, leaked_flat, spec.objective, names)
-        return ctx, value, v1
+        return ctx, {k: s.mean(axis=0, keepdims=True) for k, s in stacks.items()}
 
-    start = time.perf_counter()
-    best = None
-    for _ in range(spec.restarts):
-        x = _init_features(rng, spec, (b, n, params.feature_dim))
-        state = AdamState(lr=spec.learning_rate)
-        trace = np.zeros(spec.iterations)
-        for p in range(spec.iterations):
-            ctx, value, v1 = batch_objective(x)
-            trace[p] = value
-            vb = {k: np.repeat(g / float(b), b, axis=0) for k, g in v1.items()}
-            if params.task == "node":
-                xbar, _ = node_matching_grad(ctx, params, vb,
-                                             want_adjacency=False)
-            else:
-                xbar, _ = graph_matching_grad(ctx, params, vb,
-                                              want_adjacency=False)
-            x = adam_step(state, x, xbar)
-        _, final, _ = batch_objective(x)
-        if best is None or final < best[0]:
-            best = (final, trace, x)
-    elapsed = time.perf_counter() - start
-
-    final, trace, best_x = best
-    results = []
-    for i in range(b):
-        res = RecoveryResult(
-            features=best_x[i].copy(),
-            labels=np.array([labels[i]]),
-            objective_trace=trace,
-            final_objective=final,
-            wall_time_s=elapsed,
-        )
+    def pullback(ctx, v, want_adjacency):
+        vb = {k: np.repeat(g / float(b), b, axis=0) for k, g in v.items()}
         if params.task == "node":
-            res.target_feature = best_x[i, 0].copy()
-        results.append(res)
-    return results
+            return node_matching_grad(ctx, params, vb, want_adjacency)
+        return graph_matching_grad(ctx, params, vb, want_adjacency)
+
+    objective = _matching_objective(spec, params, [bundle], forward, pullback,
+                                    anorm=anorm)
+    best = _optimize(spec, rng, objective, x_shape=(b, n, params.feature_dim))
+    return [
+        RecoveryResult(
+            features=best.features[i].copy(),
+            labels=np.array([labels[i]]),
+            objective_trace=best.objective_trace,
+            final_objective=best.final_objective,
+            wall_time_s=best.wall_time_s,
+            target_feature=(best.features[i, 0].copy()
+                            if params.task == "node" else None),
+        )
+        for i in range(b)
+    ]

@@ -2,15 +2,13 @@
 
 One :class:`ExperimentConfig` describes a scenario end to end. Each of the
 R repetitions derives its own generator from (seed, repetition), so runs
-are reproducible and repetitions can execute concurrently (capped by the
-GLG_THREADS environment variable) without affecting the result.
+are reproducible and no repetition's result depends on another's.
 """
 
 import csv
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
@@ -53,6 +51,12 @@ EXPERIMENT_SCENARIOS = (
 
 SWEEP_PARAMETERS = ("alpha", "beta", "hidden_dim", "threshold", "batch_size",
                     "d_tree", "init")
+
+
+def _attack_scenario(scenario):
+    """The attack scenario that an experiment scenario runs."""
+    batched = {"batched_node": "node1", "batched_graph": "graph_b"}
+    return batched.get(scenario, scenario)
 
 
 @dataclass
@@ -106,19 +110,12 @@ class ExperimentConfig:
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1", "batch_size")
         if self.attack is None:
-            self.attack = AttackSpec(scenario=self._attack_scenario())
-        if self.attack.scenario != self._attack_scenario():
+            self.attack = AttackSpec(scenario=_attack_scenario(self.scenario))
+        if self.attack.scenario != _attack_scenario(self.scenario):
             raise ConfigError(
                 f"attack scenario {self.attack.scenario} does not fit "
                 f"experiment scenario {self.scenario}", "attack.scenario")
         self.dataset.validate()
-
-    def _attack_scenario(self):
-        if self.scenario == "batched_node":
-            return "node1"
-        if self.scenario == "batched_graph":
-            return "graph_b"
-        return self.scenario
 
     @property
     def task(self):
@@ -143,8 +140,7 @@ class ExperimentConfig:
         attack = None
         if atk is not None:
             atk = dict(atk)
-            atk.setdefault("scenario", scenario if not scenario.startswith("batched") else
-                           ("node1" if scenario == "batched_node" else "graph_b"))
+            atk.setdefault("scenario", _attack_scenario(scenario))
             try:
                 attack = AttackSpec(**atk)
             except TypeError as exc:
@@ -341,26 +337,14 @@ def run_experiment(cfg, dump_dir=None):
     can be recomputed from the files.
     """
     start = time.perf_counter()
-    threads = int(os.environ.get("GLG_THREADS", "1"))
     per_rep = []
     errors = []
-
-    def safe(rep):
+    for rep in range(cfg.repeats):
         try:
-            return _one_repetition(cfg, rep), None
+            metrics_out, artifacts = _one_repetition(cfg, rep)
         except GlgError as exc:
-            return None, f"rep {rep}: {exc}"
-
-    if threads > 1 and cfg.repeats > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(safe, range(cfg.repeats)))
-    else:
-        outcomes = [safe(rep) for rep in range(cfg.repeats)]
-    for rep, (result, err) in enumerate(outcomes):
-        if err is not None:
-            errors.append(err)
+            errors.append(f"rep {rep}: {exc}")
             continue
-        metrics_out, artifacts = result
         per_rep.append(metrics_out)
         if dump_dir is not None:
             os.makedirs(dump_dir, exist_ok=True)

@@ -20,8 +20,6 @@ __all__ = [
     "make_rng",
     "pseudoinverse",
     "sample_bernoulli",
-    "sample_gaussian",
-    "sample_uniform_int",
 ]
 
 # Relative singular-value cutoff. The closed-form recoveries assume exact
@@ -116,21 +114,9 @@ def make_rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def sample_gaussian(rng, rows, cols):
-    """Matrix of i.i.d. standard-normal entries."""
-    return rng.standard_normal((rows, cols))
-
-
 def sample_bernoulli(rng, probs):
     """Entrywise Bernoulli draw; ``probs`` entries must lie in [0, 1]."""
     probs = np.asarray(probs, dtype=np.float64)
     if np.any(probs < 0.0) or np.any(probs > 1.0):
         raise ValueError("bernoulli probabilities must lie in [0, 1]")
     return (rng.random(probs.shape) < probs).astype(np.float64)
-
-
-def sample_uniform_int(rng, lo, hi):
-    """Uniform integer in ``[lo, hi)``."""
-    if hi <= lo:
-        raise ValueError(f"empty range [{lo}, {hi})")
-    return int(rng.integers(lo, hi))

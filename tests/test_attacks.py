@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from glg import attacks, federated, graphs, metrics, models, numkit
-from glg.errors import ConfigError, DegenerateGradientError
+from glg import attacks, federated, graphs, metrics, models, numkit, selftest
+from glg.errors import ConfigError, DegenerateGradientError, NumericError
 from glg.models import GradientBundle
 
 rng = numkit.make_rng(808)
@@ -158,6 +158,17 @@ class TestAttackSpecValidation:
         with pytest.raises(ConfigError):
             attacks.AttackSpec(scenario="node1", alpha=-1.0)
 
+    @pytest.mark.parametrize("learning_rate", [-0.05, 0.0, np.inf, np.nan])
+    def test_bad_learning_rate(self, learning_rate):
+        with pytest.raises(ConfigError):
+            attacks.AttackSpec(scenario="node2b", learning_rate=learning_rate)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "init_value", "threshold"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_hyperparameter(self, name, value):
+        with pytest.raises(ConfigError):
+            attacks.AttackSpec(scenario="node2b", **{name: value})
+
 
 def tree_world(seed=15, d_tree=3, d=4, f=8, k=3):
     """True private data that itself is a dummy-shaped tree."""
@@ -268,6 +279,18 @@ class TestIterativeAttacks:
         assert res.adjacency_prob.max() <= 1.0
         assert np.array_equal(res.adjacency_prob, res.adjacency_prob.T)
 
+    def test_diverging_attack_raises_numeric_error(self):
+        r = numkit.make_rng(19)
+        g = graphs.synthetic_graph(r, 8, 3, 5, num_classes=3)
+        params = models.init_params(r, "sage", "node", 5, 12, 3)
+        record = federated.leak(params, g, "node2")
+        spec = attacks.AttackSpec(scenario="node2b", iterations=20,
+                                  learning_rate=1e300)
+        with np.errstate(all="ignore"), pytest.raises(NumericError,
+                                                      match="restart 0"):
+            attacks.attack_node2(record, spec, params,
+                                 known_adjacency=g.adjacency, rng=r)
+
     def test_scenario_mismatch_errors(self):
         r = numkit.make_rng(23)
         g = graphs.synthetic_graph(r, 5, 2, 3, num_classes=2)
@@ -342,3 +365,124 @@ class TestIterativeAttacks:
                 vals.append(sc.auc if sc.auc is not None else 0.5)
             aps[alpha] = np.mean(vals)
         assert aps[1e-3] < aps[1e-9]
+
+
+class _Captured(Exception):
+    pass
+
+
+def captured_objective(monkeypatch, attack, *args, **kwargs):
+    """The objective an attack hands to the shared optimization loop."""
+    got = []
+
+    def fake_optimize(spec, rng, objective, *rest, **options):
+        got.append(objective)
+        raise _Captured
+
+    monkeypatch.setattr(attacks, "_optimize", fake_optimize)
+    with pytest.raises(_Captured):
+        attack(*args, **kwargs)
+    return got[0]
+
+
+def symmetric_probabilities(r, n):
+    """Zero-diagonal symmetric matrix with off-diagonal entries in (0.1, 0.9)."""
+    lower = np.tril(0.1 + 0.8 * r.random((n, n)), k=-1)
+    return lower + lower.T
+
+
+def objective_case(monkeypatch, scenario, framework, objective):
+    """Captured objective of one attack plus the point (x, a) to check it at.
+
+    x / a are None where the attack treats the input as known.
+    """
+    r = numkit.make_rng(31)
+    batched = {"batched_node": "node1", "batched_graph": "graph_b"}
+    spec = attacks.AttackSpec(scenario=batched.get(scenario, scenario),
+                              objective=objective, alpha=1e-2, beta=1e-2,
+                              d_tree=1)
+    if scenario in ("node1", "batched_node"):
+        g = graphs.synthetic_graph(r, 6, 2, 3, num_classes=3)
+        params = models.init_params(r, framework, "node", 3, 4, 3)
+        if scenario == "node1":
+            record = federated.leak(params, g, "node1", targets=[2])
+            f = captured_objective(monkeypatch, attacks.attack_node1, record,
+                                   spec, params)
+            return f, r.standard_normal((3, 3)), None  # 3-node dummy tree
+        record = federated.leak(params, g, "batched-node", targets=[1, 4])
+        f = captured_objective(monkeypatch, attacks.attack_batched, record,
+                               spec, params, labels=g.labels[[1, 4]])
+        return f, r.standard_normal((2, 3, 3)), None
+    if scenario == "batched_graph":
+        gs = []
+        for k in range(2):
+            g0 = graphs.er_graph(r, 4, 0.6, 3)
+            gs.append(graphs.Graph(adjacency=g0.adjacency, features=g0.features,
+                                   graph_label=k))
+        params = models.init_params(r, framework, "graph", 3, 4, 3, num_nodes=4)
+        record = federated.leak(params, gs, "batched-graph")
+        f = captured_objective(monkeypatch, attacks.attack_batched, record,
+                               spec, params, labels=[0, 1],
+                               known_adjacencies=[g.adjacency for g in gs])
+        return f, r.standard_normal((2, 4, 3)), None
+    if scenario.startswith("node"):
+        n, d = 6, 4
+        g = graphs.synthetic_graph(r, n, 2, d, num_classes=3)
+        params = models.init_params(r, framework, "node", d, 4, 3)
+        record = federated.leak(params, g, "node2")
+        attack = attacks.attack_node2
+    else:
+        n, d = 5, 3
+        g0 = graphs.er_graph(r, n, 0.5, d)
+        g = graphs.Graph(adjacency=g0.adjacency, features=g0.features,
+                         graph_label=1)
+        params = models.init_params(r, framework, "graph", d, 4, 3, num_nodes=n)
+        record = federated.leak(params, g, "graph")
+        attack = attacks.attack_graph
+    f = captured_objective(monkeypatch, attack, record, spec, params,
+                           known_features=g.features,
+                           known_adjacency=symmetric_probabilities(r, n))
+    x = r.standard_normal((n, d)) if scenario[-1] in "bc" else None
+    a = symmetric_probabilities(r, n) if scenario[-1] in "ac" else None
+    return f, x, a
+
+
+WHOLE_OBJECTIVE_CASES = [
+    (scenario, framework, objective)
+    for scenario in ("node2a", "node2b", "node2c", "graph_a", "graph_b", "graph_c")
+    for framework in ("gcn", "sage")
+    for objective in ("cosine", "l2")
+] + [
+    (scenario, framework, "cosine")
+    for scenario in ("node1", "batched_node", "batched_graph")
+    for framework in ("gcn", "sage")
+]
+
+
+class TestWholeObjective:
+    """Pin the objective the shared loop follows against finite differences.
+
+    This covers the composition of the matching objective, the
+    second-order matching gradient, the normalization backward pass, the
+    regularizers (alpha = beta = 1e-2, large enough to matter) and the
+    lower-triangle folding of the adjacency gradient.
+    """
+
+    @pytest.mark.parametrize("scenario,framework,objective", WHOLE_OBJECTIVE_CASES)
+    def test_gradients_match_finite_differences(self, monkeypatch, scenario,
+                                                framework, objective):
+        f, x, a = objective_case(monkeypatch, scenario, framework, objective)
+        value, gx, ga = f(x, a, True)
+        assert value == f(x, a, False)[0]
+        assert (gx is None) == (x is None) and (ga is None) == (a is None)
+        if x is not None:
+            fd = selftest.finite_difference(lambda: f(x, a, False)[0], x)
+            np.testing.assert_allclose(gx, fd, rtol=selftest.REL_TOL,
+                                       atol=selftest.ABS_TOL)
+        if a is not None:
+            adj = attacks._SymmetricAdjacency(a, 0.05)
+            folded = ga[adj.rows, adj.cols] + ga[adj.cols, adj.rows]
+            fd = selftest.finite_difference(
+                lambda: f(x, adj.matrix(), False)[0], adj.theta)
+            np.testing.assert_allclose(folded, fd, rtol=selftest.REL_TOL,
+                                       atol=selftest.ABS_TOL)

@@ -64,6 +64,16 @@ class TestAttackCommand:
         assert out.returncode == 1
         assert "configuration error" in out.stderr
 
+    def test_diverging_attack_exits_numeric_failure(self, tmp_path):
+        bad = dict(CONFIG, scenario="node2b",
+                   dataset=dict(CONFIG["dataset"], n=8),
+                   attack={"iterations": 20, "learning_rate": 1e300})
+        cfg = write_config(tmp_path, bad)
+        out = run_cli("attack", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert out.returncode == 2
+        assert "numeric failure" in out.stderr
+        assert not (tmp_path / "o" / "report.csv").exists()
+
     def test_missing_config_exit_code(self, tmp_path):
         out = run_cli("attack", "--config", str(tmp_path / "nope.json"))
         assert out.returncode == 1

@@ -137,13 +137,11 @@ class TestSampling:
             numkit.sample_bernoulli(numkit.make_rng(0), np.array([[1.5]]))
 
     def test_seed_reproducibility(self):
-        a = numkit.sample_gaussian(numkit.make_rng(7), 5, 5)
-        b = numkit.sample_gaussian(numkit.make_rng(7), 5, 5)
+        a = numkit.make_rng(7).standard_normal((5, 5))
+        b = numkit.make_rng(7).standard_normal((5, 5))
         assert np.array_equal(a, b)
-        x = numkit.sample_uniform_int(numkit.make_rng(9), 0, 1000)
-        y = numkit.sample_uniform_int(numkit.make_rng(9), 0, 1000)
-        assert x == y
-
-    def test_uniform_int_empty_range(self):
-        with pytest.raises(ValueError):
-            numkit.sample_uniform_int(numkit.make_rng(0), 3, 3)
+        x = numkit.make_rng(9).integers(0, 1000, size=8)
+        y = numkit.make_rng(9).integers(0, 1000, size=8)
+        assert np.array_equal(x, y)
+        assert not np.array_equal(
+            numkit.make_rng(8).standard_normal((5, 5)), a)
