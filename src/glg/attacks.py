@@ -234,8 +234,8 @@ def finalize_adjacency(prob, rule, rng=None, tau=0.5):
 
     bernoulli: entrywise draw with the given probabilities. threshold:
     min-max normalize the off-diagonal entries, then keep entries at or
-    above tau. Either way the lower triangle is mirrored and the diagonal
-    zeroed.
+    above tau; when they are all equal, compare the raw entries with tau.
+    Either way the lower triangle is mirrored and the diagonal zeroed.
     """
     prob = np.asarray(prob, dtype=np.float64)
     if rule == "bernoulli":
@@ -245,12 +245,10 @@ def finalize_adjacency(prob, rule, rng=None, tau=0.5):
         lower = np.tril(draw, k=-1)
         return lower + lower.T
     if rule == "threshold":
-        lo = prob.min()
-        hi = prob.max()
-        if hi > lo:
-            z = (prob - lo) / (hi - lo)
-        else:
-            z = np.zeros_like(prob)
+        off = prob[~np.eye(prob.shape[0], dtype=bool)]
+        z = prob
+        if off.size and off.max() > off.min():
+            z = (prob - off.min()) / (off.max() - off.min())
         lower = np.tril((z >= tau).astype(np.float64), k=-1)
         return lower + lower.T
     raise ValueError(f"unknown finalization rule {rule!r}")
@@ -533,8 +531,13 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, rng=None)
     batch-averaged dummy gradient matches the leak. Graph task: per-sample
     known adjacencies, per-sample feature matrices optimized. True labels
     must be supplied; averaging destroys the per-sample sign structure that
-    single-sample label inference relies on.
+    single-sample label inference relies on. The spec's scenario is node1
+    for a node-task model and graph_b for a graph-task model.
     """
+    want = "node1" if params.task == "node" else "graph_b"
+    if spec.scenario != want:
+        raise ConfigError(f"spec scenario is {spec.scenario}, not {want}, for a "
+                          f"batched {params.task}-task attack", "scenario")
     rng = rng or make_rng(spec.seed)
     bundle = _bundles_of(leak)[0]
     b = leak.batch_size if isinstance(leak, LeakRecord) else len(labels)

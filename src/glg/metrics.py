@@ -4,9 +4,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .errors import ShapeError, UndefinedMetricError
+from .errors import NumericError, ShapeError, UndefinedMetricError
 from .numkit import hungarian_assign
 
 __all__ = [
@@ -69,6 +68,17 @@ def _lower_tri_values(a, k=-1):
     return np.asarray(a)[idx]
 
 
+def _average_ranks(values):
+    """1-based ranks; tied values share the mean rank of their group."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def auc(a_true, a_scores):
     """Rank-based (Mann-Whitney) AUC over the strict lower triangle.
 
@@ -81,7 +91,9 @@ def auc(a_true, a_scores):
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs both edges and non-edges")
-    ranks = rankdata(scores, method="average")
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("AUC scores contain NaN or Inf")
+    ranks = _average_ranks(scores)
     pos_rank_sum = ranks[labels == 1.0].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

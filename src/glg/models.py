@@ -217,10 +217,8 @@ class _NodeCtx:
     targets: np.ndarray
     labels: np.ndarray
     batch: bool
-    agg1: np.ndarray = field(repr=False, default=None)   # anorm @ x
-    sig1: np.ndarray = field(repr=False, default=None)   # sigma'(pre1)
     ht: np.ndarray = field(repr=False, default=None)     # hidden rows at targets
-    st: np.ndarray = field(repr=False, default=None)
+    st: np.ndarray = field(repr=False, default=None)     # sigma' at those rows
     mt: np.ndarray = field(repr=False, default=None)     # aggregated input rows
     xt: np.ndarray = field(repr=False, default=None)     # raw feature rows
     at: np.ndarray = field(repr=False, default=None)     # anorm rows at targets
@@ -229,8 +227,6 @@ class _NodeCtx:
     g1: np.ndarray = field(repr=False, default=None)     # d loss / d pre1 rows
     u: np.ndarray = field(repr=False, default=None)      # g2 @ out_weight
     losses: np.ndarray = None
-    pre1: np.ndarray = field(repr=False, default=None)
-    hidden1: np.ndarray = field(repr=False, default=None)
     logits: np.ndarray = field(repr=False, default=None)
 
 
@@ -242,6 +238,14 @@ def _gather_rows(arr, targets, batch):
     return arr[targets]
 
 
+def _pre_activation(t, layer, agg, h):
+    """Pre-activation of a convolution layer from its aggregated and own inputs."""
+    pre = agg @ t[layer + "_agg"].T + t[layer + "_bias"]
+    if layer + "_self" in t:
+        pre = pre + h @ t[layer + "_self"].T
+    return pre
+
+
 def node_ctx(params, x, anorm, targets, labels, batch=False):
     t = params.tensors
     x = np.asarray(x, dtype=np.float64)
@@ -251,20 +255,14 @@ def node_ctx(params, x, anorm, targets, labels, batch=False):
     if np.any(labels < 0) or np.any(labels >= params.num_classes):
         raise ShapeError("label out of range")
 
-    agg1 = anorm @ x
-    pre1 = agg1 @ t["conv1_agg"].T + t["conv1_bias"]
-    if "conv1_self" in t:
-        pre1 = pre1 + x @ t["conv1_self"].T
-    hidden1 = _sigmoid(pre1)
-    sig1 = hidden1 * (1.0 - hidden1)
-
-    ctx = _NodeCtx(x=x, anorm=anorm, targets=targets, labels=labels, batch=batch,
-                   agg1=agg1, sig1=sig1, pre1=pre1, hidden1=hidden1)
-    ctx.ht = _gather_rows(hidden1, targets, batch)
-    ctx.st = _gather_rows(sig1, targets, batch)
-    ctx.mt = _gather_rows(agg1, targets, batch)
-    ctx.xt = _gather_rows(x, targets, batch)
+    # the head reads the first layer at the targets only, so only those
+    # rows are computed
+    ctx = _NodeCtx(x=x, anorm=anorm, targets=targets, labels=labels, batch=batch)
     ctx.at = _gather_rows(anorm, targets, batch)
+    ctx.xt = _gather_rows(x, targets, batch)
+    ctx.mt = np.einsum("sn,snd->sd", ctx.at, x) if x.ndim == 3 else ctx.at @ x
+    ctx.ht = _sigmoid(_pre_activation(t, "conv1", ctx.mt, ctx.xt))
+    ctx.st = ctx.ht * (1.0 - ctx.ht)
 
     ctx.logits = ctx.ht @ t["out_weight"].T + t["out_bias"]
     ctx.q = softmax(ctx.logits)
@@ -399,15 +397,17 @@ def forward_node(params, g, anorm, target, label=None):
     if not 0 <= target < x.shape[0]:
         raise ShapeError(f"target {target} out of range")
     ctx = node_ctx(params, x, mat, [target], [label])
+    aggregated = mat @ x
+    pre_hidden = _pre_activation(params.tensors, "conv1", aggregated, x)
     return NodeTrace(
         features=x,
         adj_norm=mat,
         mode=params.norm_mode,
         target=int(target),
         label=int(label),
-        aggregated=ctx.agg1,
-        pre_hidden=ctx.pre1,
-        hidden=ctx.hidden1,
+        aggregated=aggregated,
+        pre_hidden=pre_hidden,
+        hidden=_sigmoid(pre_hidden),
         logits=ctx.logits[0],
         probs=ctx.q[0],
         loss=float(ctx.losses[0]),
@@ -487,16 +487,12 @@ def graph_ctx(params, x, anorm, labels):
 
     ctx = _GraphCtx(x=x, anorm=anorm, labels=labels)
     ctx.agg1 = anorm @ x
-    ctx.pre1 = ctx.agg1 @ t["conv1_agg"].T + t["conv1_bias"]
-    if "conv1_self" in t:
-        ctx.pre1 = ctx.pre1 + x @ t["conv1_self"].T
+    ctx.pre1 = _pre_activation(t, "conv1", ctx.agg1, x)
     ctx.hidden1 = _sigmoid(ctx.pre1)
     ctx.sig1 = ctx.hidden1 * (1.0 - ctx.hidden1)
 
     ctx.agg2 = anorm @ ctx.hidden1
-    ctx.pre2 = ctx.agg2 @ t["conv2_agg"].T + t["conv2_bias"]
-    if "conv2_self" in t:
-        ctx.pre2 = ctx.pre2 + ctx.hidden1 @ t["conv2_self"].T
+    ctx.pre2 = _pre_activation(t, "conv2", ctx.agg2, ctx.hidden1)
     ctx.hidden2 = _sigmoid(ctx.pre2)
     ctx.sig2 = ctx.hidden2 * (1.0 - ctx.hidden2)
 

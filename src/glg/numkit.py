@@ -7,7 +7,6 @@ Everything runs in float64. All randomness flows through an explicit
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import NumericError, ShapeError
 
@@ -100,6 +99,9 @@ def hungarian_assign(cost):
 
     Returns ``perm`` with row ``i`` assigned to column ``perm[i]``.
     """
+    # imported here: scipy.optimize would otherwise dominate ``import glg``
+    from scipy.optimize import linear_sum_assignment
+
     cost = as_matrix(cost, "cost")
     if cost.shape[0] != cost.shape[1]:
         raise ShapeError(f"cost matrix must be square, got {cost.shape}")

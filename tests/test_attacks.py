@@ -135,6 +135,14 @@ class TestProjectionFinalization:
         got = attacks.finalize_adjacency(prob, "threshold", tau=0.5)
         assert got[0, 1] == 1.0 and got[1, 0] == 1.0
 
+    def test_threshold_min_max_over_off_diagonal(self):
+        prob = np.array([[0.0, 0.5, 0.6], [0.5, 0.0, 0.9], [0.6, 0.9, 0.0]])
+        got = attacks.finalize_adjacency(prob, "threshold", tau=0.5)
+        # off-diagonal min-max: 0.5 -> 0, 0.6 -> 0.25, 0.9 -> 1
+        want = np.zeros((3, 3))
+        want[1, 2] = want[2, 1] = 1.0
+        assert np.array_equal(got, want)
+
     def test_finalized_is_symmetric_zero_diagonal(self):
         r = numkit.make_rng(14)
         prob = r.random((6, 6))
@@ -299,6 +307,30 @@ class TestIterativeAttacks:
         spec = attacks.AttackSpec(scenario="node2a", iterations=5)
         with pytest.raises(ConfigError):
             attacks.attack_node2(record, spec, params)  # missing known features
+
+    @pytest.mark.parametrize("task,scenario", [
+        ("node", "graph_b"), ("node", "node2a"),
+        ("graph", "node1"), ("graph", "graph_c"),
+    ])
+    def test_batched_scenario_must_match_task(self, task, scenario):
+        r = numkit.make_rng(26)
+        if task == "node":
+            g = graphs.synthetic_graph(r, 6, 2, 3, num_classes=2)
+            params = models.init_params(r, "sage", "node", 3, 4, 2)
+            record = federated.leak(params, g, "batched-node", targets=[1, 4])
+            labels, known = g.labels[[1, 4]], None
+        else:
+            g0 = graphs.er_graph(r, 4, 0.5, 3)
+            g = graphs.Graph(adjacency=g0.adjacency, features=g0.features,
+                             graph_label=1)
+            params = models.init_params(r, "sage", "graph", 3, 4, 2,
+                                        num_nodes=4)
+            record = federated.leak(params, [g], "batched-graph")
+            labels, known = [g.graph_label], [g.adjacency]
+        spec = attacks.AttackSpec(scenario=scenario, iterations=5)
+        with pytest.raises(ConfigError, match="scenario"):
+            attacks.attack_batched(record, spec, params, labels=labels,
+                                   known_adjacencies=known)
 
     def test_batched_b1_matches_node1(self):
         r = numkit.make_rng(24)

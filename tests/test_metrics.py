@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from glg import metrics, numkit
-from glg.errors import ShapeError, UndefinedMetricError
+from glg.errors import NumericError, ShapeError, UndefinedMetricError
 
 rng = numkit.make_rng(404)
 
@@ -116,6 +116,25 @@ class TestAuc:
             scores[idx] = np.round(r.random(len(idx[0])), 1)  # force ties
             assert metrics.auc(a, scores) == pytest.approx(
                 brute_force_auc(a, scores), abs=1e-12)
+
+    def test_tied_scores_hand_value(self):
+        a = np.zeros((4, 4))
+        for i, j in ((1, 0), (2, 1), (3, 2)):
+            a[i, j] = a[j, i] = 1.0
+        s = np.zeros((4, 4))
+        s[1, 0], s[2, 1], s[3, 2] = 0.8, 0.5, 0.5   # edges
+        s[2, 0], s[3, 0], s[3, 1] = 0.5, 0.2, 0.8   # non-edges
+        # ranks 0.2 -> 1, the three 0.5 -> 3, the two 0.8 -> 5.5; edge rank
+        # sum 11.5, so AUC = (11.5 - 3 * 4 / 2) / (3 * 3) = 11/18
+        assert metrics.auc(a, s) == 11.0 / 18.0
+
+    def test_non_finite_scores_raise(self):
+        a = np.zeros((3, 3))
+        a[1, 0] = a[0, 1] = 1.0
+        s = np.full((3, 3), 0.5)
+        s[2, 1] = np.nan
+        with pytest.raises(NumericError):
+            metrics.auc(a, s)
 
     def test_single_class_error(self):
         with pytest.raises(UndefinedMetricError):

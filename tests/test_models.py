@@ -79,6 +79,44 @@ class TestForwardNode:
         assert np.array_equal(a.logits, b.logits)
 
 
+def full_first_layer(params, x, anorm):
+    """Aggregated input, hidden layer and sigmoid derivative on every row."""
+    t = params.tensors
+    agg = anorm @ x
+    pre = agg @ t["conv1_agg"].T + t["conv1_bias"]
+    if "conv1_self" in t:
+        pre = pre + x @ t["conv1_self"].T
+    hidden = 1.0 / (1.0 + np.exp(-pre))
+    return agg, hidden, hidden * (1.0 - hidden)
+
+
+class TestNodeCtxRows:
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    def test_shared_graph_several_targets(self, framework):
+        g, params, anorm = make_node_setup(framework, n=7, seed=41)
+        targets = np.array([3, 0, 6, 3])
+        ctx = models.node_ctx(params, g.features, anorm.matrix, targets,
+                              g.labels[targets])
+        agg, hidden, sig = full_first_layer(params, g.features, anorm.matrix)
+        assert np.allclose(ctx.mt, agg[targets], rtol=0, atol=1e-12)
+        assert np.allclose(ctx.ht, hidden[targets], rtol=0, atol=1e-12)
+        assert np.allclose(ctx.st, sig[targets], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    def test_batch_of_graphs_shared_adjacency(self, framework):
+        g, params, anorm = make_node_setup(framework, n=6, seed=42)
+        r = numkit.make_rng(43)
+        x = r.standard_normal((4,) + g.features.shape)
+        targets = np.array([0, 2, 0, 5])
+        ctx = models.node_ctx(params, x, anorm.matrix, targets, [0, 1, 2, 1],
+                              batch=True)
+        for b, target in enumerate(targets):
+            agg, hidden, sig = full_first_layer(params, x[b], anorm.matrix)
+            assert np.allclose(ctx.mt[b], agg[target], rtol=0, atol=1e-12)
+            assert np.allclose(ctx.ht[b], hidden[target], rtol=0, atol=1e-12)
+            assert np.allclose(ctx.st[b], sig[target], rtol=0, atol=1e-12)
+
+
 class TestForwardGraph:
     def test_zero_mlp_uniform_loss(self):
         r = numkit.make_rng(5)

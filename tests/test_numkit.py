@@ -1,8 +1,12 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import glg
 from glg import numkit
 from glg.errors import NumericError, ShapeError
 
@@ -145,3 +149,16 @@ class TestSampling:
         assert np.array_equal(x, y)
         assert not np.array_equal(
             numkit.make_rng(8).standard_normal((5, 5)), a)
+
+
+class TestImport:
+    def test_import_glg_loads_no_scipy(self):
+        # scipy is imported on first use only; it would dominate import time
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(glg.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, glg; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "[]"
