@@ -131,43 +131,62 @@ def _flatten(stacks, names):
     return np.concatenate([stacks[k].reshape(s, -1) for k in names], axis=1)
 
 
-def _unflatten(mat, stacks, names):
-    out = {}
+def _layout(stacks, names):
+    """``(name, start, stop, shape)`` of each tensor in a flattened stack row."""
+    out = []
     pos = 0
     for k in names:
-        size = int(np.prod(stacks[k].shape[1:]))
-        out[k] = mat[:, pos:pos + size].reshape(stacks[k].shape)
+        shape = stacks[k].shape
+        size = math.prod(shape[1:])
+        out.append((k, pos, pos + size, shape))
         pos += size
     return out
 
 
-def _objective_and_grad(dummy_stacks, leaked_flat, kind, names):
-    """Sum of per-sample matching losses and d(loss)/d(dummy bundle)."""
-    dummy_flat = _flatten(dummy_stacks, names)
+def _unflatten(mat, layout):
+    return {k: mat[:, lo:hi].reshape(shape) for k, lo, hi, shape in layout}
+
+
+def _matcher(leaked_flat, kind):
+    """``match(dummy_flat) -> (value, d value / d dummy_flat)`` against the leak.
+
+    The value is the sum of per-row matching losses. The leak's own norms
+    and unit rows are computed here, once; a zero-norm leaked row raises
+    :class:`DegenerateGradientError` under the cosine objective.
+    """
     if kind == "l2":
-        diff = dummy_flat - leaked_flat
-        value = float((diff * diff).sum())
-        return value, _unflatten(2.0 * diff, dummy_stacks, names)
-    dn = np.linalg.norm(dummy_flat, axis=1, keepdims=True)
-    ln = np.linalg.norm(leaked_flat, axis=1, keepdims=True)
-    if np.any(dn == 0.0) or np.any(ln == 0.0):
-        raise DegenerateGradientError("zero-norm gradient bundle in cosine objective")
-    u = dummy_flat / dn
+        def match(dummy_flat):
+            diff = dummy_flat - leaked_flat
+            return float((diff * diff).sum()), 2.0 * diff
+        return match
+
+    ln = np.sqrt((leaked_flat * leaked_flat).sum(axis=1, keepdims=True))
+    if np.any(ln == 0.0):
+        raise DegenerateGradientError("zero-norm leaked gradient bundle in "
+                                      "cosine objective")
     v = leaked_flat / ln
-    w = u - v
-    # 0.5 ||u - v||^2 equals 1 - cos and is exactly zero on identical bundles
-    value = float(0.5 * (w * w).sum())
-    vgrad = (w - u * (u * w).sum(axis=1, keepdims=True)) / dn
-    return value, _unflatten(vgrad, dummy_stacks, names)
+
+    def match(dummy_flat):
+        dn = np.sqrt((dummy_flat * dummy_flat).sum(axis=1, keepdims=True))
+        if np.any(dn == 0.0):
+            raise DegenerateGradientError("zero-norm dummy gradient bundle in "
+                                          "cosine objective")
+        u = dummy_flat / dn
+        w = u - v
+        # 0.5 ||u - v||^2 equals 1 - cos and is exactly zero on identical bundles
+        value = float(0.5 * (w * w).sum())
+        return value, (w - u * (u * w).sum(axis=1, keepdims=True)) / dn
+
+    return match
 
 
 def _pair_match(leaked, dummy, kind):
-    """:func:`_objective_and_grad` value on one-row stacks of two bundles."""
+    """:func:`_matcher` value on one-row stacks of two bundles."""
     lf = _flatten(_stack_tensors([leaked]), leaked.param_names)
     df = _flatten(_stack_tensors([dummy]), dummy.param_names)
     if leaked.param_names != dummy.param_names or lf.shape != df.shape:
         raise ShapeError("bundles are not congruent")
-    return _objective_and_grad({"flat": df}, lf, kind, ["flat"])[0]
+    return _matcher(lf, kind)(df)[0]
 
 
 def grad_match_l2(leaked, dummy):
@@ -318,10 +337,14 @@ def _matching_objective(spec, params, bundles, forward, pullback, known_x=None,
     normalized adjacency. With ``update``, gradients of the unknowns come
     back (None otherwise); an optimized adjacency's goes back through
     :func:`normalize_dense_backward`. ``regularize`` adds the smoothness and
-    Frobenius terms weighted by spec.alpha / spec.beta.
+    Frobenius terms weighted by spec.alpha / spec.beta. The leak's layout and
+    cosine norms are computed here, once per attack, so a zero-norm leak
+    raises :class:`DegenerateGradientError` before any iteration.
     """
     names = bundles[0].param_names
-    leaked_flat = _flatten(_stack_tensors(bundles), names)
+    leaked = _stack_tensors(bundles)
+    layout = _layout(leaked, names)
+    match = _matcher(_flatten(leaked, names), spec.objective)
     mode = params.norm_mode
 
     def objective(x, a, update):
@@ -330,10 +353,10 @@ def _matching_objective(spec, params, bundles, forward, pullback, known_x=None,
         x = x if opt_x else known_x
         a = a if opt_a else known_a
         ctx, stacks = forward(x, normalize_dense(a, mode) if opt_a else anorm)
-        value, v = _objective_and_grad(stacks, leaked_flat, spec.objective, names)
+        value, vflat = match(_flatten(stacks, names))
         gx = ga = None
         if update:
-            xbar, abar_norm = pullback(ctx, v, opt_a)
+            xbar, abar_norm = pullback(ctx, _unflatten(vflat, layout), opt_a)
             if opt_x:
                 gx = xbar
             if opt_a:

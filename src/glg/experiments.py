@@ -7,6 +7,7 @@ are reproducible and no repetition's result depends on another's.
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -80,10 +81,27 @@ class DatasetSpec:
                 path = getattr(self, name)
                 if not path or not os.path.exists(path):
                     raise ConfigError(f"missing file {path!r}", f"dataset.{name}")
-        else:
-            if self.n < 1 or self.feature_dim < 1 or self.num_classes < 2:
-                raise ConfigError("dataset sizes must be positive",
-                                  "dataset.n")
+            return
+        if self.n < 1 or self.feature_dim < 1 or self.num_classes < 2:
+            raise ConfigError("dataset sizes must be positive", "dataset.n")
+        if self.source == "tree":
+            return
+        if not (math.isfinite(self.avg_degree) and self.avg_degree >= 0):
+            raise ConfigError("avg_degree must be finite and non-negative",
+                              "dataset.avg_degree")
+        if self.source == "synthetic":
+            if int(self.avg_degree * self.n) // 2 > self.n * (self.n - 1) // 2:
+                raise ConfigError(f"avg_degree {self.avg_degree} asks for more "
+                                  f"edges than {self.n} nodes have",
+                                  "dataset.avg_degree")
+        elif self.edge_prob is not None:
+            if not 0.0 <= self.edge_prob <= 1.0:
+                raise ConfigError("edge_prob must lie in [0, 1]",
+                                  "dataset.edge_prob")
+        elif self.n < 2 or self.avg_degree > self.n - 1:
+            raise ConfigError("the default edge probability avg_degree / (n - 1) "
+                              "must lie in [0, 1]; set edge_prob or lower "
+                              "avg_degree", "dataset.avg_degree")
 
 
 @dataclass
@@ -109,6 +127,9 @@ class ExperimentConfig:
             raise ConfigError("repeats must be at least 1", "repeats")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1", "batch_size")
+        if self.egonet_hops is not None and self.egonet_hops < 0:
+            raise ConfigError("egonet_hops must be non-negative or null",
+                              "egonet_hops")
         if self.attack is None:
             self.attack = AttackSpec(scenario=_attack_scenario(self.scenario))
         if self.attack.scenario != _attack_scenario(self.scenario):

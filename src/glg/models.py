@@ -173,19 +173,25 @@ def cross_entropy(logits, label):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp of a non-positive argument never overflows; the two branches give
+    # the same bits as the masked form 1/(1+exp(-z)) for z >= 0 and
+    # exp(z)/(1+exp(z)) for z < 0
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def _ce_rows(logits, labels):
     z = logits - logits.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=-1))
-    picked = np.take_along_axis(z, labels[:, None], axis=-1)[:, 0]
-    return lse - picked
+    return lse - z[np.arange(z.shape[0]), labels]
+
+
+def _minus_onehot(q, labels):
+    """``q - onehot(labels)``, row by row: the logit gradient of cross-entropy."""
+    out = q.copy()
+    out[np.arange(labels.shape[0]), labels] -= 1.0
+    return out
 
 
 def _check_norm(params, anorm):
@@ -260,15 +266,13 @@ def node_ctx(params, x, anorm, targets, labels, batch=False):
     ctx = _NodeCtx(x=x, anorm=anorm, targets=targets, labels=labels, batch=batch)
     ctx.at = _gather_rows(anorm, targets, batch)
     ctx.xt = _gather_rows(x, targets, batch)
-    ctx.mt = np.einsum("sn,snd->sd", ctx.at, x) if x.ndim == 3 else ctx.at @ x
+    ctx.mt = (ctx.at[:, None, :] @ x)[:, 0] if x.ndim == 3 else ctx.at @ x
     ctx.ht = _sigmoid(_pre_activation(t, "conv1", ctx.mt, ctx.xt))
     ctx.st = ctx.ht * (1.0 - ctx.ht)
 
     ctx.logits = ctx.ht @ t["out_weight"].T + t["out_bias"]
     ctx.q = softmax(ctx.logits)
-    onehot = np.zeros_like(ctx.q)
-    onehot[np.arange(labels.shape[0]), labels] = 1.0
-    ctx.g2 = ctx.q - onehot
+    ctx.g2 = _minus_onehot(ctx.q, labels)
     ctx.u = ctx.g2 @ t["out_weight"]
     ctx.g1 = ctx.u * ctx.st
     ctx.losses = _ce_rows(ctx.logits, labels)
@@ -277,40 +281,48 @@ def node_ctx(params, x, anorm, targets, labels, batch=False):
 
 def node_bundles(ctx, params):
     """Per-sample gradient stacks, leading axis = sample."""
+    g1 = ctx.g1[:, :, None]
     out = {
-        "out_weight": np.einsum("sk,sf->skf", ctx.g2, ctx.ht),
+        "out_weight": ctx.g2[:, :, None] * ctx.ht[:, None, :],
         "out_bias": ctx.g2.copy(),
-        "conv1_agg": np.einsum("sf,sd->sfd", ctx.g1, ctx.mt),
+        "conv1_agg": g1 * ctx.mt[:, None, :],
         "conv1_bias": ctx.g1.copy(),
     }
     if "conv1_self" in params.tensors:
-        out["conv1_self"] = np.einsum("sf,sd->sfd", ctx.g1, ctx.xt)
+        out["conv1_self"] = g1 * ctx.xt[:, None, :]
     return out
+
+
+def _node_scatter(ctx, mtbar, xtbar, want_adjacency):
+    """Pull the adjoints of ``mt = at @ x`` and ``xt`` back to x and anorm.
+
+    ``xtbar`` is None for a model without a self weight. Shared mode sums
+    over the targets; batch mode keeps one stack entry per sample.
+    """
+    abar = None
+    if ctx.batch:
+        xbar = ctx.at[:, :, None] * mtbar[:, None, :]
+        rows = np.arange(xbar.shape[0])
+        if xtbar is not None:
+            xbar[rows, ctx.targets] += xtbar
+        if want_adjacency:
+            abar = np.zeros(ctx.x.shape[:-1] + (ctx.x.shape[-2],))
+            abar[rows, ctx.targets] = (ctx.x @ mtbar[:, :, None])[:, :, 0]
+        return xbar, abar
+    xbar = ctx.at.T @ mtbar
+    if xtbar is not None:
+        np.add.at(xbar, ctx.targets, xtbar)
+    if want_adjacency:
+        abar = np.zeros((ctx.x.shape[0], ctx.x.shape[0]))
+        np.add.at(abar, ctx.targets, mtbar @ ctx.x.T)
+    return xbar, abar
 
 
 def node_input_grads(ctx, params, want_adjacency=True):
     """First-order d loss / d features (and d loss / d anorm), summed over samples."""
     t = params.tensors
-    m1bar = ctx.g1 @ t["conv1_agg"]  # (S, D)
-    if ctx.batch:
-        xbar = np.einsum("sn,sd->snd", ctx.at, m1bar)
-        if "conv1_self" in t:
-            selfbar = ctx.g1 @ t["conv1_self"]
-            xbar[np.arange(xbar.shape[0]), ctx.targets] += selfbar
-        abar = None
-        if want_adjacency:
-            abar = np.zeros(ctx.x.shape[:-1] + (ctx.x.shape[-2],))
-            rows = np.einsum("sd,snd->sn", m1bar, ctx.x)
-            abar[np.arange(abar.shape[0]), ctx.targets] = rows
-        return xbar, abar
-    xbar = np.einsum("sn,sd->nd", ctx.at, m1bar)
-    if "conv1_self" in t:
-        np.add.at(xbar, ctx.targets, ctx.g1 @ t["conv1_self"])
-    abar = None
-    if want_adjacency:
-        abar = np.zeros((ctx.x.shape[0], ctx.x.shape[0]))
-        np.add.at(abar, ctx.targets, m1bar @ ctx.x.T)
-    return xbar, abar
+    xtbar = ctx.g1 @ t["conv1_self"] if "conv1_self" in t else None
+    return _node_scatter(ctx, ctx.g1 @ t["conv1_agg"], xtbar, want_adjacency)
 
 
 def node_matching_grad(ctx, params, v, want_adjacency):
@@ -325,45 +337,28 @@ def node_matching_grad(ctx, params, v, want_adjacency):
     w_agg = t["conv1_agg"]
     w_self = t.get("conv1_self")
 
-    g1bar = np.einsum("sd,sfd->sf", ctx.mt, v["conv1_agg"]) + v["conv1_bias"]
+    # contractions over one sample's tensors, as batched matrix products:
+    # (S, F, D) @ (S, D, 1) -> (S, F) and (S, 1, F) @ (S, F, D) -> (S, D)
+    g1 = ctx.g1[:, None, :]
+    g1bar = (v["conv1_agg"] @ ctx.mt[:, :, None])[:, :, 0] + v["conv1_bias"]
     if w_self is not None:
-        g1bar += np.einsum("sd,sfd->sf", ctx.xt, v["conv1_self"])
-    mtbar = np.einsum("sf,sfd->sd", ctx.g1, v["conv1_agg"])
-    xtbar = (np.einsum("sf,sfd->sd", ctx.g1, v["conv1_self"])
-             if w_self is not None else 0.0)
+        g1bar += (v["conv1_self"] @ ctx.xt[:, :, None])[:, :, 0]
+    mtbar = (g1 @ v["conv1_agg"])[:, 0]
 
     ubar = g1bar * ctx.st
     stbar = g1bar * ctx.u
-    g2bar = (np.einsum("sf,skf->sk", ctx.ht, v["out_weight"]) + v["out_bias"]
+    g2bar = ((v["out_weight"] @ ctx.ht[:, :, None])[:, :, 0] + v["out_bias"]
              + ubar @ w_out.T)
     pbar = ctx.q * g2bar - (g2bar * ctx.q).sum(axis=-1, keepdims=True) * ctx.q
     htbar = (pbar @ w_out
-             + np.einsum("sk,skf->sf", ctx.g2, v["out_weight"])
+             + (ctx.g2[:, None, :] @ v["out_weight"])[:, 0]
              + stbar * (1.0 - 2.0 * ctx.ht))
     ztbar = htbar * ctx.st
     mtbar = mtbar + ztbar @ w_agg
+    xtbar = None
     if w_self is not None:
-        xtbar = xtbar + ztbar @ w_self
-
-    if ctx.batch:
-        xbar = np.einsum("sn,sd->snd", ctx.at, mtbar)
-        if w_self is not None:
-            xbar[np.arange(xbar.shape[0]), ctx.targets] += xtbar
-        abar = None
-        if want_adjacency:
-            abar = np.zeros(ctx.x.shape[:-1] + (ctx.x.shape[-2],))
-            abar[np.arange(abar.shape[0]), ctx.targets] = np.einsum(
-                "sd,snd->sn", mtbar, ctx.x)
-        return xbar, abar
-
-    xbar = np.einsum("sn,sd->nd", ctx.at, mtbar)
-    if w_self is not None:
-        np.add.at(xbar, ctx.targets, xtbar)
-    abar = None
-    if want_adjacency:
-        abar = np.zeros((ctx.x.shape[0], ctx.x.shape[0]))
-        np.add.at(abar, ctx.targets, mtbar @ ctx.x.T)
-    return xbar, abar
+        xtbar = (g1 @ v["conv1_self"])[:, 0] + ztbar @ w_self
+    return _node_scatter(ctx, mtbar, xtbar, want_adjacency)
 
 
 @dataclass
@@ -465,8 +460,9 @@ class _GraphCtx:
     pre2: np.ndarray = field(repr=False, default=None)
 
 
-def _anorm_t(anorm):
-    return np.swapaxes(anorm, -1, -2) if anorm.ndim == 3 else anorm.T
+def _swap(a):
+    """Transpose of the last two axes (of every matrix in a stack)."""
+    return a.swapaxes(-1, -2)
 
 
 def graph_ctx(params, x, anorm, labels):
@@ -499,14 +495,12 @@ def graph_ctx(params, x, anorm, labels):
     ctx.flat = ctx.hidden2.reshape(b, -1)
     ctx.logits = ctx.flat @ t["mlp_weight"].T + t["mlp_bias"]
     ctx.q = softmax(ctx.logits)
-    onehot = np.zeros_like(ctx.q)
-    onehot[np.arange(b), labels] = 1.0
-    ctx.gp = ctx.q - onehot
+    ctx.gp = _minus_onehot(ctx.q, labels)
     ctx.losses = _ce_rows(ctx.logits, labels)
 
     hbar = (ctx.gp @ t["mlp_weight"]).reshape(ctx.hidden2.shape)
     ctx.g2 = hbar * ctx.sig2
-    ctx.u1 = _anorm_t(anorm) @ (ctx.g2 @ t["conv2_agg"])
+    ctx.u1 = _swap(anorm) @ (ctx.g2 @ t["conv2_agg"])
     if "conv2_self" in t:
         ctx.u1 = ctx.u1 + ctx.g2 @ t["conv2_self"]
     ctx.g1 = ctx.u1 * ctx.sig1
@@ -515,18 +509,20 @@ def graph_ctx(params, x, anorm, labels):
 
 def graph_bundles(ctx, params):
     """Per-sample gradient stacks for the graph task, leading axis B."""
+    g2t = _swap(ctx.g2)
+    g1t = _swap(ctx.g1)
     out = {
-        "mlp_weight": np.einsum("bk,bm->bkm", ctx.gp, ctx.flat),
+        "mlp_weight": ctx.gp[:, :, None] * ctx.flat[:, None, :],
         "mlp_bias": ctx.gp.copy(),
-        "conv2_agg": np.einsum("bnf,bng->bfg", ctx.g2, ctx.agg2),
+        "conv2_agg": g2t @ ctx.agg2,
         "conv2_bias": ctx.g2.sum(axis=-2),
-        "conv1_agg": np.einsum("bnf,bnd->bfd", ctx.g1, ctx.agg1),
+        "conv1_agg": g1t @ ctx.agg1,
         "conv1_bias": ctx.g1.sum(axis=-2),
     }
     if "conv2_self" in params.tensors:
-        out["conv2_self"] = np.einsum("bnf,bng->bfg", ctx.g2, ctx.hidden1)
+        out["conv2_self"] = g2t @ ctx.hidden1
     if "conv1_self" in params.tensors:
-        out["conv1_self"] = np.einsum("bnf,bnd->bfd", ctx.g1, ctx.x)
+        out["conv1_self"] = g1t @ ctx.x
     return out
 
 
@@ -534,14 +530,13 @@ def graph_input_grads(ctx, params, want_adjacency=True):
     """First-order d loss / d features and d loss / d anorm, per sample."""
     t = params.tensors
     m1bar = ctx.g1 @ t["conv1_agg"]
-    xbar = _anorm_t(ctx.anorm) @ m1bar
+    xbar = _swap(ctx.anorm) @ m1bar
     if "conv1_self" in t:
         xbar = xbar + ctx.g1 @ t["conv1_self"]
     abar = None
     if want_adjacency:
         m2bar = ctx.g2 @ t["conv2_agg"]
-        abar = (m2bar @ np.swapaxes(ctx.hidden1, -1, -2)
-                + m1bar @ np.swapaxes(ctx.x, -1, -2))
+        abar = m2bar @ _swap(ctx.hidden1) + m1bar @ _swap(ctx.x)
     return xbar, abar
 
 
@@ -553,60 +548,55 @@ def graph_matching_grad(ctx, params, v, want_adjacency):
     w2a = t["conv2_agg"]
     w2s = t.get("conv2_self")
     wm = t["mlp_weight"]
-    anorm_t = _anorm_t(ctx.anorm)
+    anorm_t = _swap(ctx.anorm)
     b = ctx.x.shape[0]
 
     # adjoints of the first-layer backward outputs
-    g1bar = np.einsum("bnd,bfd->bnf", ctx.agg1, v["conv1_agg"]) + v["conv1_bias"][:, None, :]
+    g1bar = ctx.agg1 @ _swap(v["conv1_agg"]) + v["conv1_bias"][:, None, :]
     if w1s is not None:
-        g1bar += np.einsum("bnd,bfd->bnf", ctx.x, v["conv1_self"])
-    m1bar = np.einsum("bnf,bfd->bnd", ctx.g1, v["conv1_agg"])
-    xbar = (np.einsum("bnf,bfd->bnd", ctx.g1, v["conv1_self"])
-            if w1s is not None else np.zeros_like(ctx.x))
+        g1bar += ctx.x @ _swap(v["conv1_self"])
+    m1bar = ctx.g1 @ v["conv1_agg"]
 
     u1bar = g1bar * ctx.sig1
     s1bar = g1bar * ctx.u1
     g2bar = (ctx.anorm @ u1bar) @ w2a.T
     abar_n = None
     if want_adjacency:
-        abar_n = (ctx.g2 @ w2a) @ np.swapaxes(u1bar, -1, -2)
+        abar_n = (ctx.g2 @ w2a) @ _swap(u1bar)
     if w2s is not None:
         g2bar += u1bar @ w2s.T
 
     # adjoints of the second-layer gradient outputs
-    g2bar += np.einsum("bng,bfg->bnf", ctx.agg2, v["conv2_agg"]) + v["conv2_bias"][:, None, :]
-    m2bar = np.einsum("bnf,bfg->bng", ctx.g2, v["conv2_agg"])
-    h1bar = np.zeros_like(ctx.hidden1)
+    g2bar += ctx.agg2 @ _swap(v["conv2_agg"]) + v["conv2_bias"][:, None, :]
+    m2bar = ctx.g2 @ v["conv2_agg"]
     if w2s is not None:
-        g2bar += np.einsum("bng,bfg->bnf", ctx.hidden1, v["conv2_self"])
-        h1bar += np.einsum("bnf,bfg->bng", ctx.g2, v["conv2_self"])
+        g2bar += ctx.hidden1 @ _swap(v["conv2_self"])
 
     # adjoints of the readout gradient outputs
-    gpbar = (np.einsum("bm,bkm->bk", ctx.flat, v["mlp_weight"]) + v["mlp_bias"])
+    gpbar = (v["mlp_weight"] @ ctx.flat[:, :, None])[:, :, 0] + v["mlp_bias"]
     rbar = (g2bar * ctx.sig2).reshape(b, -1)
     gpbar += rbar @ wm.T
     s2bar = g2bar * (ctx.gp @ wm).reshape(ctx.hidden2.shape)
 
     pbar = ctx.q * gpbar - (gpbar * ctx.q).sum(axis=-1, keepdims=True) * ctx.q
-    hflatbar = pbar @ wm + np.einsum("bk,bkm->bm", ctx.gp, v["mlp_weight"])
+    hflatbar = pbar @ wm + (ctx.gp[:, None, :] @ v["mlp_weight"])[:, 0]
     h2bar = hflatbar.reshape(ctx.hidden2.shape) + s2bar * (1.0 - 2.0 * ctx.hidden2)
     z2bar = h2bar * ctx.sig2
 
     m2bar = m2bar + z2bar @ w2a
-    if w2s is not None:
-        h1bar += z2bar @ w2s
     if want_adjacency:
-        abar_n = abar_n + m2bar @ np.swapaxes(ctx.hidden1, -1, -2)
-    h1bar += anorm_t @ m2bar
-    h1bar += s1bar * (1.0 - 2.0 * ctx.hidden1)
+        abar_n = abar_n + m2bar @ _swap(ctx.hidden1)
+    h1bar = anorm_t @ m2bar + s1bar * (1.0 - 2.0 * ctx.hidden1)
+    if w2s is not None:
+        h1bar += ctx.g2 @ v["conv2_self"] + z2bar @ w2s
     z1bar = h1bar * ctx.sig1
 
     m1bar = m1bar + z1bar @ w1a
-    if w1s is not None:
-        xbar += z1bar @ w1s
     if want_adjacency:
-        abar_n = abar_n + m1bar @ np.swapaxes(ctx.x, -1, -2)
-    xbar += anorm_t @ m1bar
+        abar_n = abar_n + m1bar @ _swap(ctx.x)
+    xbar = anorm_t @ m1bar
+    if w1s is not None:
+        xbar += ctx.g1 @ v["conv1_self"] + z1bar @ w1s
     return xbar, abar_n
 
 

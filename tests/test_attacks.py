@@ -299,6 +299,38 @@ class TestIterativeAttacks:
             attacks.attack_node2(record, spec, params,
                                  known_adjacency=g.adjacency, rng=r)
 
+    @pytest.mark.parametrize("task", ["node2", "graph"])
+    def test_zero_leak_raises_before_iterating(self, monkeypatch, task):
+        r = numkit.make_rng(21)
+        if task == "node2":
+            g = graphs.synthetic_graph(r, 5, 2, 3, num_classes=2)
+            params = models.init_params(r, "sage", "node", 3, 4, 2)
+            attack, spec = attacks.attack_node2, "node2a"
+            forward = "node_ctx"
+        else:
+            g0 = graphs.er_graph(r, 4, 0.5, 3)
+            g = graphs.Graph(adjacency=g0.adjacency, features=g0.features,
+                             graph_label=1)
+            params = models.init_params(r, "sage", "graph", 3, 4, 2,
+                                        num_nodes=4)
+            attack, spec = attacks.attack_graph, "graph_a"
+            forward = "graph_ctx"
+        record = federated.leak(params, g, task)
+        zero = [GradientBundle(tensors={k: np.zeros_like(t)
+                                        for k, t in b.tensors.items()})
+                for b in record.bundles]
+        # the sign rule reads no label off a zero bundle; supply one
+        monkeypatch.setattr(attacks, "infer_label", lambda bundle: 0)
+        calls = []
+        real = getattr(attacks, forward)
+        monkeypatch.setattr(attacks, forward,
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        spec = attacks.AttackSpec(scenario=spec, objective="cosine",
+                                  iterations=5)
+        with pytest.raises(DegenerateGradientError, match="leaked"):
+            attack(zero, spec, params, known_features=g.features, rng=r)
+        assert calls == []
+
     def test_scenario_mismatch_errors(self):
         r = numkit.make_rng(23)
         g = graphs.synthetic_graph(r, 5, 2, 3, num_classes=2)

@@ -64,6 +64,16 @@ class TestAttackCommand:
         assert out.returncode == 1
         assert "configuration error" in out.stderr
 
+    def test_bad_edge_probability_is_configuration_error(self, tmp_path):
+        bad = dict(CONFIG, dataset={"source": "er", "n": 6, "edge_prob": 1.5,
+                                    "feature_dim": 12, "num_classes": 3})
+        cfg = write_config(tmp_path, bad)
+        out = run_cli("attack", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert out.returncode == 1
+        assert "configuration error" in out.stderr
+        assert "dataset.edge_prob" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_diverging_attack_exits_numeric_failure(self, tmp_path):
         bad = dict(CONFIG, scenario="node2b",
                    dataset=dict(CONFIG["dataset"], n=8),

@@ -56,6 +56,38 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             quick_config(dataset={"source": "files"})
 
+    @pytest.mark.parametrize("edge_prob", [-0.1, 1.5, float("nan")])
+    def test_er_edge_prob_outside_unit_interval(self, edge_prob):
+        with pytest.raises(ConfigError, match="dataset.edge_prob"):
+            quick_config(dataset={"source": "er", "n": 6,
+                                  "edge_prob": edge_prob})
+
+    def test_er_default_edge_prob_above_one(self):
+        # avg_degree / (n - 1) = 8 / 5
+        with pytest.raises(ConfigError, match="dataset.avg_degree"):
+            quick_config(dataset={"source": "er", "n": 6, "avg_degree": 8})
+
+    def test_er_default_edge_prob_at_bounds(self):
+        for avg_degree in (0, 5):
+            cfg = quick_config(dataset={"source": "er", "n": 6,
+                                        "avg_degree": avg_degree})
+            assert cfg.dataset.avg_degree == avg_degree
+
+    @pytest.mark.parametrize("source", ["synthetic", "er"])
+    def test_negative_avg_degree(self, source):
+        with pytest.raises(ConfigError, match="dataset.avg_degree"):
+            quick_config(dataset={"source": source, "n": 6, "avg_degree": -1})
+
+    def test_synthetic_more_edges_than_pairs(self):
+        # floor(6 * 6) // 2 = 18 edges, but 6 nodes have 15 pairs
+        with pytest.raises(ConfigError, match="dataset.avg_degree"):
+            quick_config(dataset={"source": "synthetic", "n": 6,
+                                  "avg_degree": 6})
+
+    def test_negative_egonet_hops(self):
+        with pytest.raises(ConfigError, match="egonet_hops"):
+            quick_config(egonet_hops=-1)
+
 
 class TestRunExperiment:
     def test_aggregates_over_repeats(self):

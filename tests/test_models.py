@@ -117,6 +117,206 @@ class TestNodeCtxRows:
             assert np.allclose(ctx.st[b], sig[target], rtol=0, atol=1e-12)
 
 
+def two_branch_sigmoid(z):
+    """The masked sigmoid: 1/(1+exp(-z)) for z >= 0, exp(z)/(1+exp(z)) below."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("z", [
+        np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 36.7, -36.7,
+                  745.2, -745.2]),
+        numkit.make_rng(51).normal(0.0, 20.0, size=(40, 25)),
+        numkit.make_rng(52).normal(0.0, 3.0, size=(3, 8, 20)),
+    ], ids=["edges", "2d", "3d"])
+    def test_bit_identical_to_two_branch_form(self, z):
+        got = models._sigmoid(z)
+        assert got.shape == z.shape and got.dtype == np.float64
+        assert np.array_equal(got, two_branch_sigmoid(z))
+
+    def test_saturates_without_overflow(self):
+        with np.errstate(over="raise"):
+            got = models._sigmoid(np.array([[800.0, -800.0], [0.0, -0.0]]))
+        assert np.array_equal(got, [[1.0, 0.0], [0.5, 0.5]])
+
+
+# The contractions as einsum formulas, written out independently of the
+# batched matrix products in glg.models.
+
+def einsum_node_bundles(ctx, params):
+    out = {
+        "out_weight": np.einsum("sk,sf->skf", ctx.g2, ctx.ht),
+        "out_bias": ctx.g2,
+        "conv1_agg": np.einsum("sf,sd->sfd", ctx.g1, ctx.mt),
+        "conv1_bias": ctx.g1,
+    }
+    if "conv1_self" in params.tensors:
+        out["conv1_self"] = np.einsum("sf,sd->sfd", ctx.g1, ctx.xt)
+    return out
+
+
+def einsum_node_matching_grad(ctx, params, v):
+    t = params.tensors
+    w_out, w_agg, w_self = t["out_weight"], t["conv1_agg"], t.get("conv1_self")
+    g1bar = np.einsum("sd,sfd->sf", ctx.mt, v["conv1_agg"]) + v["conv1_bias"]
+    mtbar = np.einsum("sf,sfd->sd", ctx.g1, v["conv1_agg"])
+    if w_self is not None:
+        g1bar = g1bar + np.einsum("sd,sfd->sf", ctx.xt, v["conv1_self"])
+    g2bar = (np.einsum("sf,skf->sk", ctx.ht, v["out_weight"]) + v["out_bias"]
+             + (g1bar * ctx.st) @ w_out.T)
+    pbar = ctx.q * g2bar - (g2bar * ctx.q).sum(axis=-1, keepdims=True) * ctx.q
+    htbar = (pbar @ w_out + np.einsum("sk,skf->sf", ctx.g2, v["out_weight"])
+             + g1bar * ctx.u * (1.0 - 2.0 * ctx.ht))
+    ztbar = htbar * ctx.st
+    mtbar = mtbar + ztbar @ w_agg
+    xtbar = 0.0
+    if w_self is not None:
+        xtbar = np.einsum("sf,sfd->sd", ctx.g1, v["conv1_self"]) + ztbar @ w_self
+    rows = np.arange(len(ctx.targets))
+    if ctx.batch:
+        xbar = np.einsum("sn,sd->snd", ctx.at, mtbar)
+        xbar[rows, ctx.targets] += xtbar
+        abar = np.zeros(ctx.x.shape[:-1] + (ctx.x.shape[-2],))
+        abar[rows, ctx.targets] = np.einsum("sd,snd->sn", mtbar, ctx.x)
+        return xbar, abar
+    xbar = np.einsum("sn,sd->nd", ctx.at, mtbar)
+    abar = np.zeros((ctx.x.shape[0], ctx.x.shape[0]))
+    for s, target in enumerate(ctx.targets):
+        if w_self is not None:
+            xbar[target] += xtbar[s]
+        abar[target] += np.einsum("d,nd->n", mtbar[s], ctx.x)
+    return xbar, abar
+
+
+def einsum_graph_bundles(ctx, params):
+    out = {
+        "mlp_weight": np.einsum("bk,bm->bkm", ctx.gp, ctx.flat),
+        "mlp_bias": ctx.gp,
+        "conv2_agg": np.einsum("bnf,bng->bfg", ctx.g2, ctx.agg2),
+        "conv2_bias": ctx.g2.sum(axis=1),
+        "conv1_agg": np.einsum("bnf,bnd->bfd", ctx.g1, ctx.agg1),
+        "conv1_bias": ctx.g1.sum(axis=1),
+    }
+    if "conv2_self" in params.tensors:
+        out["conv2_self"] = np.einsum("bnf,bng->bfg", ctx.g2, ctx.hidden1)
+        out["conv1_self"] = np.einsum("bnf,bnd->bfd", ctx.g1, ctx.x)
+    return out
+
+
+def einsum_graph_matching_grad(ctx, params, v):
+    t = params.tensors
+    w1a, w2a, wm = t["conv1_agg"], t["conv2_agg"], t["mlp_weight"]
+    w1s, w2s = t.get("conv1_self"), t.get("conv2_self")
+    a = np.broadcast_to(ctx.anorm, (ctx.x.shape[0],) + ctx.anorm.shape[-2:])
+    b, n = ctx.x.shape[:2]
+
+    g1bar = (np.einsum("bnd,bfd->bnf", ctx.agg1, v["conv1_agg"])
+             + v["conv1_bias"][:, None, :])
+    m1bar = np.einsum("bnf,bfd->bnd", ctx.g1, v["conv1_agg"])
+    xbar = np.zeros_like(ctx.x)
+    if w1s is not None:
+        g1bar = g1bar + np.einsum("bnd,bfd->bnf", ctx.x, v["conv1_self"])
+        xbar = xbar + np.einsum("bnf,bfd->bnd", ctx.g1, v["conv1_self"])
+    u1bar = g1bar * ctx.sig1
+    s1bar = g1bar * ctx.u1
+    g2bar = np.einsum("bij,bjf,gf->big", a, u1bar, w2a)
+    abar = np.einsum("bif,fg,bjg->bij", ctx.g2, w2a, u1bar)
+    h1bar = np.zeros_like(ctx.hidden1)
+    if w2s is not None:
+        g2bar = g2bar + np.einsum("bnf,gf->bng", u1bar, w2s)
+        g2bar = g2bar + np.einsum("bng,bfg->bnf", ctx.hidden1, v["conv2_self"])
+        h1bar = h1bar + np.einsum("bnf,bfg->bng", ctx.g2, v["conv2_self"])
+    g2bar = (g2bar + np.einsum("bng,bfg->bnf", ctx.agg2, v["conv2_agg"])
+             + v["conv2_bias"][:, None, :])
+    m2bar = np.einsum("bnf,bfg->bng", ctx.g2, v["conv2_agg"])
+
+    gpbar = (np.einsum("bm,bkm->bk", ctx.flat, v["mlp_weight"]) + v["mlp_bias"]
+             + np.einsum("bm,km->bk", (g2bar * ctx.sig2).reshape(b, -1), wm))
+    s2bar = g2bar * np.einsum("bk,km->bm", ctx.gp, wm).reshape(b, n, -1)
+    pbar = ctx.q * gpbar - (gpbar * ctx.q).sum(axis=-1, keepdims=True) * ctx.q
+    hflatbar = (np.einsum("bk,km->bm", pbar, wm)
+                + np.einsum("bk,bkm->bm", ctx.gp, v["mlp_weight"]))
+    z2bar = (hflatbar.reshape(b, n, -1)
+             + s2bar * (1.0 - 2.0 * ctx.hidden2)) * ctx.sig2
+
+    m2bar = m2bar + np.einsum("bnf,fg->bng", z2bar, w2a)
+    if w2s is not None:
+        h1bar = h1bar + np.einsum("bnf,fg->bng", z2bar, w2s)
+    abar = abar + np.einsum("bif,bjf->bij", m2bar, ctx.hidden1)
+    h1bar = (h1bar + np.einsum("bji,bjf->bif", a, m2bar)
+             + s1bar * (1.0 - 2.0 * ctx.hidden1))
+    z1bar = h1bar * ctx.sig1
+    m1bar = m1bar + np.einsum("bnf,fd->bnd", z1bar, w1a)
+    if w1s is not None:
+        xbar = xbar + np.einsum("bnf,fd->bnd", z1bar, w1s)
+    abar = abar + np.einsum("bid,bjd->bij", m1bar, ctx.x)
+    xbar = xbar + np.einsum("bji,bjd->bid", a, m1bar)
+    return xbar, abar
+
+
+def random_covectors(r, stacks):
+    return {k: r.standard_normal(s.shape) for k, s in stacks.items()}
+
+
+def assert_close_rel(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestContractions:
+    """Pin the per-sample contractions against einsum formulas."""
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @pytest.mark.parametrize("targets,batch", [
+        ([4], False), ([1, 5, 1], False), ([0, 3, 0, 6], True),
+    ], ids=["shared-1", "shared-3", "batch-4"])
+    def test_node_passes(self, framework, targets, batch):
+        g, params, anorm = make_node_setup(framework, n=7, d=3, f=5, k=3,
+                                           seed=61)
+        r = numkit.make_rng(62)
+        targets = np.array(targets)
+        x = (r.standard_normal((len(targets),) + g.features.shape) if batch
+             else g.features)
+        ctx = models.node_ctx(params, x, anorm.matrix, targets,
+                              r.integers(0, 3, size=len(targets)), batch=batch)
+        stacks = models.node_bundles(ctx, params)
+        want = einsum_node_bundles(ctx, params)
+        assert stacks.keys() == want.keys()
+        for k in want:
+            assert_close_rel(stacks[k], want[k])
+        v = random_covectors(r, stacks)
+        got = models.node_matching_grad(ctx, params, v, True)
+        for got_arr, want_arr in zip(got, einsum_node_matching_grad(ctx, params, v)):
+            assert_close_rel(got_arr, want_arr)
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_graph_passes(self, framework, batch):
+        r = numkit.make_rng(63)
+        n, d = 6, 4
+        params = models.init_params(r, framework, "graph", d, 5, 3, num_nodes=n)
+        x = r.standard_normal((batch, n, d))
+        mats = [graphs.normalize_dense(graphs.er_graph(r, n, 0.5, d).adjacency,
+                                       params.norm_mode) for _ in range(batch)]
+        # a single graph shares its (N, N) matrix, as in the graph attacks
+        anorm = mats[0] if batch == 1 else np.stack(mats)
+        ctx = models.graph_ctx(params, x, anorm, r.integers(0, 3, size=batch))
+        stacks = models.graph_bundles(ctx, params)
+        want = einsum_graph_bundles(ctx, params)
+        assert stacks.keys() == want.keys()
+        for k in want:
+            assert_close_rel(stacks[k], want[k])
+        v = random_covectors(r, stacks)
+        got = models.graph_matching_grad(ctx, params, v, True)
+        for got_arr, want_arr in zip(got, einsum_graph_matching_grad(ctx, params, v)):
+            assert_close_rel(got_arr, want_arr)
+
+
 class TestForwardGraph:
     def test_zero_mlp_uniform_loss(self):
         r = numkit.make_rng(5)
