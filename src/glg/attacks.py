@@ -11,13 +11,18 @@ matrix is binarized by Bernoulli sampling or min-max thresholding.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateGradientError, NumericError, ShapeError
+from .errors import (
+    ConfigError,
+    DegenerateGradientError,
+    NumericError,
+    ShapeError,
+    check_int,
+)
 from .federated import LeakRecord
 from .graphs import dummy_tree, normalize_dense, normalize_dense_backward
 from .models import (
@@ -92,14 +97,11 @@ class AttackSpec:
                 raise ConfigError("must be finite", name)
         if self.alpha < 0 or self.beta < 0:
             raise ConfigError("regularizer weights must be non-negative", "alpha")
-        if self.iterations < 1:
-            raise ConfigError("need at least one iteration", "iterations")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError("threshold must lie in [0, 1]", "threshold")
-        if self.restarts < 1:
-            raise ConfigError("need at least one restart", "restarts")
-        if self.d_tree < 1:
-            raise ConfigError("d_tree must be positive", "d_tree")
+        for name in ("iterations", "restarts", "d_tree"):
+            check_int(getattr(self, name), name, 1)
+        check_int(self.seed, "seed", 0)
 
 
 @dataclass
@@ -111,7 +113,6 @@ class RecoveryResult:
     adjacency: Optional[np.ndarray] = None
     labels: Optional[np.ndarray] = None
     objective_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    wall_time_s: float = 0.0
     target_feature: Optional[np.ndarray] = None
     neighbor_features: Optional[np.ndarray] = None
     final_objective: float = np.inf
@@ -395,9 +396,8 @@ def _optimize(spec, rng, objective, x_shape=None, n_adj=None, warm_x=None,
     the draws), and steps the adjacency through :class:`_SymmetricAdjacency`.
     A non-finite objective raises :class:`NumericError`. Returns the restart
     with the lowest final objective; the result holds the optimized inputs
-    (None where known), the objective trace and the wall time.
+    (None where known) and the objective trace.
     """
-    start = time.perf_counter()
     best = None
     for restart in range(spec.restarts):
         x = None if x_shape is None else _init_features(rng, spec, x_shape, warm_x)
@@ -417,7 +417,6 @@ def _optimize(spec, rng, objective, x_shape=None, n_adj=None, warm_x=None,
         if best is None or final < best.final_objective:
             best = RecoveryResult(features=x, adjacency_prob=a,
                                   objective_trace=trace, final_objective=final)
-    best.wall_time_s = time.perf_counter() - start
     return best
 
 
@@ -607,7 +606,6 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, rng=None)
             labels=np.array([labels[i]]),
             objective_trace=best.objective_trace,
             final_objective=best.final_objective,
-            wall_time_s=best.wall_time_s,
             target_feature=(best.features[i, 0].copy()
                             if params.task == "node" else None),
         )

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class GlgError(Exception):
     """Base class for all package errors."""
@@ -56,3 +58,14 @@ class ConfigError(GlgError):
         self.field = field
         prefix = f"{field}: " if field else ""
         super().__init__(prefix + message)
+
+
+def check_int(value, field, minimum):
+    """Raise :class:`ConfigError` unless ``value`` is an integer >= ``minimum``.
+
+    A bool is not accepted as an integer.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"must be an integer, got {value!r}", field)
+    if value < minimum:
+        raise ConfigError(f"must be at least {minimum}, got {value}", field)

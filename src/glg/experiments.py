@@ -23,7 +23,7 @@ from .attacks import (
     attack_node2,
     finalize_adjacency,
 )
-from .errors import ConfigError, GlgError
+from .errors import ConfigError, GlgError, check_int
 from .federated import leak
 from .graphs import Graph, dummy_tree, er_graph, khop_egonet, load_graph, synthetic_graph
 from .metrics import (
@@ -76,14 +76,15 @@ class DatasetSpec:
     def validate(self):
         if self.source not in ("synthetic", "er", "tree", "files"):
             raise ConfigError("unknown dataset source", "dataset.source")
+        for name, minimum in (("n", 1), ("feature_dim", 1), ("num_classes", 2),
+                              ("d_tree", 1)):
+            check_int(getattr(self, name), f"dataset.{name}", minimum)
         if self.source == "files":
             for name in ("feature_file", "edge_file"):
                 path = getattr(self, name)
                 if not path or not os.path.exists(path):
                     raise ConfigError(f"missing file {path!r}", f"dataset.{name}")
             return
-        if self.n < 1 or self.feature_dim < 1 or self.num_classes < 2:
-            raise ConfigError("dataset sizes must be positive", "dataset.n")
         if self.source == "tree":
             return
         if not (math.isfinite(self.avg_degree) and self.avg_degree >= 0):
@@ -123,13 +124,11 @@ class ExperimentConfig:
                 f"scenario must be one of {EXPERIMENT_SCENARIOS}", "scenario")
         if self.framework not in ("gcn", "sage"):
             raise ConfigError("framework must be gcn or sage", "framework")
-        if self.repeats < 1:
-            raise ConfigError("repeats must be at least 1", "repeats")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be at least 1", "batch_size")
-        if self.egonet_hops is not None and self.egonet_hops < 0:
-            raise ConfigError("egonet_hops must be non-negative or null",
-                              "egonet_hops")
+        for name in ("hidden_dim", "batch_size", "repeats"):
+            check_int(getattr(self, name), name, 1)
+        check_int(self.seed, "seed", 0)
+        if self.egonet_hops is not None:
+            check_int(self.egonet_hops, "egonet_hops", 0)
         if self.attack is None:
             self.attack = AttackSpec(scenario=_attack_scenario(self.scenario))
         if self.attack.scenario != _attack_scenario(self.scenario):
@@ -143,8 +142,7 @@ class ExperimentConfig:
         return "graph" if self.scenario.startswith(("graph", "batched_graph")) else "node"
 
     def to_dict(self):
-        out = asdict(self)
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data):
@@ -244,58 +242,48 @@ def _one_repetition(cfg, rep):
         arts["recovered_features"] = res.target_feature[None]
         return out, arts
 
-    if cfg.scenario in ("node2a", "node2b", "node2c"):
-        g = _build_graph(cfg, rng)
+    if cfg.scenario.startswith("batched"):
+        if cfg.task == "node":
+            g = _build_graph(cfg, rng)
+            if cfg.batch_size > g.num_nodes:
+                raise ConfigError("batch larger than the graph", "batch_size")
+            targets = rng.choice(g.num_nodes, size=cfg.batch_size, replace=False)
+            record = leak(params, g, "batched-node", targets=targets)
+            results = attack_batched(record, cfg.attack, params,
+                                     labels=g.labels[targets], rng=rng)
+            truth = [g.features[t] for t in targets]
+            recovered = [r.target_feature for r in results]
+        else:
+            gs = [_build_graph(cfg, rng, need_graph_label=True)
+                  for _ in range(cfg.batch_size)]
+            record = leak(params, gs, "batched-graph")
+            results = attack_batched(record, cfg.attack, params,
+                                     labels=[g.graph_label for g in gs],
+                                     known_adjacencies=[g.adjacency for g in gs],
+                                     rng=rng)
+            truth = [g.features for g in gs]
+            recovered = [r.features for r in results]
+        ms = batch_match_score(truth, recovered)
+        out.update(matched_rnmse=ms.mean, matched_rnmse_min=ms.min,
+                   matched_rnmse_std=ms.std)
+        arts["true_features"] = np.vstack(truth)
+        arts["recovered_features"] = np.vstack(recovered)
+        return out, arts
+
+    # subgraph (node2*) and whole-graph (graph_*) scenarios; the suffix names
+    # the known input: a the features, b the adjacency, c neither
+    g = _build_graph(cfg, rng, need_graph_label=cfg.task == "graph")
+    if cfg.task == "node":
         if cfg.egonet_hops is not None:
             center = int(rng.integers(0, g.num_nodes))
             g, _ = khop_egonet(g, center, cfg.egonet_hops)
-        record = leak(params, g, "node2")
-        known_x = g.features if cfg.scenario == "node2a" else None
-        known_a = g.adjacency if cfg.scenario == "node2b" else None
-        res = attack_node2(record, cfg.attack, params,
-                           known_features=known_x, known_adjacency=known_a,
-                           rng=rng)
-    elif cfg.scenario in ("graph_a", "graph_b", "graph_c"):
-        g = _build_graph(cfg, rng, need_graph_label=True)
-        record = leak(params, g, "graph")
-        known_x = g.features if cfg.scenario == "graph_a" else None
-        known_a = g.adjacency if cfg.scenario == "graph_b" else None
-        res = attack_graph(record, cfg.attack, params,
-                           known_features=known_x, known_adjacency=known_a,
-                           rng=rng)
-    elif cfg.scenario == "batched_node":
-        g = _build_graph(cfg, rng)
-        if cfg.batch_size > g.num_nodes:
-            raise ConfigError("batch larger than the graph", "batch_size")
-        targets = rng.choice(g.num_nodes, size=cfg.batch_size, replace=False)
-        record = leak(params, g, "batched-node", targets=targets)
-        results = attack_batched(record, cfg.attack, params,
-                                 labels=g.labels[targets], rng=rng)
-        ms = batch_match_score([g.features[t] for t in targets],
-                               [r.target_feature for r in results])
-        out.update(matched_rnmse=ms.mean, matched_rnmse_min=ms.min,
-                   matched_rnmse_std=ms.std)
-        arts["true_features"] = g.features[targets]
-        arts["recovered_features"] = np.vstack(
-            [r.target_feature for r in results])
-        return out, arts
-    else:  # batched_graph
-        gs = [_build_graph(cfg, rng, need_graph_label=True)
-              for _ in range(cfg.batch_size)]
-        record = leak(params, gs, "batched-graph")
-        results = attack_batched(record, cfg.attack, params,
-                                 labels=[g.graph_label for g in gs],
-                                 known_adjacencies=[g.adjacency for g in gs],
-                                 rng=rng)
-        ms = batch_match_score([g.features for g in gs],
-                               [r.features for r in results])
-        out.update(matched_rnmse=ms.mean, matched_rnmse_min=ms.min,
-                   matched_rnmse_std=ms.std)
-        arts["true_features"] = np.vstack([g.features for g in gs])
-        arts["recovered_features"] = np.vstack([r.features for r in results])
-        return out, arts
-
-    # shared scoring for the subgraph / whole-graph scenarios
+        record, attack = leak(params, g, "node2"), attack_node2
+    else:
+        record, attack = leak(params, g, "graph"), attack_graph
+    known = cfg.scenario[-1]
+    res = attack(record, cfg.attack, params,
+                 known_features=g.features if known == "a" else None,
+                 known_adjacency=g.adjacency if known == "b" else None, rng=rng)
     if res.features is not None:
         out["feature_rnmse"] = rnmse_per_row(g.features, res.features)
         arts["true_features"] = g.features
@@ -324,20 +312,8 @@ def _aggregate(per_rep, cfg, errors, elapsed):
             "std": float(vals.std()),
             "min": float(vals.min()),
         }
-    hp = {
-        "objective": cfg.attack.objective,
-        "alpha": cfg.attack.alpha,
-        "beta": cfg.attack.beta,
-        "learning_rate": cfg.attack.learning_rate,
-        "iterations": cfg.attack.iterations,
-        "init": cfg.attack.init,
-        "finalization": cfg.attack.finalization,
-        "threshold": cfg.attack.threshold,
-        "d_tree": cfg.attack.d_tree,
-        "hidden_dim": cfg.hidden_dim,
-        "batch_size": cfg.batch_size,
-        "seed": cfg.seed,
-    }
+    hp = {c: getattr(cfg.attack, c) for c in _ATTACK_HP}
+    hp.update((c, getattr(cfg, c)) for c in _RUN_HP)
     return ReportRow(
         scenario=cfg.scenario,
         framework=cfg.framework,
@@ -403,9 +379,11 @@ def sweep(cfg, parameter, values):
 
 
 _BASE_COLUMNS = ("scenario", "framework", "dataset", "repeats")
-_HP_COLUMNS = ("objective", "alpha", "beta", "learning_rate", "iterations",
-               "init", "finalization", "threshold", "d_tree", "hidden_dim",
-               "batch_size", "seed", "swept_parameter", "swept_value")
+# report hyperparameters: attack settings, then experiment settings
+_ATTACK_HP = ("objective", "alpha", "beta", "learning_rate", "iterations",
+              "init", "finalization", "threshold", "d_tree")
+_RUN_HP = ("hidden_dim", "batch_size", "seed")
+_HP_COLUMNS = _ATTACK_HP + _RUN_HP + ("swept_parameter", "swept_value")
 
 
 def _row_record(row, include_timing):
@@ -441,7 +419,7 @@ def emit_report(rows, fmt, path, config=None, include_timing=False):
     header = list(_BASE_COLUMNS)
     for m in metric_names:
         header += [f"{m}_mean", f"{m}_std", f"{m}_min"]
-    header += [c for c in _HP_COLUMNS]
+    header += _HP_COLUMNS
     if include_timing:
         header.append("wall_time_s")
     header.append("errors")

@@ -5,6 +5,7 @@ diagonal, a dense feature matrix, optional per-node class labels and an
 optional graph-level label. Instances are treated as immutable once built.
 """
 
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -87,25 +88,34 @@ class NormalizedAdjacency:
     mode: str
 
 
-def normalize_dense(a, mode):
-    """Normalize a dense (possibly non-binary) adjacency matrix.
+def _normalize(a, mode):
+    """``(normalized, degrees, scale)`` of a dense adjacency.
 
-    gcn: D^{-1/2} (A + I) D^{-1/2} with degrees counted on A + I.
-    sage-mean: each row divided by its sum; all-zero rows stay zero.
+    gcn: degrees of A + I, scale d^{-1/2} applied on both sides.
+    sage-mean: row sums, scale the row divisor (1 for an all-zero row).
     """
     a = np.asarray(a, dtype=np.float64)
     if mode == "gcn":
         m = a + np.eye(a.shape[0])
         d = m.sum(axis=1)
         r = 1.0 / np.sqrt(d)
-        return m * r[:, None] * r[None, :]
+        return m * r[:, None] * r[None, :], d, r
     if mode == "sage-mean":
         d = a.sum(axis=1)
         safe = np.where(d > 0.0, d, 1.0)
         out = a / safe[:, None]
         out[d <= 0.0] = 0.0
-        return out
+        return out, d, safe
     raise ValueError(f"unknown normalization mode {mode!r}")
+
+
+def normalize_dense(a, mode):
+    """Normalize a dense (possibly non-binary) adjacency matrix.
+
+    gcn: D^{-1/2} (A + I) D^{-1/2} with degrees counted on A + I.
+    sage-mean: each row divided by its sum; all-zero rows stay zero.
+    """
+    return _normalize(a, mode)[0]
 
 
 def normalize_dense_backward(gbar, a, mode):
@@ -114,27 +124,17 @@ def normalize_dense_backward(gbar, a, mode):
     ``gbar`` is d(objective)/d(normalized); the return value is
     d(objective)/d(a), accounting for the degree terms.
     """
-    a = np.asarray(a, dtype=np.float64)
     gbar = np.asarray(gbar, dtype=np.float64)
+    norm, d, scale = _normalize(a, mode)
     if mode == "sage-mean":
-        d = a.sum(axis=1)
-        safe = np.where(d > 0.0, d, 1.0)
-        norm = a / safe[:, None]
-        norm[d <= 0.0] = 0.0
         # d norm_ij / d a_il = (delta_jl - norm_il) / d_i
         row_dot = (gbar * norm).sum(axis=1)
-        out = (gbar - row_dot[:, None]) / safe[:, None]
+        out = (gbar - row_dot[:, None]) / scale[:, None]
         out[d <= 0.0] = 0.0
         return out
-    if mode == "gcn":
-        m = a + np.eye(a.shape[0])
-        d = m.sum(axis=1)
-        r = 1.0 / np.sqrt(d)
-        norm = m * r[:, None] * r[None, :]
-        gn = gbar * norm
-        corr = (gn.sum(axis=1) + gn.sum(axis=0)) / d
-        return gbar * r[:, None] * r[None, :] - 0.5 * corr[:, None]
-    raise ValueError(f"unknown normalization mode {mode!r}")
+    gn = gbar * norm
+    corr = (gn.sum(axis=1) + gn.sum(axis=0)) / d
+    return gbar * scale[:, None] * scale[None, :] - 0.5 * corr[:, None]
 
 
 def normalize_adjacency(g, mode):
@@ -217,6 +217,8 @@ def khop_egonet(g, center, k):
     n = g.num_nodes
     if not 0 <= center < n:
         raise ShapeError(f"center {center} out of range for {n} nodes")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"hop count must be a non-negative integer, got {k!r}")
     dist = np.full(n, -1, dtype=np.int64)
     dist[center] = 0
     queue = deque([center])

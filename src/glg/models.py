@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AmbiguousLabelError, ShapeError
-from .graphs import Graph, NormalizedAdjacency, normalize_dense_backward
+from .graphs import Graph, NormalizedAdjacency
 
 __all__ = [
     "GradientBundle",
@@ -149,7 +149,6 @@ class GradientBundle:
     tensors: dict
     d_features: Optional[np.ndarray] = None
     d_adj_norm: Optional[np.ndarray] = None
-    d_adjacency: Optional[np.ndarray] = None
 
     @property
     def param_names(self):
@@ -210,11 +209,11 @@ def _check_norm(params, anorm):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _NodeCtx:
-    """Everything the per-sample backward and matching-gradient passes need.
+class NodeTrace:
+    """Forward record of the node task: what the backward passes consume.
 
-    ``batch`` selects between one shared graph with many target nodes
-    (x is (N, D), one row per target in the stacks) and a batch of
+    Every stack has one row per target. ``batch`` selects between one
+    shared graph with many target nodes (x is (N, D)) and a batch of
     independent graphs with one target each (x is (B, N, D)).
     """
 
@@ -263,7 +262,7 @@ def node_ctx(params, x, anorm, targets, labels, batch=False):
 
     # the head reads the first layer at the targets only, so only those
     # rows are computed
-    ctx = _NodeCtx(x=x, anorm=anorm, targets=targets, labels=labels, batch=batch)
+    ctx = NodeTrace(x=x, anorm=anorm, targets=targets, labels=labels, batch=batch)
     ctx.at = _gather_rows(anorm, targets, batch)
     ctx.xt = _gather_rows(x, targets, batch)
     ctx.mt = (ctx.at[:, None, :] @ x)[:, 0] if x.ndim == 3 else ctx.at @ x
@@ -361,26 +360,8 @@ def node_matching_grad(ctx, params, v, want_adjacency):
     return _node_scatter(ctx, mtbar, xtbar, want_adjacency)
 
 
-@dataclass
-class NodeTrace:
-    """Forward record for one target node."""
-
-    features: np.ndarray
-    adj_norm: np.ndarray
-    mode: str
-    target: int
-    label: int
-    aggregated: np.ndarray   # anorm @ features
-    pre_hidden: np.ndarray
-    hidden: np.ndarray
-    logits: np.ndarray
-    probs: np.ndarray
-    loss: float
-    _ctx: _NodeCtx = field(repr=False, default=None)
-
-
 def forward_node(params, g, anorm, target, label=None):
-    """Run the node classifier at ``target`` and record the trace."""
+    """Run the node classifier at ``target``; the trace feeds :func:`backward_node`."""
     if params.task != "node":
         raise ShapeError("params are not a node-task model")
     mat = _check_norm(params, anorm)
@@ -391,43 +372,21 @@ def forward_node(params, g, anorm, target, label=None):
         label = int(g.labels[target])
     if not 0 <= target < x.shape[0]:
         raise ShapeError(f"target {target} out of range")
-    ctx = node_ctx(params, x, mat, [target], [label])
-    aggregated = mat @ x
-    pre_hidden = _pre_activation(params.tensors, "conv1", aggregated, x)
-    return NodeTrace(
-        features=x,
-        adj_norm=mat,
-        mode=params.norm_mode,
-        target=int(target),
-        label=int(label),
-        aggregated=aggregated,
-        pre_hidden=pre_hidden,
-        hidden=_sigmoid(pre_hidden),
-        logits=ctx.logits[0],
-        probs=ctx.q[0],
-        loss=float(ctx.losses[0]),
-        _ctx=ctx,
-    )
+    return node_ctx(params, x, mat, [target], [label])
 
 
 def _single(stacked):
     return {k: v[0] for k, v in stacked.items()}
 
 
-def backward_node(params, trace, graph=None, wrt=("params",)):
+def backward_node(params, trace, wrt=("params",)):
     """Exact reverse-mode gradients for a recorded node forward."""
-    ctx = trace._ctx
-    tensors = _single(node_bundles(ctx, params))
-    bundle = GradientBundle(tensors=tensors)
+    bundle = GradientBundle(tensors=_single(node_bundles(trace, params)))
     if "features" in wrt or "adjacency" in wrt:
         want_adj = "adjacency" in wrt
-        xbar, abar = node_input_grads(ctx, params, want_adjacency=want_adj)
+        xbar, abar = node_input_grads(trace, params, want_adjacency=want_adj)
         bundle.d_features = xbar
-        if want_adj:
-            bundle.d_adj_norm = abar
-            if graph is not None:
-                bundle.d_adjacency = normalize_dense_backward(
-                    abar, graph.adjacency, trace.mode)
+        bundle.d_adj_norm = abar
     return bundle
 
 
@@ -436,8 +395,8 @@ def backward_node(params, trace, graph=None, wrt=("params",)):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _GraphCtx:
-    """Intermediates for a batch of graph-level losses (leading axis B)."""
+class GraphTrace:
+    """Forward record of the graph task for a batch of losses (leading axis B)."""
 
     x: np.ndarray
     anorm: np.ndarray
@@ -456,8 +415,6 @@ class _GraphCtx:
     g1: np.ndarray = field(repr=False, default=None)
     g2: np.ndarray = field(repr=False, default=None)
     losses: np.ndarray = None
-    pre1: np.ndarray = field(repr=False, default=None)
-    pre2: np.ndarray = field(repr=False, default=None)
 
 
 def _swap(a):
@@ -481,15 +438,13 @@ def graph_ctx(params, x, anorm, labels):
     if np.any(labels < 0) or np.any(labels >= params.num_classes):
         raise ShapeError("label out of range")
 
-    ctx = _GraphCtx(x=x, anorm=anorm, labels=labels)
+    ctx = GraphTrace(x=x, anorm=anorm, labels=labels)
     ctx.agg1 = anorm @ x
-    ctx.pre1 = _pre_activation(t, "conv1", ctx.agg1, x)
-    ctx.hidden1 = _sigmoid(ctx.pre1)
+    ctx.hidden1 = _sigmoid(_pre_activation(t, "conv1", ctx.agg1, x))
     ctx.sig1 = ctx.hidden1 * (1.0 - ctx.hidden1)
 
     ctx.agg2 = anorm @ ctx.hidden1
-    ctx.pre2 = _pre_activation(t, "conv2", ctx.agg2, ctx.hidden1)
-    ctx.hidden2 = _sigmoid(ctx.pre2)
+    ctx.hidden2 = _sigmoid(_pre_activation(t, "conv2", ctx.agg2, ctx.hidden1))
     ctx.sig2 = ctx.hidden2 * (1.0 - ctx.hidden2)
 
     ctx.flat = ctx.hidden2.reshape(b, -1)
@@ -600,29 +555,8 @@ def graph_matching_grad(ctx, params, v, want_adjacency):
     return xbar, abar_n
 
 
-@dataclass
-class GraphTrace:
-    """Forward record for one graph-level loss."""
-
-    features: np.ndarray
-    adj_norm: np.ndarray
-    mode: str
-    graph_label: int
-    aggregated1: np.ndarray
-    pre_hidden1: np.ndarray
-    hidden1: np.ndarray
-    aggregated2: np.ndarray
-    pre_hidden2: np.ndarray
-    hidden2: np.ndarray
-    flat: np.ndarray
-    logits: np.ndarray
-    probs: np.ndarray
-    loss: float
-    _ctx: _GraphCtx = field(repr=False, default=None)
-
-
 def forward_graph(params, g, anorm, graph_label=None):
-    """Run the graph classifier and record the trace."""
+    """Run the graph classifier; the trace feeds :func:`backward_graph`."""
     if params.task != "graph":
         raise ShapeError("params are not a graph-task model")
     mat = _check_norm(params, anorm)
@@ -631,40 +565,18 @@ def forward_graph(params, g, anorm, graph_label=None):
         if not isinstance(g, Graph) or g.graph_label is None:
             raise ShapeError("no graph label given and the graph carries none")
         graph_label = int(g.graph_label)
-    ctx = graph_ctx(params, x, mat, [graph_label])
-    return GraphTrace(
-        features=x,
-        adj_norm=mat,
-        mode=params.norm_mode,
-        graph_label=int(graph_label),
-        aggregated1=ctx.agg1[0],
-        pre_hidden1=ctx.pre1[0],
-        hidden1=ctx.hidden1[0],
-        aggregated2=ctx.agg2[0],
-        pre_hidden2=ctx.pre2[0],
-        hidden2=ctx.hidden2[0],
-        flat=ctx.flat[0],
-        logits=ctx.logits[0],
-        probs=ctx.q[0],
-        loss=float(ctx.losses[0]),
-        _ctx=ctx,
-    )
+    return graph_ctx(params, x, mat, [graph_label])
 
 
-def backward_graph(params, trace, graph=None, wrt=("params",)):
+def backward_graph(params, trace, wrt=("params",)):
     """Exact reverse-mode gradients for a recorded graph forward."""
-    ctx = trace._ctx
-    tensors = _single(graph_bundles(ctx, params))
-    bundle = GradientBundle(tensors=tensors)
+    bundle = GradientBundle(tensors=_single(graph_bundles(trace, params)))
     if "features" in wrt or "adjacency" in wrt:
         want_adj = "adjacency" in wrt
-        xbar, abar = graph_input_grads(ctx, params, want_adjacency=want_adj)
+        xbar, abar = graph_input_grads(trace, params, want_adjacency=want_adj)
         bundle.d_features = xbar[0]
         if want_adj:
             bundle.d_adj_norm = abar[0]
-            if graph is not None:
-                bundle.d_adjacency = normalize_dense_backward(
-                    abar[0], graph.adjacency, trace.mode)
     return bundle
 
 

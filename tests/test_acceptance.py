@@ -7,12 +7,14 @@ budgets are asserted alongside the numeric targets.
 
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
+import glg
 from glg import (
     attacks,
     closed_form,
@@ -343,12 +345,14 @@ def test_11_cli_determinism(tmp_path):
     }
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(glg.__file__))
     outs = []
     for name in ("a", "b"):
         proc = subprocess.run(
             [sys.executable, "-m", "glg.cli", "attack", "--config", str(cfg),
              "--out", str(tmp_path / name)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outs.append((tmp_path / name / "report.csv").read_bytes())
     ok = outs[0] == outs[1]

@@ -1,6 +1,9 @@
 import json
+import os
 import subprocess
 import sys
+
+import glg
 
 
 CONFIG = {
@@ -18,9 +21,12 @@ CONFIG = {
 
 
 def run_cli(*args):
+    # the child process finds the package the test process imported
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(glg.__file__))
     return subprocess.run(
         [sys.executable, "-m", "glg.cli", *args],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
 
 
@@ -83,6 +89,14 @@ class TestAttackCommand:
         assert out.returncode == 2
         assert "numeric failure" in out.stderr
         assert not (tmp_path / "o" / "report.csv").exists()
+
+    def test_non_integer_egonet_hops_is_configuration_error(self, tmp_path):
+        cfg = write_config(tmp_path, dict(CONFIG, egonet_hops=1.5))
+        out = run_cli("attack", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert out.returncode == 1
+        assert "configuration error" in out.stderr
+        assert "egonet_hops" in out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_missing_config_exit_code(self, tmp_path):
         out = run_cli("attack", "--config", str(tmp_path / "nope.json"))

@@ -88,6 +88,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="egonet_hops"):
             quick_config(egonet_hops=-1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("egonet_hops", 1.5), ("repeats", 1.5), ("repeats", True),
+        ("batch_size", 2.5), ("hidden_dim", -1), ("hidden_dim", 0),
+        ("seed", -1), ("attack.iterations", 2.5), ("attack.restarts", 1.5),
+        ("attack.d_tree", 2.5), ("attack.seed", -1), ("dataset.n", 8.5),
+        ("dataset.feature_dim", 2.5), ("dataset.num_classes", 1),
+        ("dataset.d_tree", 0),
+    ])
+    def test_bad_integer_field(self, field, value):
+        data = quick_config().to_dict()
+        section, _, name = field.rpartition(".")
+        (data[section] if section else data)[name] = value
+        with pytest.raises(ConfigError, match=f"{name}: must be"):
+            ExperimentConfig.from_dict(data)
+
 
 class TestRunExperiment:
     def test_aggregates_over_repeats(self):
@@ -145,6 +160,36 @@ class TestRunExperiment:
         )
         row = run_experiment(cfg)[0]
         assert "neighbor_rnmse" in row.metrics
+
+    @pytest.mark.parametrize("scenario, hops", [
+        ("node1", None), ("node2a", None), ("node2a", 2), ("node2b", None),
+        ("node2c", None), ("graph_a", None), ("graph_b", None),
+        ("graph_c", None), ("batched_node", None), ("batched_graph", None),
+    ])
+    def test_every_scenario_reports_its_metrics(self, scenario, hops):
+        attack = {"iterations": 10, "d_tree": 2}
+        if scenario == "batched_node":
+            attack["scenario"] = "node1"
+        cfg = quick_config(
+            scenario=scenario,
+            dataset={"source": "synthetic", "n": 10, "avg_degree": 3,
+                     "feature_dim": 4, "num_classes": 3},
+            attack=attack, egonet_hops=hops, batch_size=2, repeats=1)
+        row = run_experiment(cfg)[0]
+        known = scenario[-1]
+        want = set()
+        if scenario == "node1":
+            want = {"target_rnmse"}
+        elif scenario.startswith("batched"):
+            want = {"matched_rnmse", "matched_rnmse_min", "matched_rnmse_std"}
+        else:
+            if known != "a":
+                want |= {"feature_rnmse"}
+            if known != "b":
+                want |= {"accuracy", "auc", "ap", "mae", "mae_thresholded"}
+        assert row.errors == []
+        assert set(row.metrics) == want
+        assert all(np.isfinite(st["mean"]) for st in row.metrics.values())
 
     def test_adjacency_scenarios_report_thresholded_mae(self):
         row = run_experiment(quick_config(repeats=1))[0]

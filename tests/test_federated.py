@@ -143,7 +143,7 @@ class TestLeak:
         assert set(vars(record)) == {"scenario", "bundles", "batch_size"}
         for b in record.bundles:
             assert b.d_features is None
-            assert b.d_adjacency is None
+            assert b.d_adj_norm is None
             assert set(b.tensors) == set(params.param_names)
 
     def test_scenario_task_mismatch(self):

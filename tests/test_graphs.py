@@ -210,6 +210,12 @@ class TestEgonet:
         assert np.array_equal(twice.adjacency, sub.adjacency)
         assert np.array_equal(idx, np.arange(sub.num_nodes))
 
+    @pytest.mark.parametrize("k", [1.5, -1, True])
+    def test_rejects_non_integer_or_negative_hops(self, k):
+        g = graphs.synthetic_graph(numkit.make_rng(0), 8, 3, 2)
+        with pytest.raises(ValueError, match="hop count"):
+            graphs.khop_egonet(g, 0, k)
+
 
 class TestFileIO:
     def test_two_node_path(self, tmp_path):

@@ -44,7 +44,7 @@ class TestForwardNode:
             params.tensors[name][:] = 0.0
         trace = models.forward_node(params, g, anorm, 0, 1)
         assert np.allclose(trace.logits, 0.0)
-        assert trace.loss == pytest.approx(math.log(4))
+        assert trace.losses[0] == pytest.approx(math.log(4))
 
     def test_isolated_node_gcn_self_aggregation(self):
         g = graphs.Graph(adjacency=np.zeros((3, 3)),
@@ -52,7 +52,7 @@ class TestForwardNode:
         params = models.init_params(rng, "gcn", "node", 2, 4, 2)
         anorm = graphs.normalize_adjacency(g, "gcn")
         trace = models.forward_node(params, g, anorm, 1, 0)
-        assert np.allclose(trace.aggregated[1], g.features[1])
+        assert np.allclose(trace.mt[0], g.features[1])
 
     def test_scalar_loop_oracle_sage(self):
         g, params, anorm = make_node_setup("sage", n=5, seed=101)
@@ -69,13 +69,13 @@ class TestForwardNode:
         probs = np.exp(logits - logits.max())
         probs /= probs.sum()
         assert np.allclose(trace.logits, logits, atol=1e-12)
-        assert trace.loss == pytest.approx(-math.log(probs[label]), abs=1e-12)
+        assert trace.losses[0] == pytest.approx(-math.log(probs[label]), abs=1e-12)
 
     def test_trace_replay_is_deterministic(self):
         g, params, anorm = make_node_setup("gcn", seed=11)
         a = models.forward_node(params, g, anorm, 1, int(g.labels[1]))
         b = models.forward_node(params, g, anorm, 1, int(g.labels[1]))
-        assert a.loss == b.loss
+        assert a.losses[0] == b.losses[0]
         assert np.array_equal(a.logits, b.logits)
 
 
@@ -325,7 +325,7 @@ class TestForwardGraph:
         params.tensors["mlp_weight"][:] = 0.0
         params.tensors["mlp_bias"][:] = 0.0
         trace = models.forward_graph(params, g, graphs.normalize_adjacency(g, "sage-mean"), 2)
-        assert trace.loss == pytest.approx(math.log(5))
+        assert trace.losses[0] == pytest.approx(math.log(5))
 
     def test_empty_graph_sage_only_self_path(self):
         r = numkit.make_rng(6)
@@ -363,7 +363,7 @@ class TestForwardGraph:
         logits = t["mlp_weight"] @ h2.reshape(-1) + t["mlp_bias"]
         z = logits - logits.max()
         want = math.log(np.exp(z).sum()) - z[1]
-        assert trace.loss == pytest.approx(want, abs=1e-12)
+        assert trace.losses[0] == pytest.approx(want, abs=1e-12)
 
 
 class TestBackward:
@@ -384,7 +384,7 @@ class TestBackward:
         bundle = models.backward_node(params, trace)
         onehot = np.zeros(params.num_classes)
         onehot[label] = 1.0
-        assert np.allclose(bundle.tensors["out_bias"], trace.probs - onehot)
+        assert np.allclose(bundle.tensors["out_bias"], trace.q[0] - onehot)
 
     def test_finite_difference_sample(self):
         checked, worst, failures = selftest.check_gradients(
