@@ -24,9 +24,18 @@ from .errors import (
     check_int,
 )
 from .federated import LeakRecord
-from .graphs import dummy_tree, normalize_dense, normalize_dense_backward
+from .graphs import (
+    _normalize,
+    _normalize_backward,
+    dummy_tree,
+    normalize_dense,
+)
+# not called here: the loop hands the forward's normalization parts to
+# _normalize_backward; bench/tracing.py wraps this name in this module
+from .graphs import normalize_dense_backward  # noqa: F401
 from .models import (
     GradientBundle,
+    check_labels,
     graph_bundles,
     graph_ctx,
     graph_matching_grad,
@@ -299,7 +308,11 @@ class _SymmetricAdjacency:
 
 def _init_features(rng, spec, shape, warm=None):
     if warm is not None:
-        return np.array(warm, dtype=np.float64)
+        warm = np.array(warm, dtype=np.float64)
+        if warm.shape != tuple(shape):
+            raise ShapeError(f"init_features shape {warm.shape}, expected "
+                             f"{tuple(shape)}")
+        return warm
     if spec.init == "constant":
         return np.full(shape, float(spec.init_value))
     return rng.standard_normal(shape)
@@ -334,9 +347,11 @@ def _matching_objective(spec, params, bundles, forward, pullback, known_x=None,
     The loop passes None for a known input; ``known_x``, or ``known_a``
     with its normalization ``anorm``, stands in. ``forward(x, anorm)`` gives
     the model context and dummy bundle stacks, ``pullback(ctx, v,
-    want_adjacency)`` the gradient of <stacks, v> on the features and the
-    normalized adjacency. With ``update``, gradients of the unknowns come
-    back (None otherwise); an optimized adjacency's goes back through
+    want_adjacency, want_features)`` the gradient of <stacks, v> on the
+    normalized adjacency and the features, each only if wanted (None
+    otherwise). With ``update``, gradients of the unknowns come back (None
+    otherwise). An optimized adjacency is normalized once per call; its
+    gradient goes back through that normalization's parts, as in
     :func:`normalize_dense_backward`. ``regularize`` adds the smoothness and
     Frobenius terms weighted by spec.alpha / spec.beta. The leak's layout and
     cosine norms are computed here, once per attack, so a zero-norm leak
@@ -353,15 +368,15 @@ def _matching_objective(spec, params, bundles, forward, pullback, known_x=None,
         opt_a = a is not None
         x = x if opt_x else known_x
         a = a if opt_a else known_a
-        ctx, stacks = forward(x, normalize_dense(a, mode) if opt_a else anorm)
+        parts = _normalize(a, mode) if opt_a else None
+        ctx, stacks = forward(x, parts[0] if opt_a else anorm)
         value, vflat = match(_flatten(stacks, names))
         gx = ga = None
         if update:
-            xbar, abar_norm = pullback(ctx, _unflatten(vflat, layout), opt_a)
-            if opt_x:
-                gx = xbar
+            gx, abar_norm = pullback(ctx, _unflatten(vflat, layout), opt_a,
+                                     opt_x)
             if opt_a:
-                ga = normalize_dense_backward(abar_norm, a, mode)
+                ga = _normalize_backward(abar_norm, parts, mode)
         if regularize and spec.alpha > 0.0:
             s_val, s_gx, s_ga = smoothness_grads(
                 x, a, wrt_features=gx is not None, wrt_adjacency=ga is not None)
@@ -387,20 +402,25 @@ def _finite(value, restart, iteration):
 
 
 def _optimize(spec, rng, objective, x_shape=None, n_adj=None, warm_x=None,
-              warm_a=None):
+              warm_a=None, live_rows=None):
     """Restarted Adam on the unknown features and/or adjacency.
 
     ``x_shape`` / ``n_adj`` size the unknown features / adjacency and are
     None where that input is known. Each restart draws its starting
     features, then its starting adjacency (``warm_x`` / ``warm_a`` replace
     the draws), and steps the adjacency through :class:`_SymmetricAdjacency`.
-    A non-finite objective raises :class:`NumericError`. Returns the restart
-    with the lowest final objective; the result holds the optimized inputs
-    (None where known) and the objective trace.
+    With ``live_rows`` set, only the leading ``live_rows`` feature rows
+    (axis -2) of the draw are optimized and reach the objective; the others
+    keep their drawn values. A non-finite objective raises
+    :class:`NumericError`. Returns the restart with the lowest final
+    objective; the result holds the optimized inputs (None where known;
+    features in the full ``x_shape``) and the objective trace.
     """
     best = None
     for restart in range(spec.restarts):
-        x = None if x_shape is None else _init_features(rng, spec, x_shape, warm_x)
+        drawn = (None if x_shape is None
+                 else _init_features(rng, spec, x_shape, warm_x))
+        x = None if drawn is None else drawn[..., :live_rows, :]
         adj = None if n_adj is None else _SymmetricAdjacency(
             _init_adjacency(rng, spec, n_adj, warm_a), spec.learning_rate)
         x_state = AdamState(lr=spec.learning_rate)
@@ -414,8 +434,10 @@ def _optimize(spec, rng, objective, x_shape=None, n_adj=None, warm_x=None,
                 adj.step(ga)
         a = None if adj is None else adj.matrix()
         final = _finite(objective(x, a, False)[0], restart, spec.iterations)
+        if drawn is not None:
+            drawn[..., :live_rows, :] = x
         if best is None or final < best.final_objective:
-            best = RecoveryResult(features=x, adjacency_prob=a,
+            best = RecoveryResult(features=drawn, adjacency_prob=a,
                                   objective_trace=trace, final_objective=final)
     return best
 
@@ -431,8 +453,8 @@ def _node_task(params, targets, labels):
         ctx = node_ctx(params, x, anorm, targets, labels)
         return ctx, node_bundles(ctx, params)
 
-    def pullback(ctx, v, want_adjacency):
-        return node_matching_grad(ctx, params, v, want_adjacency)
+    def pullback(ctx, v, want_adjacency, want_features):
+        return node_matching_grad(ctx, params, v, want_adjacency, want_features)
 
     return forward, pullback
 
@@ -441,9 +463,14 @@ def attack_node1(leak, spec, params, rng=None, init_features=None):
     """Recover target (and neighbor) features from one node-task bundle.
 
     Builds a two-level dummy tree rooted at the target, infers the label
-    from the leak, and matches gradients over the tree's features with the
-    plain cosine/L2 objective (no regularizers). ``init_features`` warm
-    starts the tree features instead of the configured init.
+    from the leak, and matches gradients with the plain cosine/L2 objective
+    (no regularizers). Only the target and its d_tree children are
+    optimized: the target's row of the normalized adjacency reads no other
+    row, so the grandchildren get no gradient (they still set the
+    children's degrees). ``features`` comes back in the full tree's shape,
+    the grandchildren at their starting draw. ``init_features`` (the full
+    tree's shape) warm starts the tree features instead of the configured
+    init.
     """
     if spec.scenario != "node1":
         raise ConfigError(f"spec scenario is {spec.scenario}, not node1", "scenario")
@@ -451,14 +478,15 @@ def attack_node1(leak, spec, params, rng=None, init_features=None):
         raise ConfigError("node1 needs a node-task model", "scenario")
     rng = rng or make_rng(spec.seed)
     bundle = _bundles_of(leak)[0]
-    labels = np.array([infer_label(bundle)])
+    labels = check_labels(infer_label(bundle), params.num_classes)
     tree = dummy_tree(rng, spec.d_tree, params.feature_dim)
+    live = 1 + spec.d_tree
     forward, pullback = _node_task(params, np.array([0]), labels)
     objective = _matching_objective(
         spec, params, [bundle], forward, pullback,
-        anorm=normalize_dense(tree.adjacency, params.norm_mode))
+        anorm=normalize_dense(tree.adjacency, params.norm_mode)[:live, :live])
     best = _optimize(spec, rng, objective, x_shape=tree.features.shape,
-                     warm_x=init_features)
+                     warm_x=init_features, live_rows=live)
     best.labels = labels
     best.target_feature = best.features[0].copy()
     best.neighbor_features = best.features[1:1 + spec.d_tree].copy()
@@ -510,7 +538,7 @@ def attack_node2(leak, spec, params, known_features=None, known_adjacency=None,
         raise ConfigError("node2 needs a node-task model", "scenario")
     bundles = _bundles_of(leak)
     n = len(bundles)
-    labels = np.array([infer_label(b) for b in bundles])
+    labels = check_labels([infer_label(b) for b in bundles], params.num_classes)
     forward, pullback = _node_task(params, np.arange(n), labels)
     return _attack_unknowns(spec, params, rng, bundles, n, labels, forward,
                             pullback, known_features, known_adjacency,
@@ -531,15 +559,17 @@ def attack_graph(leak, spec, params, known_features=None, known_adjacency=None,
     if params.task != "graph":
         raise ConfigError("graph attack needs a graph-task model", "scenario")
     bundle = _bundles_of(leak)[0]
-    labels = np.array([infer_label(bundle)])
+    labels = check_labels(infer_label(bundle), params.num_classes)
 
     def forward(x, anorm):
         ctx = graph_ctx(params, x[None], anorm, labels)
         return ctx, graph_bundles(ctx, params)
 
-    def pullback(ctx, v, want_adjacency):
-        xbar, abar_norm = graph_matching_grad(ctx, params, v, want_adjacency)
-        return xbar[0], None if abar_norm is None else abar_norm[0]
+    def pullback(ctx, v, want_adjacency, want_features):
+        xbar, abar_norm = graph_matching_grad(ctx, params, v, want_adjacency,
+                                              want_features)
+        return (None if xbar is None else xbar[0],
+                None if abar_norm is None else abar_norm[0])
 
     return _attack_unknowns(spec, params, rng, [bundle], params.num_nodes,
                             labels, forward, pullback, known_features,
@@ -549,8 +579,10 @@ def attack_graph(leak, spec, params, known_features=None, known_adjacency=None,
 def attack_batched(leak, spec, params, labels, known_adjacencies=None, rng=None):
     """Jointly recover a batch of samples from one averaged bundle.
 
-    Node task: one dummy tree per sample, all features optimized so the
-    batch-averaged dummy gradient matches the leak. Graph task: per-sample
+    Node task: one dummy tree per sample, optimized so the batch-averaged
+    dummy gradient matches the leak. As in :func:`attack_node1`, only each
+    tree's target and its children are optimized; the grandchildren keep
+    their starting draw in the returned features. Graph task: per-sample
     known adjacencies, per-sample feature matrices optimized. True labels
     must be supplied; averaging destroys the per-sample sign structure that
     single-sample label inference relies on. The spec's scenario is node1
@@ -563,16 +595,18 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, rng=None)
     rng = rng or make_rng(spec.seed)
     bundle = _bundles_of(leak)[0]
     b = leak.batch_size if isinstance(leak, LeakRecord) else len(labels)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = check_labels(labels, params.num_classes)
     if labels.shape[0] != b:
         raise ConfigError(f"{labels.shape[0]} labels for batch of {b}", "labels")
 
     if params.task == "node":
         tree = dummy_tree(rng, spec.d_tree, params.feature_dim)
-        anorm = normalize_dense(tree.adjacency, params.norm_mode)
+        live = 1 + spec.d_tree
+        anorm = normalize_dense(tree.adjacency, params.norm_mode)[:live, :live]
         n = tree.num_nodes
         targets = np.zeros(b, dtype=np.int64)
     else:
+        live = None
         if known_adjacencies is None:
             raise ConfigError("batched graph attack needs known adjacencies",
                               "known_adjacencies")
@@ -591,15 +625,17 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, rng=None)
             stacks = graph_bundles(ctx, params)
         return ctx, {k: s.mean(axis=0, keepdims=True) for k, s in stacks.items()}
 
-    def pullback(ctx, v, want_adjacency):
-        vb = {k: np.repeat(g / float(b), b, axis=0) for k, g in v.items()}
-        if params.task == "node":
-            return node_matching_grad(ctx, params, vb, want_adjacency)
-        return graph_matching_grad(ctx, params, vb, want_adjacency)
+    def pullback(ctx, v, want_adjacency, want_features):
+        # every sample shares the mean's co-vector; the matching gradient's
+        # batched matmuls broadcast its leading axis of 1
+        vb = {k: g / float(b) for k, g in v.items()}
+        grad = node_matching_grad if params.task == "node" else graph_matching_grad
+        return grad(ctx, params, vb, want_adjacency, want_features)
 
     objective = _matching_objective(spec, params, [bundle], forward, pullback,
                                     anorm=anorm)
-    best = _optimize(spec, rng, objective, x_shape=(b, n, params.feature_dim))
+    best = _optimize(spec, rng, objective, x_shape=(b, n, params.feature_dim),
+                     live_rows=live)
     return [
         RecoveryResult(
             features=best.features[i].copy(),

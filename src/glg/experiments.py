@@ -191,7 +191,22 @@ def _rep_rng(seed, rep):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, rep))))
 
 
-def _build_graph(cfg, rng, need_graph_label=False):
+def _load_files(cfg):
+    """The ``files`` dataset's graph, checked against the config; draws no RNG."""
+    ds = cfg.dataset
+    g = load_graph(ds.feature_file, ds.edge_file, ds.label_file)
+    if cfg.task == "node":
+        if g.labels is None:
+            raise ConfigError("file dataset lacks labels for a node task",
+                              "dataset.label_file")
+        if g.labels.max() >= ds.num_classes:
+            raise ConfigError(f"file labels go up to {int(g.labels.max())}, "
+                              f"but there are {ds.num_classes} classes",
+                              "dataset.num_classes")
+    return g
+
+
+def _build_graph(cfg, rng, files_graph, need_graph_label=False):
     ds = cfg.dataset
     if ds.source == "synthetic":
         g = synthetic_graph(rng, ds.n, ds.avg_degree, ds.feature_dim,
@@ -202,28 +217,36 @@ def _build_graph(cfg, rng, need_graph_label=False):
     elif ds.source == "tree":
         g = dummy_tree(rng, ds.d_tree, ds.feature_dim, num_classes=ds.num_classes)
     else:
-        g = load_graph(ds.feature_file, ds.edge_file, ds.label_file)
-        if g.labels is None and cfg.task == "node":
-            raise ConfigError("file dataset lacks labels for a node task",
-                              "dataset.label_file")
+        g = files_graph
     if need_graph_label:
         g = Graph(adjacency=g.adjacency, features=g.features, labels=g.labels,
                   graph_label=int(rng.integers(0, ds.num_classes)))
     return g
 
 
-def _one_repetition(cfg, rep):
-    """Returns (metric dict, artifact dict of recovered/true matrices)."""
+def _one_repetition(cfg, rep, files_graph):
+    """Returns (metric dict, artifact dict of recovered/true matrices).
+
+    The model is sized from the graphs the repetition builds: a ``files``
+    dataset's loaded graph (``files_graph``), a tree's 1 + d + d^2 nodes,
+    else the configured n and feature_dim.
+    """
     rng = _rep_rng(cfg.seed, rep)
+    ds = cfg.dataset
+    if files_graph is not None:
+        feature_dim, n = files_graph.feature_dim, files_graph.num_nodes
+    elif ds.source == "tree":
+        feature_dim, n = ds.feature_dim, 1 + ds.d_tree + ds.d_tree ** 2
+    else:
+        feature_dim, n = ds.feature_dim, ds.n
     params = init_params(
-        rng, cfg.framework, cfg.task, cfg.dataset.feature_dim,
-        cfg.hidden_dim, cfg.dataset.num_classes,
-        num_nodes=cfg.dataset.n if cfg.task == "graph" else None)
+        rng, cfg.framework, cfg.task, feature_dim, cfg.hidden_dim,
+        ds.num_classes, num_nodes=n if cfg.task == "graph" else None)
     out = {}
     arts = {}
 
     if cfg.scenario == "node1":
-        g = _build_graph(cfg, rng)
+        g = _build_graph(cfg, rng, files_graph)
         target = int(rng.integers(0, g.num_nodes))
         spec = cfg.attack
         if cfg.one_hop_eval:
@@ -244,7 +267,7 @@ def _one_repetition(cfg, rep):
 
     if cfg.scenario.startswith("batched"):
         if cfg.task == "node":
-            g = _build_graph(cfg, rng)
+            g = _build_graph(cfg, rng, files_graph)
             if cfg.batch_size > g.num_nodes:
                 raise ConfigError("batch larger than the graph", "batch_size")
             targets = rng.choice(g.num_nodes, size=cfg.batch_size, replace=False)
@@ -254,7 +277,7 @@ def _one_repetition(cfg, rep):
             truth = [g.features[t] for t in targets]
             recovered = [r.target_feature for r in results]
         else:
-            gs = [_build_graph(cfg, rng, need_graph_label=True)
+            gs = [_build_graph(cfg, rng, files_graph, need_graph_label=True)
                   for _ in range(cfg.batch_size)]
             record = leak(params, gs, "batched-graph")
             results = attack_batched(record, cfg.attack, params,
@@ -272,7 +295,8 @@ def _one_repetition(cfg, rep):
 
     # subgraph (node2*) and whole-graph (graph_*) scenarios; the suffix names
     # the known input: a the features, b the adjacency, c neither
-    g = _build_graph(cfg, rng, need_graph_label=cfg.task == "graph")
+    g = _build_graph(cfg, rng, files_graph,
+                     need_graph_label=cfg.task == "graph")
     if cfg.task == "node":
         if cfg.egonet_hops is not None:
             center = int(rng.integers(0, g.num_nodes))
@@ -329,16 +353,19 @@ def _aggregate(per_rep, cfg, errors, elapsed):
 def run_experiment(cfg, dump_dir=None):
     """Run the configured scenario R times and aggregate mean/std/min.
 
+    A ``files`` dataset is loaded and checked once, before any repetition,
+    so a bad file or label set raises instead of failing each repetition.
     With ``dump_dir`` set, each repetition's recovered and true matrices are
     written there as CSV (``rep<i>_<name>.csv``), so every reported metric
     can be recomputed from the files.
     """
     start = time.perf_counter()
+    files_graph = _load_files(cfg) if cfg.dataset.source == "files" else None
     per_rep = []
     errors = []
     for rep in range(cfg.repeats):
         try:
-            metrics_out, artifacts = _one_repetition(cfg, rep)
+            metrics_out, artifacts = _one_repetition(cfg, rep, files_graph)
         except GlgError as exc:
             errors.append(f"rep {rep}: {exc}")
             continue

@@ -17,6 +17,7 @@ from .graphs import Graph, normalize_adjacency
 from .models import (
     GradientBundle,
     ModelParams,
+    check_labels,
     graph_bundles,
     graph_ctx,
     node_bundles,
@@ -88,7 +89,8 @@ def _node_stacks(params, g, targets):
     if g.labels is None:
         raise ShapeError("node-task graph carries no labels")
     targets = np.asarray(targets, dtype=np.int64)
-    ctx = node_ctx(params, g.features, anorm, targets, g.labels[targets])
+    labels = check_labels(g.labels[targets], params.num_classes)
+    ctx = node_ctx(params, g.features, anorm, targets, labels)
     return node_bundles(ctx, params)
 
 
@@ -101,7 +103,8 @@ def _graph_sample_bundle(params, g):
     anorm = normalize_adjacency(g, params.norm_mode).matrix
     if g.graph_label is None:
         raise ShapeError("graph-task sample carries no graph label")
-    ctx = graph_ctx(params, g.features[None], anorm, [g.graph_label])
+    labels = check_labels(g.graph_label, params.num_classes)
+    ctx = graph_ctx(params, g.features[None], anorm, labels)
     stacks = graph_bundles(ctx, params)
     return GradientBundle(tensors={k: v[0] for k, v in stacks.items()})
 
@@ -115,7 +118,7 @@ def _graph_batch_stacks(params, gs):
         [normalize_adjacency(g, params.norm_mode).matrix for g in gs]
     )
     x = np.stack([g.features for g in gs])
-    labels = [g.graph_label for g in gs]
+    labels = check_labels([g.graph_label for g in gs], params.num_classes)
     ctx = graph_ctx(params, x, anorm, labels)
     return graph_bundles(ctx, params)
 

@@ -124,8 +124,17 @@ def normalize_dense_backward(gbar, a, mode):
     ``gbar`` is d(objective)/d(normalized); the return value is
     d(objective)/d(a), accounting for the degree terms.
     """
-    gbar = np.asarray(gbar, dtype=np.float64)
-    norm, d, scale = _normalize(a, mode)
+    return _normalize_backward(np.asarray(gbar, dtype=np.float64),
+                               _normalize(a, mode), mode)
+
+
+def _normalize_backward(gbar, parts, mode):
+    """The normalization's backward pass, given the forward's parts.
+
+    ``parts`` is :func:`_normalize`'s ``(normalized, degrees, scale)``; the
+    result equals :func:`normalize_dense_backward` bit for bit.
+    """
+    norm, d, scale = parts
     if mode == "sage-mean":
         # d norm_ij / d a_il = (delta_jl - norm_il) / d_i
         row_dot = (gbar * norm).sum(axis=1)

@@ -37,6 +37,7 @@ __all__ = [
     "NodeTrace",
     "backward_graph",
     "backward_node",
+    "check_labels",
     "cross_entropy",
     "forward_graph",
     "forward_node",
@@ -186,6 +187,17 @@ def _ce_rows(logits, labels):
     return lse - z[np.arange(z.shape[0]), labels]
 
 
+def check_labels(labels, num_classes):
+    """Labels as an int64 vector, each checked to be a class index.
+
+    Raises :class:`ShapeError` for a label outside ``[0, num_classes)``.
+    """
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    if np.any(labels < 0) or np.any(labels >= num_classes):
+        raise ShapeError(f"label out of range for {num_classes} classes")
+    return labels
+
+
 def _minus_onehot(q, labels):
     """``q - onehot(labels)``, row by row: the logit gradient of cross-entropy."""
     out = q.copy()
@@ -214,7 +226,8 @@ class NodeTrace:
 
     Every stack has one row per target. ``batch`` selects between one
     shared graph with many target nodes (x is (N, D)) and a batch of
-    independent graphs with one target each (x is (B, N, D)).
+    independent graphs with one target each (x is (B, N, D)). Only
+    :func:`forward_node` fills ``losses``; the attack loop never reads them.
     """
 
     x: np.ndarray
@@ -252,13 +265,15 @@ def _pre_activation(t, layer, agg, h):
 
 
 def node_ctx(params, x, anorm, targets, labels, batch=False):
+    """Forward and first-order backward intermediates at the target rows.
+
+    ``labels`` must already have passed :func:`check_labels`.
+    """
     t = params.tensors
     x = np.asarray(x, dtype=np.float64)
     anorm = np.asarray(anorm, dtype=np.float64)
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    if np.any(labels < 0) or np.any(labels >= params.num_classes):
-        raise ShapeError("label out of range")
 
     # the head reads the first layer at the targets only, so only those
     # rows are computed
@@ -274,7 +289,6 @@ def node_ctx(params, x, anorm, targets, labels, batch=False):
     ctx.g2 = _minus_onehot(ctx.q, labels)
     ctx.u = ctx.g2 @ t["out_weight"]
     ctx.g1 = ctx.u * ctx.st
-    ctx.losses = _ce_rows(ctx.logits, labels)
     return ctx
 
 
@@ -292,25 +306,28 @@ def node_bundles(ctx, params):
     return out
 
 
-def _node_scatter(ctx, mtbar, xtbar, want_adjacency):
+def _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency):
     """Pull the adjoints of ``mt = at @ x`` and ``xt`` back to x and anorm.
 
-    ``xtbar`` is None for a model without a self weight. Shared mode sums
-    over the targets; batch mode keeps one stack entry per sample.
+    ``xtbar`` is None for a model without a self weight or when the features
+    are not wanted. Shared mode sums over the targets; batch mode keeps one
+    stack entry per sample. An input not wanted comes back as None.
     """
-    abar = None
+    xbar = abar = None
     if ctx.batch:
-        xbar = ctx.at[:, :, None] * mtbar[:, None, :]
-        rows = np.arange(xbar.shape[0])
-        if xtbar is not None:
-            xbar[rows, ctx.targets] += xtbar
+        rows = np.arange(ctx.x.shape[0])
+        if want_features:
+            xbar = ctx.at[:, :, None] * mtbar[:, None, :]
+            if xtbar is not None:
+                xbar[rows, ctx.targets] += xtbar
         if want_adjacency:
             abar = np.zeros(ctx.x.shape[:-1] + (ctx.x.shape[-2],))
             abar[rows, ctx.targets] = (ctx.x @ mtbar[:, :, None])[:, :, 0]
         return xbar, abar
-    xbar = ctx.at.T @ mtbar
-    if xtbar is not None:
-        np.add.at(xbar, ctx.targets, xtbar)
+    if want_features:
+        xbar = ctx.at.T @ mtbar
+        if xtbar is not None:
+            np.add.at(xbar, ctx.targets, xtbar)
     if want_adjacency:
         abar = np.zeros((ctx.x.shape[0], ctx.x.shape[0]))
         np.add.at(abar, ctx.targets, mtbar @ ctx.x.T)
@@ -321,15 +338,18 @@ def node_input_grads(ctx, params, want_adjacency=True):
     """First-order d loss / d features (and d loss / d anorm), summed over samples."""
     t = params.tensors
     xtbar = ctx.g1 @ t["conv1_self"] if "conv1_self" in t else None
-    return _node_scatter(ctx, ctx.g1 @ t["conv1_agg"], xtbar, want_adjacency)
+    return _node_scatter(ctx, ctx.g1 @ t["conv1_agg"], xtbar, True,
+                         want_adjacency)
 
 
-def node_matching_grad(ctx, params, v, want_adjacency):
+def node_matching_grad(ctx, params, v, want_adjacency, want_features=True):
     """Gradient of sum_s <bundle_s, v_s> w.r.t. features and normalized adjacency.
 
-    ``v`` holds one co-tensor per parameter, stacked along the sample axis.
-    The return value follows the ctx layout: shared mode gives (N, D) and
-    (N, N) arrays summed over samples, batch mode per-sample stacks.
+    ``v`` holds one co-tensor per parameter, stacked along the sample axis
+    (a stack of one is shared by every sample). The return value follows
+    the ctx layout: shared mode gives (N, D) and (N, N) arrays summed over
+    samples, batch mode per-sample stacks. A gradient not wanted is not
+    computed and comes back as None.
     """
     t = params.tensors
     w_out = t["out_weight"]
@@ -355,9 +375,9 @@ def node_matching_grad(ctx, params, v, want_adjacency):
     ztbar = htbar * ctx.st
     mtbar = mtbar + ztbar @ w_agg
     xtbar = None
-    if w_self is not None:
+    if want_features and w_self is not None:
         xtbar = (g1 @ v["conv1_self"])[:, 0] + ztbar @ w_self
-    return _node_scatter(ctx, mtbar, xtbar, want_adjacency)
+    return _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency)
 
 
 def forward_node(params, g, anorm, target, label=None):
@@ -372,7 +392,10 @@ def forward_node(params, g, anorm, target, label=None):
         label = int(g.labels[target])
     if not 0 <= target < x.shape[0]:
         raise ShapeError(f"target {target} out of range")
-    return node_ctx(params, x, mat, [target], [label])
+    labels = check_labels(label, params.num_classes)
+    trace = node_ctx(params, x, mat, [target], labels)
+    trace.losses = _ce_rows(trace.logits, labels)
+    return trace
 
 
 def _single(stacked):
@@ -396,7 +419,11 @@ def backward_node(params, trace, wrt=("params",)):
 
 @dataclass
 class GraphTrace:
-    """Forward record of the graph task for a batch of losses (leading axis B)."""
+    """Forward record of the graph task for a batch of losses (leading axis B).
+
+    Only :func:`forward_graph` fills ``losses``; the attack loop never reads
+    them.
+    """
 
     x: np.ndarray
     anorm: np.ndarray
@@ -423,7 +450,10 @@ def _swap(a):
 
 
 def graph_ctx(params, x, anorm, labels):
-    """Forward + first-order backward intermediates; x is (B, N, D)."""
+    """Forward + first-order backward intermediates; x is (B, N, D).
+
+    ``labels`` must already have passed :func:`check_labels`.
+    """
     t = params.tensors
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 2:
@@ -435,8 +465,6 @@ def graph_ctx(params, x, anorm, labels):
         raise ShapeError(
             f"model readout expects {params.num_nodes} nodes, graph has {n}"
         )
-    if np.any(labels < 0) or np.any(labels >= params.num_classes):
-        raise ShapeError("label out of range")
 
     ctx = GraphTrace(x=x, anorm=anorm, labels=labels)
     ctx.agg1 = anorm @ x
@@ -451,7 +479,6 @@ def graph_ctx(params, x, anorm, labels):
     ctx.logits = ctx.flat @ t["mlp_weight"].T + t["mlp_bias"]
     ctx.q = softmax(ctx.logits)
     ctx.gp = _minus_onehot(ctx.q, labels)
-    ctx.losses = _ce_rows(ctx.logits, labels)
 
     hbar = (ctx.gp @ t["mlp_weight"]).reshape(ctx.hidden2.shape)
     ctx.g2 = hbar * ctx.sig2
@@ -495,8 +522,12 @@ def graph_input_grads(ctx, params, want_adjacency=True):
     return xbar, abar
 
 
-def graph_matching_grad(ctx, params, v, want_adjacency):
-    """Gradient of sum_b <bundle_b, v_b> w.r.t. features and normalized adjacency."""
+def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
+    """Gradient of sum_b <bundle_b, v_b> w.r.t. features and normalized adjacency.
+
+    ``v`` is stacked along the sample axis like :func:`node_matching_grad`'s.
+    A gradient not wanted is not computed and comes back as None.
+    """
     t = params.tensors
     w1a = t["conv1_agg"]
     w1s = t.get("conv1_self")
@@ -549,9 +580,11 @@ def graph_matching_grad(ctx, params, v, want_adjacency):
     m1bar = m1bar + z1bar @ w1a
     if want_adjacency:
         abar_n = abar_n + m1bar @ _swap(ctx.x)
-    xbar = anorm_t @ m1bar
-    if w1s is not None:
-        xbar += ctx.g1 @ v["conv1_self"] + z1bar @ w1s
+    xbar = None
+    if want_features:
+        xbar = anorm_t @ m1bar
+        if w1s is not None:
+            xbar += ctx.g1 @ v["conv1_self"] + z1bar @ w1s
     return xbar, abar_n
 
 
@@ -565,7 +598,10 @@ def forward_graph(params, g, anorm, graph_label=None):
         if not isinstance(g, Graph) or g.graph_label is None:
             raise ShapeError("no graph label given and the graph carries none")
         graph_label = int(g.graph_label)
-    return graph_ctx(params, x, mat, [graph_label])
+    labels = check_labels(graph_label, params.num_classes)
+    trace = graph_ctx(params, x, mat, labels)
+    trace.losses = _ce_rows(trace.logits, labels)
+    return trace
 
 
 def backward_graph(params, trace, wrt=("params",)):

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from glg import attacks, federated, graphs, metrics, models, numkit, selftest
-from glg.errors import ConfigError, DegenerateGradientError, NumericError
+from glg.errors import (
+    ConfigError,
+    DegenerateGradientError,
+    NumericError,
+    ShapeError,
+)
 from glg.models import GradientBundle
 
 rng = numkit.make_rng(808)
@@ -364,6 +369,83 @@ class TestIterativeAttacks:
             attacks.attack_batched(record, spec, params, labels=labels,
                                    known_adjacencies=known)
 
+    @pytest.mark.parametrize("task", ["node", "graph"])
+    def test_batched_label_out_of_range_raises_before_iterating(
+            self, monkeypatch, task):
+        r = numkit.make_rng(28)
+        if task == "node":
+            g = graphs.synthetic_graph(r, 6, 2, 3, num_classes=2)
+            params = models.init_params(r, "sage", "node", 3, 4, 2)
+            record = federated.leak(params, g, "batched-node", targets=[1, 4])
+            known, spec, forward = None, "node1", "node_ctx"
+        else:
+            g0 = graphs.er_graph(r, 4, 0.5, 3)
+            g = graphs.Graph(adjacency=g0.adjacency, features=g0.features,
+                             graph_label=1)
+            params = models.init_params(r, "sage", "graph", 3, 4, 2,
+                                        num_nodes=4)
+            record = federated.leak(params, [g, g], "batched-graph")
+            known, spec, forward = [g.adjacency] * 2, "graph_b", "graph_ctx"
+        calls = []
+        real = getattr(attacks, forward)
+        monkeypatch.setattr(attacks, forward,
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        spec = attacks.AttackSpec(scenario=spec, iterations=5)
+        with pytest.raises(ShapeError, match="label out of range"):
+            attacks.attack_batched(record, spec, params, labels=[0, 2],
+                                   known_adjacencies=known)
+        assert calls == []
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_only_target_and_children_are_optimized(self, monkeypatch,
+                                                    batched):
+        r = numkit.make_rng(29)
+        g = graphs.synthetic_graph(r, 8, 3, 4, num_classes=3)
+        params = models.init_params(r, "sage", "node", 4, 6, 3)
+        targets = [1, 5] if batched else [1]
+        record = federated.leak(params, g,
+                                "batched-node" if batched else "node1",
+                                targets=targets)
+        spec = attacks.AttackSpec(scenario="node1", iterations=3, d_tree=2,
+                                  restarts=2)
+        starts = []
+        real = attacks.node_ctx
+        monkeypatch.setattr(attacks, "node_ctx", lambda *a, **k: (
+            starts.append(np.array(a[1])) or real(*a, **k)))
+        if batched:
+            results = attacks.attack_batched(record, spec, params,
+                                             labels=g.labels[targets],
+                                             rng=numkit.make_rng(5))
+            features = np.stack([res.features for res in results])
+        else:
+            features = attacks.attack_node1(record, spec, params,
+                                            rng=numkit.make_rng(5)).features
+        # replay the attack's draws: the dummy tree, then one start per restart
+        replay = numkit.make_rng(5)
+        graphs.dummy_tree(replay, spec.d_tree, 4)
+        draws = [replay.standard_normal(features.shape) for _ in range(2)]
+        live = 1 + spec.d_tree
+        assert features.shape[-2] == 1 + spec.d_tree + spec.d_tree ** 2
+        for k, draw in enumerate(draws):
+            # each restart makes iterations + 1 forward calls
+            start = starts[k * (spec.iterations + 1)]
+            assert np.array_equal(start, draw[..., :live, :])
+        assert not np.array_equal(starts[0], starts[spec.iterations + 1])
+        winners = [k for k, draw in enumerate(draws)
+                   if np.array_equal(features[..., live:, :],
+                                     draw[..., live:, :])]
+        assert len(winners) == 1
+        assert not np.array_equal(features[..., :live, :],
+                                  draws[winners[0]][..., :live, :])
+
+    def test_node1_init_features_must_cover_the_tree(self):
+        g, params = tree_world()
+        record = federated.leak(params, g, "node1", targets=[0])
+        spec = attacks.AttackSpec(scenario="node1", iterations=2, d_tree=3)
+        with pytest.raises(ShapeError, match="init_features"):
+            attacks.attack_node1(record, spec, params,
+                                 init_features=g.features[:4])
+
     def test_batched_b1_matches_node1(self):
         r = numkit.make_rng(24)
         g = graphs.synthetic_graph(r, 12, 3, 5, num_classes=3)
@@ -472,11 +554,12 @@ def objective_case(monkeypatch, scenario, framework, objective):
             record = federated.leak(params, g, "node1", targets=[2])
             f = captured_objective(monkeypatch, attacks.attack_node1, record,
                                    spec, params)
-            return f, r.standard_normal((3, 3)), None  # 3-node dummy tree
+            # the live rows of the 3-node dummy tree: the target and its child
+            return f, r.standard_normal((2, 3)), None
         record = federated.leak(params, g, "batched-node", targets=[1, 4])
         f = captured_objective(monkeypatch, attacks.attack_batched, record,
                                spec, params, labels=g.labels[[1, 4]])
-        return f, r.standard_normal((2, 3, 3)), None
+        return f, r.standard_normal((2, 2, 3)), None
     if scenario == "batched_graph":
         gs = []
         for k in range(2):

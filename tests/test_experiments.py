@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from glg import graphs, numkit
 from glg.errors import ConfigError
 from glg.experiments import (
     ExperimentConfig,
@@ -194,6 +195,46 @@ class TestRunExperiment:
     def test_adjacency_scenarios_report_thresholded_mae(self):
         row = run_experiment(quick_config(repeats=1))[0]
         assert "mae_thresholded" in row.metrics
+
+
+def files_config(tmp_path, scenario, labels=None, num_classes=3):
+    """A 6-node, 3-feature file dataset; dataset n and feature_dim stay unset."""
+    g = graphs.synthetic_graph(numkit.make_rng(40), 6, 2, 3, num_classes=3)
+    if labels is not None:
+        g = graphs.Graph(adjacency=g.adjacency, features=g.features,
+                         labels=labels)
+    paths = {name: str(tmp_path / f"{name}.txt")
+             for name in ("feature_file", "edge_file", "label_file")}
+    graphs.save_graph(g, paths["feature_file"], paths["edge_file"],
+                      paths["label_file"])
+    return quick_config(scenario=scenario, attack={"iterations": 10},
+                        dataset={"source": "files",
+                                 "num_classes": num_classes, **paths},
+                        repeats=1)
+
+
+class TestModelSizedFromDataset:
+    @pytest.mark.parametrize("scenario", ["node2b", "graph_b"])
+    def test_files_dataset(self, tmp_path, scenario):
+        row = run_experiment(files_config(tmp_path, scenario))[0]
+        assert row.errors == []
+        assert np.isfinite(row.metrics["feature_rnmse"]["mean"])
+
+    def test_tree_graph_c_with_default_n(self):
+        cfg = quick_config(
+            scenario="graph_c", attack={"iterations": 10},
+            dataset={"source": "tree", "d_tree": 2, "feature_dim": 4,
+                     "num_classes": 3},
+            repeats=1)
+        row = run_experiment(cfg)[0]
+        assert row.errors == []
+        assert {"feature_rnmse", "auc"} <= set(row.metrics)
+
+    def test_file_labels_beyond_num_classes(self, tmp_path):
+        cfg = files_config(tmp_path, "node2b", labels=[0, 1, 2, 0, 1, 2],
+                           num_classes=2)
+        with pytest.raises(ConfigError, match="dataset.num_classes"):
+            run_experiment(cfg)
 
 
 class TestEmitReport:

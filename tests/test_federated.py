@@ -160,3 +160,22 @@ class TestLeak:
         for k in record.bundle.param_names:
             want = np.mean([b.tensors[k] for b in per_node.bundles], axis=0)
             assert np.abs(record.bundle.tensors[k] - want).max() < 1e-12
+
+    @pytest.mark.parametrize("scenario", ["node1", "node2", "batched-node",
+                                          "graph", "batched-graph"])
+    def test_out_of_range_label_raises(self, scenario):
+        if scenario.endswith("graph"):
+            g, params = graph_setup()
+            g = graphs.Graph(adjacency=g.adjacency, features=g.features,
+                             graph_label=params.num_classes)
+            data, targets = ([g, g] if scenario == "batched-graph" else g), None
+        else:
+            g, params = node_setup()
+            labels = g.labels.copy()
+            labels[3] = params.num_classes
+            data = graphs.Graph(adjacency=g.adjacency, features=g.features,
+                                labels=labels)
+            targets = {"node1": [3], "node2": None,
+                       "batched-node": [1, 3]}[scenario]
+        with pytest.raises(ShapeError, match="label out of range"):
+            federated.leak(params, data, scenario, targets=targets)

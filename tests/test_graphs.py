@@ -96,6 +96,20 @@ class TestNormalizationBackward:
                                                   rel=1e-5, abs=1e-8)
 
 
+    @pytest.mark.parametrize("mode", ["gcn", "sage-mean"])
+    def test_forward_parts_give_the_same_bits(self, mode):
+        # the attack loop feeds the forward's parts to the backward
+        r = numkit.make_rng(13)
+        a = np.abs(r.standard_normal((5, 5)))
+        a = np.tril(a, -1) + np.tril(a, -1).T
+        a[2] = a[:, 2] = 0.0  # a zero-degree row
+        gbar = r.standard_normal((5, 5))
+        parts = graphs._normalize(a, mode)
+        assert np.array_equal(parts[0], graphs.normalize_dense(a, mode))
+        assert np.array_equal(graphs._normalize_backward(gbar, parts, mode),
+                              graphs.normalize_dense_backward(gbar, a, mode))
+
+
 class TestLaplacian:
     def test_empty_graph(self):
         g = graphs.Graph(adjacency=np.zeros((3, 3)), features=np.zeros((3, 1)))

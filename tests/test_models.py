@@ -71,6 +71,12 @@ class TestForwardNode:
         assert np.allclose(trace.logits, logits, atol=1e-12)
         assert trace.losses[0] == pytest.approx(-math.log(probs[label]), abs=1e-12)
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_out_of_range(self, label):
+        g, params, anorm = make_node_setup("sage", k=3, seed=12)
+        with pytest.raises(ShapeError, match="label out of range"):
+            models.forward_node(params, g, anorm, 0, label)
+
     def test_trace_replay_is_deterministic(self):
         g, params, anorm = make_node_setup("gcn", seed=11)
         a = models.forward_node(params, g, anorm, 1, int(g.labels[1]))
@@ -293,6 +299,10 @@ class TestContractions:
         got = models.node_matching_grad(ctx, params, v, True)
         for got_arr, want_arr in zip(got, einsum_node_matching_grad(ctx, params, v)):
             assert_close_rel(got_arr, want_arr)
+        # without the feature pull-back the adjacency one is unchanged
+        xbar, abar = models.node_matching_grad(ctx, params, v, True,
+                                               want_features=False)
+        assert xbar is None and np.array_equal(abar, got[1])
 
     @pytest.mark.parametrize("framework", ["gcn", "sage"])
     @pytest.mark.parametrize("batch", [1, 3])
@@ -315,6 +325,9 @@ class TestContractions:
         got = models.graph_matching_grad(ctx, params, v, True)
         for got_arr, want_arr in zip(got, einsum_graph_matching_grad(ctx, params, v)):
             assert_close_rel(got_arr, want_arr)
+        xbar, abar = models.graph_matching_grad(ctx, params, v, True,
+                                                want_features=False)
+        assert xbar is None and np.array_equal(abar, got[1])
 
 
 class TestForwardGraph:
@@ -337,6 +350,15 @@ class TestForwardGraph:
         t = params.tensors
         want = 1.0 / (1.0 + np.exp(-(g.features @ t["conv1_self"].T + t["conv1_bias"])))
         assert np.allclose(trace.hidden1, want)
+
+    @pytest.mark.parametrize("label", [-1, 2])
+    def test_label_out_of_range(self, label):
+        r = numkit.make_rng(9)
+        g = graphs.er_graph(r, 4, 0.5, 3)
+        params = models.init_params(r, "gcn", "graph", 3, 4, 2, num_nodes=4)
+        with pytest.raises(ShapeError, match="label out of range"):
+            models.forward_graph(params, g, graphs.normalize_adjacency(g, "gcn"),
+                                 label)
 
     def test_node_count_mismatch(self):
         r = numkit.make_rng(7)
