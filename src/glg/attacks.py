@@ -320,7 +320,11 @@ def _init_features(rng, spec, shape, warm=None):
 
 def _init_adjacency(rng, spec, n, warm=None):
     if warm is not None:
-        return np.asarray(warm, dtype=np.float64)
+        warm = np.asarray(warm, dtype=np.float64)
+        if warm.shape != (n, n):
+            raise ShapeError(f"init_adjacency shape {warm.shape}, expected "
+                             f"{(n, n)}")
+        return warm
     if spec.init == "constant":
         return np.full((n, n), float(spec.init_value))
     return project_interval(rng.standard_normal((n, n)))
@@ -332,6 +336,16 @@ def _bundles_of(leak):
     if isinstance(leak, GradientBundle):
         return [leak]
     return list(leak)
+
+
+def _check_scenario(spec, params, scenarios, task):
+    """Raise :class:`ConfigError` unless the spec and model fit this attack."""
+    if spec.scenario not in scenarios:
+        raise ConfigError(f"spec scenario {spec.scenario} is not one of "
+                          f"{scenarios}", "scenario")
+    if params.task != task:
+        raise ConfigError(f"{spec.scenario} needs a {task}-task model",
+                          "scenario")
 
 
 def _known_matrix(value, name):
@@ -472,10 +486,7 @@ def attack_node1(leak, spec, params, rng=None, init_features=None):
     tree's shape) warm starts the tree features instead of the configured
     init.
     """
-    if spec.scenario != "node1":
-        raise ConfigError(f"spec scenario is {spec.scenario}, not node1", "scenario")
-    if params.task != "node":
-        raise ConfigError("node1 needs a node-task model", "scenario")
+    _check_scenario(spec, params, ("node1",), "node")
     rng = rng or make_rng(spec.seed)
     bundle = _bundles_of(leak)[0]
     labels = check_labels(infer_label(bundle), params.num_classes)
@@ -531,11 +542,7 @@ def attack_node2(leak, spec, params, known_features=None, known_adjacency=None,
     spec.alpha / spec.beta. ``init_features`` / ``init_adjacency`` warm
     start the optimized variables instead of the configured init.
     """
-    if spec.scenario not in ("node2a", "node2b", "node2c"):
-        raise ConfigError(f"spec scenario {spec.scenario} is not a node2 case",
-                          "scenario")
-    if params.task != "node":
-        raise ConfigError("node2 needs a node-task model", "scenario")
+    _check_scenario(spec, params, ("node2a", "node2b", "node2c"), "node")
     bundles = _bundles_of(leak)
     n = len(bundles)
     labels = check_labels([infer_label(b) for b in bundles], params.num_classes)
@@ -553,11 +560,7 @@ def attack_graph(leak, spec, params, known_features=None, known_adjacency=None,
     graph-level loss. With alpha = beta = 0 the objective reduces to the
     plain matching loss.
     """
-    if spec.scenario not in ("graph_a", "graph_b", "graph_c"):
-        raise ConfigError(f"spec scenario {spec.scenario} is not a graph case",
-                          "scenario")
-    if params.task != "graph":
-        raise ConfigError("graph attack needs a graph-task model", "scenario")
+    _check_scenario(spec, params, ("graph_a", "graph_b", "graph_c"), "graph")
     bundle = _bundles_of(leak)[0]
     labels = check_labels(infer_label(bundle), params.num_classes)
 
@@ -588,10 +591,9 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, rng=None)
     single-sample label inference relies on. The spec's scenario is node1
     for a node-task model and graph_b for a graph-task model.
     """
-    want = "node1" if params.task == "node" else "graph_b"
-    if spec.scenario != want:
-        raise ConfigError(f"spec scenario is {spec.scenario}, not {want}, for a "
-                          f"batched {params.task}-task attack", "scenario")
+    _check_scenario(spec, params,
+                    ("node1",) if params.task == "node" else ("graph_b",),
+                    params.task)
     rng = rng or make_rng(spec.seed)
     bundle = _bundles_of(leak)[0]
     b = leak.batch_size if isinstance(leak, LeakRecord) else len(labels)

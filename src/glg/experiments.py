@@ -23,7 +23,7 @@ from .attacks import (
     attack_node2,
     finalize_adjacency,
 )
-from .errors import ConfigError, GlgError, check_int
+from .errors import ConfigError, DataFormatError, GlgError, ShapeError, check_int
 from .federated import leak
 from .graphs import Graph, dummy_tree, er_graph, khop_egonet, load_graph, synthetic_graph
 from .metrics import (
@@ -194,7 +194,10 @@ def _rep_rng(seed, rep):
 def _load_files(cfg):
     """The ``files`` dataset's graph, checked against the config; draws no RNG."""
     ds = cfg.dataset
-    g = load_graph(ds.feature_file, ds.edge_file, ds.label_file)
+    try:
+        g = load_graph(ds.feature_file, ds.edge_file, ds.label_file)
+    except (DataFormatError, ShapeError) as exc:
+        raise ConfigError(str(exc), "dataset") from None
     if cfg.task == "node":
         if g.labels is None:
             raise ConfigError("file dataset lacks labels for a node task",

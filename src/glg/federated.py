@@ -33,7 +33,9 @@ __all__ = [
     "leak",
 ]
 
-LEAK_SCENARIOS = ("node1", "node2", "graph", "batched-node", "batched-graph")
+# each leak scenario and the model task it needs
+SCENARIO_TASKS = {"node1": "node", "node2": "node", "batched-node": "node",
+                  "graph": "graph", "batched-graph": "graph"}
 
 
 @dataclass
@@ -85,35 +87,23 @@ class LeakRecord:
 
 def _node_stacks(params, g, targets):
     """Per-sample gradient stacks for target nodes of one labeled graph."""
+    if targets is None or np.size(targets) == 0:
+        raise ShapeError("node leak needs target indices")
+    targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+    if np.any(targets < 0) or np.any(targets >= g.num_nodes):
+        raise ShapeError(f"target out of range for {g.num_nodes} nodes")
     anorm = normalize_adjacency(g, params.norm_mode).matrix
     if g.labels is None:
         raise ShapeError("node-task graph carries no labels")
-    targets = np.asarray(targets, dtype=np.int64)
     labels = check_labels(g.labels[targets], params.num_classes)
     ctx = node_ctx(params, g.features, anorm, targets, labels)
     return node_bundles(ctx, params)
 
 
-def _node_sample_bundle(params, g, target):
-    stacks = _node_stacks(params, g, [target])
-    return GradientBundle(tensors={k: v[0] for k, v in stacks.items()})
-
-
-def _graph_sample_bundle(params, g):
-    anorm = normalize_adjacency(g, params.norm_mode).matrix
-    if g.graph_label is None:
-        raise ShapeError("graph-task sample carries no graph label")
-    labels = check_labels(g.graph_label, params.num_classes)
-    ctx = graph_ctx(params, g.features[None], anorm, labels)
-    stacks = graph_bundles(ctx, params)
-    return GradientBundle(tensors={k: v[0] for k, v in stacks.items()})
-
-
-def _graph_batch_stacks(params, gs):
+def _graph_stacks(params, gs):
     """Per-sample gradient stacks for a batch of equally sized graphs."""
-    for g in gs:
-        if g.graph_label is None:
-            raise ShapeError("graph-task sample carries no graph label")
+    if any(g.graph_label is None for g in gs):
+        raise ShapeError("graph-task sample carries no graph label")
     anorm = np.stack(
         [normalize_adjacency(g, params.norm_mode).matrix for g in gs]
     )
@@ -123,21 +113,22 @@ def _graph_batch_stacks(params, gs):
     return graph_bundles(ctx, params)
 
 
+def _mean_bundle(stacks):
+    """The batch-averaged bundle; for a batch of one, that sample's bundle."""
+    return GradientBundle(tensors={k: v.mean(axis=0) for k, v in stacks.items()})
+
+
 def client_gradients(params, shard, batch_indices):
     """One gradient bundle per selected sample of a shard."""
-    bundles = []
-    for idx in batch_indices:
-        if params.task == "node":
-            if shard.graph is None:
-                raise ShapeError("node task but shard holds graphs")
-            bundles.append(
-                _node_sample_bundle(params, shard.graph, int(shard.targets[idx]))
-            )
-        else:
-            if shard.graphs is None:
-                raise ShapeError("graph task but shard holds a node graph")
-            bundles.append(_graph_sample_bundle(params, shard.graphs[idx]))
-    return bundles
+    if params.task == "node":
+        if shard.graph is None:
+            raise ShapeError("node task but shard holds graphs")
+        return [_mean_bundle(_node_stacks(params, shard.graph, shard.targets[idx]))
+                for idx in batch_indices]
+    if shard.graphs is None:
+        raise ShapeError("graph task but shard holds a node graph")
+    return [_mean_bundle(_graph_stacks(params, [shard.graphs[idx]]))
+            for idx in batch_indices]
 
 
 def average_bundles(bundles):
@@ -177,59 +168,30 @@ def aggregate_and_step(params, client_bundles, learning_rate, round_index=0):
     return updated, record
 
 
-def leak(params, data, scenario, targets=None, combine="per-node"):
+def leak(params, data, scenario, targets=None):
     """Produce the gradient exposure for one attack scenario.
 
-    node1: the single bundle of one target node (``targets`` holds it).
-    node2: one bundle per node of the (sub)graph, each node its own loss;
-    ``combine="summed"`` collapses them into one summed bundle instead.
-    graph: the bundle of one graph sample. batched-node / batched-graph:
-    the average over the batch (``targets`` / list order defines it).
+    node1: the bundle of the one target node in ``targets``. node2: one
+    bundle per node of the (sub)graph, each node its own loss. graph: the
+    bundle of one graph sample. batched-node / batched-graph: the average
+    over the batch (``targets`` / list order defines it). A single-sample
+    leak is the average over a batch of one.
     """
-    if scenario not in LEAK_SCENARIOS:
-        raise ShapeError(f"scenario must be one of {LEAK_SCENARIOS}")
-    if scenario == "node1":
-        if params.task != "node":
-            raise ShapeError("node1 leak needs a node-task model")
-        (target,) = targets
-        return LeakRecord(
-            scenario=scenario,
-            bundles=[_node_sample_bundle(params, data, int(target))],
-        )
+    if scenario not in SCENARIO_TASKS:
+        raise ShapeError(f"scenario must be one of {tuple(SCENARIO_TASKS)}")
+    if params.task != SCENARIO_TASKS[scenario]:
+        raise ShapeError(f"{scenario} leak needs a "
+                         f"{SCENARIO_TASKS[scenario]}-task model")
     if scenario == "node2":
-        if params.task != "node":
-            raise ShapeError("node2 leak needs a node-task model")
         stacks = _node_stacks(params, data, np.arange(data.num_nodes))
-        if combine == "summed":
-            total = {k: v.sum(axis=0) for k, v in stacks.items()}
-            per_node = [GradientBundle(tensors=total)]
-        else:
-            per_node = [
-                GradientBundle(tensors={k: v[i] for k, v in stacks.items()})
-                for i in range(data.num_nodes)
-            ]
-        return LeakRecord(scenario=scenario, bundles=per_node)
-    if scenario == "graph":
-        if params.task != "graph":
-            raise ShapeError("graph leak needs a graph-task model")
-        return LeakRecord(scenario=scenario, bundles=[_graph_sample_bundle(params, data)])
-    if scenario == "batched-node":
-        if params.task != "node":
-            raise ShapeError("batched-node leak needs a node-task model")
+        return LeakRecord(scenario=scenario, bundles=[
+            GradientBundle(tensors={k: v[i] for k, v in stacks.items()})
+            for i in range(data.num_nodes)])
+    if params.task == "node":
+        if scenario == "node1" and np.size(targets) != 1:
+            raise ShapeError(f"node1 leak needs one target, got {np.size(targets)}")
         stacks = _node_stacks(params, data, targets)
-        mean = {k: v.mean(axis=0) for k, v in stacks.items()}
-        return LeakRecord(
-            scenario=scenario,
-            bundles=[GradientBundle(tensors=mean)],
-            batch_size=len(targets),
-        )
-    # batched-graph
-    if params.task != "graph":
-        raise ShapeError("batched-graph leak needs a graph-task model")
-    stacks = _graph_batch_stacks(params, list(data))
-    mean = {k: v.mean(axis=0) for k, v in stacks.items()}
-    return LeakRecord(
-        scenario=scenario,
-        bundles=[GradientBundle(tensors=mean)],
-        batch_size=len(data),
-    )
+    else:
+        stacks = _graph_stacks(params, [data] if scenario == "graph" else list(data))
+    return LeakRecord(scenario=scenario, bundles=[_mean_bundle(stacks)],
+                      batch_size=len(next(iter(stacks.values()))))

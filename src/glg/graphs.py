@@ -198,13 +198,11 @@ def synthetic_graph(rng, n, avg_degree, feature_dim, num_classes=None):
     return _attach_features(rng, a, feature_dim, num_classes)
 
 
-def dummy_tree(rng, d_tree, feature_dim, depth=2, num_classes=None):
+def dummy_tree(rng, d_tree, feature_dim, num_classes=None):
     """Two-level tree rooted at node 0: d_tree children, d_tree^2 grandchildren.
 
     Node features are Gaussian-initialized; used as the attacker's dummy graph.
     """
-    if depth != 2:
-        raise ValueError("only depth-2 trees are supported")
     if d_tree < 1:
         raise ValueError("d_tree must be at least 1")
     n = 1 + d_tree + d_tree * d_tree

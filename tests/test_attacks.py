@@ -446,6 +446,27 @@ class TestIterativeAttacks:
             attacks.attack_node1(record, spec, params,
                                  init_features=g.features[:4])
 
+    @pytest.mark.parametrize("task", ["node", "graph"])
+    def test_init_adjacency_must_match_the_graph(self, task):
+        r = numkit.make_rng(25)
+        if task == "node":
+            g = graphs.synthetic_graph(r, 6, 2, 4, num_classes=3)
+            params = models.init_params(r, "sage", "node", 4, 5, 3)
+            record = federated.leak(params, g, "node2")
+            attack, scenario = attacks.attack_node2, "node2a"
+        else:
+            g0 = graphs.er_graph(r, 6, 0.5, 4)
+            g = graphs.Graph(adjacency=g0.adjacency, features=g0.features,
+                             graph_label=1)
+            params = models.init_params(r, "sage", "graph", 4, 5, 3,
+                                        num_nodes=6)
+            record = federated.leak(params, g, "graph")
+            attack, scenario = attacks.attack_graph, "graph_a"
+        spec = attacks.AttackSpec(scenario=scenario, iterations=2)
+        with pytest.raises(ShapeError, match="init_adjacency"):
+            attack(record, spec, params, known_features=g.features,
+                   init_adjacency=np.zeros((4, 4)))
+
     def test_batched_b1_matches_node1(self):
         r = numkit.make_rng(24)
         g = graphs.synthetic_graph(r, 12, 3, 5, num_classes=3)

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import glg
 
 
@@ -96,6 +98,32 @@ class TestAttackCommand:
         assert out.returncode == 1
         assert "configuration error" in out.stderr
         assert "egonet_hops" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("defect, where", [
+        ("feature", "feat.csv:2]"),
+        ("edge", "edges.txt:2]"),
+        ("label", "labels must be non-negative"),
+    ], ids=["feature", "edge", "label"])
+    def test_malformed_files_dataset_is_configuration_error(
+            self, tmp_path, defect, where):
+        features = ["0.1,0.2", "oops,0.4" if defect == "feature" else "0.3,0.4",
+                    "0.5,0.6"]
+        edges = ["0 1", "1 9" if defect == "edge" else "1 2"]
+        labels = ["0", "-1" if defect == "label" else "1", "2"]
+        paths = {}
+        for field, name, lines in (("feature_file", "feat.csv", features),
+                                   ("edge_file", "edges.txt", edges),
+                                   ("label_file", "labels.txt", labels)):
+            (tmp_path / name).write_text("\n".join(lines) + "\n")
+            paths[field] = str(tmp_path / name)
+        cfg = write_config(tmp_path, dict(
+            CONFIG, scenario="node2b",
+            dataset={"source": "files", "num_classes": 3, **paths}))
+        out = run_cli("attack", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert out.returncode == 1
+        assert "configuration error: dataset:" in out.stderr
+        assert where in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_missing_config_exit_code(self, tmp_path):

@@ -7,19 +7,19 @@ from glg.errors import ShapeError
 rng = numkit.make_rng(55)
 
 
-def node_setup(seed=1, n=7, d=3, f=4, k=3):
+def node_setup(seed=1, n=7, d=3, f=4, k=3, framework="sage"):
     r = numkit.make_rng(seed)
     g = graphs.synthetic_graph(r, n, 2, d, num_classes=k)
-    params = models.init_params(r, "sage", "node", d, f, k)
+    params = models.init_params(r, framework, "node", d, f, k)
     return g, params
 
 
-def graph_setup(seed=2, n=5, d=3, f=4, k=3):
+def graph_setup(seed=2, n=5, d=3, f=4, k=3, framework="sage"):
     r = numkit.make_rng(seed)
     g0 = graphs.er_graph(r, n, 0.5, d)
     g = graphs.Graph(adjacency=g0.adjacency, features=g0.features,
                      graph_label=int(r.integers(0, k)))
-    params = models.init_params(r, "sage", "graph", d, f, k, num_nodes=n)
+    params = models.init_params(r, framework, "graph", d, f, k, num_nodes=n)
     return g, params
 
 
@@ -101,22 +101,25 @@ class TestLeak:
         record = federated.leak(params, g, "node2")
         assert len(record.bundles) == 8
 
-    def test_node2_summed_variant(self):
-        g, params = node_setup(n=6)
-        per_node = federated.leak(params, g, "node2")
-        summed = federated.leak(params, g, "node2", combine="summed")
-        assert len(summed.bundles) == 1
-        for k in summed.bundle.param_names:
-            want = sum(b.tensors[k] for b in per_node.bundles)
-            assert np.allclose(summed.bundle.tensors[k], want, atol=1e-12)
-
-    def test_batched_b1_equals_unbatched(self):
-        g, params = node_setup()
-        single = federated.leak(params, g, "node1", targets=[3])
-        batched = federated.leak(params, g, "batched-node", targets=[3])
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @pytest.mark.parametrize("task", ["node", "graph"])
+    def test_batched_b1_equals_unbatched(self, task, framework):
+        if task == "node":
+            g, params = node_setup(framework=framework)
+            single = federated.leak(params, g, "node1", targets=[3])
+            batched = federated.leak(params, g, "batched-node", targets=[3])
+            shard = federated.ClientShard(client_id=0, graph=g, targets=[3])
+        else:
+            g, params = graph_setup(framework=framework)
+            single = federated.leak(params, g, "graph")
+            batched = federated.leak(params, [g], "batched-graph")
+            shard = federated.ClientShard(client_id=0, graphs=[g])
+        (client,) = federated.client_gradients(params, shard, [0])
+        assert batched.batch_size == 1
         for k in single.bundle.param_names:
             assert np.array_equal(single.bundle.tensors[k],
                                   batched.bundle.tensors[k])
+            assert np.array_equal(single.bundle.tensors[k], client.tensors[k])
 
     def test_batched_average_equals_mean_of_leaks(self):
         g, params = node_setup(n=10)
@@ -179,3 +182,16 @@ class TestLeak:
                        "batched-node": [1, 3]}[scenario]
         with pytest.raises(ShapeError, match="label out of range"):
             federated.leak(params, data, scenario, targets=targets)
+
+    @pytest.mark.parametrize("scenario", ["node1", "batched-node"])
+    @pytest.mark.parametrize("targets", [None, [], [7], [-1], [2, 99]],
+                             ids=["none", "empty", "n", "negative", "99"])
+    def test_bad_targets_raise(self, scenario, targets):
+        g, params = node_setup()
+        with pytest.raises(ShapeError, match="target"):
+            federated.leak(params, g, scenario, targets=targets)
+
+    def test_node1_needs_exactly_one_target(self):
+        g, params = node_setup()
+        with pytest.raises(ShapeError, match="one target"):
+            federated.leak(params, g, "node1", targets=[1, 2])
