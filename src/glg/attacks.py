@@ -354,18 +354,21 @@ def _known_matrix(value, name):
     return np.asarray(value, dtype=np.float64)
 
 
-def _matching_objective(spec, params, bundles, forward, pullback, known_x=None,
-                        known_a=None, anorm=None, regularize=False):
+def _matching_objective(spec, params, bundles, labels, targets=None,
+                        known_x=None, known_a=None, anorm=None,
+                        regularize=False):
     """The objective the loop descends: ``f(x, a, update) -> (value, gx, ga)``.
 
     The loop passes None for a known input; ``known_x``, or ``known_a``
-    with its normalization ``anorm``, stands in. ``forward(x, anorm)`` gives
-    the model context and dummy bundle stacks, ``pullback(ctx, v,
-    want_adjacency, want_features)`` the gradient of <stacks, v> on the
-    normalized adjacency and the features, each only if wanted (None
-    otherwise). With ``update``, gradients of the unknowns come back (None
-    otherwise). An optimized adjacency is normalized once per call; its
-    gradient goes back through that normalization's parts, as in
+    with its normalization ``anorm``, stands in. The dummies go through the
+    model's forward and bundle passes with ``labels`` (one per dummy
+    sample); a node-task model reads its loss at ``targets``, by default
+    row i for sample i. With as many leaked bundles as labels the rows are
+    matched one by one; a single averaged bundle is matched by the dummies'
+    batch mean, whose co-vector every sample shares scaled by 1/B. With
+    ``update``, gradients of the unknowns come back in their own shapes
+    (None otherwise). An optimized adjacency is normalized once per call;
+    its gradient goes back through that normalization's parts, as in
     :func:`normalize_dense_backward`. ``regularize`` adds the smoothness and
     Frobenius terms weighted by spec.alpha / spec.beta. The leak's layout and
     cosine norms are computed here, once per attack, so a zero-norm leak
@@ -376,6 +379,10 @@ def _matching_objective(spec, params, bundles, forward, pullback, known_x=None,
     layout = _layout(leaked, names)
     match = _matcher(_flatten(leaked, names), spec.objective)
     mode = params.norm_mode
+    node = params.task == "node"
+    if node and targets is None:
+        targets = np.arange(len(labels))
+    batch = len(labels) if len(bundles) != len(labels) else None
 
     def objective(x, a, update):
         opt_x = x is not None
@@ -383,14 +390,32 @@ def _matching_objective(spec, params, bundles, forward, pullback, known_x=None,
         x = x if opt_x else known_x
         a = a if opt_a else known_a
         parts = _normalize(a, mode) if opt_a else None
-        ctx, stacks = forward(x, parts[0] if opt_a else anorm)
+        an = parts[0] if opt_a else anorm
+        # the model passes are looked up here, at call time, so a wrapper
+        # swapped into this module's namespace sees every call
+        if node:
+            ctx = node_ctx(params, x, an, targets, labels)
+            stacks = node_bundles(ctx, params)
+        else:
+            ctx = graph_ctx(params, x, an, labels)
+            stacks = graph_bundles(ctx, params)
+        if batch:
+            stacks = {k: s.mean(axis=0, keepdims=True) for k, s in stacks.items()}
         value, vflat = match(_flatten(stacks, names))
         gx = ga = None
         if update:
-            gx, abar_norm = pullback(ctx, _unflatten(vflat, layout), opt_a,
-                                     opt_x)
+            if batch:
+                # the matching gradient's batched matmuls broadcast the
+                # mean's leading axis of 1 over the samples
+                vflat = vflat / batch
+            grad = node_matching_grad if node else graph_matching_grad
+            gx, abar_norm = grad(ctx, params, _unflatten(vflat, layout), opt_a,
+                                 opt_x)
+            if opt_x:
+                gx = gx.reshape(x.shape)
             if opt_a:
-                ga = _normalize_backward(abar_norm, parts, mode)
+                ga = _normalize_backward(abar_norm.reshape(a.shape), parts,
+                                         mode)
         if regularize and spec.alpha > 0.0:
             s_val, s_gx, s_ga = smoothness_grads(
                 x, a, wrt_features=gx is not None, wrt_adjacency=ga is not None)
@@ -460,53 +485,50 @@ def _optimize(spec, rng, objective, x_shape=None, n_adj=None, warm_x=None,
 # Attacks
 # ---------------------------------------------------------------------------
 
-def _node_task(params, targets, labels):
-    """Forward and pull-back adapters of the node task at the target rows."""
+def _attack_trees(spec, params, rng, bundle, labels, warm_x=None):
+    """One dummy tree per label, matched to one (averaged) node-task bundle.
 
-    def forward(x, anorm):
-        ctx = node_ctx(params, x, anorm, targets, labels)
-        return ctx, node_bundles(ctx, params)
-
-    def pullback(ctx, v, want_adjacency, want_features):
-        return node_matching_grad(ctx, params, v, want_adjacency, want_features)
-
-    return forward, pullback
+    Each tree's target is its root. Only the target and its d_tree
+    children are optimized: the target's row of the normalized adjacency
+    reads no other row, so the grandchildren get no gradient (they still
+    set the children's degrees). One tree keeps the (N, D) layout, B trees
+    the (B, N, D) stack; ``features`` comes back in that full shape, the
+    grandchildren at their starting draw. ``warm_x`` (that shape) warm
+    starts the tree features instead of the configured init.
+    """
+    tree = dummy_tree(rng, spec.d_tree, params.feature_dim)
+    live = 1 + spec.d_tree
+    b = labels.shape[0]
+    objective = _matching_objective(
+        spec, params, [bundle], labels, targets=np.zeros(b, dtype=np.int64),
+        anorm=normalize_dense(tree.adjacency, params.norm_mode)[:live, :live])
+    shape = tree.features.shape if b == 1 else (b,) + tree.features.shape
+    return _optimize(spec, rng, objective, x_shape=shape, warm_x=warm_x,
+                     live_rows=live)
 
 
 def attack_node1(leak, spec, params, rng=None, init_features=None):
     """Recover target (and neighbor) features from one node-task bundle.
 
-    Builds a two-level dummy tree rooted at the target, infers the label
-    from the leak, and matches gradients with the plain cosine/L2 objective
-    (no regularizers). Only the target and its d_tree children are
-    optimized: the target's row of the normalized adjacency reads no other
-    row, so the grandchildren get no gradient (they still set the
-    children's degrees). ``features`` comes back in the full tree's shape,
-    the grandchildren at their starting draw. ``init_features`` (the full
-    tree's shape) warm starts the tree features instead of the configured
-    init.
+    Infers the label from the leak and runs the dummy-tree attack on a
+    batch of one, with the plain cosine/L2 objective (no regularizers).
+    ``features`` comes back in the full tree's shape, the grandchildren at
+    their starting draw. ``init_features`` (the full tree's shape) warm
+    starts the tree features instead of the configured init.
     """
     _check_scenario(spec, params, ("node1",), "node")
     rng = rng or make_rng(spec.seed)
     bundle = _bundles_of(leak)[0]
     labels = check_labels(infer_label(bundle), params.num_classes)
-    tree = dummy_tree(rng, spec.d_tree, params.feature_dim)
-    live = 1 + spec.d_tree
-    forward, pullback = _node_task(params, np.array([0]), labels)
-    objective = _matching_objective(
-        spec, params, [bundle], forward, pullback,
-        anorm=normalize_dense(tree.adjacency, params.norm_mode)[:live, :live])
-    best = _optimize(spec, rng, objective, x_shape=tree.features.shape,
-                     warm_x=init_features, live_rows=live)
+    best = _attack_trees(spec, params, rng, bundle, labels, init_features)
     best.labels = labels
     best.target_feature = best.features[0].copy()
     best.neighbor_features = best.features[1:1 + spec.d_tree].copy()
     return best
 
 
-def _attack_unknowns(spec, params, rng, bundles, n, labels, forward, pullback,
-                     known_features, known_adjacency, init_features,
-                     init_adjacency):
+def _attack_unknowns(spec, params, rng, bundles, n, labels, known_features,
+                     known_adjacency, init_features, init_adjacency):
     """Subgraph / whole-graph attack body: the scenario picks the unknowns.
 
     Scenario suffix a optimizes the adjacency, b the features, c both; the
@@ -518,8 +540,9 @@ def _attack_unknowns(spec, params, rng, bundles, n, labels, forward, pullback,
     known_x = None if opt_x else _known_matrix(known_features, "features")
     known_a = None if opt_a else _known_matrix(known_adjacency, "adjacency")
     anorm = None if opt_a else normalize_dense(known_a, params.norm_mode)
-    objective = _matching_objective(spec, params, bundles, forward, pullback,
-                                    known_x, known_a, anorm, regularize=True)
+    objective = _matching_objective(spec, params, bundles, labels,
+                                    known_x=known_x, known_a=known_a,
+                                    anorm=anorm, regularize=True)
     rng = rng or make_rng(spec.seed)
     best = _optimize(spec, rng, objective,
                      x_shape=(n, params.feature_dim) if opt_x else None,
@@ -544,12 +567,10 @@ def attack_node2(leak, spec, params, known_features=None, known_adjacency=None,
     """
     _check_scenario(spec, params, ("node2a", "node2b", "node2c"), "node")
     bundles = _bundles_of(leak)
-    n = len(bundles)
     labels = check_labels([infer_label(b) for b in bundles], params.num_classes)
-    forward, pullback = _node_task(params, np.arange(n), labels)
-    return _attack_unknowns(spec, params, rng, bundles, n, labels, forward,
-                            pullback, known_features, known_adjacency,
-                            init_features, init_adjacency)
+    return _attack_unknowns(spec, params, rng, bundles, len(bundles), labels,
+                            known_features, known_adjacency, init_features,
+                            init_adjacency)
 
 
 def attack_graph(leak, spec, params, known_features=None, known_adjacency=None,
@@ -563,31 +584,19 @@ def attack_graph(leak, spec, params, known_features=None, known_adjacency=None,
     _check_scenario(spec, params, ("graph_a", "graph_b", "graph_c"), "graph")
     bundle = _bundles_of(leak)[0]
     labels = check_labels(infer_label(bundle), params.num_classes)
-
-    def forward(x, anorm):
-        ctx = graph_ctx(params, x[None], anorm, labels)
-        return ctx, graph_bundles(ctx, params)
-
-    def pullback(ctx, v, want_adjacency, want_features):
-        xbar, abar_norm = graph_matching_grad(ctx, params, v, want_adjacency,
-                                              want_features)
-        return (None if xbar is None else xbar[0],
-                None if abar_norm is None else abar_norm[0])
-
     return _attack_unknowns(spec, params, rng, [bundle], params.num_nodes,
-                            labels, forward, pullback, known_features,
-                            known_adjacency, init_features, init_adjacency)
+                            labels, known_features, known_adjacency,
+                            init_features, init_adjacency)
 
 
 def attack_batched(leak, spec, params, labels, known_adjacencies=None, rng=None):
     """Jointly recover a batch of samples from one averaged bundle.
 
-    Node task: one dummy tree per sample, optimized so the batch-averaged
-    dummy gradient matches the leak. As in :func:`attack_node1`, only each
-    tree's target and its children are optimized; the grandchildren keep
-    their starting draw in the returned features. Graph task: per-sample
-    known adjacencies, per-sample feature matrices optimized. True labels
-    must be supplied; averaging destroys the per-sample sign structure that
+    Node task: the dummy-tree attack of :func:`attack_node1` with one tree
+    per sample, optimized so the batch-averaged dummy gradient matches the
+    leak; at B = 1 it is that attack. Graph task: per-sample known
+    adjacencies, per-sample feature matrices optimized. True labels must be
+    supplied; averaging destroys the per-sample sign structure that
     single-sample label inference relies on. The spec's scenario is node1
     for a node-task model and graph_b for a graph-task model.
     """
@@ -602,13 +611,8 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, rng=None)
         raise ConfigError(f"{labels.shape[0]} labels for batch of {b}", "labels")
 
     if params.task == "node":
-        tree = dummy_tree(rng, spec.d_tree, params.feature_dim)
-        live = 1 + spec.d_tree
-        anorm = normalize_dense(tree.adjacency, params.norm_mode)[:live, :live]
-        n = tree.num_nodes
-        targets = np.zeros(b, dtype=np.int64)
+        best = _attack_trees(spec, params, rng, bundle, labels)
     else:
-        live = None
         if known_adjacencies is None:
             raise ConfigError("batched graph attack needs known adjacencies",
                               "known_adjacencies")
@@ -616,35 +620,18 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, rng=None)
             normalize_dense(np.asarray(a, dtype=np.float64), params.norm_mode)
             for a in known_adjacencies
         ])
-        n = params.num_nodes
-
-    def forward(x, anorm):
-        if params.task == "node":
-            ctx = node_ctx(params, x, anorm, targets, labels, batch=True)
-            stacks = node_bundles(ctx, params)
-        else:
-            ctx = graph_ctx(params, x, anorm, labels)
-            stacks = graph_bundles(ctx, params)
-        return ctx, {k: s.mean(axis=0, keepdims=True) for k, s in stacks.items()}
-
-    def pullback(ctx, v, want_adjacency, want_features):
-        # every sample shares the mean's co-vector; the matching gradient's
-        # batched matmuls broadcast its leading axis of 1
-        vb = {k: g / float(b) for k, g in v.items()}
-        grad = node_matching_grad if params.task == "node" else graph_matching_grad
-        return grad(ctx, params, vb, want_adjacency, want_features)
-
-    objective = _matching_objective(spec, params, [bundle], forward, pullback,
-                                    anorm=anorm)
-    best = _optimize(spec, rng, objective, x_shape=(b, n, params.feature_dim),
-                     live_rows=live)
+        objective = _matching_objective(spec, params, [bundle], labels,
+                                        anorm=anorm)
+        best = _optimize(spec, rng, objective,
+                         x_shape=(b, params.num_nodes, params.feature_dim))
+    features = best.features.reshape((b, -1, params.feature_dim))
     return [
         RecoveryResult(
-            features=best.features[i].copy(),
+            features=features[i].copy(),
             labels=np.array([labels[i]]),
             objective_trace=best.objective_trace,
             final_objective=best.final_objective,
-            target_feature=(best.features[i, 0].copy()
+            target_feature=(features[i, 0].copy()
                             if params.task == "node" else None),
         )
         for i in range(b)

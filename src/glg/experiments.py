@@ -469,21 +469,3 @@ def emit_report(rows, fmt, path, config=None, include_timing=False):
             writer.writerow(rec)
     return path
 
-
-def rows_from_json(path):
-    """Reload report rows written by :func:`emit_report` (json format)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    rows = []
-    for rec in payload["rows"]:
-        rows.append(ReportRow(
-            scenario=rec["scenario"],
-            framework=rec["framework"],
-            dataset=rec["dataset"],
-            repeats=rec["repeats"],
-            metrics=rec["metrics"],
-            hyperparams=rec["hyperparams"],
-            errors=rec["errors"],
-            wall_time_s=rec.get("wall_time_s", 0.0),
-        ))
-    return rows

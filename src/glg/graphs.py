@@ -273,7 +273,7 @@ def load_graph(feature_file, edge_file, label_file=None):
     Feature CSV: one node per row, comma-separated floats. Edge list: one
     "i j" pair per line (0-based, comma or whitespace separated); duplicates
     and reversed pairs collapse to a single undirected edge. Label file: one
-    integer per line, one per node.
+    non-negative integer per line, one per node.
     """
     rows = []
     width = None
@@ -325,6 +325,9 @@ def load_graph(feature_file, edge_file, label_file=None):
                     raise DataFormatError(
                         f"non-integer label {raw!r}", path=label_file, line=line_no
                     ) from None
+                if vals[-1] < 0:
+                    raise DataFormatError(f"negative label {vals[-1]}",
+                                          path=label_file, line=line_no)
         if len(vals) != n:
             raise DataFormatError(
                 f"{len(vals)} labels for {n} feature rows", path=label_file

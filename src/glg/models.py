@@ -224,8 +224,8 @@ def _check_norm(params, anorm):
 class NodeTrace:
     """Forward record of the node task: what the backward passes consume.
 
-    Every stack has one row per target. ``batch`` selects between one
-    shared graph with many target nodes (x is (N, D)) and a batch of
+    Every stack has one row per target. The layout of ``x`` selects between
+    one shared graph with many target nodes (x is (N, D)) and a batch of
     independent graphs with one target each (x is (B, N, D)). Only
     :func:`forward_node` fills ``losses``; the attack loop never reads them.
     """
@@ -234,7 +234,6 @@ class NodeTrace:
     anorm: np.ndarray
     targets: np.ndarray
     labels: np.ndarray
-    batch: bool
     ht: np.ndarray = field(repr=False, default=None)     # hidden rows at targets
     st: np.ndarray = field(repr=False, default=None)     # sigma' at those rows
     mt: np.ndarray = field(repr=False, default=None)     # aggregated input rows
@@ -248,10 +247,8 @@ class NodeTrace:
     logits: np.ndarray = field(repr=False, default=None)
 
 
-def _gather_rows(arr, targets, batch):
-    if batch:
-        if arr.ndim == 2:  # shared across the batch
-            return arr[targets]
+def _gather_rows(arr, targets):
+    if arr.ndim == 3:  # one row per sample of the stack
         return arr[np.arange(arr.shape[0]), targets]
     return arr[targets]
 
@@ -264,7 +261,7 @@ def _pre_activation(t, layer, agg, h):
     return pre
 
 
-def node_ctx(params, x, anorm, targets, labels, batch=False):
+def node_ctx(params, x, anorm, targets, labels):
     """Forward and first-order backward intermediates at the target rows.
 
     ``labels`` must already have passed :func:`check_labels`.
@@ -277,9 +274,9 @@ def node_ctx(params, x, anorm, targets, labels, batch=False):
 
     # the head reads the first layer at the targets only, so only those
     # rows are computed
-    ctx = NodeTrace(x=x, anorm=anorm, targets=targets, labels=labels, batch=batch)
-    ctx.at = _gather_rows(anorm, targets, batch)
-    ctx.xt = _gather_rows(x, targets, batch)
+    ctx = NodeTrace(x=x, anorm=anorm, targets=targets, labels=labels)
+    ctx.at = _gather_rows(anorm, targets)
+    ctx.xt = _gather_rows(x, targets)
     ctx.mt = (ctx.at[:, None, :] @ x)[:, 0] if x.ndim == 3 else ctx.at @ x
     ctx.ht = _sigmoid(_pre_activation(t, "conv1", ctx.mt, ctx.xt))
     ctx.st = ctx.ht * (1.0 - ctx.ht)
@@ -310,11 +307,11 @@ def _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency):
     """Pull the adjoints of ``mt = at @ x`` and ``xt`` back to x and anorm.
 
     ``xtbar`` is None for a model without a self weight or when the features
-    are not wanted. Shared mode sums over the targets; batch mode keeps one
-    stack entry per sample. An input not wanted comes back as None.
+    are not wanted. A shared graph sums over the targets; a batch of graphs
+    keeps one stack entry per sample. An input not wanted comes back as None.
     """
     xbar = abar = None
-    if ctx.batch:
+    if ctx.x.ndim == 3:
         rows = np.arange(ctx.x.shape[0])
         if want_features:
             xbar = ctx.at[:, :, None] * mtbar[:, None, :]
@@ -347,9 +344,9 @@ def node_matching_grad(ctx, params, v, want_adjacency, want_features=True):
 
     ``v`` holds one co-tensor per parameter, stacked along the sample axis
     (a stack of one is shared by every sample). The return value follows
-    the ctx layout: shared mode gives (N, D) and (N, N) arrays summed over
-    samples, batch mode per-sample stacks. A gradient not wanted is not
-    computed and comes back as None.
+    the ctx layout: a shared graph gives (N, D) and (N, N) arrays summed
+    over samples, a batch of graphs per-sample stacks. A gradient not
+    wanted is not computed and comes back as None.
     """
     t = params.tensors
     w_out = t["out_weight"]

@@ -103,7 +103,7 @@ class TestAttackCommand:
     @pytest.mark.parametrize("defect, where", [
         ("feature", "feat.csv:2]"),
         ("edge", "edges.txt:2]"),
-        ("label", "labels must be non-negative"),
+        ("label", "labels.txt:2]"),
     ], ids=["feature", "edge", "label"])
     def test_malformed_files_dataset_is_configuration_error(
             self, tmp_path, defect, where):

@@ -9,7 +9,6 @@ from glg.experiments import (
     ExperimentConfig,
     emit_report,
     load_config,
-    rows_from_json,
     run_experiment,
     sweep,
 )
@@ -255,10 +254,10 @@ class TestEmitReport:
         cfg = quick_config(repeats=1)
         rows = run_experiment(cfg)
         path = emit_report(rows, "json", tmp_path / "r.json", config=cfg)
-        back = rows_from_json(path)
-        assert back[0].metrics == rows[0].metrics
-        assert back[0].hyperparams == rows[0].hyperparams
-        payload = json.load(open(path))
+        with open(path) as fh:
+            payload = json.load(fh)
+        assert payload["rows"][0]["metrics"] == rows[0].metrics
+        assert payload["rows"][0]["hyperparams"] == rows[0].hyperparams
         assert payload["config"]["scenario"] == "node2a"
 
     def test_timing_excluded_by_default(self, tmp_path):

@@ -267,6 +267,16 @@ class TestFileIO:
         with pytest.raises(DataFormatError):
             graphs.load_graph(tmp_path / "x.csv", tmp_path / "e.txt")
 
+    def test_negative_label_reports_line(self, tmp_path):
+        (tmp_path / "x.csv").write_text("1.0\n2.0\n")
+        (tmp_path / "e.txt").write_text("0 1\n")
+        (tmp_path / "y.txt").write_text("0\n-1\n")
+        with pytest.raises(DataFormatError) as err:
+            graphs.load_graph(tmp_path / "x.csv", tmp_path / "e.txt",
+                              tmp_path / "y.txt")
+        assert err.value.line == 2
+        assert "y.txt:2]" in str(err.value)
+
     def test_label_count_mismatch(self, tmp_path):
         (tmp_path / "x.csv").write_text("1.0\n2.0\n")
         (tmp_path / "e.txt").write_text("0 1\n")

@@ -114,8 +114,7 @@ class TestNodeCtxRows:
         r = numkit.make_rng(43)
         x = r.standard_normal((4,) + g.features.shape)
         targets = np.array([0, 2, 0, 5])
-        ctx = models.node_ctx(params, x, anorm.matrix, targets, [0, 1, 2, 1],
-                              batch=True)
+        ctx = models.node_ctx(params, x, anorm.matrix, targets, [0, 1, 2, 1])
         for b, target in enumerate(targets):
             agg, hidden, sig = full_first_layer(params, x[b], anorm.matrix)
             assert np.allclose(ctx.mt[b], agg[target], rtol=0, atol=1e-12)
@@ -184,7 +183,7 @@ def einsum_node_matching_grad(ctx, params, v):
     if w_self is not None:
         xtbar = np.einsum("sf,sfd->sd", ctx.g1, v["conv1_self"]) + ztbar @ w_self
     rows = np.arange(len(ctx.targets))
-    if ctx.batch:
+    if ctx.x.ndim == 3:
         xbar = np.einsum("sn,sd->snd", ctx.at, mtbar)
         xbar[rows, ctx.targets] += xtbar
         abar = np.zeros(ctx.x.shape[:-1] + (ctx.x.shape[-2],))
@@ -289,7 +288,7 @@ class TestContractions:
         x = (r.standard_normal((len(targets),) + g.features.shape) if batch
              else g.features)
         ctx = models.node_ctx(params, x, anorm.matrix, targets,
-                              r.integers(0, 3, size=len(targets)), batch=batch)
+                              r.integers(0, 3, size=len(targets)))
         stacks = models.node_bundles(ctx, params)
         want = einsum_node_bundles(ctx, params)
         assert stacks.keys() == want.keys()
