@@ -23,7 +23,6 @@ from .errors import (
     ShapeError,
     check_int,
 )
-from .federated import LeakRecord
 from .graphs import (
     _normalize,
     _normalize_backward,
@@ -34,7 +33,6 @@ from .graphs import (
 # _normalize_backward; bench/tracing.py wraps this name in this module
 from .graphs import normalize_dense_backward  # noqa: F401
 from .models import (
-    GradientBundle,
     check_labels,
     graph_bundles,
     graph_ctx,
@@ -63,7 +61,7 @@ __all__ = [
 
 SCENARIOS = ("node1", "node2a", "node2b", "node2c", "graph_a", "graph_b", "graph_c")
 OBJECTIVES = ("cosine", "l2")
-INITS = ("gaussian", "constant", "tree")
+INITS = ("gaussian", "constant")
 FINALIZATIONS = ("bernoulli", "threshold")
 
 
@@ -82,7 +80,6 @@ class AttackSpec:
     d_tree: int = 10               # dummy-tree degree (node1)
     finalization: str = "bernoulli"
     threshold: float = 0.5
-    restarts: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -92,8 +89,6 @@ class AttackSpec:
             raise ConfigError(f"objective must be one of {OBJECTIVES}", "objective")
         if self.init not in INITS:
             raise ConfigError(f"init must be one of {INITS}", "init")
-        if self.init == "tree" and self.scenario != "node1":
-            raise ConfigError("tree init only applies to node1", "init")
         if self.finalization not in FINALIZATIONS:
             raise ConfigError(
                 f"finalization must be one of {FINALIZATIONS}", "finalization"
@@ -108,7 +103,7 @@ class AttackSpec:
             raise ConfigError("regularizer weights must be non-negative", "alpha")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError("threshold must lie in [0, 1]", "threshold")
-        for name in ("iterations", "restarts", "d_tree"):
+        for name in ("iterations", "d_tree"):
             check_int(getattr(self, name), name, 1)
         check_int(self.seed, "seed", 0)
 
@@ -306,36 +301,24 @@ class _SymmetricAdjacency:
         self.theta = np.clip(adam_step(self.adam, self.theta, g), 0.0, 1.0)
 
 
-def _init_features(rng, spec, shape, warm=None):
+def _checked(value, shape, name):
+    """Float64 copy of the argument ``name``, which must have ``shape``."""
+    try:
+        value = np.array(value, dtype=np.float64)
+    except ValueError:
+        raise ShapeError(f"{name} is not one numeric array") from None
+    if value.shape != shape:
+        raise ShapeError(f"{name} shape {value.shape}, expected {shape}")
+    return value
+
+
+def _start(rng, spec, shape, warm, name):
+    """Starting point of an optimized input: ``warm`` if given, else the init."""
     if warm is not None:
-        warm = np.array(warm, dtype=np.float64)
-        if warm.shape != tuple(shape):
-            raise ShapeError(f"init_features shape {warm.shape}, expected "
-                             f"{tuple(shape)}")
-        return warm
+        return _checked(warm, shape, name)
     if spec.init == "constant":
         return np.full(shape, float(spec.init_value))
     return rng.standard_normal(shape)
-
-
-def _init_adjacency(rng, spec, n, warm=None):
-    if warm is not None:
-        warm = np.asarray(warm, dtype=np.float64)
-        if warm.shape != (n, n):
-            raise ShapeError(f"init_adjacency shape {warm.shape}, expected "
-                             f"{(n, n)}")
-        return warm
-    if spec.init == "constant":
-        return np.full((n, n), float(spec.init_value))
-    return project_interval(rng.standard_normal((n, n)))
-
-
-def _bundles_of(leak):
-    if isinstance(leak, LeakRecord):
-        return leak.bundles
-    if isinstance(leak, GradientBundle):
-        return [leak]
-    return list(leak)
 
 
 def _check_scenario(spec, params, scenarios, task):
@@ -348,10 +331,10 @@ def _check_scenario(spec, params, scenarios, task):
                           "scenario")
 
 
-def _known_matrix(value, name):
+def _known(value, shape, name):
     if value is None:
-        raise ConfigError(f"scenario requires known {name}", name)
-    return np.asarray(value, dtype=np.float64)
+        raise ConfigError(f"scenario requires {name}", name)
+    return _checked(value, shape, name)
 
 
 def _matching_objective(spec, params, bundles, labels, targets=None,
@@ -433,52 +416,36 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
     return objective
 
 
-def _finite(value, restart, iteration):
+def _finite(value, iteration):
     if not math.isfinite(value):
-        raise NumericError(f"attack objective is {value} at restart {restart}, "
-                           f"iteration {iteration}")
+        raise NumericError(f"attack objective is {value} at iteration "
+                           f"{iteration}")
     return value
 
 
-def _optimize(spec, rng, objective, x_shape=None, n_adj=None, warm_x=None,
-              warm_a=None, live_rows=None):
-    """Restarted Adam on the unknown features and/or adjacency.
+def _optimize(spec, objective, x=None, a=None):
+    """One Adam run on the unknown features and/or adjacency.
 
-    ``x_shape`` / ``n_adj`` size the unknown features / adjacency and are
-    None where that input is known. Each restart draws its starting
-    features, then its starting adjacency (``warm_x`` / ``warm_a`` replace
-    the draws), and steps the adjacency through :class:`_SymmetricAdjacency`.
-    With ``live_rows`` set, only the leading ``live_rows`` feature rows
-    (axis -2) of the draw are optimized and reach the objective; the others
-    keep their drawn values. A non-finite objective raises
-    :class:`NumericError`. Returns the restart with the lowest final
-    objective; the result holds the optimized inputs (None where known;
-    features in the full ``x_shape``) and the objective trace.
+    ``x`` / ``a`` are the starting points, None where that input is known.
+    The adjacency steps through :class:`_SymmetricAdjacency`, which projects
+    its start into [0, 1]. A non-finite objective raises
+    :class:`NumericError`. The result holds the optimized inputs (None
+    where known) and the objective trace.
     """
-    best = None
-    for restart in range(spec.restarts):
-        drawn = (None if x_shape is None
-                 else _init_features(rng, spec, x_shape, warm_x))
-        x = None if drawn is None else drawn[..., :live_rows, :]
-        adj = None if n_adj is None else _SymmetricAdjacency(
-            _init_adjacency(rng, spec, n_adj, warm_a), spec.learning_rate)
-        x_state = AdamState(lr=spec.learning_rate)
-        trace = np.zeros(spec.iterations)
-        for p in range(spec.iterations):
-            value, gx, ga = objective(x, None if adj is None else adj.matrix(), True)
-            trace[p] = _finite(value, restart, p)
-            if x is not None:
-                x = adam_step(x_state, x, gx)
-            if adj is not None:
-                adj.step(ga)
-        a = None if adj is None else adj.matrix()
-        final = _finite(objective(x, a, False)[0], restart, spec.iterations)
-        if drawn is not None:
-            drawn[..., :live_rows, :] = x
-        if best is None or final < best.final_objective:
-            best = RecoveryResult(features=drawn, adjacency_prob=a,
-                                  objective_trace=trace, final_objective=final)
-    return best
+    adj = None if a is None else _SymmetricAdjacency(a, spec.learning_rate)
+    x_state = AdamState(lr=spec.learning_rate)
+    trace = np.zeros(spec.iterations)
+    for p in range(spec.iterations):
+        value, gx, ga = objective(x, None if adj is None else adj.matrix(), True)
+        trace[p] = _finite(value, p)
+        if x is not None:
+            x = adam_step(x_state, x, gx)
+        if adj is not None:
+            adj.step(ga)
+    a = None if adj is None else adj.matrix()
+    final = _finite(objective(x, a, False)[0], spec.iterations)
+    return RecoveryResult(features=x, adjacency_prob=a, objective_trace=trace,
+                          final_objective=final)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +460,7 @@ def _attack_trees(spec, params, rng, bundle, labels, warm_x=None):
     reads no other row, so the grandchildren get no gradient (they still
     set the children's degrees). One tree keeps the (N, D) layout, B trees
     the (B, N, D) stack; ``features`` comes back in that full shape, the
-    grandchildren at their starting draw. ``warm_x`` (that shape) warm
+    grandchildren at their starting point. ``warm_x`` (that shape) warm
     starts the tree features instead of the configured init.
     """
     tree = dummy_tree(rng, spec.d_tree, params.feature_dim)
@@ -503,8 +470,11 @@ def _attack_trees(spec, params, rng, bundle, labels, warm_x=None):
         spec, params, [bundle], labels, targets=np.zeros(b, dtype=np.int64),
         anorm=normalize_dense(tree.adjacency, params.norm_mode)[:live, :live])
     shape = tree.features.shape if b == 1 else (b,) + tree.features.shape
-    return _optimize(spec, rng, objective, x_shape=shape, warm_x=warm_x,
-                     live_rows=live)
+    x = _start(rng, spec, shape, warm_x, "init_features")
+    best = _optimize(spec, objective, x=x[..., :live, :])
+    x[..., :live, :] = best.features
+    best.features = x
+    return best
 
 
 def attack_node1(leak, spec, params, rng=None, init_features=None):
@@ -518,7 +488,7 @@ def attack_node1(leak, spec, params, rng=None, init_features=None):
     """
     _check_scenario(spec, params, ("node1",), "node")
     rng = rng or make_rng(spec.seed)
-    bundle = _bundles_of(leak)[0]
+    bundle = leak.bundle
     labels = check_labels(infer_label(bundle), params.num_classes)
     best = _attack_trees(spec, params, rng, bundle, labels, init_features)
     best.labels = labels
@@ -532,22 +502,26 @@ def _attack_unknowns(spec, params, rng, bundles, n, labels, known_features,
     """Subgraph / whole-graph attack body: the scenario picks the unknowns.
 
     Scenario suffix a optimizes the adjacency, b the features, c both; the
-    known input is required. A recovered adjacency is binarized with the
-    configured finalization after the best restart is chosen.
+    known input is required, and a known or warm-start input of the wrong
+    shape raises :class:`ShapeError` before any iteration. The features
+    start first, then the adjacency. A recovered adjacency is binarized
+    with the configured finalization.
     """
     opt_x = spec.scenario[-1] in "bc"
     opt_a = spec.scenario[-1] in "ac"
-    known_x = None if opt_x else _known_matrix(known_features, "features")
-    known_a = None if opt_a else _known_matrix(known_adjacency, "adjacency")
+    xs = (n, params.feature_dim)
+    known_x = None if opt_x else _known(known_features, xs, "known_features")
+    known_a = None if opt_a else _known(known_adjacency, (n, n),
+                                        "known_adjacency")
     anorm = None if opt_a else normalize_dense(known_a, params.norm_mode)
     objective = _matching_objective(spec, params, bundles, labels,
                                     known_x=known_x, known_a=known_a,
                                     anorm=anorm, regularize=True)
     rng = rng or make_rng(spec.seed)
-    best = _optimize(spec, rng, objective,
-                     x_shape=(n, params.feature_dim) if opt_x else None,
-                     n_adj=n if opt_a else None,
-                     warm_x=init_features, warm_a=init_adjacency)
+    x = _start(rng, spec, xs, init_features, "init_features") if opt_x else None
+    a = (_start(rng, spec, (n, n), init_adjacency, "init_adjacency")
+         if opt_a else None)
+    best = _optimize(spec, objective, x, a)
     best.labels = labels
     if opt_a:
         best.adjacency = finalize_adjacency(
@@ -566,7 +540,7 @@ def attack_node2(leak, spec, params, known_features=None, known_adjacency=None,
     start the optimized variables instead of the configured init.
     """
     _check_scenario(spec, params, ("node2a", "node2b", "node2c"), "node")
-    bundles = _bundles_of(leak)
+    bundles = leak.bundles
     labels = check_labels([infer_label(b) for b in bundles], params.num_classes)
     return _attack_unknowns(spec, params, rng, bundles, len(bundles), labels,
                             known_features, known_adjacency, init_features,
@@ -582,7 +556,7 @@ def attack_graph(leak, spec, params, known_features=None, known_adjacency=None,
     plain matching loss.
     """
     _check_scenario(spec, params, ("graph_a", "graph_b", "graph_c"), "graph")
-    bundle = _bundles_of(leak)[0]
+    bundle = leak.bundle
     labels = check_labels(infer_label(bundle), params.num_classes)
     return _attack_unknowns(spec, params, rng, [bundle], params.num_nodes,
                             labels, known_features, known_adjacency,
@@ -604,8 +578,7 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, rng=None)
                     ("node1",) if params.task == "node" else ("graph_b",),
                     params.task)
     rng = rng or make_rng(spec.seed)
-    bundle = _bundles_of(leak)[0]
-    b = leak.batch_size if isinstance(leak, LeakRecord) else len(labels)
+    bundle, b = leak.bundle, leak.batch_size
     labels = check_labels(labels, params.num_classes)
     if labels.shape[0] != b:
         raise ConfigError(f"{labels.shape[0]} labels for batch of {b}", "labels")
@@ -613,17 +586,13 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, rng=None)
     if params.task == "node":
         best = _attack_trees(spec, params, rng, bundle, labels)
     else:
-        if known_adjacencies is None:
-            raise ConfigError("batched graph attack needs known adjacencies",
-                              "known_adjacencies")
-        anorm = np.stack([
-            normalize_dense(np.asarray(a, dtype=np.float64), params.norm_mode)
-            for a in known_adjacencies
-        ])
+        n = params.num_nodes
+        known = _known(known_adjacencies, (b, n, n), "known_adjacencies")
+        anorm = np.stack([normalize_dense(a, params.norm_mode) for a in known])
         objective = _matching_objective(spec, params, [bundle], labels,
                                         anorm=anorm)
-        best = _optimize(spec, rng, objective,
-                         x_shape=(b, params.num_nodes, params.feature_dim))
+        best = _optimize(spec, objective, x=_start(
+            rng, spec, (b, n, params.feature_dim), None, "features"))
     features = best.features.reshape((b, -1, params.feature_dim))
     return [
         RecoveryResult(

@@ -164,8 +164,9 @@ class TestAttackSpecValidation:
             attacks.AttackSpec(scenario="nodeX")
 
     def test_tree_init_only_node1(self):
-        with pytest.raises(ConfigError):
-            attacks.AttackSpec(scenario="graph_a", init="tree")
+        for scenario in ("node1", "graph_a"):
+            with pytest.raises(ConfigError, match="init"):
+                attacks.AttackSpec(scenario=scenario, init="tree")
 
     def test_negative_alpha(self):
         with pytest.raises(ConfigError):
@@ -300,7 +301,7 @@ class TestIterativeAttacks:
         spec = attacks.AttackSpec(scenario="node2b", iterations=20,
                                   learning_rate=1e300)
         with np.errstate(all="ignore"), pytest.raises(NumericError,
-                                                      match="restart 0"):
+                                                      match=r"iteration \d+"):
             attacks.attack_node2(record, spec, params,
                                  known_adjacency=g.adjacency, rng=r)
 
@@ -321,9 +322,10 @@ class TestIterativeAttacks:
             attack, spec = attacks.attack_graph, "graph_a"
             forward = "graph_ctx"
         record = federated.leak(params, g, task)
-        zero = [GradientBundle(tensors={k: np.zeros_like(t)
-                                        for k, t in b.tensors.items()})
-                for b in record.bundles]
+        zero = federated.LeakRecord(record.scenario, [
+            GradientBundle(tensors={k: np.zeros_like(t)
+                                    for k, t in b.tensors.items()})
+            for b in record.bundles])
         # the sign rule reads no label off a zero bundle; supply one
         monkeypatch.setattr(attacks, "infer_label", lambda bundle: 0)
         calls = []
@@ -406,8 +408,7 @@ class TestIterativeAttacks:
         record = federated.leak(params, g,
                                 "batched-node" if batched else "node1",
                                 targets=targets)
-        spec = attacks.AttackSpec(scenario="node1", iterations=3, d_tree=2,
-                                  restarts=2)
+        spec = attacks.AttackSpec(scenario="node1", iterations=3, d_tree=2)
         starts = []
         real = attacks.node_ctx
         monkeypatch.setattr(attacks, "node_ctx", lambda *a, **k: (
@@ -420,23 +421,19 @@ class TestIterativeAttacks:
         else:
             features = attacks.attack_node1(record, spec, params,
                                             rng=numkit.make_rng(5)).features
-        # replay the attack's draws: the dummy tree, then one start per restart
+        # replay the attack's draws: the dummy tree, then the start
         replay = numkit.make_rng(5)
         graphs.dummy_tree(replay, spec.d_tree, 4)
-        draws = [replay.standard_normal(features.shape) for _ in range(2)]
+        draw = replay.standard_normal(features.shape)
         live = 1 + spec.d_tree
         assert features.shape[-2] == 1 + spec.d_tree + spec.d_tree ** 2
-        for k, draw in enumerate(draws):
-            # each restart makes iterations + 1 forward calls
-            start = starts[k * (spec.iterations + 1)]
-            assert np.array_equal(start, draw[..., :live, :])
-        assert not np.array_equal(starts[0], starts[spec.iterations + 1])
-        winners = [k for k, draw in enumerate(draws)
-                   if np.array_equal(features[..., live:, :],
-                                     draw[..., live:, :])]
-        assert len(winners) == 1
+        # iterations + 1 forward calls, each on the live rows only
+        assert len(starts) == spec.iterations + 1
+        assert all(start.shape[-2] == live for start in starts)
+        assert np.array_equal(starts[0], draw[..., :live, :])
+        assert np.array_equal(features[..., live:, :], draw[..., live:, :])
         assert not np.array_equal(features[..., :live, :],
-                                  draws[winners[0]][..., :live, :])
+                                  draw[..., :live, :])
 
     def test_node1_init_features_must_cover_the_tree(self):
         g, params = tree_world()
@@ -466,6 +463,93 @@ class TestIterativeAttacks:
         with pytest.raises(ShapeError, match="init_adjacency"):
             attack(record, spec, params, known_features=g.features,
                    init_adjacency=np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("scenario,argument,shape", [
+        ("batched_graph", "known_adjacencies", (1, 5, 5)),
+        ("batched_graph", "known_adjacencies", (2, 5, 5)),
+        ("batched_graph", "known_adjacencies", (3, 4, 4)),
+        ("batched_graph", "known_adjacencies", "ragged"),
+        ("node2a", "known_features", (6, 4)),
+        ("node2a", "known_features", (5, 3)),
+        ("node2b", "known_adjacency", (6, 6)),
+        ("node2b", "known_adjacency", (5, 6)),
+        ("graph_a", "known_features", (5, 3)),
+        ("graph_b", "known_adjacency", (4, 4)),
+    ], ids=["one_adjacency_for_3", "two_for_3", "4x4_for_5_nodes", "ragged",
+            "node2_extra_row", "node2_short_row", "node2_6x6", "node2_5x6",
+            "graph_short_row", "graph_4x4"])
+    def test_known_input_shape_is_checked_before_iterating(
+            self, monkeypatch, scenario, argument, shape):
+        # 5 nodes, 4 features; a batch of 3 graphs
+        r = numkit.make_rng(32)
+        kwargs = {"known_features": np.ones((5, 4)),
+                  "known_adjacency": np.full((5, 5), 0.5)}
+        if scenario.startswith("node"):
+            g = graphs.synthetic_graph(r, 5, 2, 4, num_classes=3)
+            params = models.init_params(r, "sage", "node", 4, 6, 3)
+            record = federated.leak(params, g, "node2")
+            attack, forward = attacks.attack_node2, "node_ctx"
+        else:
+            gs = []
+            for k in range(3):
+                g0 = graphs.er_graph(r, 5, 0.5, 4)
+                gs.append(graphs.Graph(adjacency=g0.adjacency,
+                                       features=g0.features, graph_label=k))
+            params = models.init_params(r, "sage", "graph", 4, 6, 3,
+                                        num_nodes=5)
+            forward = "graph_ctx"
+            if scenario == "batched_graph":
+                record = federated.leak(params, gs, "batched-graph")
+                attack, kwargs = attacks.attack_batched, {"labels": [0, 1, 2]}
+                scenario = "graph_b"
+            else:
+                record = federated.leak(params, gs[1], "graph")
+                attack = attacks.attack_graph
+        if shape == "ragged":
+            kwargs[argument] = [np.full((5, 5), 0.5), np.full((4, 4), 0.5),
+                                np.full((5, 5), 0.5)]
+        else:
+            kwargs[argument] = np.full(shape, 0.5)
+        calls = []
+        real = getattr(attacks, forward)
+        monkeypatch.setattr(attacks, forward,
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        spec = attacks.AttackSpec(scenario=scenario, iterations=5)
+        with pytest.raises(ShapeError, match=argument):
+            attack(record, spec, params, **kwargs)
+        assert calls == []
+
+    def test_constant_adjacency_start_is_projected_once(self):
+        # _SymmetricAdjacency clips its start into [0, 1]: 1.5 starts at 1.0
+        r = numkit.make_rng(33)
+        g = graphs.synthetic_graph(r, 6, 2, 4, num_classes=3)
+        params = models.init_params(r, "sage", "node", 4, 5, 3)
+        record = federated.leak(params, g, "node2")
+        a, b = [
+            attacks.attack_node2(
+                record, attacks.AttackSpec(scenario="node2a", iterations=20,
+                                           init="constant", init_value=value),
+                params, known_features=g.features)
+            for value in (1.5, 1.0)
+        ]
+        for name in ("adjacency_prob", "adjacency", "objective_trace"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_warm_adjacency_start_is_projected(self):
+        r = numkit.make_rng(34)
+        g = graphs.synthetic_graph(r, 6, 2, 4, num_classes=3)
+        params = models.init_params(r, "sage", "node", 4, 5, 3)
+        record = federated.leak(params, g, "node2")
+        warm = 2.0 * r.standard_normal((6, 6))
+        assert (warm < 0.0).any() and (warm > 1.0).any()
+        spec = attacks.AttackSpec(scenario="node2c", iterations=20)
+        a, b = [
+            attacks.attack_node2(record, spec, params, init_adjacency=start)
+            for start in (warm, np.clip(warm, 0.0, 1.0))
+        ]
+        for name in ("features", "adjacency_prob", "adjacency",
+                     "objective_trace"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
     def test_batched_b1_matches_node1(self):
         r = numkit.make_rng(24)
@@ -543,7 +627,7 @@ def captured_objective(monkeypatch, attack, *args, **kwargs):
     """The objective an attack hands to the shared optimization loop."""
     got = []
 
-    def fake_optimize(spec, rng, objective, *rest, **options):
+    def fake_optimize(spec, objective, *rest, **options):
         got.append(objective)
         raise _Captured
 

@@ -126,6 +126,18 @@ class TestAttackCommand:
         assert where in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_old_config_with_restarts_is_configuration_error(self, tmp_path):
+        # restarts is no attack field; a config that sets it is rejected,
+        # not ignored
+        old = dict(CONFIG, attack=dict(CONFIG["attack"], restarts=1))
+        cfg = write_config(tmp_path, old)
+        out = run_cli("attack", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert out.returncode == 1
+        assert "configuration error: attack: " in out.stderr
+        assert "restarts" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "o" / "report.csv").exists()
+
     def test_missing_config_exit_code(self, tmp_path):
         out = run_cli("attack", "--config", str(tmp_path / "nope.json"))
         assert out.returncode == 1

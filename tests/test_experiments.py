@@ -91,7 +91,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("egonet_hops", 1.5), ("repeats", 1.5), ("repeats", True),
         ("batch_size", 2.5), ("hidden_dim", -1), ("hidden_dim", 0),
-        ("seed", -1), ("attack.iterations", 2.5), ("attack.restarts", 1.5),
+        ("seed", -1), ("attack.iterations", 2.5),
         ("attack.d_tree", 2.5), ("attack.seed", -1), ("dataset.n", 8.5),
         ("dataset.feature_dim", 2.5), ("dataset.num_classes", 1),
         ("dataset.d_tree", 0),
