@@ -18,8 +18,6 @@ from .attacks import (
     attack_node2,
     finalize_adjacency,
     frobenius_penalty,
-    grad_match_cosine,
-    grad_match_l2,
     project_interval,
     smoothness,
 )
@@ -68,7 +66,6 @@ from .models import (
     ModelParams,
     backward_graph,
     backward_node,
-    cross_entropy,
     forward_graph,
     forward_node,
     infer_label,

@@ -5,9 +5,9 @@ optionally part of the private data. Dummy inputs are pushed through the
 model, their gradients compared to the leak under an L2 or cosine
 objective (plus smoothness and Frobenius regularizers when structure is
 being recovered), and the dummies updated by Adam. Adjacency dummies stay
-symmetric by construction: only the strict lower triangle is optimized,
-each step is projected back into [0, 1], and the final probabilistic
-matrix is binarized by Bernoulli sampling or min-max thresholding.
+symmetric by construction: each off-diagonal pair is one unknown, each
+step is projected back into [0, 1], and the final probabilistic matrix is
+binarized by Bernoulli sampling or min-max thresholding.
 """
 
 import math
@@ -53,8 +53,6 @@ __all__ = [
     "attack_node2",
     "finalize_adjacency",
     "frobenius_penalty",
-    "grad_match_cosine",
-    "grad_match_l2",
     "project_interval",
     "smoothness",
 ]
@@ -185,25 +183,6 @@ def _matcher(leaked_flat, kind):
     return match
 
 
-def _pair_match(leaked, dummy, kind):
-    """:func:`_matcher` value on one-row stacks of two bundles."""
-    lf = _flatten(_stack_tensors([leaked]), leaked.param_names)
-    df = _flatten(_stack_tensors([dummy]), dummy.param_names)
-    if leaked.param_names != dummy.param_names or lf.shape != df.shape:
-        raise ShapeError("bundles are not congruent")
-    return _matcher(lf, kind)(df)[0]
-
-
-def grad_match_l2(leaked, dummy):
-    """Squared entrywise distance between two gradient bundles."""
-    return _pair_match(leaked, dummy, "l2")
-
-
-def grad_match_cosine(leaked, dummy):
-    """One minus the cosine similarity of two flattened gradient bundles."""
-    return _pair_match(leaked, dummy, "cosine")
-
-
 # ---------------------------------------------------------------------------
 # Regularizers, projection, finalization
 # ---------------------------------------------------------------------------
@@ -281,25 +260,6 @@ def finalize_adjacency(prob, rule, rng=None, tau=0.5):
 # ---------------------------------------------------------------------------
 # The optimization loop shared by every attack
 # ---------------------------------------------------------------------------
-
-class _SymmetricAdjacency:
-    """Strict-lower-triangle parameterization of a [0,1] symmetric matrix."""
-
-    def __init__(self, init_matrix, lr):
-        self.n = init_matrix.shape[0]
-        self.rows, self.cols = np.tril_indices(self.n, k=-1)
-        self.theta = project_interval(init_matrix)[self.rows, self.cols]
-        self.adam = AdamState(lr=lr)
-
-    def matrix(self):
-        a = np.zeros((self.n, self.n))
-        a[self.rows, self.cols] = self.theta
-        return a + a.T
-
-    def step(self, grad_full):
-        g = grad_full[self.rows, self.cols] + grad_full[self.cols, self.rows]
-        self.theta = np.clip(adam_step(self.adam, self.theta, g), 0.0, 1.0)
-
 
 def _checked(value, shape, name):
     """Float64 copy of the argument ``name``, which must have ``shape``."""
@@ -427,22 +387,28 @@ def _optimize(spec, objective, x=None, a=None):
     """One Adam run on the unknown features and/or adjacency.
 
     ``x`` / ``a`` are the starting points, None where that input is known.
-    The adjacency steps through :class:`_SymmetricAdjacency`, which projects
-    its start into [0, 1]. A non-finite objective raises
-    :class:`NumericError`. The result holds the optimized inputs (None
-    where known) and the objective trace.
+    The adjacency starts as the mirrored strict lower triangle of ``a``
+    projected into [0, 1]; both entries of an off-diagonal pair step on the
+    pair's summed gradient, so they stay equal, and the diagonal on a zero
+    gradient, so it stays 0; each step is clipped back into [0, 1]. A
+    non-finite objective raises :class:`NumericError`. The result holds the
+    optimized inputs (None where known) and the objective trace.
     """
-    adj = None if a is None else _SymmetricAdjacency(a, spec.learning_rate)
+    if a is not None:
+        a = np.tril(project_interval(a), k=-1)
+        a = a + a.T
     x_state = AdamState(lr=spec.learning_rate)
+    a_state = AdamState(lr=spec.learning_rate)
     trace = np.zeros(spec.iterations)
     for p in range(spec.iterations):
-        value, gx, ga = objective(x, None if adj is None else adj.matrix(), True)
+        value, gx, ga = objective(x, a, True)
         trace[p] = _finite(value, p)
         if x is not None:
             x = adam_step(x_state, x, gx)
-        if adj is not None:
-            adj.step(ga)
-    a = None if adj is None else adj.matrix()
+        if a is not None:
+            ga = ga + ga.T
+            np.fill_diagonal(ga, 0.0)
+            a = np.clip(adam_step(a_state, a, ga), 0.0, 1.0)
     final = _finite(objective(x, a, False)[0], spec.iterations)
     return RecoveryResult(features=x, adjacency_prob=a, objective_trace=trace,
                           final_objective=final)

@@ -119,30 +119,23 @@ def _mean_bundle(stacks):
 
 
 def client_gradients(params, shard, batch_indices):
-    """One gradient bundle per selected sample of a shard."""
-    if params.task == "node":
-        if shard.graph is None:
-            raise ShapeError("node task but shard holds graphs")
-        return [_mean_bundle(_node_stacks(params, shard.graph, shard.targets[idx]))
-                for idx in batch_indices]
-    if shard.graphs is None:
+    """One bundle per batch index; each must be an int in [0, shard size)."""
+    node = params.task == "node"
+    if node and shard.graph is None:
+        raise ShapeError("node task but shard holds graphs")
+    if not node and shard.graphs is None:
         raise ShapeError("graph task but shard holds a node graph")
-    return [_mean_bundle(_graph_stacks(params, [shard.graphs[idx]]))
+    samples = shard.targets if node else shard.graphs
+    batch_indices = list(batch_indices)
+    for idx in batch_indices:
+        if not isinstance(idx, (int, np.integer)) or not 0 <= idx < len(samples):
+            raise ShapeError(f"batch index {idx!r} out of range for a shard "
+                             f"of {len(samples)} samples")
+    if node:
+        return [_mean_bundle(_node_stacks(params, shard.graph, samples[idx]))
+                for idx in batch_indices]
+    return [_mean_bundle(_graph_stacks(params, [samples[idx]]))
             for idx in batch_indices]
-
-
-def average_bundles(bundles):
-    """Arithmetic mean of congruent gradient bundles."""
-    if not bundles:
-        raise ShapeError("cannot average zero bundles")
-    names = bundles[0].param_names
-    for b in bundles[1:]:
-        if b.param_names != names:
-            raise ShapeError("bundles are not congruent")
-    mean = {
-        k: sum(b.tensors[k] for b in bundles) / float(len(bundles)) for k in names
-    }
-    return GradientBundle(tensors=mean)
 
 
 def aggregate_and_step(params, client_bundles, learning_rate, round_index=0):
@@ -153,7 +146,13 @@ def aggregate_and_step(params, client_bundles, learning_rate, round_index=0):
     record; the input parameters are not mutated.
     """
     flat = [b for per_client in client_bundles for b in per_client]
-    averaged = average_bundles(flat)
+    if not flat:
+        raise ShapeError("cannot average zero bundles")
+    names = flat[0].param_names
+    if any(b.param_names != names for b in flat[1:]):
+        raise ShapeError("bundles are not congruent")
+    averaged = _mean_bundle(
+        {k: np.stack([b.tensors[k] for b in flat]) for k in names})
     updated = params.copy()
     for k in updated.param_names:
         updated.tensors[k] = updated.tensors[k] - learning_rate * averaged.tensors[k]

@@ -38,7 +38,6 @@ __all__ = [
     "backward_graph",
     "backward_node",
     "check_labels",
-    "cross_entropy",
     "forward_graph",
     "forward_node",
     "infer_label",
@@ -160,16 +159,6 @@ def softmax(logits):
     z = logits - np.max(logits, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def cross_entropy(logits, label):
-    """Stable -log softmax(logits)[label]."""
-    logits = np.asarray(logits, dtype=np.float64).ravel()
-    label = int(label)
-    if not 0 <= label < logits.shape[0]:
-        raise ShapeError(f"label {label} out of range for {logits.shape[0]} classes")
-    z = logits - logits.max()
-    return float(np.log(np.exp(z).sum()) - z[label])
 
 
 def _sigmoid(z):

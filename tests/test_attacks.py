@@ -27,43 +27,50 @@ def scaled(bundle, c):
     return GradientBundle(tensors={k: c * v for k, v in bundle.tensors.items()})
 
 
+def match(kind, leaked, dummy):
+    """The attack's matching loss between two bundles, each one flat row."""
+    def row(b):
+        return np.concatenate([b.tensors[k].ravel() for k in b.param_names])[None]
+    return attacks._matcher(row(leaked), kind)(row(dummy))[0]
+
+
 class TestObjectives:
     def test_l2_identical(self):
         b = random_bundle()
-        assert attacks.grad_match_l2(b, b) == 0.0
+        assert match("l2", b, b) == 0.0
 
     def test_l2_unit_perturbation(self):
         b = random_bundle()
         other = scaled(b, 1.0)
         other.tensors["conv1_agg"] = b.tensors["conv1_agg"].copy()
         other.tensors["conv1_agg"][0, 0] += 1.0
-        assert attacks.grad_match_l2(b, other) == pytest.approx(1.0)
+        assert match("l2", b, other) == pytest.approx(1.0)
 
     def test_l2_flat_oracle(self):
         a, b = random_bundle(1), random_bundle(2)
         want = sum(((a.tensors[k] - b.tensors[k]) ** 2).sum()
                    for k in a.tensors)
-        assert attacks.grad_match_l2(a, b) == pytest.approx(want)
+        assert match("l2", a, b) == pytest.approx(want)
 
     def test_cosine_identical_exactly_zero(self):
         b = random_bundle(3)
-        assert attacks.grad_match_cosine(b, b) == 0.0
+        assert match("cosine", b, b) == 0.0
 
     def test_cosine_antiparallel(self):
         b = random_bundle(4)
-        assert attacks.grad_match_cosine(b, scaled(b, -1.0)) == pytest.approx(2.0)
+        assert match("cosine", b, scaled(b, -1.0)) == pytest.approx(2.0)
 
     def test_cosine_scale_invariant(self):
         b = random_bundle(5)
-        assert attacks.grad_match_cosine(b, scaled(b, 3.0)) < 1e-12
+        assert match("cosine", b, scaled(b, 3.0)) < 1e-12
         other = random_bundle(6)
-        assert attacks.grad_match_cosine(b, other) == pytest.approx(
-            attacks.grad_match_cosine(b, scaled(other, 7.5)), abs=1e-12)
+        assert match("cosine", b, other) == pytest.approx(
+            match("cosine", b, scaled(other, 7.5)), abs=1e-12)
 
     def test_cosine_degenerate(self):
         b = random_bundle(7)
         with pytest.raises(DegenerateGradientError):
-            attacks.grad_match_cosine(b, scaled(b, 0.0))
+            match("cosine", b, scaled(b, 0.0))
 
 
 class TestRegularizers:
@@ -445,20 +452,8 @@ class TestIterativeAttacks:
 
     @pytest.mark.parametrize("task", ["node", "graph"])
     def test_init_adjacency_must_match_the_graph(self, task):
-        r = numkit.make_rng(25)
-        if task == "node":
-            g = graphs.synthetic_graph(r, 6, 2, 4, num_classes=3)
-            params = models.init_params(r, "sage", "node", 4, 5, 3)
-            record = federated.leak(params, g, "node2")
-            attack, scenario = attacks.attack_node2, "node2a"
-        else:
-            g0 = graphs.er_graph(r, 6, 0.5, 4)
-            g = graphs.Graph(adjacency=g0.adjacency, features=g0.features,
-                             graph_label=1)
-            params = models.init_params(r, "sage", "graph", 4, 5, 3,
-                                        num_nodes=6)
-            record = federated.leak(params, g, "graph")
-            attack, scenario = attacks.attack_graph, "graph_a"
+        g, params, record, attack, scenario = structure_case(
+            numkit.make_rng(25), task)
         spec = attacks.AttackSpec(scenario=scenario, iterations=2)
         with pytest.raises(ShapeError, match="init_adjacency"):
             attack(record, spec, params, known_features=g.features,
@@ -520,7 +515,7 @@ class TestIterativeAttacks:
         assert calls == []
 
     def test_constant_adjacency_start_is_projected_once(self):
-        # _SymmetricAdjacency clips its start into [0, 1]: 1.5 starts at 1.0
+        # the loop clips the adjacency start into [0, 1]: 1.5 starts at 1.0
         r = numkit.make_rng(33)
         g = graphs.synthetic_graph(r, 6, 2, 4, num_classes=3)
         params = models.init_params(r, "sage", "node", 4, 5, 3)
@@ -550,6 +545,27 @@ class TestIterativeAttacks:
         for name in ("features", "adjacency_prob", "adjacency",
                      "objective_trace"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("task", ["node", "graph"])
+    def test_adjacency_start_reads_only_the_lower_triangle(self, task):
+        r = numkit.make_rng(35)
+        g, params, record, attack, scenario = structure_case(r, task)
+        lower = np.tril(r.random((6, 6)), k=-1)
+        starts = (lower + lower.T,
+                  lower + np.triu(2.0 * r.standard_normal((6, 6))))
+        spec = attacks.AttackSpec(scenario=scenario, iterations=20)
+        a, b = [attack(record, spec, params, known_features=g.features,
+                       init_adjacency=start) for start in starts]
+        for name in ("adjacency_prob", "adjacency", "objective_trace"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_gaussian_adjacency_start_is_symmetric_with_zero_diagonal(self):
+        r = numkit.make_rng(36)
+        _, params, record, _, _ = structure_case(r, "node")
+        spec = attacks.AttackSpec(scenario="node2c", iterations=20)
+        prob = attacks.attack_node2(record, spec, params, rng=r).adjacency_prob
+        assert np.array_equal(prob, prob.T)
+        assert np.all(np.diag(prob) == 0.0)
 
     def test_batched_b1_matches_node1(self):
         r = numkit.make_rng(24)
@@ -617,6 +633,21 @@ class TestIterativeAttacks:
                 vals.append(sc.auc if sc.auc is not None else 0.5)
             aps[alpha] = np.mean(vals)
         assert aps[1e-3] < aps[1e-9]
+
+
+def structure_case(r, task):
+    """A 6-node graph, its sage model and leak, and the adjacency attack."""
+    if task == "node":
+        g = graphs.synthetic_graph(r, 6, 2, 4, num_classes=3)
+        params = models.init_params(r, "sage", "node", 4, 5, 3)
+        return (g, params, federated.leak(params, g, "node2"),
+                attacks.attack_node2, "node2a")
+    g0 = graphs.er_graph(r, 6, 0.5, 4)
+    g = graphs.Graph(adjacency=g0.adjacency, features=g0.features,
+                     graph_label=1)
+    params = models.init_params(r, "sage", "graph", 4, 5, 3, num_nodes=6)
+    return (g, params, federated.leak(params, g, "graph"),
+            attacks.attack_graph, "graph_a")
 
 
 class _Captured(Exception):
@@ -733,9 +764,16 @@ class TestWholeObjective:
             np.testing.assert_allclose(gx, fd, rtol=selftest.REL_TOL,
                                        atol=selftest.ABS_TOL)
         if a is not None:
-            adj = attacks._SymmetricAdjacency(a, 0.05)
-            folded = ga[adj.rows, adj.cols] + ga[adj.cols, adj.rows]
+            rows, cols = np.tril_indices(a.shape[0], k=-1)
+            folded = ga[rows, cols] + ga[cols, rows]
+            theta = a[rows, cols]
+
+            def symmetric():
+                lower = np.zeros_like(a)
+                lower[rows, cols] = theta
+                return lower + lower.T
+
             fd = selftest.finite_difference(
-                lambda: f(x, adj.matrix(), False)[0], adj.theta)
+                lambda: f(x, symmetric(), False)[0], theta)
             np.testing.assert_allclose(folded, fd, rtol=selftest.REL_TOL,
                                        atol=selftest.ABS_TOL)

@@ -47,6 +47,26 @@ class TestClientGradients:
         bundles = federated.client_gradients(params, shard, [0, 1])
         assert len(bundles) == 2
 
+    @pytest.mark.parametrize("task", ["node", "graph"])
+    @pytest.mark.parametrize("index", [-1, 2, 1.5], ids=["negative", "size",
+                                                         "non_integer"])
+    def test_bad_batch_index_raises(self, monkeypatch, task, index):
+        if task == "node":
+            g, params = node_setup()
+            shard = federated.ClientShard(client_id=0, graph=g, targets=[1, 4])
+            stacks = "_node_stacks"
+        else:
+            g, params = graph_setup()
+            shard = federated.ClientShard(client_id=0, graphs=[g, g])
+            stacks = "_graph_stacks"
+        calls = []
+        real = getattr(federated, stacks)
+        monkeypatch.setattr(federated, stacks,
+                            lambda *a: calls.append(1) or real(*a))
+        with pytest.raises(ShapeError, match="batch index"):
+            federated.client_gradients(params, shard, [0, index])
+        assert calls == []
+
     def test_shard_validation(self):
         g, _ = node_setup()
         with pytest.raises(ShapeError):
@@ -93,6 +113,16 @@ class TestAggregateAndStep:
         _, params = node_setup()
         with pytest.raises(ShapeError):
             federated.aggregate_and_step(params, [], 0.1)
+
+    def test_non_congruent_bundles_fail(self):
+        g, params = node_setup()
+        shard = federated.ClientShard(client_id=0, graph=g, targets=[1])
+        (b,) = federated.client_gradients(params, shard, [0])
+        renamed = models.GradientBundle(
+            tensors={"conv2_agg" if k == "conv1_agg" else k: v
+                     for k, v in b.tensors.items()})
+        with pytest.raises(ShapeError, match="not congruent"):
+            federated.aggregate_and_step(params, [[b], [renamed]], 0.1)
 
 
 class TestLeak:
