@@ -37,10 +37,12 @@ from .models import (
     graph_bundles,
     graph_ctx,
     graph_matching_grad,
+    graph_mean_bundle,
     infer_label,
     node_bundles,
     node_ctx,
     node_matching_grad,
+    node_mean_bundle,
 )
 from .numkit import AdamState, adam_step, make_rng, sample_bernoulli
 
@@ -171,13 +173,13 @@ def _matcher(leaked_flat, kind):
 
     def match(dummy_flat):
         dn = np.sqrt((dummy_flat * dummy_flat).sum(axis=1, keepdims=True))
-        if np.any(dn == 0.0):
+        if (dn == 0.0).any():
             raise DegenerateGradientError("zero-norm dummy gradient bundle in "
                                           "cosine objective")
         u = dummy_flat / dn
         w = u - v
         # 0.5 ||u - v||^2 equals 1 - cos and is exactly zero on identical bundles
-        value = float(0.5 * (w * w).sum())
+        value = 0.5 * float((w * w).sum())
         return value, (w - u * (u * w).sum(axis=1, keepdims=True)) / dn
 
     return match
@@ -202,7 +204,9 @@ def smoothness_grads(x, a, wrt_features, wrt_adjacency):
     x = np.asarray(x, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     d = a.sum(axis=1)
-    r = np.where(d > 0.0, 1.0 / np.sqrt(np.where(d > 0.0, d, 1.0)), 0.0)
+    pos = d > 0.0
+    safe = np.where(pos, d, 1.0)
+    r = np.where(pos, 1.0 / np.sqrt(safe), 0.0)
     u = x * r[:, None]
     sq = (u * u).sum(axis=1)
     pair = sq[:, None] + sq[None, :] - 2.0 * (u @ u.T)
@@ -213,10 +217,9 @@ def smoothness_grads(x, a, wrt_features, wrt_adjacency):
         gx = gu * r[:, None]
     ga = None
     if wrt_adjacency:
-        ga = 0.5 * pair.copy()
+        ga = 0.5 * pair
         # degree channel: d_k enters every u_k = x_k d_k^{-1/2}
-        safe = np.where(d > 0.0, d, 1.0)
-        wdeg = np.where(d > 0.0, -0.5 * (gu * u).sum(axis=1) / safe, 0.0)
+        wdeg = np.where(pos, -0.5 * (gu * u).sum(axis=1) / safe, 0.0)
         ga += wdeg[:, None]
     return value, gx, ga
 
@@ -306,9 +309,10 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
     with its normalization ``anorm``, stands in. The dummies go through the
     model's forward and bundle passes with ``labels`` (one per dummy
     sample); a node-task model reads its loss at ``targets``, by default
-    row i for sample i. With as many leaked bundles as labels the rows are
-    matched one by one; a single averaged bundle is matched by the dummies'
-    batch mean, whose co-vector every sample shares scaled by 1/B. With
+    (None) row i for sample i. With as many leaked bundles as labels the
+    rows are matched one by one; a single averaged bundle is matched by the
+    dummies' batch mean, computed without per-sample stacks, whose
+    co-vector every sample shares scaled by 1/B. With
     ``update``, gradients of the unknowns come back in their own shapes
     (None otherwise). An optimized adjacency is normalized once per call;
     its gradient goes back through that normalization's parts, as in
@@ -323,8 +327,6 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
     match = _matcher(_flatten(leaked, names), spec.objective)
     mode = params.norm_mode
     node = params.task == "node"
-    if node and targets is None:
-        targets = np.arange(len(labels))
     batch = len(labels) if len(bundles) != len(labels) else None
 
     def objective(x, a, update):
@@ -338,18 +340,16 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
         # swapped into this module's namespace sees every call
         if node:
             ctx = node_ctx(params, x, an, targets, labels)
-            stacks = node_bundles(ctx, params)
+            stacks = (node_mean_bundle if batch else node_bundles)(ctx, params)
         else:
             ctx = graph_ctx(params, x, an, labels)
-            stacks = graph_bundles(ctx, params)
-        if batch:
-            stacks = {k: s.mean(axis=0, keepdims=True) for k, s in stacks.items()}
+            stacks = (graph_mean_bundle if batch else graph_bundles)(ctx, params)
         value, vflat = match(_flatten(stacks, names))
         gx = ga = None
         if update:
             if batch:
                 # the matching gradient's batched matmuls broadcast the
-                # mean's leading axis of 1 over the samples
+                # mean's stack of one over the samples
                 vflat = vflat / batch
             grad = node_matching_grad if node else graph_matching_grad
             gx, abar_norm = grad(ctx, params, _unflatten(vflat, layout), opt_a,
@@ -407,8 +407,9 @@ def _optimize(spec, objective, x=None, a=None):
             x = adam_step(x_state, x, gx)
         if a is not None:
             ga = ga + ga.T
-            np.fill_diagonal(ga, 0.0)
-            a = np.clip(adam_step(a_state, a, ga), 0.0, 1.0)
+            ga.flat[::ga.shape[0] + 1] = 0.0
+            # np.clip's bits, without its dispatch overhead
+            a = np.minimum(np.maximum(adam_step(a_state, a, ga), 0.0), 1.0)
     final = _finite(objective(x, a, False)[0], spec.iterations)
     return RecoveryResult(features=x, adjacency_prob=a, objective_trace=trace,
                           final_objective=final)

@@ -20,8 +20,10 @@ from .models import (
     check_labels,
     graph_bundles,
     graph_ctx,
+    graph_mean_bundle,
     node_bundles,
     node_ctx,
+    node_mean_bundle,
 )
 
 __all__ = [
@@ -85,8 +87,11 @@ class LeakRecord:
         return self.bundles[0]
 
 
-def _node_stacks(params, g, targets):
-    """Per-sample gradient stacks for target nodes of one labeled graph."""
+def _node_stacks(params, g, targets, mean=False):
+    """Per-sample gradient stacks for target nodes of one labeled graph.
+
+    With ``mean``, their batch mean as a stack of one.
+    """
     if targets is None or np.size(targets) == 0:
         raise ShapeError("node leak needs target indices")
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
@@ -97,11 +102,14 @@ def _node_stacks(params, g, targets):
         raise ShapeError("node-task graph carries no labels")
     labels = check_labels(g.labels[targets], params.num_classes)
     ctx = node_ctx(params, g.features, anorm, targets, labels)
-    return node_bundles(ctx, params)
+    return (node_mean_bundle if mean else node_bundles)(ctx, params)
 
 
-def _graph_stacks(params, gs):
-    """Per-sample gradient stacks for a batch of equally sized graphs."""
+def _graph_stacks(params, gs, mean=False):
+    """Per-sample gradient stacks for a batch of equally sized graphs.
+
+    With ``mean``, their batch mean as a stack of one.
+    """
     if any(g.graph_label is None for g in gs):
         raise ShapeError("graph-task sample carries no graph label")
     anorm = np.stack(
@@ -110,12 +118,19 @@ def _graph_stacks(params, gs):
     x = np.stack([g.features for g in gs])
     labels = check_labels([g.graph_label for g in gs], params.num_classes)
     ctx = graph_ctx(params, x, anorm, labels)
-    return graph_bundles(ctx, params)
+    return (graph_mean_bundle if mean else graph_bundles)(ctx, params)
 
 
 def _mean_bundle(stacks):
     """The batch-averaged bundle; for a batch of one, that sample's bundle."""
     return GradientBundle(tensors={k: v.mean(axis=0) for k, v in stacks.items()})
+
+
+def _split(stacks):
+    """One bundle per entry of the stacks' leading axis."""
+    size = len(next(iter(stacks.values())))
+    return [GradientBundle(tensors={k: v[i] for k, v in stacks.items()})
+            for i in range(size)]
 
 
 def client_gradients(params, shard, batch_indices):
@@ -149,8 +164,15 @@ def aggregate_and_step(params, client_bundles, learning_rate, round_index=0):
     if not flat:
         raise ShapeError("cannot average zero bundles")
     names = flat[0].param_names
-    if any(b.param_names != names for b in flat[1:]):
-        raise ShapeError("bundles are not congruent")
+    first = flat[0].tensors
+    for b in flat[1:]:
+        if b.param_names != names:
+            raise ShapeError("bundles are not congruent")
+        for k in names:
+            if b.tensors[k].shape != first[k].shape:
+                raise ShapeError(f"bundles are not congruent: {k} has shape "
+                                 f"{b.tensors[k].shape}, the first bundle's "
+                                 f"{first[k].shape}")
     averaged = _mean_bundle(
         {k: np.stack([b.tensors[k] for b in flat]) for k in names})
     updated = params.copy()
@@ -182,15 +204,16 @@ def leak(params, data, scenario, targets=None):
         raise ShapeError(f"{scenario} leak needs a "
                          f"{SCENARIO_TASKS[scenario]}-task model")
     if scenario == "node2":
-        stacks = _node_stacks(params, data, np.arange(data.num_nodes))
-        return LeakRecord(scenario=scenario, bundles=[
-            GradientBundle(tensors={k: v[i] for k, v in stacks.items()})
-            for i in range(data.num_nodes)])
+        return LeakRecord(scenario=scenario, bundles=_split(
+            _node_stacks(params, data, np.arange(data.num_nodes))))
     if params.task == "node":
-        if scenario == "node1" and np.size(targets) != 1:
-            raise ShapeError(f"node1 leak needs one target, got {np.size(targets)}")
-        stacks = _node_stacks(params, data, targets)
+        size = np.size(targets)
+        if scenario == "node1" and size != 1:
+            raise ShapeError(f"node1 leak needs one target, got {size}")
+        stacks = _node_stacks(params, data, targets, mean=True)
     else:
-        stacks = _graph_stacks(params, [data] if scenario == "graph" else list(data))
-    return LeakRecord(scenario=scenario, bundles=[_mean_bundle(stacks)],
-                      batch_size=len(next(iter(stacks.values()))))
+        gs = [data] if scenario == "graph" else list(data)
+        size = len(gs)
+        stacks = _graph_stacks(params, gs, mean=True)
+    return LeakRecord(scenario=scenario, bundles=_split(stacks),
+                      batch_size=size)

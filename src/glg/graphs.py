@@ -96,7 +96,8 @@ def _normalize(a, mode):
     """
     a = np.asarray(a, dtype=np.float64)
     if mode == "gcn":
-        m = a + np.eye(a.shape[0])
+        m = a.copy()
+        m.flat[::a.shape[0] + 1] += 1.0  # A + I
         d = m.sum(axis=1)
         r = 1.0 / np.sqrt(d)
         return m * r[:, None] * r[None, :], d, r

@@ -166,8 +166,7 @@ def _sigmoid(z):
     # the same bits as the masked form 1/(1+exp(-z)) for z >= 0 and
     # exp(z)/(1+exp(z)) for z < 0
     e = np.exp(-np.abs(z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _ce_rows(logits, labels):
@@ -215,13 +214,15 @@ class NodeTrace:
 
     Every stack has one row per target. The layout of ``x`` selects between
     one shared graph with many target nodes (x is (N, D)) and a batch of
-    independent graphs with one target each (x is (B, N, D)). Only
+    independent graphs with one target each (x is (B, N, D)). On a shared
+    graph ``targets`` None makes every row a target, and the row stacks are
+    ``x`` and ``anorm`` themselves. Only
     :func:`forward_node` fills ``losses``; the attack loop never reads them.
     """
 
     x: np.ndarray
     anorm: np.ndarray
-    targets: np.ndarray
+    targets: Optional[np.ndarray]
     labels: np.ndarray
     ht: np.ndarray = field(repr=False, default=None)     # hidden rows at targets
     st: np.ndarray = field(repr=False, default=None)     # sigma' at those rows
@@ -237,6 +238,8 @@ class NodeTrace:
 
 
 def _gather_rows(arr, targets):
+    if targets is None:  # every row of a shared graph
+        return arr
     if arr.ndim == 3:  # one row per sample of the stack
         return arr[np.arange(arr.shape[0]), targets]
     return arr[targets]
@@ -253,12 +256,14 @@ def _pre_activation(t, layer, agg, h):
 def node_ctx(params, x, anorm, targets, labels):
     """Forward and first-order backward intermediates at the target rows.
 
-    ``labels`` must already have passed :func:`check_labels`.
+    ``labels`` must already have passed :func:`check_labels`. ``targets``
+    None, on a shared graph, makes every row a target.
     """
     t = params.tensors
     x = np.asarray(x, dtype=np.float64)
     anorm = np.asarray(anorm, dtype=np.float64)
-    targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+    if targets is not None:
+        targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
 
     # the head reads the first layer at the targets only, so only those
@@ -279,17 +284,38 @@ def node_ctx(params, x, anorm, targets, labels):
 
 
 def node_bundles(ctx, params):
-    """Per-sample gradient stacks, leading axis = sample."""
+    """Per-sample gradient stacks, leading axis = sample.
+
+    The bias stacks are the trace's own arrays, not copies.
+    """
     g1 = ctx.g1[:, :, None]
     out = {
         "out_weight": ctx.g2[:, :, None] * ctx.ht[:, None, :],
-        "out_bias": ctx.g2.copy(),
+        "out_bias": ctx.g2,
         "conv1_agg": g1 * ctx.mt[:, None, :],
-        "conv1_bias": ctx.g1.copy(),
+        "conv1_bias": ctx.g1,
     }
     if "conv1_self" in params.tensors:
         out["conv1_self"] = g1 * ctx.xt[:, None, :]
     return out
+
+
+def node_mean_bundle(ctx, params):
+    """The batch mean of :func:`node_bundles`, as a stack of one.
+
+    Each weight gradient is one matrix product summed over the samples,
+    so no per-sample stack is built.
+    """
+    b = ctx.g1.shape[0]
+    out = {
+        "out_weight": ctx.g2.T @ ctx.ht / b,
+        "out_bias": ctx.g2.sum(axis=0) / b,
+        "conv1_agg": ctx.g1.T @ ctx.mt / b,
+        "conv1_bias": ctx.g1.sum(axis=0) / b,
+    }
+    if "conv1_self" in params.tensors:
+        out["conv1_self"] = ctx.g1.T @ ctx.xt / b
+    return {k: v[None] for k, v in out.items()}
 
 
 def _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency):
@@ -300,6 +326,14 @@ def _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency):
     keeps one stack entry per sample. An input not wanted comes back as None.
     """
     xbar = abar = None
+    if ctx.targets is None:  # every row is a target: no scatter
+        if want_features:
+            xbar = ctx.anorm.T @ mtbar
+            if xtbar is not None:
+                xbar += xtbar
+        if want_adjacency:
+            abar = mtbar @ ctx.x.T
+        return xbar, abar
     if ctx.x.ndim == 3:
         rows = np.arange(ctx.x.shape[0])
         if want_features:
@@ -424,6 +458,8 @@ class GraphTrace:
     logits: np.ndarray = field(repr=False, default=None)
     q: np.ndarray = field(repr=False, default=None)
     gp: np.ndarray = field(repr=False, default=None)
+    hbar: np.ndarray = field(repr=False, default=None)   # gp @ mlp_weight
+    g2w: np.ndarray = field(repr=False, default=None)    # g2 @ conv2_agg
     u1: np.ndarray = field(repr=False, default=None)
     g1: np.ndarray = field(repr=False, default=None)
     g2: np.ndarray = field(repr=False, default=None)
@@ -466,9 +502,10 @@ def graph_ctx(params, x, anorm, labels):
     ctx.q = softmax(ctx.logits)
     ctx.gp = _minus_onehot(ctx.q, labels)
 
-    hbar = (ctx.gp @ t["mlp_weight"]).reshape(ctx.hidden2.shape)
-    ctx.g2 = hbar * ctx.sig2
-    ctx.u1 = _swap(anorm) @ (ctx.g2 @ t["conv2_agg"])
+    ctx.hbar = (ctx.gp @ t["mlp_weight"]).reshape(ctx.hidden2.shape)
+    ctx.g2 = ctx.hbar * ctx.sig2
+    ctx.g2w = ctx.g2 @ t["conv2_agg"]
+    ctx.u1 = _swap(anorm) @ ctx.g2w
     if "conv2_self" in t:
         ctx.u1 = ctx.u1 + ctx.g2 @ t["conv2_self"]
     ctx.g1 = ctx.u1 * ctx.sig1
@@ -476,12 +513,15 @@ def graph_ctx(params, x, anorm, labels):
 
 
 def graph_bundles(ctx, params):
-    """Per-sample gradient stacks for the graph task, leading axis B."""
+    """Per-sample gradient stacks for the graph task, leading axis B.
+
+    The bias stack of the readout is the trace's own array, not a copy.
+    """
     g2t = _swap(ctx.g2)
     g1t = _swap(ctx.g1)
     out = {
         "mlp_weight": ctx.gp[:, :, None] * ctx.flat[:, None, :],
-        "mlp_bias": ctx.gp.copy(),
+        "mlp_bias": ctx.gp,
         "conv2_agg": g2t @ ctx.agg2,
         "conv2_bias": ctx.g2.sum(axis=-2),
         "conv1_agg": g1t @ ctx.agg1,
@@ -494,6 +534,35 @@ def graph_bundles(ctx, params):
     return out
 
 
+def graph_mean_bundle(ctx, params):
+    """The batch mean of :func:`graph_bundles`, as a stack of one.
+
+    The B graphs' node rows are stacked into one (B*N)-row matrix per
+    operand, so each weight gradient is one matrix product over every
+    sample's nodes.
+    """
+    b = ctx.x.shape[0]
+
+    def rows(a):
+        return a.reshape(-1, a.shape[-1])
+
+    g2 = rows(ctx.g2)
+    g1 = rows(ctx.g1)
+    out = {
+        "mlp_weight": ctx.gp.T @ ctx.flat / b,
+        "mlp_bias": ctx.gp.sum(axis=0) / b,
+        "conv2_agg": g2.T @ rows(ctx.agg2) / b,
+        "conv2_bias": g2.sum(axis=0) / b,
+        "conv1_agg": g1.T @ rows(ctx.agg1) / b,
+        "conv1_bias": g1.sum(axis=0) / b,
+    }
+    if "conv2_self" in params.tensors:
+        out["conv2_self"] = g2.T @ rows(ctx.hidden1) / b
+    if "conv1_self" in params.tensors:
+        out["conv1_self"] = g1.T @ rows(ctx.x) / b
+    return {k: v[None] for k, v in out.items()}
+
+
 def graph_input_grads(ctx, params, want_adjacency=True):
     """First-order d loss / d features and d loss / d anorm, per sample."""
     t = params.tensors
@@ -503,8 +572,7 @@ def graph_input_grads(ctx, params, want_adjacency=True):
         xbar = xbar + ctx.g1 @ t["conv1_self"]
     abar = None
     if want_adjacency:
-        m2bar = ctx.g2 @ t["conv2_agg"]
-        abar = m2bar @ _swap(ctx.hidden1) + m1bar @ _swap(ctx.x)
+        abar = ctx.g2w @ _swap(ctx.hidden1) + m1bar @ _swap(ctx.x)
     return xbar, abar
 
 
@@ -534,7 +602,7 @@ def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
     g2bar = (ctx.anorm @ u1bar) @ w2a.T
     abar_n = None
     if want_adjacency:
-        abar_n = (ctx.g2 @ w2a) @ _swap(u1bar)
+        abar_n = ctx.g2w @ _swap(u1bar)
     if w2s is not None:
         g2bar += u1bar @ w2s.T
 
@@ -548,7 +616,7 @@ def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
     gpbar = (v["mlp_weight"] @ ctx.flat[:, :, None])[:, :, 0] + v["mlp_bias"]
     rbar = (g2bar * ctx.sig2).reshape(b, -1)
     gpbar += rbar @ wm.T
-    s2bar = g2bar * (ctx.gp @ wm).reshape(ctx.hidden2.shape)
+    s2bar = g2bar * ctx.hbar
 
     pbar = ctx.q * gpbar - (gpbar * ctx.q).sum(axis=-1, keepdims=True) * ctx.q
     hflatbar = pbar @ wm + (ctx.gp[:, None, :] @ v["mlp_weight"])[:, 0]

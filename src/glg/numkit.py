@@ -87,8 +87,11 @@ def adam_step(state, var, grad):
     if state.m.shape != var.shape:
         raise ShapeError(f"Adam buffers {state.m.shape} vs variable {var.shape}")
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    # in place: m *= b1 rounds exactly like the product b1 * m
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * grad
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * grad * grad
     m_hat = state.m / (1.0 - state.beta1 ** state.step)
     v_hat = state.v / (1.0 - state.beta2 ** state.step)
     return var - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
@@ -119,6 +122,7 @@ def make_rng(seed):
 def sample_bernoulli(rng, probs):
     """Entrywise Bernoulli draw; ``probs`` entries must lie in [0, 1]."""
     probs = np.asarray(probs, dtype=np.float64)
-    if np.any(probs < 0.0) or np.any(probs > 1.0):
+    # a NaN fails both comparisons, so it is rejected with the out-of-range
+    if not ((probs >= 0.0) & (probs <= 1.0)).all():
         raise ValueError("bernoulli probabilities must lie in [0, 1]")
     return (rng.random(probs.shape) < probs).astype(np.float64)

@@ -124,6 +124,16 @@ class TestAggregateAndStep:
         with pytest.raises(ShapeError, match="not congruent"):
             federated.aggregate_and_step(params, [[b], [renamed]], 0.1)
 
+    def test_bundles_of_different_widths_fail(self):
+        g, narrow = node_setup(f=4)
+        _, wide = node_setup(f=5)
+        bundles = [federated.client_gradients(
+            params, federated.ClientShard(client_id=0, graph=g, targets=[1]),
+            [0]) for params in (narrow, wide)]
+        with pytest.raises(ShapeError,
+                           match=r"conv1_agg has shape \(5, 3\).*\(4, 3\)"):
+            federated.aggregate_and_step(narrow, bundles, 0.1)
+
 
 class TestLeak:
     def test_node2_cardinality(self):

@@ -61,6 +61,20 @@ class TestNormalization:
             else:
                 assert np.allclose(anorm[i], 0.0)
 
+    def test_gcn_adds_the_identity_bit_for_bit(self):
+        r = numkit.make_rng(14)
+        a = r.random((6, 6))
+        a = np.tril(a, -1) + np.tril(a, -1).T
+        before = a.copy()
+        m = a + np.eye(6)
+        d = m.sum(axis=1)
+        scale = 1.0 / np.sqrt(d)
+        got = graphs._normalize(a, "gcn")
+        assert np.array_equal(a, before)  # the input is not modified
+        for part, want in zip(got, (m * scale[:, None] * scale[None, :], d,
+                                    scale)):
+            assert np.array_equal(part, want)
+
     def test_gcn_aggregation_oracle(self):
         g = graphs.er_graph(rng, 6, 0.5, 3)
         anorm = graphs.normalize_adjacency(g, "gcn").matrix

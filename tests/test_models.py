@@ -330,6 +330,79 @@ class TestContractions:
         assert xbar is None and np.array_equal(abar, got[1])
 
 
+class TestAllRowTargets:
+    """``targets=None`` gives the same bits as every row named in order."""
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @pytest.mark.parametrize("want_adjacency,want_features", [
+        (True, True), (True, False), (False, True)])
+    def test_none_equals_arange(self, framework, want_adjacency,
+                                want_features):
+        g, params, anorm = make_node_setup(framework, n=7, seed=71)
+        mat = anorm.matrix
+        every = models.node_ctx(params, g.features, mat, None, g.labels)
+        named = models.node_ctx(params, g.features, mat, np.arange(7),
+                                g.labels)
+        # the row stacks are the inputs themselves, not gathered copies
+        assert every.at is mat and every.xt is g.features
+        for name in ("at", "xt", "mt", "ht", "st", "logits", "q", "g2", "g1",
+                     "u"):
+            assert np.array_equal(getattr(every, name), getattr(named, name))
+        stacks = models.node_bundles(every, params)
+        want = models.node_bundles(named, params)
+        assert stacks.keys() == want.keys()
+        for k in want:
+            assert np.array_equal(stacks[k], want[k])
+        v = random_covectors(numkit.make_rng(72), stacks)
+        got = models.node_matching_grad(every, params, v, want_adjacency,
+                                        want_features)
+        ref = models.node_matching_grad(named, params, v, want_adjacency,
+                                        want_features)
+        for got_arr, want_arr in zip(got, ref):
+            assert (got_arr is None) == (want_arr is None)
+            if want_arr is not None:
+                assert np.array_equal(got_arr, want_arr)
+
+
+class TestMeanBundle:
+    """The batch-mean helpers against the mean of the per-sample stacks."""
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_node(self, framework, batch):
+        g, params, anorm = make_node_setup(framework, n=6, seed=73)
+        r = numkit.make_rng(74)
+        x = (g.features if batch == 1
+             else r.standard_normal((batch,) + g.features.shape))
+        targets = r.integers(0, 6, size=batch)
+        ctx = models.node_ctx(params, x, anorm.matrix, targets,
+                              r.integers(0, 3, size=batch))
+        self.check(models.node_mean_bundle(ctx, params),
+                   models.node_bundles(ctx, params))
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_graph(self, framework, batch):
+        r = numkit.make_rng(75)
+        n, d = 6, 4
+        params = models.init_params(r, framework, "graph", d, 5, 3, num_nodes=n)
+        x = r.standard_normal((batch, n, d))
+        anorm = np.stack([graphs.normalize_dense(
+            graphs.er_graph(r, n, 0.5, d).adjacency, params.norm_mode)
+            for _ in range(batch)])
+        ctx = models.graph_ctx(params, x, anorm, r.integers(0, 3, size=batch))
+        self.check(models.graph_mean_bundle(ctx, params),
+                   models.graph_bundles(ctx, params))
+
+    @staticmethod
+    def check(mean, stacks):
+        assert mean.keys() == stacks.keys()
+        for k, stack in stacks.items():
+            want = stack.mean(axis=0, keepdims=True)
+            assert mean[k].shape == want.shape
+            assert np.abs(mean[k] - want).max() <= 1e-12
+
+
 class TestForwardGraph:
     def test_zero_mlp_uniform_loss(self):
         r = numkit.make_rng(5)

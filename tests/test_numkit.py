@@ -86,6 +86,28 @@ class TestAdam:
         out = numkit.adam_step(state, var, np.array([[3.0, -0.2, 10.0]]))
         assert np.allclose(np.abs(out), 0.05, rtol=1e-6)
 
+    def test_in_place_moments_match_the_formula(self):
+        r = numkit.make_rng(17)
+        state = numkit.AdamState(lr=0.05)
+        var = r.standard_normal((4, 3))
+        m = v = np.zeros_like(var)
+        want = var
+        for step in range(1, 51):
+            grad = r.standard_normal(var.shape)
+            before = var.copy()
+            out = numkit.adam_step(state, var, grad)
+            # the result is a new array; the input is left as it was
+            assert not np.shares_memory(out, var)
+            assert np.array_equal(var, before)
+            m = 0.9 * m + (1.0 - 0.9) * grad
+            v = 0.999 * v + (1.0 - 0.999) * grad * grad
+            m_hat = m / (1.0 - 0.9 ** step)
+            v_hat = v / (1.0 - 0.999 ** step)
+            want = want - 0.05 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert np.array_equal(out, want)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+            var = out
+
     def test_shape_mismatch(self):
         state = numkit.AdamState()
         with pytest.raises(ShapeError):
@@ -139,6 +161,12 @@ class TestSampling:
     def test_bernoulli_range_check(self):
         with pytest.raises(ValueError):
             numkit.sample_bernoulli(numkit.make_rng(0), np.array([[1.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bernoulli_rejects_non_finite(self, bad):
+        # a NaN compares False both ways, so it once drew 0 silently
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            numkit.sample_bernoulli(numkit.make_rng(0), np.array([bad, 0.5]))
 
     def test_seed_reproducibility(self):
         a = numkit.make_rng(7).standard_normal((5, 5))
