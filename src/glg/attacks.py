@@ -33,6 +33,7 @@ from .graphs import (
 # _normalize_backward; bench/tracing.py wraps this name in this module
 from .graphs import normalize_dense_backward  # noqa: F401
 from .models import (
+    _gather_rows,
     check_labels,
     graph_bundles,
     graph_ctx,
@@ -43,6 +44,7 @@ from .models import (
     node_ctx,
     node_matching_grad,
     node_mean_bundle,
+    onehot,
 )
 from .numkit import AdamState, adam_step, make_rng, sample_bernoulli
 
@@ -157,12 +159,17 @@ def _matcher(leaked_flat, kind):
 
     The value is the sum of per-row matching losses. The leak's own norms
     and unit rows are computed here, once; a zero-norm leaked row raises
-    :class:`DegenerateGradientError` under the cosine objective.
+    :class:`DegenerateGradientError` under the cosine objective. The
+    gradient is written into one array allocated here: every call returns
+    that same array, and the next call overwrites it.
     """
+    grad = np.empty_like(leaked_flat)
     if kind == "l2":
         def match(dummy_flat):
-            diff = dummy_flat - leaked_flat
-            return float((diff * diff).sum()), 2.0 * diff
+            np.subtract(dummy_flat, leaked_flat, out=grad)
+            value = float((grad * grad).sum())
+            np.multiply(grad, 2.0, out=grad)
+            return value, grad
         return match
 
     ln = np.sqrt((leaked_flat * leaked_flat).sum(axis=1, keepdims=True))
@@ -180,7 +187,10 @@ def _matcher(leaked_flat, kind):
         w = u - v
         # 0.5 ||u - v||^2 equals 1 - cos and is exactly zero on identical bundles
         value = 0.5 * float((w * w).sum())
-        return value, (w - u * (u * w).sum(axis=1, keepdims=True)) / dn
+        np.multiply(u, (u * w).sum(axis=1, keepdims=True), out=grad)
+        np.subtract(w, grad, out=grad)
+        np.divide(grad, dn, out=grad)
+        return value, grad
 
     return match
 
@@ -317,19 +327,36 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
     (None otherwise). An optimized adjacency is normalized once per call;
     its gradient goes back through that normalization's parts, as in
     :func:`normalize_dense_backward`. ``regularize`` adds the smoothness and
-    Frobenius terms weighted by spec.alpha / spec.beta. The leak's layout and
-    cosine norms are computed here, once per attack, so a zero-norm leak
-    raises :class:`DegenerateGradientError` before any iteration.
+    Frobenius terms weighted by spec.alpha / spec.beta.
+
+    Whatever stays fixed for the whole attack is built here, once: the
+    leak's layout and cosine norms (so a zero-norm leak raises
+    :class:`DegenerateGradientError` before any iteration), the labels'
+    one-hot rows, the target rows of a known normalized adjacency, and
+    two buffers shaped like the leak's flat rows, each with per-tensor
+    views: the dummy's bundle rows, which the bundle pass writes, and the
+    matcher's gradient, which the matching pass reads as its co-vector.
     """
     names = bundles[0].param_names
+    missing = set(names) - set(params.param_names)
+    if missing:
+        raise ShapeError(f"leaked tensors {sorted(missing)} are not in the "
+                         "model")
     leaked = _stack_tensors(bundles)
     layout = _layout(leaked, names)
-    match = _matcher(_flatten(leaked, names), spec.objective)
+    leaked_flat = _flatten(leaked, names)
+    match = _matcher(leaked_flat, spec.objective)
+    dummy_flat = np.empty_like(leaked_flat)
+    dummy = _unflatten(dummy_flat, layout)
+    covec = None  # views into the matcher's gradient array, made once
     mode = params.norm_mode
     node = params.task == "node"
     batch = len(labels) if len(bundles) != len(labels) else None
+    onehot_rows = onehot(labels, params.num_classes)
+    known_at = None if anorm is None else _gather_rows(anorm, targets)
 
     def objective(x, a, update):
+        nonlocal covec
         opt_x = x is not None
         opt_a = a is not None
         x = x if opt_x else known_x
@@ -339,21 +366,23 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
         # the model passes are looked up here, at call time, so a wrapper
         # swapped into this module's namespace sees every call
         if node:
-            ctx = node_ctx(params, x, an, targets, labels)
-            stacks = (node_mean_bundle if batch else node_bundles)(ctx, params)
+            ctx = node_ctx(params, x, an, targets, labels, onehot_rows,
+                           None if opt_a else known_at)
+            bundle = node_mean_bundle if batch else node_bundles
         else:
-            ctx = graph_ctx(params, x, an, labels)
-            stacks = (graph_mean_bundle if batch else graph_bundles)(ctx, params)
-        value, vflat = match(_flatten(stacks, names))
+            ctx = graph_ctx(params, x, an, labels, onehot_rows)
+            bundle = graph_mean_bundle if batch else graph_bundles
+        bundle(ctx, params, out=dummy)
+        value, vflat = match(dummy_flat)
         gx = ga = None
         if update:
             if batch:
-                # the matching gradient's batched matmuls broadcast the
-                # mean's stack of one over the samples
-                vflat = vflat / batch
+                # every sample shares the mean's co-vector, scaled by 1/B
+                vflat /= batch
+            if covec is None:
+                covec = _unflatten(vflat, layout)
             grad = node_matching_grad if node else graph_matching_grad
-            gx, abar_norm = grad(ctx, params, _unflatten(vflat, layout), opt_a,
-                                 opt_x)
+            gx, abar_norm = grad(ctx, params, covec, opt_a, opt_x)
             if opt_x:
                 gx = gx.reshape(x.shape)
             if opt_a:

@@ -156,9 +156,11 @@ class GradientBundle:
 
 
 def softmax(logits):
-    z = logits - np.max(logits, axis=-1, keepdims=True)
+    # the ufunc reductions give np.max's and .sum's bits without their
+    # Python wrappers
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _sigmoid(z):
@@ -186,11 +188,56 @@ def check_labels(labels, num_classes):
     return labels
 
 
-def _minus_onehot(q, labels):
-    """``q - onehot(labels)``, row by row: the logit gradient of cross-entropy."""
-    out = q.copy()
-    out[np.arange(labels.shape[0]), labels] -= 1.0
+def onehot(labels, num_classes):
+    """One-hot rows of ``labels``; ``softmax - onehot`` is the logit gradient
+    of cross-entropy."""
+    out = np.zeros((labels.shape[0], num_classes))
+    out[np.arange(labels.shape[0]), labels] = 1.0
     return out
+
+
+def _copy_into(dst, src):
+    """``src`` itself when ``dst`` is None, else ``dst`` holding its values."""
+    if dst is None:
+        return src
+    np.copyto(dst, src)
+    return dst
+
+
+def _mean_product(a, b, n, dst):
+    """``a @ b / n`` as a stack of one, computed in ``dst`` when given."""
+    if dst is None:
+        dst = np.empty((1, a.shape[0], b.shape[1]))
+    np.matmul(a, b, out=dst[0])
+    dst /= n
+    return dst
+
+
+def _mean_sum(a, n, dst):
+    """The column sums of ``a`` over ``n`` as a stack of one, in ``dst`` when given."""
+    if dst is None:
+        dst = np.empty((1, a.shape[1]))
+    np.add.reduce(a, axis=0, out=dst[0])
+    dst /= n
+    return dst
+
+
+def _covec_rows(w, rows):
+    """``w[s] @ rows[s]`` for each sample s: an (S, M) stack of products.
+
+    A shared co-vector ``w`` (a stack of one) is one 2-D product over all
+    the rows instead of S matrix-vector products.
+    """
+    if w.shape[0] == 1:
+        return rows @ w[0].T
+    return (w @ rows[:, :, None])[:, :, 0]
+
+
+def _rows_covec(rows, w):
+    """``rows[s] @ w[s]`` for each sample s; a shared ``w`` as one 2-D product."""
+    if w.shape[0] == 1:
+        return rows @ w[0]
+    return (rows[:, None, :] @ w)[:, 0]
 
 
 def _check_norm(params, anorm):
@@ -253,11 +300,14 @@ def _pre_activation(t, layer, agg, h):
     return pre
 
 
-def node_ctx(params, x, anorm, targets, labels):
+def node_ctx(params, x, anorm, targets, labels, onehot_rows=None, at=None):
     """Forward and first-order backward intermediates at the target rows.
 
     ``labels`` must already have passed :func:`check_labels`. ``targets``
-    None, on a shared graph, makes every row a target.
+    None, on a shared graph, makes every row a target. A caller that runs
+    the pass many times on fixed labels or a fixed ``anorm`` may hand in
+    the labels' :func:`onehot` rows and the target rows ``at`` of
+    ``anorm``, built once.
     """
     t = params.tensors
     x = np.asarray(x, dtype=np.float64)
@@ -269,7 +319,7 @@ def node_ctx(params, x, anorm, targets, labels):
     # the head reads the first layer at the targets only, so only those
     # rows are computed
     ctx = NodeTrace(x=x, anorm=anorm, targets=targets, labels=labels)
-    ctx.at = _gather_rows(anorm, targets)
+    ctx.at = _gather_rows(anorm, targets) if at is None else at
     ctx.xt = _gather_rows(x, targets)
     ctx.mt = (ctx.at[:, None, :] @ x)[:, 0] if x.ndim == 3 else ctx.at @ x
     ctx.ht = _sigmoid(_pre_activation(t, "conv1", ctx.mt, ctx.xt))
@@ -277,45 +327,58 @@ def node_ctx(params, x, anorm, targets, labels):
 
     ctx.logits = ctx.ht @ t["out_weight"].T + t["out_bias"]
     ctx.q = softmax(ctx.logits)
-    ctx.g2 = _minus_onehot(ctx.q, labels)
+    if onehot_rows is None:
+        onehot_rows = onehot(labels, ctx.q.shape[-1])
+    ctx.g2 = ctx.q - onehot_rows
     ctx.u = ctx.g2 @ t["out_weight"]
     ctx.g1 = ctx.u * ctx.st
     return ctx
 
 
-def node_bundles(ctx, params):
+def node_bundles(ctx, params, out=None):
     """Per-sample gradient stacks, leading axis = sample.
 
-    The bias stacks are the trace's own arrays, not copies.
+    Without ``out`` the bias stacks are the trace's own arrays, not copies.
+    ``out`` maps each tensor name to an array of its stack's shape (an
+    attack passes views into one flat row buffer); every stack is then
+    written there, the returned dict holds those arrays, and the next call
+    with the same ``out`` overwrites them.
     """
+    o = out or {}
     g1 = ctx.g1[:, :, None]
-    out = {
-        "out_weight": ctx.g2[:, :, None] * ctx.ht[:, None, :],
-        "out_bias": ctx.g2,
-        "conv1_agg": g1 * ctx.mt[:, None, :],
-        "conv1_bias": ctx.g1,
+    res = {
+        "out_weight": np.multiply(ctx.g2[:, :, None], ctx.ht[:, None, :],
+                                  out=o.get("out_weight")),
+        "out_bias": _copy_into(o.get("out_bias"), ctx.g2),
+        "conv1_agg": np.multiply(g1, ctx.mt[:, None, :], out=o.get("conv1_agg")),
+        "conv1_bias": _copy_into(o.get("conv1_bias"), ctx.g1),
     }
     if "conv1_self" in params.tensors:
-        out["conv1_self"] = g1 * ctx.xt[:, None, :]
-    return out
+        res["conv1_self"] = np.multiply(g1, ctx.xt[:, None, :],
+                                        out=o.get("conv1_self"))
+    return res
 
 
-def node_mean_bundle(ctx, params):
+def node_mean_bundle(ctx, params, out=None):
     """The batch mean of :func:`node_bundles`, as a stack of one.
 
     Each weight gradient is one matrix product summed over the samples,
-    so no per-sample stack is built.
+    so no per-sample stack is built. ``out`` works as in
+    :func:`node_bundles`: each product goes into its array, which is then
+    divided in place.
     """
+    o = out or {}
     b = ctx.g1.shape[0]
-    out = {
-        "out_weight": ctx.g2.T @ ctx.ht / b,
-        "out_bias": ctx.g2.sum(axis=0) / b,
-        "conv1_agg": ctx.g1.T @ ctx.mt / b,
-        "conv1_bias": ctx.g1.sum(axis=0) / b,
+    res = {
+        "out_weight": _mean_product(ctx.g2.T, ctx.ht, b, o.get("out_weight")),
+        "out_bias": _mean_sum(ctx.g2, b, o.get("out_bias")),
+        "conv1_agg": _mean_product(ctx.g1.T, ctx.mt, b, o.get("conv1_agg")),
+        "conv1_bias": _mean_sum(ctx.g1, b, o.get("conv1_bias")),
     }
     if "conv1_self" in params.tensors:
-        out["conv1_self"] = ctx.g1.T @ ctx.xt / b
-    return {k: v[None] for k, v in out.items()}
+        res["conv1_self"] = _mean_product(ctx.g1.T, ctx.xt, b,
+                                          o.get("conv1_self"))
+    return res
 
 
 def _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency):
@@ -376,27 +439,26 @@ def node_matching_grad(ctx, params, v, want_adjacency, want_features=True):
     w_agg = t["conv1_agg"]
     w_self = t.get("conv1_self")
 
-    # contractions over one sample's tensors, as batched matrix products:
-    # (S, F, D) @ (S, D, 1) -> (S, F) and (S, 1, F) @ (S, F, D) -> (S, D)
-    g1 = ctx.g1[:, None, :]
-    g1bar = (v["conv1_agg"] @ ctx.mt[:, :, None])[:, :, 0] + v["conv1_bias"]
+    # contractions of each sample's rows with its co-tensors:
+    # (S, F, D) with (S, D) -> (S, F) and (S, F) with (S, F, D) -> (S, D)
+    g1bar = _covec_rows(v["conv1_agg"], ctx.mt) + v["conv1_bias"]
     if w_self is not None:
-        g1bar += (v["conv1_self"] @ ctx.xt[:, :, None])[:, :, 0]
-    mtbar = (g1 @ v["conv1_agg"])[:, 0]
+        g1bar += _covec_rows(v["conv1_self"], ctx.xt)
+    mtbar = _rows_covec(ctx.g1, v["conv1_agg"])
 
     ubar = g1bar * ctx.st
     stbar = g1bar * ctx.u
-    g2bar = ((v["out_weight"] @ ctx.ht[:, :, None])[:, :, 0] + v["out_bias"]
+    g2bar = (_covec_rows(v["out_weight"], ctx.ht) + v["out_bias"]
              + ubar @ w_out.T)
     pbar = ctx.q * g2bar - (g2bar * ctx.q).sum(axis=-1, keepdims=True) * ctx.q
     htbar = (pbar @ w_out
-             + (ctx.g2[:, None, :] @ v["out_weight"])[:, 0]
+             + _rows_covec(ctx.g2, v["out_weight"])
              + stbar * (1.0 - 2.0 * ctx.ht))
     ztbar = htbar * ctx.st
     mtbar = mtbar + ztbar @ w_agg
     xtbar = None
     if want_features and w_self is not None:
-        xtbar = (g1 @ v["conv1_self"])[:, 0] + ztbar @ w_self
+        xtbar = _rows_covec(ctx.g1, v["conv1_self"]) + ztbar @ w_self
     return _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency)
 
 
@@ -471,10 +533,12 @@ def _swap(a):
     return a.swapaxes(-1, -2)
 
 
-def graph_ctx(params, x, anorm, labels):
+def graph_ctx(params, x, anorm, labels, onehot_rows=None):
     """Forward + first-order backward intermediates; x is (B, N, D).
 
-    ``labels`` must already have passed :func:`check_labels`.
+    ``labels`` must already have passed :func:`check_labels`;
+    ``onehot_rows`` are their :func:`onehot` rows when built once by the
+    caller.
     """
     t = params.tensors
     x = np.asarray(x, dtype=np.float64)
@@ -500,7 +564,9 @@ def graph_ctx(params, x, anorm, labels):
     ctx.flat = ctx.hidden2.reshape(b, -1)
     ctx.logits = ctx.flat @ t["mlp_weight"].T + t["mlp_bias"]
     ctx.q = softmax(ctx.logits)
-    ctx.gp = _minus_onehot(ctx.q, labels)
+    if onehot_rows is None:
+        onehot_rows = onehot(labels, ctx.q.shape[-1])
+    ctx.gp = ctx.q - onehot_rows
 
     ctx.hbar = (ctx.gp @ t["mlp_weight"]).reshape(ctx.hidden2.shape)
     ctx.g2 = ctx.hbar * ctx.sig2
@@ -512,35 +578,40 @@ def graph_ctx(params, x, anorm, labels):
     return ctx
 
 
-def graph_bundles(ctx, params):
+def graph_bundles(ctx, params, out=None):
     """Per-sample gradient stacks for the graph task, leading axis B.
 
-    The bias stack of the readout is the trace's own array, not a copy.
+    Without ``out`` the bias stack of the readout is the trace's own
+    array, not a copy; ``out`` works as in :func:`node_bundles`.
     """
+    o = out or {}
     g2t = _swap(ctx.g2)
     g1t = _swap(ctx.g1)
-    out = {
-        "mlp_weight": ctx.gp[:, :, None] * ctx.flat[:, None, :],
-        "mlp_bias": ctx.gp,
-        "conv2_agg": g2t @ ctx.agg2,
-        "conv2_bias": ctx.g2.sum(axis=-2),
-        "conv1_agg": g1t @ ctx.agg1,
-        "conv1_bias": ctx.g1.sum(axis=-2),
+    res = {
+        "mlp_weight": np.multiply(ctx.gp[:, :, None], ctx.flat[:, None, :],
+                                  out=o.get("mlp_weight")),
+        "mlp_bias": _copy_into(o.get("mlp_bias"), ctx.gp),
+        "conv2_agg": np.matmul(g2t, ctx.agg2, out=o.get("conv2_agg")),
+        "conv2_bias": ctx.g2.sum(axis=-2, out=o.get("conv2_bias")),
+        "conv1_agg": np.matmul(g1t, ctx.agg1, out=o.get("conv1_agg")),
+        "conv1_bias": ctx.g1.sum(axis=-2, out=o.get("conv1_bias")),
     }
     if "conv2_self" in params.tensors:
-        out["conv2_self"] = g2t @ ctx.hidden1
+        res["conv2_self"] = np.matmul(g2t, ctx.hidden1,
+                                      out=o.get("conv2_self"))
     if "conv1_self" in params.tensors:
-        out["conv1_self"] = g1t @ ctx.x
-    return out
+        res["conv1_self"] = np.matmul(g1t, ctx.x, out=o.get("conv1_self"))
+    return res
 
 
-def graph_mean_bundle(ctx, params):
+def graph_mean_bundle(ctx, params, out=None):
     """The batch mean of :func:`graph_bundles`, as a stack of one.
 
     The B graphs' node rows are stacked into one (B*N)-row matrix per
     operand, so each weight gradient is one matrix product over every
-    sample's nodes.
+    sample's nodes. ``out`` works as in :func:`node_mean_bundle`.
     """
+    o = out or {}
     b = ctx.x.shape[0]
 
     def rows(a):
@@ -548,19 +619,21 @@ def graph_mean_bundle(ctx, params):
 
     g2 = rows(ctx.g2)
     g1 = rows(ctx.g1)
-    out = {
-        "mlp_weight": ctx.gp.T @ ctx.flat / b,
-        "mlp_bias": ctx.gp.sum(axis=0) / b,
-        "conv2_agg": g2.T @ rows(ctx.agg2) / b,
-        "conv2_bias": g2.sum(axis=0) / b,
-        "conv1_agg": g1.T @ rows(ctx.agg1) / b,
-        "conv1_bias": g1.sum(axis=0) / b,
+    res = {
+        "mlp_weight": _mean_product(ctx.gp.T, ctx.flat, b, o.get("mlp_weight")),
+        "mlp_bias": _mean_sum(ctx.gp, b, o.get("mlp_bias")),
+        "conv2_agg": _mean_product(g2.T, rows(ctx.agg2), b, o.get("conv2_agg")),
+        "conv2_bias": _mean_sum(g2, b, o.get("conv2_bias")),
+        "conv1_agg": _mean_product(g1.T, rows(ctx.agg1), b, o.get("conv1_agg")),
+        "conv1_bias": _mean_sum(g1, b, o.get("conv1_bias")),
     }
     if "conv2_self" in params.tensors:
-        out["conv2_self"] = g2.T @ rows(ctx.hidden1) / b
+        res["conv2_self"] = _mean_product(g2.T, rows(ctx.hidden1), b,
+                                          o.get("conv2_self"))
     if "conv1_self" in params.tensors:
-        out["conv1_self"] = g1.T @ rows(ctx.x) / b
-    return {k: v[None] for k, v in out.items()}
+        res["conv1_self"] = _mean_product(g1.T, rows(ctx.x), b,
+                                          o.get("conv1_self"))
+    return res
 
 
 def graph_input_grads(ctx, params, want_adjacency=True):
@@ -613,13 +686,13 @@ def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
         g2bar += ctx.hidden1 @ _swap(v["conv2_self"])
 
     # adjoints of the readout gradient outputs
-    gpbar = (v["mlp_weight"] @ ctx.flat[:, :, None])[:, :, 0] + v["mlp_bias"]
+    gpbar = _covec_rows(v["mlp_weight"], ctx.flat) + v["mlp_bias"]
     rbar = (g2bar * ctx.sig2).reshape(b, -1)
     gpbar += rbar @ wm.T
     s2bar = g2bar * ctx.hbar
 
     pbar = ctx.q * gpbar - (gpbar * ctx.q).sum(axis=-1, keepdims=True) * ctx.q
-    hflatbar = pbar @ wm + (ctx.gp[:, None, :] @ v["mlp_weight"])[:, 0]
+    hflatbar = pbar @ wm + _rows_covec(ctx.gp, v["mlp_weight"])
     h2bar = hflatbar.reshape(ctx.hidden2.shape) + s2bar * (1.0 - 2.0 * ctx.hidden2)
     z2bar = h2bar * ctx.sig2
 

@@ -777,3 +777,43 @@ class TestWholeObjective:
                 lambda: f(x, symmetric(), False)[0], theta)
             np.testing.assert_allclose(folded, fd, rtol=selftest.REL_TOL,
                                        atol=selftest.ABS_TOL)
+
+
+class TestObjectiveState:
+    """The objective's buffers carry nothing from one call to the next."""
+
+    @pytest.mark.parametrize("objective", ["cosine", "l2"])
+    @pytest.mark.parametrize("scenario",
+                             ["node1", "node2a", "graph_a", "batched_node"])
+    def test_second_call_equals_a_fresh_objective(self, monkeypatch, scenario,
+                                                  objective):
+        f, x2, a2 = objective_case(monkeypatch, scenario, "sage", objective)
+        fresh = objective_case(monkeypatch, scenario, "sage", objective)[0]
+        r = numkit.make_rng(41)
+        x1 = None if x2 is None else x2 + r.standard_normal(x2.shape)
+        a1 = None if a2 is None else symmetric_probabilities(r, a2.shape[0])
+        first = f(x1, a1, True)
+        kept = [None if arr is None else np.copy(arr) for arr in first]
+        second = f(x2, a2, True)
+        want = fresh(x2, a2, True)
+        assert first[0] != second[0]
+        for got_arr, want_arr in zip(second, want):
+            assert (got_arr is None) == (want_arr is None)
+            if want_arr is not None:
+                assert np.array_equal(got_arr, want_arr)
+        # the second call left what the first returned as it was
+        for arr, copy in zip(first, kept):
+            assert (arr is None and copy is None) or np.array_equal(arr, copy)
+
+
+def test_leak_with_a_tensor_the_model_lacks_fails():
+    """The dummy's bundle buffer is laid out from the leak, so a leaked
+    tensor the model never writes is refused before any iteration."""
+    r = numkit.make_rng(42)
+    g = graphs.synthetic_graph(r, 6, 2, 3, num_classes=3)
+    sage = models.init_params(r, "sage", "node", 3, 4, 3)
+    gcn = models.init_params(r, "gcn", "node", 3, 4, 3)
+    record = federated.leak(sage, g, "node2")
+    spec = attacks.AttackSpec(scenario="node2b", iterations=2)
+    with pytest.raises(ShapeError, match="conv1_self"):
+        attacks.attack_node2(record, spec, gcn, known_adjacency=g.adjacency)

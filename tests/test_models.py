@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from glg import graphs, models, numkit, selftest
+from glg import attacks, graphs, models, numkit, selftest
 from glg.errors import AmbiguousLabelError, ShapeError
 
 rng = numkit.make_rng(31)
@@ -401,6 +401,146 @@ class TestMeanBundle:
             want = stack.mean(axis=0, keepdims=True)
             assert mean[k].shape == want.shape
             assert np.abs(mean[k] - want).max() <= 1e-12
+
+
+def node_case(framework, layout):
+    """A node trace: every row of an 8-node graph a target (node2's layout),
+    one target of a shared graph, or a batch of three graphs."""
+    g, params, anorm = make_node_setup(framework, n=8, seed=81)
+    r = numkit.make_rng(82)
+    if layout == "every-row":
+        return models.node_ctx(params, g.features, anorm.matrix, None,
+                               g.labels), params
+    if layout == "one-target":
+        return models.node_ctx(params, g.features, anorm.matrix, [5],
+                               g.labels[[5]]), params
+    x = r.standard_normal((3,) + g.features.shape)
+    return models.node_ctx(params, x, anorm.matrix, [0, 2, 7],
+                           r.integers(0, 3, size=3)), params
+
+
+def graph_case(framework, batch):
+    r = numkit.make_rng(83)
+    n, d = 6, 4
+    params = models.init_params(r, framework, "graph", d, 5, 3, num_nodes=n)
+    x = r.standard_normal((batch, n, d))
+    mats = [graphs.normalize_dense(graphs.er_graph(r, n, 0.5, d).adjacency,
+                                   params.norm_mode) for _ in range(batch)]
+    anorm = mats[0] if batch == 1 else np.stack(mats)
+    return models.graph_ctx(params, x, anorm, r.integers(0, 3, size=batch)), params
+
+
+class TestBundleOut:
+    """With ``out``, a bundle pass writes exactly what it returns without it.
+
+    ``out`` holds the per-tensor views into one NaN-filled flat row buffer
+    that an attack builds, so a stack left unwritten shows as NaN.
+    """
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @pytest.mark.parametrize("layout", ["every-row", "one-target", "batch"])
+    @pytest.mark.parametrize("mean", [False, True], ids=["per-sample", "mean"])
+    def test_node(self, framework, layout, mean):
+        ctx, params = node_case(framework, layout)
+        fn = models.node_mean_bundle if mean else models.node_bundles
+        self.check(fn, ctx, params)
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("mean", [False, True], ids=["per-sample", "mean"])
+    def test_graph(self, framework, batch, mean):
+        ctx, params = graph_case(framework, batch)
+        fn = models.graph_mean_bundle if mean else models.graph_bundles
+        self.check(fn, ctx, params)
+
+    @staticmethod
+    def check(fn, ctx, params):
+        want = fn(ctx, params)
+        names = [k for k in models.PARAM_ORDER if k in want]
+        layout = attacks._layout(want, names)
+        buf = np.full((want[names[0]].shape[0], layout[-1][2]), np.nan)
+        views = attacks._unflatten(buf, layout)
+        assert all(np.shares_memory(v, buf) for v in views.values())
+        got = fn(ctx, params, out=views)
+        assert got.keys() == want.keys()
+        for k in names:
+            assert got[k] is views[k]
+            assert np.array_equal(views[k], want[k])
+        assert not np.isnan(buf).any()
+        # a second call overwrites the same arrays with the same bits
+        fn(ctx, params, out=views)
+        for k in names:
+            assert np.array_equal(views[k], want[k])
+
+
+class TestSharedCovector:
+    """A shared co-vector (a stack of one) is contracted by 2-D products;
+    the batched broadcast it replaces gives the same numbers."""
+
+    @pytest.mark.parametrize("shape", [(100, 10), (20, 16), (100, 100)])
+    def test_contractions_at_one_sample_are_exact(self, shape):
+        r = numkit.make_rng(84)
+        w = r.standard_normal((1,) + shape)
+        cols = r.standard_normal((1, shape[1]))
+        rows = r.standard_normal((1, shape[0]))
+        assert np.array_equal(models._covec_rows(w, cols),
+                              (w @ cols[:, :, None])[:, :, 0])
+        assert np.array_equal(models._rows_covec(rows, w),
+                              (rows[:, None, :] @ w)[:, 0])
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    def test_node_one_sample_is_exact(self, framework, monkeypatch):
+        ctx, params = node_case(framework, "one-target")
+        self.check_one_sample(models.node_matching_grad, ctx, params,
+                              models.node_bundles(ctx, params), monkeypatch)
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    def test_graph_one_sample_is_exact(self, framework, monkeypatch):
+        ctx, params = graph_case(framework, 1)
+        self.check_one_sample(models.graph_matching_grad, ctx, params,
+                              models.graph_bundles(ctx, params), monkeypatch)
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    def test_node_batch_of_five(self, framework):
+        g, params, anorm = make_node_setup(framework, n=8, seed=85)
+        r = numkit.make_rng(86)
+        x = r.standard_normal((5,) + g.features.shape)
+        ctx = models.node_ctx(params, x, anorm.matrix, r.integers(0, 8, size=5),
+                              r.integers(0, 3, size=5))
+        self.check_batch(models.node_matching_grad, ctx, params,
+                         models.node_mean_bundle(ctx, params), r)
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    def test_graph_batch_of_five(self, framework):
+        ctx, params = graph_case(framework, 5)
+        self.check_batch(models.graph_matching_grad, ctx, params,
+                         models.graph_mean_bundle(ctx, params),
+                         numkit.make_rng(87))
+
+    @staticmethod
+    def check_one_sample(grad, ctx, params, stacks, monkeypatch):
+        v = random_covectors(numkit.make_rng(88), stacks)
+        got = grad(ctx, params, v, True)
+
+        # the batched broadcast forms the 2-D products replace
+        def covec_rows(w, rows):
+            return (w @ rows[:, :, None])[:, :, 0]
+
+        def rows_covec(rows, w):
+            return (rows[:, None, :] @ w)[:, 0]
+
+        monkeypatch.setattr(models, "_covec_rows", covec_rows)
+        monkeypatch.setattr(models, "_rows_covec", rows_covec)
+        for got_arr, want_arr in zip(got, grad(ctx, params, v, True)):
+            assert np.array_equal(got_arr, want_arr)
+
+    @staticmethod
+    def check_batch(grad, ctx, params, mean, r):
+        shared = random_covectors(r, mean)
+        tiled = {k: np.repeat(s, 5, axis=0) for k, s in shared.items()}
+        for got_arr, want_arr in zip(grad(ctx, params, shared, True),
+                                     grad(ctx, params, tiled, True)):
+            assert_close_rel(got_arr, want_arr)
 
 
 class TestForwardGraph:
