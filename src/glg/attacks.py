@@ -38,7 +38,6 @@ from .models import (
     graph_bundles,
     graph_ctx,
     graph_matching_grad,
-    graph_mean_bundle,
     infer_label,
     node_bundles,
     node_ctx,
@@ -368,11 +367,10 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
         if node:
             ctx = node_ctx(params, x, an, targets, labels, onehot_rows,
                            None if opt_a else known_at)
-            bundle = node_mean_bundle if batch else node_bundles
+            (node_mean_bundle if batch else node_bundles)(ctx, params, out=dummy)
         else:
             ctx = graph_ctx(params, x, an, labels, onehot_rows)
-            bundle = graph_mean_bundle if batch else graph_bundles
-        bundle(ctx, params, out=dummy)
+            graph_bundles(ctx, params, out=dummy)
         value, vflat = match(dummy_flat)
         gx = ga = None
         if update:

@@ -63,15 +63,13 @@ def recover_agg_features(bundle, framework):
     gcn, the neighbor-aggregation weight for sage.
     """
     t = _tensors(bundle)
-    if framework == "gcn":
-        if "conv1_self" in t:
-            raise ShapeError("bundle has a self-path tensor; not a gcn bundle")
-        return _row_ratio(t["conv1_agg"], t["conv1_bias"])
-    if framework == "sage":
-        if "conv1_self" not in t:
-            raise ShapeError("sage bundle lacks the self-path tensor")
-        return _row_ratio(t["conv1_agg"], t["conv1_bias"])
-    raise ShapeError(f"unknown framework {framework!r}")
+    if framework not in ("gcn", "sage"):
+        raise ShapeError(f"unknown framework {framework!r}")
+    if framework == "gcn" and "conv1_self" in t:
+        raise ShapeError("bundle has a self-path tensor; not a gcn bundle")
+    if framework == "sage" and "conv1_self" not in t:
+        raise ShapeError("sage bundle lacks the self-path tensor")
+    return _row_ratio(t["conv1_agg"], t["conv1_bias"])
 
 
 def recover_target_features(bundle):

@@ -20,7 +20,6 @@ from .models import (
     check_labels,
     graph_bundles,
     graph_ctx,
-    graph_mean_bundle,
     node_bundles,
     node_ctx,
     node_mean_bundle,
@@ -97,6 +96,9 @@ def _node_stacks(params, g, targets, mean=False):
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
     if np.any(targets < 0) or np.any(targets >= g.num_nodes):
         raise ShapeError(f"target out of range for {g.num_nodes} nodes")
+    if g.feature_dim != params.feature_dim:
+        raise ShapeError(f"features are {g.feature_dim} wide, the model "
+                         f"expects {params.feature_dim}")
     anorm = normalize_adjacency(g, params.norm_mode).matrix
     if g.labels is None:
         raise ShapeError("node-task graph carries no labels")
@@ -105,25 +107,19 @@ def _node_stacks(params, g, targets, mean=False):
     return (node_mean_bundle if mean else node_bundles)(ctx, params)
 
 
-def _graph_stacks(params, gs, mean=False):
-    """Per-sample gradient stacks for a batch of equally sized graphs.
-
-    With ``mean``, their batch mean as a stack of one.
-    """
+def _graph_stacks(params, gs):
+    """The batch mean of equally sized graphs' gradients, as a stack of one."""
+    shapes = sorted({g.features.shape for g in gs})
+    if len(shapes) != 1 or shapes[0][1] != params.feature_dim:
+        raise ShapeError(f"graph leak needs one or more graphs of one size, "
+                         f"{params.feature_dim} features wide; got feature "
+                         f"shapes {shapes}")
     if any(g.graph_label is None for g in gs):
         raise ShapeError("graph-task sample carries no graph label")
-    anorm = np.stack(
-        [normalize_adjacency(g, params.norm_mode).matrix for g in gs]
-    )
+    anorm = np.stack([normalize_adjacency(g, params.norm_mode).matrix for g in gs])
     x = np.stack([g.features for g in gs])
     labels = check_labels([g.graph_label for g in gs], params.num_classes)
-    ctx = graph_ctx(params, x, anorm, labels)
-    return (graph_mean_bundle if mean else graph_bundles)(ctx, params)
-
-
-def _mean_bundle(stacks):
-    """The batch-averaged bundle; for a batch of one, that sample's bundle."""
-    return GradientBundle(tensors={k: v.mean(axis=0) for k, v in stacks.items()})
+    return graph_bundles(graph_ctx(params, x, anorm, labels), params)
 
 
 def _split(stacks):
@@ -147,10 +143,9 @@ def client_gradients(params, shard, batch_indices):
             raise ShapeError(f"batch index {idx!r} out of range for a shard "
                              f"of {len(samples)} samples")
     if node:
-        return [_mean_bundle(_node_stacks(params, shard.graph, samples[idx]))
+        return [leak(params, shard.graph, "node1", targets=[samples[idx]]).bundle
                 for idx in batch_indices]
-    return [_mean_bundle(_graph_stacks(params, [samples[idx]]))
-            for idx in batch_indices]
+    return [leak(params, samples[idx], "graph").bundle for idx in batch_indices]
 
 
 def aggregate_and_step(params, client_bundles, learning_rate, round_index=0):
@@ -173,8 +168,8 @@ def aggregate_and_step(params, client_bundles, learning_rate, round_index=0):
                 raise ShapeError(f"bundles are not congruent: {k} has shape "
                                  f"{b.tensors[k].shape}, the first bundle's "
                                  f"{first[k].shape}")
-    averaged = _mean_bundle(
-        {k: np.stack([b.tensors[k] for b in flat]) for k in names})
+    averaged = GradientBundle(tensors={
+        k: np.stack([b.tensors[k] for b in flat]).mean(axis=0) for k in names})
     updated = params.copy()
     for k in updated.param_names:
         updated.tensors[k] = updated.tensors[k] - learning_rate * averaged.tensors[k]
@@ -214,6 +209,6 @@ def leak(params, data, scenario, targets=None):
     else:
         gs = [data] if scenario == "graph" else list(data)
         size = len(gs)
-        stacks = _graph_stacks(params, gs, mean=True)
+        stacks = _graph_stacks(params, gs)
     return LeakRecord(scenario=scenario, bundles=_split(stacks),
                       batch_size=size)

@@ -12,10 +12,13 @@ self-loop normalization) and a "sage" flavour (separate aggregation and
 self weights, mean normalization).
 
 Besides plain backward passes (the gradient bundles a federated server
-would see), this module computes the gradient of ``<bundle, V>`` with
-respect to the input features and the normalized adjacency for a constant
-co-vector ``V``. That second-order pass is what the iterative
-gradient-matching attacks differentiate through.
+would see), this module computes batch means of bundles directly; a single
+graph is a batch of one, and only :func:`node_bundles` builds per-sample
+stacks, for node2's per-node leak and the unbatched node attacks. It also
+computes the gradient of ``<bundle, V>`` with respect to the input
+features and the normalized adjacency for a constant co-vector ``V``.
+That second-order pass is what the iterative gradient-matching attacks
+differentiate through.
 
 Array convention: an optional leading sample axis is supported everywhere;
 ``x`` may be (N, D) or (B, N, D), the normalized adjacency (N, N) or
@@ -579,37 +582,12 @@ def graph_ctx(params, x, anorm, labels, onehot_rows=None):
 
 
 def graph_bundles(ctx, params, out=None):
-    """Per-sample gradient stacks for the graph task, leading axis B.
+    """The batch mean of the B graphs' gradients, as a stack of one.
 
-    Without ``out`` the bias stack of the readout is the trace's own
-    array, not a copy; ``out`` works as in :func:`node_bundles`.
-    """
-    o = out or {}
-    g2t = _swap(ctx.g2)
-    g1t = _swap(ctx.g1)
-    res = {
-        "mlp_weight": np.multiply(ctx.gp[:, :, None], ctx.flat[:, None, :],
-                                  out=o.get("mlp_weight")),
-        "mlp_bias": _copy_into(o.get("mlp_bias"), ctx.gp),
-        "conv2_agg": np.matmul(g2t, ctx.agg2, out=o.get("conv2_agg")),
-        "conv2_bias": ctx.g2.sum(axis=-2, out=o.get("conv2_bias")),
-        "conv1_agg": np.matmul(g1t, ctx.agg1, out=o.get("conv1_agg")),
-        "conv1_bias": ctx.g1.sum(axis=-2, out=o.get("conv1_bias")),
-    }
-    if "conv2_self" in params.tensors:
-        res["conv2_self"] = np.matmul(g2t, ctx.hidden1,
-                                      out=o.get("conv2_self"))
-    if "conv1_self" in params.tensors:
-        res["conv1_self"] = np.matmul(g1t, ctx.x, out=o.get("conv1_self"))
-    return res
-
-
-def graph_mean_bundle(ctx, params, out=None):
-    """The batch mean of :func:`graph_bundles`, as a stack of one.
-
-    The B graphs' node rows are stacked into one (B*N)-row matrix per
-    operand, so each weight gradient is one matrix product over every
-    sample's nodes. ``out`` works as in :func:`node_mean_bundle`.
+    A single graph is a batch of one. The B graphs' node rows are stacked
+    into one (B*N)-row matrix per operand, so each weight gradient is one
+    matrix product over every sample's nodes. ``out`` works as in
+    :func:`node_mean_bundle`.
     """
     o = out or {}
     b = ctx.x.shape[0]

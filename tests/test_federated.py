@@ -67,6 +67,27 @@ class TestClientGradients:
             federated.client_gradients(params, shard, [0, index])
         assert calls == []
 
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @pytest.mark.parametrize("task", ["node", "graph"])
+    def test_bundles_are_leaks_of_one_sample(self, task, framework):
+        if task == "node":
+            g, params = node_setup(framework=framework)
+            shard = federated.ClientShard(client_id=0, graph=g,
+                                          targets=[4, 0, 6])
+            want = [federated.leak(params, g, "node1", targets=[t]).bundle
+                    for t in shard.targets]
+        else:
+            g, params = graph_setup(framework=framework)
+            h, _ = graph_setup(seed=3, framework=framework)
+            shard = federated.ClientShard(client_id=0, graphs=[g, h, g])
+            want = [federated.leak(params, s, "graph").bundle
+                    for s in shard.graphs]
+        got = federated.client_gradients(params, shard, [0, 1, 2])
+        for b, w in zip(got, want, strict=True):
+            assert b.param_names == w.param_names
+            for k in w.param_names:
+                assert np.array_equal(b.tensors[k], w.tensors[k])
+
     def test_shard_validation(self):
         g, _ = node_setup()
         with pytest.raises(ShapeError):
@@ -230,6 +251,53 @@ class TestLeak:
         g, params = node_setup()
         with pytest.raises(ShapeError, match="target"):
             federated.leak(params, g, scenario, targets=targets)
+
+    @staticmethod
+    def no_pass(monkeypatch):
+        """Record every forward pass the leak would run."""
+        calls = []
+        for name in ("node_ctx", "graph_ctx"):
+            monkeypatch.setattr(federated, name,
+                                lambda *a, **k: calls.append(a))
+        return calls
+
+    def test_batched_graphs_of_different_sizes_raise(self, monkeypatch):
+        g, params = graph_setup()
+        r = numkit.make_rng(3)
+        h0 = graphs.er_graph(r, g.num_nodes + 1, 0.5, g.feature_dim)
+        h = graphs.Graph(adjacency=h0.adjacency, features=h0.features,
+                         graph_label=0)
+        calls = self.no_pass(monkeypatch)
+        with pytest.raises(ShapeError, match=r"of one size.*\(6, 3\)"):
+            federated.leak(params, [g, h], "batched-graph")
+        assert calls == []
+
+    def test_empty_graph_batch_raises(self, monkeypatch):
+        _, params = graph_setup()
+        calls = self.no_pass(monkeypatch)
+        with pytest.raises(ShapeError, match="one or more graphs"):
+            federated.leak(params, [], "batched-graph")
+        assert calls == []
+
+    @pytest.mark.parametrize("scenario", ["node1", "node2", "batched-node",
+                                          "graph", "batched-graph"])
+    def test_feature_width_mismatch_raises(self, scenario, monkeypatch):
+        if scenario.endswith("graph"):
+            g, _ = graph_setup(d=4)
+            _, narrow = graph_setup(d=3)
+            data, targets = ([g, g] if scenario == "batched-graph" else g), None
+            message = "3 features wide"
+        else:
+            g, _ = node_setup(d=4)
+            _, narrow = node_setup(d=3)
+            data = g
+            targets = {"node1": [3], "node2": None,
+                       "batched-node": [1, 3]}[scenario]
+            message = "features are 4 wide, the model expects 3"
+        calls = self.no_pass(monkeypatch)
+        with pytest.raises(ShapeError, match=message):
+            federated.leak(narrow, data, scenario, targets=targets)
+        assert calls == []
 
     def test_node1_needs_exactly_one_target(self):
         g, params = node_setup()

@@ -316,12 +316,13 @@ class TestContractions:
         # a single graph shares its (N, N) matrix, as in the graph attacks
         anorm = mats[0] if batch == 1 else np.stack(mats)
         ctx = models.graph_ctx(params, x, anorm, r.integers(0, 3, size=batch))
-        stacks = models.graph_bundles(ctx, params)
+        mean = models.graph_bundles(ctx, params)
         want = einsum_graph_bundles(ctx, params)
-        assert stacks.keys() == want.keys()
+        assert mean.keys() == want.keys()
         for k in want:
-            assert_close_rel(stacks[k], want[k])
-        v = random_covectors(r, stacks)
+            assert_close_rel(mean[k], want[k].mean(axis=0, keepdims=True))
+        # one co-vector per sample, as matching per-sample stacks would give
+        v = random_covectors(r, want)
         got = models.graph_matching_grad(ctx, params, v, True)
         for got_arr, want_arr in zip(got, einsum_graph_matching_grad(ctx, params, v)):
             assert_close_rel(got_arr, want_arr)
@@ -365,7 +366,11 @@ class TestAllRowTargets:
 
 
 class TestMeanBundle:
-    """The batch-mean helpers against the mean of the per-sample stacks."""
+    """The node batch-mean pass against the mean of the per-sample stacks.
+
+    The graph pass is pinned the same way in
+    :meth:`TestContractions.test_graph_passes`.
+    """
 
     @pytest.mark.parametrize("framework", ["gcn", "sage"])
     @pytest.mark.parametrize("batch", [1, 3])
@@ -379,20 +384,6 @@ class TestMeanBundle:
                               r.integers(0, 3, size=batch))
         self.check(models.node_mean_bundle(ctx, params),
                    models.node_bundles(ctx, params))
-
-    @pytest.mark.parametrize("framework", ["gcn", "sage"])
-    @pytest.mark.parametrize("batch", [1, 3])
-    def test_graph(self, framework, batch):
-        r = numkit.make_rng(75)
-        n, d = 6, 4
-        params = models.init_params(r, framework, "graph", d, 5, 3, num_nodes=n)
-        x = r.standard_normal((batch, n, d))
-        anorm = np.stack([graphs.normalize_dense(
-            graphs.er_graph(r, n, 0.5, d).adjacency, params.norm_mode)
-            for _ in range(batch)])
-        ctx = models.graph_ctx(params, x, anorm, r.integers(0, 3, size=batch))
-        self.check(models.graph_mean_bundle(ctx, params),
-                   models.graph_bundles(ctx, params))
 
     @staticmethod
     def check(mean, stacks):
@@ -449,9 +440,17 @@ class TestBundleOut:
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("mean", [False, True], ids=["per-sample", "mean"])
     def test_graph(self, framework, batch, mean):
+        """The one graph pass, over the whole batch or on each graph of it
+        as a batch of one (how a client computes its per-sample bundles)."""
         ctx, params = graph_case(framework, batch)
-        fn = models.graph_mean_bundle if mean else models.graph_bundles
-        self.check(fn, ctx, params)
+        if mean:
+            self.check(models.graph_bundles, ctx, params)
+            return
+        for i in range(batch):
+            anorm = ctx.anorm if ctx.anorm.ndim == 2 else ctx.anorm[i]
+            one = models.graph_ctx(params, ctx.x[i:i + 1], anorm,
+                                   ctx.labels[i:i + 1])
+            self.check(models.graph_bundles, one, params)
 
     @staticmethod
     def check(fn, ctx, params):
@@ -514,7 +513,7 @@ class TestSharedCovector:
     def test_graph_batch_of_five(self, framework):
         ctx, params = graph_case(framework, 5)
         self.check_batch(models.graph_matching_grad, ctx, params,
-                         models.graph_mean_bundle(ctx, params),
+                         models.graph_bundles(ctx, params),
                          numkit.make_rng(87))
 
     @staticmethod
