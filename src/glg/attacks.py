@@ -218,9 +218,9 @@ def smoothness_grads(x, a, wrt_features, wrt_adjacency):
     r = np.where(pos, 1.0 / np.sqrt(safe), 0.0)
     u = x * r[:, None]
     sq = (u * u).sum(axis=1)
-    pair = sq[:, None] + sq[None, :] - 2.0 * (u @ u.T)
+    pair = sq[:, None] + sq[None, :] - 2.0 * np.dot(u, u.T)
     value = float(0.5 * (a * pair).sum())
-    gu = (d + a.sum(axis=0))[:, None] * u - a @ u - a.T @ u
+    gu = (d + a.sum(axis=0))[:, None] * u - np.dot(a, u) - np.dot(a.T, u)
     gx = None
     if wrt_features:
         gx = gu * r[:, None]

@@ -191,13 +191,23 @@ def leak(params, data, scenario, targets=None):
     bundle per node of the (sub)graph, each node its own loss. graph: the
     bundle of one graph sample. batched-node / batched-graph: the average
     over the batch (``targets`` / list order defines it). A single-sample
-    leak is the average over a batch of one.
+    leak is the average over a batch of one. ``data`` is a list of graphs
+    for batched-graph and one :class:`Graph` otherwise; any other container
+    raises :class:`ShapeError` before a pass runs.
     """
     if scenario not in SCENARIO_TASKS:
         raise ShapeError(f"scenario must be one of {tuple(SCENARIO_TASKS)}")
     if params.task != SCENARIO_TASKS[scenario]:
         raise ShapeError(f"{scenario} leak needs a "
                          f"{SCENARIO_TASKS[scenario]}-task model")
+    if scenario == "batched-graph":
+        if not isinstance(data, (list, tuple)) or not all(
+                isinstance(g, Graph) for g in data):
+            raise ShapeError(f"batched-graph leak needs a list of Graphs, "
+                             f"got {type(data).__name__}")
+    elif not isinstance(data, Graph):
+        raise ShapeError(f"{scenario} leak needs one Graph, got "
+                         f"{type(data).__name__}")
     if scenario == "node2":
         return LeakRecord(scenario=scenario, bundles=_split(
             _node_stacks(params, data, np.arange(data.num_nodes))))

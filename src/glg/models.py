@@ -167,11 +167,12 @@ def softmax(logits):
 
 
 def _sigmoid(z):
-    # exp of a non-positive argument never overflows; the two branches give
-    # the same bits as the masked form 1/(1+exp(-z)) for z >= 0 and
-    # exp(z)/(1+exp(z)) for z < 0
+    # exp of a non-positive argument never overflows. The numerator is
+    # exp(min(z, 0)): exactly 1 for z >= 0 and e itself for z < 0, so the
+    # quotient has the bits of the masked form 1/(1+exp(-z)) for z >= 0 and
+    # exp(z)/(1+exp(z)) for z < 0, without np.where's scalar broadcast
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + e)
 
 
 def _ce_rows(logits, labels):
@@ -208,20 +209,30 @@ def _copy_into(dst, src):
 
 
 def _mean_product(a, b, n, dst):
-    """``a @ b / n`` as a stack of one, computed in ``dst`` when given."""
+    """``a @ b / n`` as a stack of one, computed in ``dst`` when given.
+
+    ``a`` and ``b`` are 2-D, so ``np.dot`` runs the product without the
+    matmul gufunc's dispatch. At ``n = 1`` (a single sample) nothing is
+    divided: ``x / 1`` is exact, so the bits are those of the raw product.
+    """
     if dst is None:
         dst = np.empty((1, a.shape[0], b.shape[1]))
-    np.matmul(a, b, out=dst[0])
-    dst /= n
+    np.dot(a, b, out=dst[0])
+    if n > 1:
+        dst /= n
     return dst
 
 
 def _mean_sum(a, n, dst):
-    """The column sums of ``a`` over ``n`` as a stack of one, in ``dst`` when given."""
+    """The column sums of ``a`` over ``n`` as a stack of one, in ``dst`` when given.
+
+    As in :func:`_mean_product`, nothing is divided at ``n = 1``.
+    """
     if dst is None:
         dst = np.empty((1, a.shape[1]))
     np.add.reduce(a, axis=0, out=dst[0])
-    dst /= n
+    if n > 1:
+        dst /= n
     return dst
 
 
@@ -229,17 +240,18 @@ def _covec_rows(w, rows):
     """``w[s] @ rows[s]`` for each sample s: an (S, M) stack of products.
 
     A shared co-vector ``w`` (a stack of one) is one 2-D product over all
-    the rows instead of S matrix-vector products.
+    the rows instead of S matrix-vector products; ``rows`` is 2-D, so it
+    goes to ``np.dot``. Per-sample stacks keep the batched ``@``.
     """
     if w.shape[0] == 1:
-        return rows @ w[0].T
+        return np.dot(rows, w[0].T)
     return (w @ rows[:, :, None])[:, :, 0]
 
 
 def _rows_covec(rows, w):
     """``rows[s] @ w[s]`` for each sample s; a shared ``w`` as one 2-D product."""
     if w.shape[0] == 1:
-        return rows @ w[0]
+        return np.dot(rows, w[0])
     return (rows[:, None, :] @ w)[:, 0]
 
 
@@ -295,11 +307,15 @@ def _gather_rows(arr, targets):
     return arr[targets]
 
 
-def _pre_activation(t, layer, agg, h):
-    """Pre-activation of a convolution layer from its aggregated and own inputs."""
-    pre = agg @ t[layer + "_agg"].T + t[layer + "_bias"]
+def _pre_activation(t, layer, agg, h, product=np.matmul):
+    """Pre-activation of a convolution layer from its aggregated and own inputs.
+
+    ``product`` multiplies the inputs by the transposed weights: the node
+    pass, whose rows are 2-D, passes ``np.dot``; graph stacks keep matmul.
+    """
+    pre = product(agg, t[layer + "_agg"].T) + t[layer + "_bias"]
     if layer + "_self" in t:
-        pre = pre + h @ t[layer + "_self"].T
+        pre = pre + product(h, t[layer + "_self"].T)
     return pre
 
 
@@ -320,20 +336,21 @@ def node_ctx(params, x, anorm, targets, labels, onehot_rows=None, at=None):
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
 
     # the head reads the first layer at the targets only, so only those
-    # rows are computed
+    # rows are computed; every row stack is 2-D, so the products go to
+    # np.dot
     ctx = NodeTrace(x=x, anorm=anorm, targets=targets, labels=labels)
     ctx.at = _gather_rows(anorm, targets) if at is None else at
     ctx.xt = _gather_rows(x, targets)
-    ctx.mt = (ctx.at[:, None, :] @ x)[:, 0] if x.ndim == 3 else ctx.at @ x
-    ctx.ht = _sigmoid(_pre_activation(t, "conv1", ctx.mt, ctx.xt))
+    ctx.mt = (ctx.at[:, None, :] @ x)[:, 0] if x.ndim == 3 else np.dot(ctx.at, x)
+    ctx.ht = _sigmoid(_pre_activation(t, "conv1", ctx.mt, ctx.xt, np.dot))
     ctx.st = ctx.ht * (1.0 - ctx.ht)
 
-    ctx.logits = ctx.ht @ t["out_weight"].T + t["out_bias"]
+    ctx.logits = np.dot(ctx.ht, t["out_weight"].T) + t["out_bias"]
     ctx.q = softmax(ctx.logits)
     if onehot_rows is None:
         onehot_rows = onehot(labels, ctx.q.shape[-1])
     ctx.g2 = ctx.q - onehot_rows
-    ctx.u = ctx.g2 @ t["out_weight"]
+    ctx.u = np.dot(ctx.g2, t["out_weight"])
     ctx.g1 = ctx.u * ctx.st
     return ctx
 
@@ -394,11 +411,11 @@ def _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency):
     xbar = abar = None
     if ctx.targets is None:  # every row is a target: no scatter
         if want_features:
-            xbar = ctx.anorm.T @ mtbar
+            xbar = np.dot(ctx.anorm.T, mtbar)
             if xtbar is not None:
                 xbar += xtbar
         if want_adjacency:
-            abar = mtbar @ ctx.x.T
+            abar = np.dot(mtbar, ctx.x.T)
         return xbar, abar
     if ctx.x.ndim == 3:
         rows = np.arange(ctx.x.shape[0])
@@ -411,12 +428,12 @@ def _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency):
             abar[rows, ctx.targets] = (ctx.x @ mtbar[:, :, None])[:, :, 0]
         return xbar, abar
     if want_features:
-        xbar = ctx.at.T @ mtbar
+        xbar = np.dot(ctx.at.T, mtbar)
         if xtbar is not None:
             np.add.at(xbar, ctx.targets, xtbar)
     if want_adjacency:
         abar = np.zeros((ctx.x.shape[0], ctx.x.shape[0]))
-        np.add.at(abar, ctx.targets, mtbar @ ctx.x.T)
+        np.add.at(abar, ctx.targets, np.dot(mtbar, ctx.x.T))
     return xbar, abar
 
 
@@ -452,16 +469,16 @@ def node_matching_grad(ctx, params, v, want_adjacency, want_features=True):
     ubar = g1bar * ctx.st
     stbar = g1bar * ctx.u
     g2bar = (_covec_rows(v["out_weight"], ctx.ht) + v["out_bias"]
-             + ubar @ w_out.T)
+             + np.dot(ubar, w_out.T))
     pbar = ctx.q * g2bar - (g2bar * ctx.q).sum(axis=-1, keepdims=True) * ctx.q
-    htbar = (pbar @ w_out
+    htbar = (np.dot(pbar, w_out)
              + _rows_covec(ctx.g2, v["out_weight"])
              + stbar * (1.0 - 2.0 * ctx.ht))
     ztbar = htbar * ctx.st
-    mtbar = mtbar + ztbar @ w_agg
+    mtbar = mtbar + np.dot(ztbar, w_agg)
     xtbar = None
     if want_features and w_self is not None:
-        xtbar = _rows_covec(ctx.g1, v["conv1_self"]) + ztbar @ w_self
+        xtbar = _rows_covec(ctx.g1, v["conv1_self"]) + np.dot(ztbar, w_self)
     return _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency)
 
 

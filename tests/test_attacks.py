@@ -241,6 +241,58 @@ class TestFixedPoints:
         assert np.all(res.objective_trace == 0.0)
         assert np.array_equal(res.features, g.features)
 
+    # node1 and the batched node attack optimize a dummy tree, not the
+    # private graph, so they have no truth point at which to evaluate this
+    @pytest.mark.parametrize("objective", ["cosine", "l2"])
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @pytest.mark.parametrize("scenario", [
+        "node2a", "node2b", "node2c", "graph_a", "graph_b", "graph_c",
+        "batched_graph"])
+    def test_objective_is_zero_at_the_truth(self, scenario, framework,
+                                            objective):
+        """The leak and the attack run the same products, so the dummy's
+        bundle at the private inputs has the leak's bits: the matching value
+        and every gradient entry are exactly zero."""
+        r = numkit.make_rng(18)
+        n, d = 8, 20
+        if scenario.startswith("node"):
+            g = graphs.synthetic_graph(r, n, 2, d, num_classes=3)
+            params = models.init_params(r, framework, "node", d, 16, 3)
+            record = federated.leak(params, g, "node2")
+            gs, labels = [g], g.labels
+        else:
+            gs = []
+            for i in range(3 if scenario == "batched_graph" else 1):
+                g0 = graphs.er_graph(r, n, 0.5, d)
+                gs.append(graphs.Graph(adjacency=g0.adjacency,
+                                       features=g0.features, graph_label=i))
+            params = models.init_params(r, framework, "graph", d, 16, 3,
+                                        num_nodes=n)
+            record = federated.leak(params, gs if len(gs) > 1 else gs[0],
+                                    "batched-graph" if len(gs) > 1 else "graph")
+            labels = np.array([g.graph_label for g in gs])
+        x = np.stack([g.features for g in gs]) if len(gs) > 1 else gs[0].features
+        a = gs[0].adjacency
+        # batched_graph optimizes the features, as graph_b does
+        opt_x = scenario == "batched_graph" or scenario[-1] in "bc"
+        opt_a = scenario[-1] in "ac"
+        anorm = None
+        if not opt_a:
+            mats = [graphs.normalize_dense(g.adjacency, params.norm_mode)
+                    for g in gs]
+            anorm = np.stack(mats) if len(gs) > 1 else mats[0]
+        # of the spec, the objective reads only the matching loss's kind
+        spec = attacks.AttackSpec(scenario="node2a", objective=objective)
+        f = attacks._matching_objective(
+            spec, params, record.bundles, labels,
+            known_x=None if opt_x else x, known_a=None if opt_a else a,
+            anorm=anorm)
+        value, gx, ga = f(x if opt_x else None, a if opt_a else None, True)
+        assert value == 0.0
+        assert (gx is None) != opt_x and (ga is None) != opt_a
+        for grad in (gx, ga):
+            assert grad is None or np.all(grad == 0.0)
+
 
 class TestIterativeAttacks:
     def test_node2a_recovers_structure(self):

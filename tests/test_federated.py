@@ -299,6 +299,21 @@ class TestLeak:
             federated.leak(narrow, data, scenario, targets=targets)
         assert calls == []
 
+    @pytest.mark.parametrize("scenario", ["node1", "node2", "batched-node",
+                                          "graph", "batched-graph"])
+    def test_wrong_container_raises(self, scenario, monkeypatch):
+        if scenario.endswith("graph"):
+            g, params = graph_setup()
+        else:
+            g, params = node_setup()
+        # a list where one graph belongs, and one graph where a list does
+        data = g if scenario == "batched-graph" else [g]
+        targets = {"node1": [3], "batched-node": [1, 3]}.get(scenario)
+        calls = self.no_pass(monkeypatch)
+        with pytest.raises(ShapeError, match="Graph"):
+            federated.leak(params, data, scenario, targets=targets)
+        assert calls == []
+
     def test_node1_needs_exactly_one_target(self):
         g, params = node_setup()
         with pytest.raises(ShapeError, match="one target"):

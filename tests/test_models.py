@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,17 +134,27 @@ def two_branch_sigmoid(z):
     return out
 
 
+def where_sigmoid(z):
+    """The same two branches over one exp: numerator 1 or e = exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
 class TestSigmoid:
     @pytest.mark.parametrize("z", [
         np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, 36.7, -36.7,
-                  745.2, -745.2]),
+                  745.0, -745.0, 745.2, -745.2, np.inf, -np.inf, np.nan]),
         numkit.make_rng(51).normal(0.0, 20.0, size=(40, 25)),
         numkit.make_rng(52).normal(0.0, 3.0, size=(3, 8, 20)),
-    ], ids=["edges", "2d", "3d"])
+        numkit.make_rng(53).normal(0.0, 10.0, size=100_000),
+    ], ids=["edges", "2d", "3d", "1e5"])
     def test_bit_identical_to_two_branch_form(self, z):
-        got = models._sigmoid(z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = models._sigmoid(z)
         assert got.shape == z.shape and got.dtype == np.float64
-        assert np.array_equal(got, two_branch_sigmoid(z))
+        for want in (two_branch_sigmoid(z), where_sigmoid(z)):
+            assert np.array_equal(got, want, equal_nan=True)
 
     def test_saturates_without_overflow(self):
         with np.errstate(over="raise"):
@@ -474,7 +485,8 @@ class TestBundleOut:
 
 class TestSharedCovector:
     """A shared co-vector (a stack of one) is contracted by 2-D products;
-    the batched broadcast it replaces gives the same numbers."""
+    the batched broadcast it replaces gives the same numbers. A batch mean
+    over one sample is the raw product or sum, with nothing divided."""
 
     @pytest.mark.parametrize("shape", [(100, 10), (20, 16), (100, 100)])
     def test_contractions_at_one_sample_are_exact(self, shape):
@@ -486,6 +498,14 @@ class TestSharedCovector:
                               (w @ cols[:, :, None])[:, :, 0])
         assert np.array_equal(models._rows_covec(rows, w),
                               (rows[:, None, :] @ w)[:, 0])
+        # a general product, an outer product and a product with its own
+        # transpose
+        for a, b in ((w[0].T, r.standard_normal(shape)), (cols.T, rows),
+                     (w[0], w[0].T)):
+            assert np.array_equal(models._mean_product(a, b, 1, None),
+                                  (a @ b)[None])
+        assert np.array_equal(models._mean_sum(w[0], 1, None),
+                              w[0].sum(axis=0, keepdims=True))
 
     @pytest.mark.parametrize("framework", ["gcn", "sage"])
     def test_node_one_sample_is_exact(self, framework, monkeypatch):
