@@ -27,8 +27,7 @@ for framework in ("sage", "gcn"):
         target = int(rng.integers(0, 50))
         record = leak(params, g, "node1", targets=[target])
 
-        spec = AttackSpec(scenario="node1", iterations=2000, d_tree=10,
-                          seed=seed)
+        spec = AttackSpec(scenario="node1", iterations=2000, d_tree=10)
         result = attack_node1(record, spec, params, rng=rng)
         errs.append(rnmse(g.features[target], result.target_feature))
     print(f"{framework:5s} target-feature RNMSE over 5 nodes: "

@@ -25,19 +25,18 @@ record = leak(params, g, "node2")
 print(f"leak: {len(record.bundles)} per-node gradient bundles\n")
 
 spec_a = AttackSpec(scenario="node2a", iterations=1500,
-                    finalization="threshold", init="constant", init_value=1.0,
-                    seed=0)
+                    finalization="threshold", init="constant", init_value=1.0)
 res = attack_node2(record, spec_a, params, known_features=g.features, rng=rng)
 sc = score_adjacency(g.adjacency, res.adjacency, res.adjacency_prob)
 print(f"features known  -> structure: ACC {sc.accuracy:.2f} "
       f"AUC {sc.auc:.2f} AP {sc.ap:.2f}")
 
-spec_b = AttackSpec(scenario="node2b", iterations=1500, seed=0)
+spec_b = AttackSpec(scenario="node2b", iterations=1500)
 res = attack_node2(record, spec_b, params, known_adjacency=g.adjacency, rng=rng)
 print(f"structure known -> features:  RNMSE {rnmse_per_row(g.features, res.features):.1e}")
 
 spec_c = AttackSpec(scenario="node2c", iterations=1500,
-                    finalization="threshold", seed=0)
+                    finalization="threshold")
 res = attack_node2(record, spec_c, params, rng=rng)
 sc = score_adjacency(g.adjacency, res.adjacency, res.adjacency_prob)
 print(f"nothing known   -> both:      RNMSE "

@@ -29,13 +29,13 @@ params = init_params(rng, "sage", "graph", 16, 24, 3, num_nodes=8)
 record = leak(params, g, "graph")
 
 spec = AttackSpec(scenario="graph_a", iterations=1500, finalization="threshold",
-                  init="constant", init_value=1.0, seed=0)
+                  init="constant", init_value=1.0)
 res = attack_graph(record, spec, params, known_features=g.features, rng=rng)
 sc = score_adjacency(g.adjacency, res.adjacency, res.adjacency_prob)
 print(f"features known  -> structure: ACC {sc.accuracy:.2f} AUC {sc.auc:.2f} "
       f"AP {sc.ap:.2f}")
 
-spec = AttackSpec(scenario="graph_b", iterations=1500, seed=0)
+spec = AttackSpec(scenario="graph_b", iterations=1500)
 res = attack_graph(record, spec, params, known_adjacency=g.adjacency, rng=rng)
 print(f"structure known -> features:  RNMSE "
       f"{rnmse_per_row(g.features, res.features):.1e}")
@@ -52,8 +52,9 @@ for alpha, beta, tag in ((1e-9, 1e-7, "with regularizers"),
         p = init_params(r, "gcn", "graph", 8, 24, 2, num_nodes=16)
         rec = leak(p, gg, "graph")
         s = AttackSpec(scenario="graph_a", iterations=800, alpha=alpha,
-                       beta=beta, seed=seed, init="gaussian")
-        out = attack_graph(rec, s, p, known_features=gg.features)
+                       beta=beta, init="gaussian")
+        out = attack_graph(rec, s, p, known_features=gg.features,
+                           rng=make_rng(seed))
         try:
             aps.append(average_precision(gg.adjacency, out.adjacency))
         except Exception:

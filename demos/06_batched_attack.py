@@ -23,7 +23,7 @@ for batch_size in (1, 5, 20):
     targets = rng.choice(50, size=batch_size, replace=False)
     record = leak(params, g, "batched-node", targets=targets)
 
-    spec = AttackSpec(scenario="node1", iterations=2000, d_tree=5, seed=0)
+    spec = AttackSpec(scenario="node1", iterations=2000, d_tree=5)
     results = attack_batched(record, spec, params, labels=g.labels[targets],
                              rng=rng)
     score = batch_match_score([g.features[t] for t in targets],

@@ -19,7 +19,6 @@ from .attacks import (
     finalize_adjacency,
     frobenius_penalty,
     project_interval,
-    smoothness,
 )
 from .closed_form import (
     MatrixRecovery,

@@ -7,7 +7,8 @@ objective (plus smoothness and Frobenius regularizers when structure is
 being recovered), and the dummies updated by Adam. Adjacency dummies stay
 symmetric by construction: each off-diagonal pair is one unknown, each
 step is projected back into [0, 1], and the final probabilistic matrix is
-binarized by Bernoulli sampling or min-max thresholding.
+binarized by Bernoulli sampling or min-max thresholding. Each attack
+draws from the ``numpy.random.Generator`` it is passed as ``rng``.
 """
 
 import math
@@ -45,7 +46,7 @@ from .models import (
     node_mean_bundle,
     onehot,
 )
-from .numkit import AdamState, adam_step, make_rng, sample_bernoulli
+from .numkit import AdamState, adam_step, sample_bernoulli
 
 __all__ = [
     "AttackSpec",
@@ -57,7 +58,6 @@ __all__ = [
     "finalize_adjacency",
     "frobenius_penalty",
     "project_interval",
-    "smoothness",
 ]
 
 SCENARIOS = ("node1", "node2a", "node2b", "node2c", "graph_a", "graph_b", "graph_c")
@@ -81,7 +81,6 @@ class AttackSpec:
     d_tree: int = 10               # dummy-tree degree (node1)
     finalization: str = "bernoulli"
     threshold: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -106,7 +105,6 @@ class AttackSpec:
             raise ConfigError("threshold must lie in [0, 1]", "threshold")
         for name in ("iterations", "d_tree"):
             check_int(getattr(self, name), name, 1)
-        check_int(self.seed, "seed", 0)
 
 
 @dataclass
@@ -198,18 +196,14 @@ def _matcher(leaked_flat, kind):
 # Regularizers, projection, finalization
 # ---------------------------------------------------------------------------
 
-def smoothness(x, a):
+def smoothness_grads(x, a, wrt_features, wrt_adjacency):
     """Dirichlet energy of the degree-scaled features over the edge set.
 
-    Sum over edges of ||x_i/sqrt(d_i) - x_j/sqrt(d_j)||^2; zero-degree rows
-    contribute nothing. Accepts a weighted adjacency (each ordered pair
-    counts half).
+    The value is the sum over edges of ||x_i/sqrt(d_i) - x_j/sqrt(d_j)||^2;
+    zero-degree rows contribute nothing. Accepts a weighted adjacency (each
+    ordered pair counts half). Returns ``(value, gx, ga)`` with the exact
+    gradients, degrees included, of the inputs asked for (None otherwise).
     """
-    return smoothness_grads(x, a, False, False)[0]
-
-
-def smoothness_grads(x, a, wrt_features, wrt_adjacency):
-    """Value and exact gradients of :func:`smoothness`, degrees included."""
     x = np.asarray(x, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     d = a.sum(axis=1)
@@ -471,17 +465,17 @@ def _attack_trees(spec, params, rng, bundle, labels, warm_x=None):
     return best
 
 
-def attack_node1(leak, spec, params, rng=None, init_features=None):
+def attack_node1(leak, spec, params, rng, init_features=None):
     """Recover target (and neighbor) features from one node-task bundle.
 
     Infers the label from the leak and runs the dummy-tree attack on a
     batch of one, with the plain cosine/L2 objective (no regularizers).
-    ``features`` comes back in the full tree's shape, the grandchildren at
-    their starting draw. ``init_features`` (the full tree's shape) warm
-    starts the tree features instead of the configured init.
+    ``rng`` draws the dummy tree, then the gaussian start. ``features``
+    comes back in the full tree's shape, the grandchildren at their
+    starting draw. ``init_features`` (the full tree's shape) warm starts
+    the tree features instead of the configured init.
     """
     _check_scenario(spec, params, ("node1",), "node")
-    rng = rng or make_rng(spec.seed)
     bundle = leak.bundle
     labels = check_labels(infer_label(bundle), params.num_classes)
     best = _attack_trees(spec, params, rng, bundle, labels, init_features)
@@ -511,7 +505,6 @@ def _attack_unknowns(spec, params, rng, bundles, n, labels, known_features,
     objective = _matching_objective(spec, params, bundles, labels,
                                     known_x=known_x, known_a=known_a,
                                     anorm=anorm, regularize=True)
-    rng = rng or make_rng(spec.seed)
     x = _start(rng, spec, xs, init_features, "init_features") if opt_x else None
     a = (_start(rng, spec, (n, n), init_adjacency, "init_adjacency")
          if opt_a else None)
@@ -524,13 +517,14 @@ def _attack_unknowns(spec, params, rng, bundles, n, labels, known_features,
 
 
 def attack_node2(leak, spec, params, known_features=None, known_adjacency=None,
-                 rng=None, init_features=None, init_adjacency=None):
+                 *, rng, init_features=None, init_adjacency=None):
     """Recover features and/or structure from per-node bundles of a subgraph.
 
     node2a optimizes the adjacency (features known), node2b the features
     (adjacency known), node2c both. The objective sums per-node matching
     losses and adds the smoothness and Frobenius terms weighted by
-    spec.alpha / spec.beta. ``init_features`` / ``init_adjacency`` warm
+    spec.alpha / spec.beta. ``rng`` draws the gaussian starts and the
+    Bernoulli finalization; ``init_features`` / ``init_adjacency`` warm
     start the optimized variables instead of the configured init.
     """
     _check_scenario(spec, params, ("node2a", "node2b", "node2c"), "node")
@@ -542,12 +536,12 @@ def attack_node2(leak, spec, params, known_features=None, known_adjacency=None,
 
 
 def attack_graph(leak, spec, params, known_features=None, known_adjacency=None,
-                 rng=None, init_features=None, init_adjacency=None):
+                 *, rng, init_features=None, init_adjacency=None):
     """Recover features and/or structure from one graph-task bundle.
 
-    Same unknown-selection logic as the subgraph attack, driven by a single
-    graph-level loss. With alpha = beta = 0 the objective reduces to the
-    plain matching loss.
+    Same unknown-selection logic, ``rng`` and warm starts as the subgraph
+    attack, driven by a single graph-level loss. With alpha = beta = 0 the
+    objective reduces to the plain matching loss.
     """
     _check_scenario(spec, params, ("graph_a", "graph_b", "graph_c"), "graph")
     bundle = leak.bundle
@@ -557,7 +551,7 @@ def attack_graph(leak, spec, params, known_features=None, known_adjacency=None,
                             init_features, init_adjacency)
 
 
-def attack_batched(leak, spec, params, labels, known_adjacencies=None, rng=None):
+def attack_batched(leak, spec, params, labels, known_adjacencies=None, *, rng):
     """Jointly recover a batch of samples from one averaged bundle.
 
     Node task: the dummy-tree attack of :func:`attack_node1` with one tree
@@ -566,12 +560,12 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, rng=None)
     adjacencies, per-sample feature matrices optimized. True labels must be
     supplied; averaging destroys the per-sample sign structure that
     single-sample label inference relies on. The spec's scenario is node1
-    for a node-task model and graph_b for a graph-task model.
+    for a node-task model and graph_b for a graph-task model. ``rng``
+    draws the dummy trees or the gaussian starts.
     """
     _check_scenario(spec, params,
                     ("node1",) if params.task == "node" else ("graph_b",),
                     params.task)
-    rng = rng or make_rng(spec.seed)
     bundle, b = leak.bundle, leak.batch_size
     labels = check_labels(labels, params.num_classes)
     if labels.shape[0] != b:

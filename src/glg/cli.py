@@ -7,6 +7,7 @@ recovery property suites. Exit codes: 0 success, 1 configuration error,
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -51,17 +52,6 @@ def build_parser():
     return parser
 
 
-def _load(args):
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        data = cfg.to_dict()
-        data["seed"] = args.seed
-        from .experiments import ExperimentConfig
-
-        cfg = ExperimentConfig.from_dict(data)
-    return cfg
-
-
 def _emit(rows, cfg, args):
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"report.{args.format}")
@@ -74,18 +64,15 @@ def main(argv=None):
     try:
         if args.command == "selftest":
             return 0 if run_all(verbose=True, fast=args.fast) else 2
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            # the dataclass re-runs its checks on the new seed
+            cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.command == "attack":
-            cfg = _load(args)
-            dump_dir = args.out if args.dump else None
-            if dump_dir is not None:
-                os.makedirs(dump_dir, exist_ok=True)
-            rows = run_experiment(cfg, dump_dir=dump_dir)
-            _emit(rows, cfg, args)
-            return 0
-        # sweep
-        cfg = _load(args)
-        values = [v.strip() for v in args.values.split(",") if v.strip()]
-        rows = sweep(cfg, args.param, values)
+            rows = run_experiment(cfg, dump_dir=args.out if args.dump else None)
+        else:
+            values = [v.strip() for v in args.values.split(",") if v.strip()]
+            rows = sweep(cfg, args.param, values)
         _emit(rows, cfg, args)
         return 0
     except (ConfigError, json.JSONDecodeError, FileNotFoundError) as exc:

@@ -50,8 +50,10 @@ EXPERIMENT_SCENARIOS = (
     "batched_node", "batched_graph",
 )
 
-SWEEP_PARAMETERS = ("alpha", "beta", "hidden_dim", "threshold", "batch_size",
-                    "d_tree", "init")
+# each sweepable parameter and the type a swept value is parsed as
+SWEEP_PARAMETERS = {"alpha": float, "beta": float, "hidden_dim": int,
+                    "threshold": float, "batch_size": int, "d_tree": int,
+                    "init": str}
 
 
 def _attack_scenario(scenario):
@@ -146,19 +148,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
-        data = dict(data)
-        ds = data.pop("dataset", {})
+        data = _json_object(data, "config")
+        ds = _json_object(data.pop("dataset", {}), "dataset")
         atk = data.pop("attack", None)
         try:
             dataset = DatasetSpec(**ds)
         except TypeError as exc:
             raise ConfigError(str(exc), "dataset") from None
         scenario = data.get("scenario")
-        if scenario is None:
-            raise ConfigError("missing scenario", "scenario")
+        if scenario not in EXPERIMENT_SCENARIOS:
+            raise ConfigError(f"must be one of {EXPERIMENT_SCENARIOS}, got "
+                              f"{scenario!r}", "scenario")
         attack = None
         if atk is not None:
-            atk = dict(atk)
+            atk = _json_object(atk, "attack")
             atk.setdefault("scenario", _attack_scenario(scenario))
             try:
                 attack = AttackSpec(**atk)
@@ -168,6 +171,14 @@ class ExperimentConfig:
             return cls(dataset=dataset, attack=attack, **data)
         except TypeError as exc:
             raise ConfigError(str(exc)) from None
+
+
+def _json_object(part, field):
+    """A copy of the config part ``field``, which must be a JSON object."""
+    if not isinstance(part, dict):
+        raise ConfigError(f"must be a JSON object, not {type(part).__name__}",
+                          field)
+    return dict(part)
 
 
 def load_config(path):
@@ -385,22 +396,27 @@ def run_experiment(cfg, dump_dir=None):
 
 
 def sweep(cfg, parameter, values):
-    """Re-run the experiment for each value of one hyperparameter."""
+    """Re-run the experiment for each value of one hyperparameter.
+
+    Every value is parsed and its config checked before the first run.
+    """
     if parameter not in SWEEP_PARAMETERS:
-        raise ConfigError(f"sweep parameter must be one of {SWEEP_PARAMETERS}",
-                          "parameter")
-    rows = []
+        raise ConfigError("sweep parameter must be one of "
+                          f"{tuple(SWEEP_PARAMETERS)}", "parameter")
+    parse = SWEEP_PARAMETERS[parameter]
+    configs = []
     for value in values:
+        try:
+            parsed = parse(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{value!r} does not parse as {parse.__name__}",
+                              parameter) from None
         data = cfg.to_dict()
-        if parameter in ("hidden_dim", "batch_size"):
-            data[parameter] = int(value)
-        elif parameter == "init":
-            data["attack"]["init"] = str(value)
-        elif parameter == "d_tree":
-            data["attack"]["d_tree"] = int(value)
-        else:
-            data["attack"][parameter] = float(value)
-        swept = ExperimentConfig.from_dict(data)
+        part = data if parameter in ("hidden_dim", "batch_size") else data["attack"]
+        part[parameter] = parsed
+        configs.append((value, ExperimentConfig.from_dict(data)))
+    rows = []
+    for value, swept in configs:
         for row in run_experiment(swept):
             row.hyperparams["swept_parameter"] = parameter
             row.hyperparams["swept_value"] = value

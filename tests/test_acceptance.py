@@ -159,7 +159,7 @@ def test_06_target_feature_attack():
         target = int(r.integers(0, 50))
         record = federated.leak(params, g, "node1", targets=[target])
         spec = attacks.AttackSpec(scenario="node1", iterations=2000,
-                                  d_tree=10, seed=seed)
+                                  d_tree=10)
         res = attacks.attack_node1(record, spec, params, rng=r)
         errs.append(metrics.rnmse(g.features[target], res.target_feature))
     elapsed = time.perf_counter() - start
@@ -190,7 +190,7 @@ def test_07_perfect_structure_recovery():
         record = federated.leak(params, g, "node2")
         spec = attacks.AttackSpec(scenario="node2a", iterations=2000,
                                   finalization="threshold", init="constant",
-                                  init_value=1.0, seed=seed)
+                                  init_value=1.0)
         res = attacks.attack_node2(record, spec, params,
                                    known_features=g.features, rng=r)
         sc = metrics.score_adjacency(g.adjacency, res.adjacency,
@@ -207,7 +207,7 @@ def test_07_perfect_structure_recovery():
         record = federated.leak(params, g, "graph")
         spec = attacks.AttackSpec(scenario="graph_a", iterations=2000,
                                   finalization="threshold", init="constant",
-                                  init_value=1.0, seed=seed)
+                                  init_value=1.0)
         res = attacks.attack_graph(record, spec, params,
                                    known_features=g.features, rng=r)
         sc = metrics.score_adjacency(g.adjacency, res.adjacency,
@@ -229,8 +229,7 @@ def _batched_mean(batch_size, seeds):
         params = models.init_params(r, "sage", "node", 10, 100, 4)
         targets = r.choice(50, size=batch_size, replace=False)
         record = federated.leak(params, g, "batched-node", targets=targets)
-        spec = attacks.AttackSpec(scenario="node1", iterations=2000, d_tree=5,
-                                  seed=seed)
+        spec = attacks.AttackSpec(scenario="node1", iterations=2000, d_tree=5)
         results = attacks.attack_batched(record, spec, params,
                                          labels=g.labels[targets], rng=r)
         ms = metrics.batch_match_score([g.features[t] for t in targets],
@@ -265,9 +264,10 @@ def test_09_regularizer_ablation():
                 scenario="graph_a", iterations=800,
                 alpha=1e-9 if with_reg else 0.0,
                 beta=1e-7 if with_reg else 0.0,
-                seed=seed, finalization="bernoulli", init="gaussian")
+                finalization="bernoulli", init="gaussian")
             res = attacks.attack_graph(record, spec, params,
-                                       known_features=g.features)
+                                       known_features=g.features,
+                                       rng=numkit.make_rng(seed))
             try:
                 ap = metrics.average_precision(g.adjacency, res.adjacency)
             except Exception:

@@ -75,8 +75,8 @@ class TestObjectives:
 
 class TestRegularizers:
     def test_smoothness_empty_graph(self):
-        assert attacks.smoothness(rng.standard_normal((4, 2)),
-                                  np.zeros((4, 4))) == 0.0
+        assert attacks.smoothness_grads(rng.standard_normal((4, 2)),
+                                        np.zeros((4, 4)), False, False)[0] == 0.0
 
     def test_smoothness_constant_features_regular_graph(self):
         # 4-cycle is 2-regular; identical rows are constant in the scaled metric
@@ -84,7 +84,8 @@ class TestRegularizers:
         for i in range(4):
             a[i, (i + 1) % 4] = a[(i + 1) % 4, i] = 1.0
         x = np.tile([1.5, -2.0], (4, 1))
-        assert attacks.smoothness(x, a) == pytest.approx(0.0, abs=1e-12)
+        assert attacks.smoothness_grads(x, a, False, False)[0] == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_smoothness_trace_oracle(self):
         g = graphs.synthetic_graph(numkit.make_rng(9), 7, 3, 4)
@@ -93,7 +94,8 @@ class TestRegularizers:
         lap = graphs.laplacian(g)
         x = numkit.make_rng(10).standard_normal((7, 4))
         want = np.trace(x.T @ lap @ x)
-        assert attacks.smoothness(x, g.adjacency) == pytest.approx(want, abs=1e-10)
+        value = attacks.smoothness_grads(x, g.adjacency, False, False)[0]
+        assert value == pytest.approx(want, abs=1e-10)
 
     def test_smoothness_gradients_finite_difference(self):
         r = numkit.make_rng(11)
@@ -108,9 +110,9 @@ class TestRegularizers:
             for i in range(flat.size):
                 old = flat[i]
                 flat[i] = old + eps
-                fp = attacks.smoothness(x, a)
+                fp = attacks.smoothness_grads(x, a, False, False)[0]
                 flat[i] = old - eps
-                fm = attacks.smoothness(x, a)
+                fm = attacks.smoothness_grads(x, a, False, False)[0]
                 flat[i] = old
                 assert gflat[i] == pytest.approx((fp - fm) / (2 * eps),
                                                  rel=1e-4, abs=1e-7)
@@ -205,9 +207,8 @@ class TestFixedPoints:
     def test_node1_truth_init(self):
         g, params = tree_world()
         record = federated.leak(params, g, "node1", targets=[0])
-        spec = attacks.AttackSpec(scenario="node1", iterations=8, d_tree=3,
-                                  seed=1)
-        res = attacks.attack_node1(record, spec, params,
+        spec = attacks.AttackSpec(scenario="node1", iterations=8, d_tree=3)
+        res = attacks.attack_node1(record, spec, params, rng=numkit.make_rng(1),
                                    init_features=g.features)
         assert np.all(res.objective_trace == 0.0)
         assert np.array_equal(res.features, g.features)
@@ -218,8 +219,8 @@ class TestFixedPoints:
         params = models.init_params(r, "sage", "node", 8, 5, 3)
         record = federated.leak(params, g, "node2")
         spec = attacks.AttackSpec(scenario="node2c", iterations=6, alpha=0.0,
-                                  beta=0.0, seed=1)
-        res = attacks.attack_node2(record, spec, params,
+                                  beta=0.0)
+        res = attacks.attack_node2(record, spec, params, rng=numkit.make_rng(1),
                                    init_features=g.features,
                                    init_adjacency=g.adjacency)
         assert np.all(res.objective_trace == 0.0)
@@ -234,8 +235,8 @@ class TestFixedPoints:
         params = models.init_params(r, "sage", "graph", 6, 4, 3, num_nodes=5)
         record = federated.leak(params, g, "graph")
         spec = attacks.AttackSpec(scenario="graph_c", iterations=6, alpha=0.0,
-                                  beta=0.0, seed=1)
-        res = attacks.attack_graph(record, spec, params,
+                                  beta=0.0)
+        res = attacks.attack_graph(record, spec, params, rng=numkit.make_rng(1),
                                    init_features=g.features,
                                    init_adjacency=g.adjacency)
         assert np.all(res.objective_trace == 0.0)
@@ -302,7 +303,7 @@ class TestIterativeAttacks:
         record = federated.leak(params, g, "node2")
         spec = attacks.AttackSpec(scenario="node2a", iterations=500,
                                   finalization="threshold", init="constant",
-                                  init_value=1.0, seed=2)
+                                  init_value=1.0)
         res = attacks.attack_node2(record, spec, params,
                                    known_features=g.features, rng=r)
         assert np.array_equal(res.adjacency, g.adjacency)
@@ -313,7 +314,7 @@ class TestIterativeAttacks:
         g = graphs.synthetic_graph(r, 8, 3, 5, num_classes=3)
         params = models.init_params(r, "sage", "node", 5, 12, 3)
         record = federated.leak(params, g, "node2")
-        spec = attacks.AttackSpec(scenario="node2b", iterations=800, seed=2)
+        spec = attacks.AttackSpec(scenario="node2b", iterations=800)
         res = attacks.attack_node2(record, spec, params,
                                    known_adjacency=g.adjacency, rng=r)
         assert metrics.rnmse_per_row(g.features, res.features) < 1e-3
@@ -325,7 +326,7 @@ class TestIterativeAttacks:
                          graph_label=0)
         params = models.init_params(r, "sage", "graph", 4, 12, 2, num_nodes=6)
         record = federated.leak(params, g, "graph")
-        spec = attacks.AttackSpec(scenario="graph_b", iterations=1200, seed=2)
+        spec = attacks.AttackSpec(scenario="graph_b", iterations=1200)
         res = attacks.attack_graph(record, spec, params,
                                    known_adjacency=g.adjacency, rng=r)
         assert metrics.rnmse_per_row(g.features, res.features) < 1e-2
@@ -335,7 +336,7 @@ class TestIterativeAttacks:
         g = graphs.synthetic_graph(r, 6, 2, 4, num_classes=3)
         params = models.init_params(r, "sage", "node", 4, 6, 3)
         record = federated.leak(params, g, "node2")
-        spec = attacks.AttackSpec(scenario="node2c", iterations=120, seed=3)
+        spec = attacks.AttackSpec(scenario="node2c", iterations=120)
         res = attacks.attack_node2(record, spec, params, rng=r)
         best = np.minimum.accumulate(res.objective_trace)
         assert np.all(np.diff(best) <= 0.0)
@@ -345,7 +346,7 @@ class TestIterativeAttacks:
         g = graphs.synthetic_graph(r, 6, 2, 8, num_classes=3)
         params = models.init_params(r, "gcn", "node", 8, 6, 3)
         record = federated.leak(params, g, "node2")
-        spec = attacks.AttackSpec(scenario="node2a", iterations=60, seed=4)
+        spec = attacks.AttackSpec(scenario="node2a", iterations=60)
         res = attacks.attack_node2(record, spec, params,
                                    known_features=g.features, rng=r)
         assert res.adjacency_prob.min() >= 0.0
@@ -404,7 +405,7 @@ class TestIterativeAttacks:
         record = federated.leak(params, g, "node2")
         spec = attacks.AttackSpec(scenario="node2a", iterations=5)
         with pytest.raises(ConfigError):
-            attacks.attack_node2(record, spec, params)  # missing known features
+            attacks.attack_node2(record, spec, params, rng=r)  # no known features
 
     @pytest.mark.parametrize("task,scenario", [
         ("node", "graph_b"), ("node", "node2a"),
@@ -428,7 +429,7 @@ class TestIterativeAttacks:
         spec = attacks.AttackSpec(scenario=scenario, iterations=5)
         with pytest.raises(ConfigError, match="scenario"):
             attacks.attack_batched(record, spec, params, labels=labels,
-                                   known_adjacencies=known)
+                                   known_adjacencies=known, rng=r)
 
     @pytest.mark.parametrize("task", ["node", "graph"])
     def test_batched_label_out_of_range_raises_before_iterating(
@@ -454,7 +455,7 @@ class TestIterativeAttacks:
         spec = attacks.AttackSpec(scenario=spec, iterations=5)
         with pytest.raises(ShapeError, match="label out of range"):
             attacks.attack_batched(record, spec, params, labels=[0, 2],
-                                   known_adjacencies=known)
+                                   known_adjacencies=known, rng=r)
         assert calls == []
 
     @pytest.mark.parametrize("batched", [False, True])
@@ -499,7 +500,7 @@ class TestIterativeAttacks:
         record = federated.leak(params, g, "node1", targets=[0])
         spec = attacks.AttackSpec(scenario="node1", iterations=2, d_tree=3)
         with pytest.raises(ShapeError, match="init_features"):
-            attacks.attack_node1(record, spec, params,
+            attacks.attack_node1(record, spec, params, rng=numkit.make_rng(0),
                                  init_features=g.features[:4])
 
     @pytest.mark.parametrize("task", ["node", "graph"])
@@ -509,7 +510,7 @@ class TestIterativeAttacks:
         spec = attacks.AttackSpec(scenario=scenario, iterations=2)
         with pytest.raises(ShapeError, match="init_adjacency"):
             attack(record, spec, params, known_features=g.features,
-                   init_adjacency=np.zeros((4, 4)))
+                   rng=numkit.make_rng(0), init_adjacency=np.zeros((4, 4)))
 
     @pytest.mark.parametrize("scenario,argument,shape", [
         ("batched_graph", "known_adjacencies", (1, 5, 5)),
@@ -563,7 +564,7 @@ class TestIterativeAttacks:
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         spec = attacks.AttackSpec(scenario=scenario, iterations=5)
         with pytest.raises(ShapeError, match=argument):
-            attack(record, spec, params, **kwargs)
+            attack(record, spec, params, rng=r, **kwargs)
         assert calls == []
 
     def test_constant_adjacency_start_is_projected_once(self):
@@ -576,7 +577,7 @@ class TestIterativeAttacks:
             attacks.attack_node2(
                 record, attacks.AttackSpec(scenario="node2a", iterations=20,
                                            init="constant", init_value=value),
-                params, known_features=g.features)
+                params, known_features=g.features, rng=numkit.make_rng(0))
             for value in (1.5, 1.0)
         ]
         for name in ("adjacency_prob", "adjacency", "objective_trace"):
@@ -591,7 +592,8 @@ class TestIterativeAttacks:
         assert (warm < 0.0).any() and (warm > 1.0).any()
         spec = attacks.AttackSpec(scenario="node2c", iterations=20)
         a, b = [
-            attacks.attack_node2(record, spec, params, init_adjacency=start)
+            attacks.attack_node2(record, spec, params, rng=numkit.make_rng(0),
+                                 init_adjacency=start)
             for start in (warm, np.clip(warm, 0.0, 1.0))
         ]
         for name in ("features", "adjacency_prob", "adjacency",
@@ -607,7 +609,8 @@ class TestIterativeAttacks:
                   lower + np.triu(2.0 * r.standard_normal((6, 6))))
         spec = attacks.AttackSpec(scenario=scenario, iterations=20)
         a, b = [attack(record, spec, params, known_features=g.features,
-                       init_adjacency=start) for start in starts]
+                       rng=numkit.make_rng(0), init_adjacency=start)
+                for start in starts]
         for name in ("adjacency_prob", "adjacency", "objective_trace"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -625,8 +628,7 @@ class TestIterativeAttacks:
         params = models.init_params(r, "sage", "node", 5, 8, 3)
         single = federated.leak(params, g, "node1", targets=[4])
         batched = federated.leak(params, g, "batched-node", targets=[4])
-        spec = attacks.AttackSpec(scenario="node1", iterations=120, d_tree=3,
-                                  seed=5)
+        spec = attacks.AttackSpec(scenario="node1", iterations=120, d_tree=3)
         res1 = attacks.attack_node1(single, spec, params,
                                     rng=numkit.make_rng(42))
         resb = attacks.attack_batched(batched, spec, params,
@@ -639,9 +641,8 @@ class TestIterativeAttacks:
     def test_node1_infers_label(self):
         g, params = tree_world(seed=25)
         record = federated.leak(params, g, "node1", targets=[0])
-        spec = attacks.AttackSpec(scenario="node1", iterations=5, d_tree=3,
-                                  seed=6)
-        res = attacks.attack_node1(record, spec, params)
+        spec = attacks.AttackSpec(scenario="node1", iterations=5, d_tree=3)
+        res = attacks.attack_node1(record, spec, params, rng=numkit.make_rng(6))
         assert res.labels[0] == g.labels[0]
 
     def test_node1_gcn_target_stays_hidden(self):
@@ -654,8 +655,7 @@ class TestIterativeAttacks:
         params = models.init_params(r, "gcn", "node", 8, 40, 4)
         target = 3
         record = federated.leak(params, g, "node1", targets=[target])
-        spec = attacks.AttackSpec(scenario="node1", iterations=1200, d_tree=6,
-                                  seed=7)
+        spec = attacks.AttackSpec(scenario="node1", iterations=1200, d_tree=6)
         res = attacks.attack_node1(record, spec, params, rng=r)
         assert metrics.rnmse(g.features[target], res.target_feature) > 0.1
         anorm = graphs.normalize_adjacency(g, "gcn").matrix
@@ -676,10 +676,11 @@ class TestIterativeAttacks:
                                             num_nodes=16)
                 record = federated.leak(params, g, "graph")
                 spec = attacks.AttackSpec(scenario="graph_a", iterations=500,
-                                          alpha=alpha, beta=1e-7, seed=seed,
+                                          alpha=alpha, beta=1e-7,
                                           init="gaussian")
                 res = attacks.attack_graph(record, spec, params,
-                                           known_features=g.features)
+                                           known_features=g.features,
+                                           rng=numkit.make_rng(seed))
                 sc = metrics.score_adjacency(g.adjacency, res.adjacency,
                                              res.adjacency_prob)
                 vals.append(sc.auc if sc.auc is not None else 0.5)
@@ -716,7 +717,7 @@ def captured_objective(monkeypatch, attack, *args, **kwargs):
 
     monkeypatch.setattr(attacks, "_optimize", fake_optimize)
     with pytest.raises(_Captured):
-        attack(*args, **kwargs)
+        attack(*args, rng=numkit.make_rng(0), **kwargs)
     return got[0]
 
 
@@ -868,4 +869,5 @@ def test_leak_with_a_tensor_the_model_lacks_fails():
     record = federated.leak(sage, g, "node2")
     spec = attacks.AttackSpec(scenario="node2b", iterations=2)
     with pytest.raises(ShapeError, match="conv1_self"):
-        attacks.attack_node2(record, spec, gcn, known_adjacency=g.adjacency)
+        attacks.attack_node2(record, spec, gcn, known_adjacency=g.adjacency,
+                             rng=r)

@@ -38,6 +38,17 @@ def write_config(tmp_path, data=CONFIG):
     return str(path)
 
 
+def assert_attack_field_rejected(tmp_path, name):
+    old = dict(CONFIG, attack=dict(CONFIG["attack"], **{name: 1}))
+    cfg = write_config(tmp_path, old)
+    out = run_cli("attack", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert out.returncode == 1
+    assert "configuration error: attack: " in out.stderr
+    assert repr(name) in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "o" / "report.csv").exists()
+
+
 class TestAttackCommand:
     def test_runs_and_reports(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -126,17 +137,13 @@ class TestAttackCommand:
         assert where in out.stderr
         assert "Traceback" not in out.stderr
 
+    # restarts and seed are no attack fields; a config that sets one is
+    # rejected, not ignored
     def test_old_config_with_restarts_is_configuration_error(self, tmp_path):
-        # restarts is no attack field; a config that sets it is rejected,
-        # not ignored
-        old = dict(CONFIG, attack=dict(CONFIG["attack"], restarts=1))
-        cfg = write_config(tmp_path, old)
-        out = run_cli("attack", "--config", cfg, "--out", str(tmp_path / "o"))
-        assert out.returncode == 1
-        assert "configuration error: attack: " in out.stderr
-        assert "restarts" in out.stderr
-        assert "Traceback" not in out.stderr
-        assert not (tmp_path / "o" / "report.csv").exists()
+        assert_attack_field_rejected(tmp_path, "restarts")
+
+    def test_old_config_with_attack_seed_is_configuration_error(self, tmp_path):
+        assert_attack_field_rejected(tmp_path, "seed")
 
     def test_missing_config_exit_code(self, tmp_path):
         out = run_cli("attack", "--config", str(tmp_path / "nope.json"))
@@ -158,6 +165,19 @@ class TestSweepCommand:
         out = run_cli("sweep", "--config", cfg, "--param", "gamma",
                       "--values", "1", "--out", str(tmp_path))
         assert out.returncode == 1
+
+    @pytest.mark.parametrize("param, value", [
+        ("batch_size", "2.5"), ("alpha", "abc"), ("hidden_dim", "1e3"),
+    ])
+    def test_value_that_does_not_parse_is_configuration_error(
+            self, tmp_path, param, value):
+        cfg = write_config(tmp_path)
+        out = run_cli("sweep", "--config", cfg, "--param", param,
+                      "--values", value, "--out", str(tmp_path / "s"))
+        assert out.returncode == 1
+        assert f"configuration error: {param}: {value!r}" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "s" / "report.csv").exists()
 
 
 class TestSelftestCommand:

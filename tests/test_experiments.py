@@ -48,9 +48,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             quick_config(attack={"iterations": 5, "bogus_knob": 1})
 
+    def test_attack_seed_is_rejected(self):
+        # an attack draws from the repetition's generator; it has no seed
+        with pytest.raises(ConfigError, match="attack: .*'seed'"):
+            quick_config(attack={"iterations": 5, "seed": 0})
+
+    @pytest.mark.parametrize("field, part", [
+        ("config", [1, 2]), ("config", "x"), ("dataset", "x"),
+        ("dataset", [1]), ("attack", "x"), ("attack", [["iterations", 5]]),
+    ])
+    def test_part_that_is_not_an_object(self, field, part):
+        data = part if field == "config" else dict(
+            quick_config().to_dict(), **{field: part})
+        with pytest.raises(ConfigError, match=f"{field}: must be a JSON object"):
+            ExperimentConfig.from_dict(data)
+
     def test_missing_scenario(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"framework": "sage"})
+
+    def test_scenario_that_is_not_a_name(self):
+        with pytest.raises(ConfigError, match="scenario: must be one of"):
+            ExperimentConfig.from_dict({"scenario": [1], "attack": {}})
 
     def test_file_dataset_requires_paths(self):
         with pytest.raises(ConfigError):
@@ -92,7 +111,7 @@ class TestConfigValidation:
         ("egonet_hops", 1.5), ("repeats", 1.5), ("repeats", True),
         ("batch_size", 2.5), ("hidden_dim", -1), ("hidden_dim", 0),
         ("seed", -1), ("attack.iterations", 2.5),
-        ("attack.d_tree", 2.5), ("attack.seed", -1), ("dataset.n", 8.5),
+        ("attack.d_tree", 2.5), ("dataset.n", 8.5),
         ("dataset.feature_dim", 2.5), ("dataset.num_classes", 1),
         ("dataset.d_tree", 0),
     ])
@@ -296,6 +315,19 @@ class TestSweep:
     def test_unknown_parameter(self):
         with pytest.raises(ConfigError):
             sweep(quick_config(), "gamma", [1.0])
+
+    @pytest.mark.parametrize("parameter, value", [
+        ("batch_size", "2.5"), ("alpha", "abc"), ("hidden_dim", "1e3"),
+        ("d_tree", None),
+    ])
+    def test_value_that_does_not_parse(self, monkeypatch, parameter, value):
+        runs = []
+        monkeypatch.setattr("glg.experiments.run_experiment",
+                            lambda cfg: runs.append(cfg) or [])
+        with pytest.raises(ConfigError, match=f"{parameter}: {value!r}"):
+            sweep(quick_config(), parameter, ["4", value])
+        # every value is checked before the first run
+        assert runs == []
 
     def test_alpha_sweep_tags_rows(self):
         cfg = quick_config(repeats=1, attack={"iterations": 30,
