@@ -23,16 +23,14 @@ from .errors import (
     NumericError,
     ShapeError,
     check_int,
+    check_real,
 )
 from .graphs import (
     _normalize,
-    _normalize_backward,
     dummy_tree,
     normalize_dense,
+    normalize_dense_backward,
 )
-# not called here: the loop hands the forward's normalization parts to
-# _normalize_backward; bench/tracing.py wraps this name in this module
-from .graphs import normalize_dense_backward  # noqa: F401
 from .models import (
     _gather_rows,
     check_labels,
@@ -43,7 +41,6 @@ from .models import (
     node_bundles,
     node_ctx,
     node_matching_grad,
-    node_mean_bundle,
     onehot,
 )
 from .numkit import AdamState, adam_step, sample_bernoulli
@@ -93,6 +90,9 @@ class AttackSpec:
             raise ConfigError(
                 f"finalization must be one of {FINALIZATIONS}", "finalization"
             )
+        for name in ("alpha", "beta", "learning_rate", "init_value",
+                     "threshold"):
+            check_real(getattr(self, name), name)
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError("learning_rate must be finite and positive",
                               "learning_rate")
@@ -312,15 +312,16 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
     with its normalization ``anorm``, stands in. The dummies go through the
     model's forward and bundle passes with ``labels`` (one per dummy
     sample); a node-task model reads its loss at ``targets``, by default
-    (None) row i for sample i. With as many leaked bundles as labels the
-    rows are matched one by one; a single averaged bundle is matched by the
-    dummies' batch mean, computed without per-sample stacks, whose
-    co-vector every sample shares scaled by 1/B. With
-    ``update``, gradients of the unknowns come back in their own shapes
-    (None otherwise). An optimized adjacency is normalized once per call;
-    its gradient goes back through that normalization's parts, as in
-    :func:`normalize_dense_backward`. ``regularize`` adds the smoothness and
-    Frobenius terms weighted by spec.alpha / spec.beta.
+    (None) row i for sample i. Several leaked bundles (node2's, one per
+    node) are matched row by row against the dummies' per-sample stacks.
+    One leaked bundle is matched by the mean of the B dummies' bundles,
+    computed without per-sample stacks; every sample shares its
+    co-vector, divided by B when B > 1. With ``update``, gradients of the
+    unknowns come back in their own shapes (None otherwise). An optimized
+    adjacency is normalized once per call, and its gradient goes back
+    through :func:`normalize_dense_backward` on that normalization's parts.
+    ``regularize`` adds the smoothness and Frobenius terms weighted by
+    spec.alpha / spec.beta.
 
     Whatever stays fixed for the whole attack is built here, once: the
     leak's layout and cosine norms (so a zero-norm leak raises
@@ -344,7 +345,8 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
     covec = None  # views into the matcher's gradient array, made once
     mode = params.norm_mode
     node = params.task == "node"
-    batch = len(labels) if len(bundles) != len(labels) else None
+    per_sample = len(bundles) > 1
+    batch = 1 if per_sample else len(labels)
     onehot_rows = onehot(labels, params.num_classes)
     known_at = None if anorm is None else _gather_rows(anorm, targets)
 
@@ -361,14 +363,14 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
         if node:
             ctx = node_ctx(params, x, an, targets, labels, onehot_rows,
                            None if opt_a else known_at)
-            (node_mean_bundle if batch else node_bundles)(ctx, params, out=dummy)
+            node_bundles(ctx, params, per_sample, out=dummy)
         else:
             ctx = graph_ctx(params, x, an, labels, onehot_rows)
             graph_bundles(ctx, params, out=dummy)
         value, vflat = match(dummy_flat)
         gx = ga = None
         if update:
-            if batch:
+            if batch > 1:
                 # every sample shares the mean's co-vector, scaled by 1/B
                 vflat /= batch
             if covec is None:
@@ -378,8 +380,8 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
             if opt_x:
                 gx = gx.reshape(x.shape)
             if opt_a:
-                ga = _normalize_backward(abar_norm.reshape(a.shape), parts,
-                                         mode)
+                ga = normalize_dense_backward(abar_norm.reshape(a.shape),
+                                              parts, mode)
         if regularize and spec.alpha > 0.0:
             s_val, s_gx, s_ga = smoothness_grads(
                 x, a, wrt_features=gx is not None, wrt_adjacency=ga is not None)

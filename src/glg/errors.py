@@ -69,3 +69,12 @@ def check_int(value, field, minimum):
         raise ConfigError(f"must be an integer, got {value!r}", field)
     if value < minimum:
         raise ConfigError(f"must be at least {minimum}, got {value}", field)
+
+
+def check_real(value, field):
+    """Raise :class:`ConfigError` unless ``value`` is a real number.
+
+    A bool is not accepted as a number.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"must be a real number, got {value!r}", field)

@@ -8,6 +8,7 @@ are reproducible and no repetition's result depends on another's.
 import csv
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -23,7 +24,8 @@ from .attacks import (
     attack_node2,
     finalize_adjacency,
 )
-from .errors import ConfigError, DataFormatError, GlgError, ShapeError, check_int
+from .errors import (ConfigError, DataFormatError, GlgError, ShapeError,
+                     check_int, check_real)
 from .federated import leak
 from .graphs import Graph, dummy_tree, er_graph, khop_egonet, load_graph, synthetic_graph
 from .metrics import (
@@ -81,6 +83,9 @@ class DatasetSpec:
         for name, minimum in (("n", 1), ("feature_dim", 1), ("num_classes", 2),
                               ("d_tree", 1)):
             check_int(getattr(self, name), f"dataset.{name}", minimum)
+        check_real(self.avg_degree, "dataset.avg_degree")
+        if self.edge_prob is not None:
+            check_real(self.edge_prob, "dataset.edge_prob")
         if self.source == "files":
             for name in ("feature_file", "edge_file"):
                 path = getattr(self, name)
@@ -398,7 +403,9 @@ def run_experiment(cfg, dump_dir=None):
 def sweep(cfg, parameter, values):
     """Re-run the experiment for each value of one hyperparameter.
 
-    Every value is parsed and its config checked before the first run.
+    Every value is parsed and its config checked before the first run. An
+    integer parameter takes an int (not a bool) or a string that parses as
+    one, so a value such as 2.5 is refused rather than truncated.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError("sweep parameter must be one of "
@@ -406,7 +413,12 @@ def sweep(cfg, parameter, values):
     parse = SWEEP_PARAMETERS[parameter]
     configs = []
     for value in values:
+        # int() would truncate a float and accept a bool
+        whole = (isinstance(value, (str, numbers.Integral))
+                 and not isinstance(value, bool))
         try:
+            if parse is int and not whole:
+                raise TypeError
             parsed = parse(value)
         except (TypeError, ValueError):
             raise ConfigError(f"{value!r} does not parse as {parse.__name__}",

@@ -22,7 +22,6 @@ from .models import (
     graph_ctx,
     node_bundles,
     node_ctx,
-    node_mean_bundle,
 )
 
 __all__ = [
@@ -86,11 +85,9 @@ class LeakRecord:
         return self.bundles[0]
 
 
-def _node_stacks(params, g, targets, mean=False):
-    """Per-sample gradient stacks for target nodes of one labeled graph.
-
-    With ``mean``, their batch mean as a stack of one.
-    """
+def _node_stacks(params, g, targets, per_sample=False):
+    """The batch mean of the target nodes' gradients in one labeled graph,
+    as a stack of one; with ``per_sample``, one stack entry per target."""
     if targets is None or np.size(targets) == 0:
         raise ShapeError("node leak needs target indices")
     targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
@@ -104,7 +101,7 @@ def _node_stacks(params, g, targets, mean=False):
         raise ShapeError("node-task graph carries no labels")
     labels = check_labels(g.labels[targets], params.num_classes)
     ctx = node_ctx(params, g.features, anorm, targets, labels)
-    return (node_mean_bundle if mean else node_bundles)(ctx, params)
+    return node_bundles(ctx, params, per_sample)
 
 
 def _graph_stacks(params, gs):
@@ -210,12 +207,13 @@ def leak(params, data, scenario, targets=None):
                          f"{type(data).__name__}")
     if scenario == "node2":
         return LeakRecord(scenario=scenario, bundles=_split(
-            _node_stacks(params, data, np.arange(data.num_nodes))))
+            _node_stacks(params, data, np.arange(data.num_nodes),
+                         per_sample=True)))
     if params.task == "node":
         size = np.size(targets)
         if scenario == "node1" and size != 1:
             raise ShapeError(f"node1 leak needs one target, got {size}")
-        stacks = _node_stacks(params, data, targets, mean=True)
+        stacks = _node_stacks(params, data, targets)
     else:
         gs = [data] if scenario == "graph" else list(data)
         size = len(gs)

@@ -119,21 +119,12 @@ def normalize_dense(a, mode):
     return _normalize(a, mode)[0]
 
 
-def normalize_dense_backward(gbar, a, mode):
+def normalize_dense_backward(gbar, parts, mode):
     """Pull a gradient on the normalized matrix back onto the raw adjacency.
 
-    ``gbar`` is d(objective)/d(normalized); the return value is
-    d(objective)/d(a), accounting for the degree terms.
-    """
-    return _normalize_backward(np.asarray(gbar, dtype=np.float64),
-                               _normalize(a, mode), mode)
-
-
-def _normalize_backward(gbar, parts, mode):
-    """The normalization's backward pass, given the forward's parts.
-
-    ``parts`` is :func:`_normalize`'s ``(normalized, degrees, scale)``; the
-    result equals :func:`normalize_dense_backward` bit for bit.
+    ``gbar`` is d(objective)/d(normalized), a float64 array, and ``parts``
+    is :func:`_normalize`'s ``(normalized, degrees, scale)`` of the forward
+    pass; the return value is d(objective)/d(a), degree terms included.
     """
     norm, d, scale = parts
     if mode == "sage-mean":
@@ -249,22 +240,28 @@ def khop_egonet(g, center, k):
     return sub, index_map
 
 
+def _records(path):
+    """``(line number, stripped line)`` for each non-blank line of a text file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            raw = raw.strip()
+            if raw:
+                yield line_no, raw
+
+
 def _parse_edge_line(raw, line_no, path, n):
     parts = raw.replace(",", " ").split()
     if len(parts) != 2:
-        raise DataFormatError(
-            f"expected two node indices, got {raw!r}", path=path, line=line_no
-        )
+        raise DataFormatError(f"expected two node indices, got {raw!r}",
+                              path=path, line=line_no)
     try:
         i, j = int(parts[0]), int(parts[1])
     except ValueError:
-        raise DataFormatError(
-            f"non-integer node index in {raw!r}", path=path, line=line_no
-        ) from None
+        raise DataFormatError(f"non-integer node index in {raw!r}",
+                              path=path, line=line_no) from None
     if not (0 <= i < n and 0 <= j < n):
-        raise DataFormatError(
-            f"node index out of range in {raw!r} (n={n})", path=path, line=line_no
-        )
+        raise DataFormatError(f"node index out of range in {raw!r} (n={n})",
+                              path=path, line=line_no)
     return i, j
 
 
@@ -277,62 +274,42 @@ def load_graph(feature_file, edge_file, label_file=None):
     non-negative integer per line, one per node.
     """
     rows = []
-    width = None
-    with open(feature_file, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                row = [float(tok) for tok in raw.split(",")]
-            except ValueError:
-                raise DataFormatError(
-                    "non-numeric feature value", path=feature_file, line=line_no
-                ) from None
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DataFormatError(
-                    f"expected {width} features, got {len(row)}",
-                    path=feature_file, line=line_no,
-                )
-            rows.append(row)
+    for line_no, raw in _records(feature_file):
+        try:
+            row = [float(tok) for tok in raw.split(",")]
+        except ValueError:
+            raise DataFormatError("non-numeric feature value",
+                                  path=feature_file, line=line_no) from None
+        if rows and len(row) != len(rows[0]):
+            raise DataFormatError(f"expected {len(rows[0])} features, got "
+                                  f"{len(row)}", path=feature_file, line=line_no)
+        rows.append(row)
     if not rows:
         raise DataFormatError("feature file is empty", path=feature_file)
     x = np.array(rows, dtype=np.float64)
     n = x.shape[0]
 
     a = np.zeros((n, n))
-    with open(edge_file, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            i, j = _parse_edge_line(raw, line_no, edge_file, n)
-            if i != j:
-                a[i, j] = a[j, i] = 1.0
+    for line_no, raw in _records(edge_file):
+        i, j = _parse_edge_line(raw, line_no, edge_file, n)
+        if i != j:
+            a[i, j] = a[j, i] = 1.0
 
     labels = None
     if label_file is not None:
         vals = []
-        with open(label_file, "r", encoding="utf-8") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    vals.append(int(raw))
-                except ValueError:
-                    raise DataFormatError(
-                        f"non-integer label {raw!r}", path=label_file, line=line_no
-                    ) from None
-                if vals[-1] < 0:
-                    raise DataFormatError(f"negative label {vals[-1]}",
-                                          path=label_file, line=line_no)
+        for line_no, raw in _records(label_file):
+            try:
+                vals.append(int(raw))
+            except ValueError:
+                raise DataFormatError(f"non-integer label {raw!r}",
+                                      path=label_file, line=line_no) from None
+            if vals[-1] < 0:
+                raise DataFormatError(f"negative label {vals[-1]}",
+                                      path=label_file, line=line_no)
         if len(vals) != n:
-            raise DataFormatError(
-                f"{len(vals)} labels for {n} feature rows", path=label_file
-            )
+            raise DataFormatError(f"{len(vals)} labels for {n} feature rows",
+                                  path=label_file)
         labels = np.array(vals, dtype=np.int64)
     return Graph(adjacency=a, features=x, labels=labels)
 

@@ -12,13 +12,13 @@ self-loop normalization) and a "sage" flavour (separate aggregation and
 self weights, mean normalization).
 
 Besides plain backward passes (the gradient bundles a federated server
-would see), this module computes batch means of bundles directly; a single
-graph is a batch of one, and only :func:`node_bundles` builds per-sample
-stacks, for node2's per-node leak and the unbatched node attacks. It also
-computes the gradient of ``<bundle, V>`` with respect to the input
-features and the normalized adjacency for a constant co-vector ``V``.
-That second-order pass is what the iterative gradient-matching attacks
-differentiate through.
+would see), this module computes batch means of bundles directly, one pass
+per task; a single sample is a batch of one. Only :func:`node_bundles` with
+``per_sample`` builds per-sample stacks, for node2's per-node leak and the
+node2 attacks that match it row by row. It also computes the gradient of
+``<bundle, V>`` with respect to the input features and the normalized
+adjacency for a constant co-vector ``V``. That second-order pass is what
+the iterative gradient-matching attacks differentiate through.
 
 Array convention: an optional leading sample axis is supported everywhere;
 ``x`` may be (N, D) or (B, N, D), the normalized adjacency (N, N) or
@@ -355,39 +355,34 @@ def node_ctx(params, x, anorm, targets, labels, onehot_rows=None, at=None):
     return ctx
 
 
-def node_bundles(ctx, params, out=None):
-    """Per-sample gradient stacks, leading axis = sample.
+def node_bundles(ctx, params, per_sample=False, out=None):
+    """The batch mean of the targets' gradients, as a stack of one.
 
-    Without ``out`` the bias stacks are the trace's own arrays, not copies.
-    ``out`` maps each tensor name to an array of its stack's shape (an
-    attack passes views into one flat row buffer); every stack is then
-    written there, the returned dict holds those arrays, and the next call
-    with the same ``out`` overwrites them.
+    Each weight gradient is one matrix product summed over the targets, so
+    no per-sample stack is built; one target is a batch of one, with
+    nothing divided. ``per_sample`` gives one stack entry per target
+    instead (node2's per-node leak); its bias stacks are the trace's own
+    arrays unless ``out`` is given. ``out`` maps each tensor name to an
+    array of its stack's shape (an attack passes views into one flat row
+    buffer); every stack is then written there, the returned dict holds
+    those arrays, and the next call with the same ``out`` overwrites them.
     """
     o = out or {}
-    g1 = ctx.g1[:, :, None]
-    res = {
-        "out_weight": np.multiply(ctx.g2[:, :, None], ctx.ht[:, None, :],
-                                  out=o.get("out_weight")),
-        "out_bias": _copy_into(o.get("out_bias"), ctx.g2),
-        "conv1_agg": np.multiply(g1, ctx.mt[:, None, :], out=o.get("conv1_agg")),
-        "conv1_bias": _copy_into(o.get("conv1_bias"), ctx.g1),
-    }
-    if "conv1_self" in params.tensors:
-        res["conv1_self"] = np.multiply(g1, ctx.xt[:, None, :],
-                                        out=o.get("conv1_self"))
-    return res
-
-
-def node_mean_bundle(ctx, params, out=None):
-    """The batch mean of :func:`node_bundles`, as a stack of one.
-
-    Each weight gradient is one matrix product summed over the samples,
-    so no per-sample stack is built. ``out`` works as in
-    :func:`node_bundles`: each product goes into its array, which is then
-    divided in place.
-    """
-    o = out or {}
+    has_self = "conv1_self" in params.tensors
+    if per_sample:
+        g1 = ctx.g1[:, :, None]
+        res = {
+            "out_weight": np.multiply(ctx.g2[:, :, None], ctx.ht[:, None, :],
+                                      out=o.get("out_weight")),
+            "out_bias": _copy_into(o.get("out_bias"), ctx.g2),
+            "conv1_agg": np.multiply(g1, ctx.mt[:, None, :],
+                                     out=o.get("conv1_agg")),
+            "conv1_bias": _copy_into(o.get("conv1_bias"), ctx.g1),
+        }
+        if has_self:
+            res["conv1_self"] = np.multiply(g1, ctx.xt[:, None, :],
+                                            out=o.get("conv1_self"))
+        return res
     b = ctx.g1.shape[0]
     res = {
         "out_weight": _mean_product(ctx.g2.T, ctx.ht, b, o.get("out_weight")),
@@ -395,7 +390,7 @@ def node_mean_bundle(ctx, params, out=None):
         "conv1_agg": _mean_product(ctx.g1.T, ctx.mt, b, o.get("conv1_agg")),
         "conv1_bias": _mean_sum(ctx.g1, b, o.get("conv1_bias")),
     }
-    if "conv1_self" in params.tensors:
+    if has_self:
         res["conv1_self"] = _mean_product(ctx.g1.T, ctx.xt, b,
                                           o.get("conv1_self"))
     return res
@@ -604,7 +599,7 @@ def graph_bundles(ctx, params, out=None):
     A single graph is a batch of one. The B graphs' node rows are stacked
     into one (B*N)-row matrix per operand, so each weight gradient is one
     matrix product over every sample's nodes. ``out`` works as in
-    :func:`node_mean_bundle`.
+    :func:`node_bundles`.
     """
     o = out or {}
     b = ctx.x.shape[0]

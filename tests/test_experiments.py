@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,24 @@ class TestConfigValidation:
         section, _, name = field.rpartition(".")
         (data[section] if section else data)[name] = value
         with pytest.raises(ConfigError, match=f"{name}: must be"):
+            ExperimentConfig.from_dict(data)
+
+    @pytest.mark.parametrize("field", [
+        "dataset.avg_degree", "dataset.edge_prob", "attack.alpha",
+        "attack.beta", "attack.learning_rate", "attack.init_value",
+        "attack.threshold",
+    ])
+    @pytest.mark.parametrize("value", ["x", True, [0.5]],
+                             ids=["str", "bool", "list"])
+    def test_bad_real_field(self, field, value):
+        data = quick_config().to_dict()
+        section, name = field.split(".")
+        data[section][name] = value
+        # the dataset's fields are named with their section
+        named = field if section == "dataset" else name
+        with pytest.raises(ConfigError,
+                           match=f"^{named}: must be a real number, got "
+                                 f"{re.escape(repr(value))}$"):
             ExperimentConfig.from_dict(data)
 
 
@@ -328,6 +347,28 @@ class TestSweep:
             sweep(quick_config(), parameter, ["4", value])
         # every value is checked before the first run
         assert runs == []
+
+    @pytest.mark.parametrize("parameter", ["batch_size", "hidden_dim",
+                                           "d_tree"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, [3]],
+                             ids=["2.5", "2.0", "True", "list"])
+    def test_integer_parameter_is_not_truncated(self, monkeypatch, parameter,
+                                                value):
+        runs = []
+        monkeypatch.setattr("glg.experiments.run_experiment",
+                            lambda cfg: runs.append(cfg) or [])
+        with pytest.raises(ConfigError, match=rf"{parameter}: "
+                           rf"{re.escape(repr(value))} does not parse as int"):
+            sweep(quick_config(), parameter, [4, value])
+        assert runs == []
+
+    def test_integer_parameter_takes_ints_and_int_strings(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr("glg.experiments.run_experiment",
+                            lambda cfg: runs.append(cfg) or [])
+        sweep(quick_config(), "batch_size", [3, np.int64(4), "5"])
+        assert [cfg.batch_size for cfg in runs] == [3, 4, 5]
+        assert all(type(cfg.batch_size) is int for cfg in runs)
 
     def test_alpha_sweep_tags_rows(self):
         cfg = quick_config(repeats=1, attack={"iterations": 30,

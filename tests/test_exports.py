@@ -1,6 +1,8 @@
-"""Every exported or traced name resolves, so a deletion cannot leave one behind."""
+"""Every exported or traced name resolves, so a deletion cannot leave one
+behind, and the bench's tracer sees every call of the passes it names."""
 
 import ast
+import collections
 import importlib
 import importlib.util
 import pathlib
@@ -9,9 +11,18 @@ import pkgutil
 import pytest
 
 import glg
+from glg import attacks, closed_form, federated, graphs, metrics, models, numkit
 
 MODULES = [m.name for m in pkgutil.iter_modules(glg.__path__)]
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -34,10 +45,78 @@ def test_package_imports_resolve():
 
 
 def test_traced_names_exist():
-    spec = importlib.util.spec_from_file_location(
-        "tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     missing = [(m, attr) for m, attr, _ in tracing.PATCHES
                if not hasattr(importlib.import_module(f"glg.{m}"), attr)]
     assert tracing.PATCHES and missing == []
+
+
+ITERATIONS = 7
+
+
+def traced_calls(run):
+    """Calls per layer name while ``run`` runs under the bench's tracer."""
+    tracing = load_tracing()
+    recorder = tracing.SpanRecorder()
+    with tracing.Patched(recorder, {"attacks": attacks,
+                                    "closed_form": closed_form,
+                                    "federated": federated,
+                                    "metrics": metrics}):
+        run()
+    return collections.Counter(name for name, *_ in recorder.spans)
+
+
+def node_setup(framework):
+    r = numkit.make_rng(5)
+    g = graphs.synthetic_graph(r, 8, 2, 4, num_classes=3)
+    return g, models.init_params(r, framework, "node", 4, 6, 3)
+
+
+def run_node1():
+    g, params = node_setup("sage")
+    leak = federated.leak(params, g, "node1", targets=[3])
+    spec = attacks.AttackSpec(scenario="node1", iterations=ITERATIONS, d_tree=2)
+    attacks.attack_node1(leak, spec, params, numkit.make_rng(0))
+
+
+def run_batched_node():
+    g, params = node_setup("sage")
+    leak = federated.leak(params, g, "batched-node", targets=[1, 3, 6])
+    spec = attacks.AttackSpec(scenario="node1", iterations=ITERATIONS, d_tree=2)
+    attacks.attack_batched(leak, spec, params, g.labels[[1, 3, 6]],
+                           rng=numkit.make_rng(0))
+
+
+def run_node2a():
+    g, params = node_setup("gcn")
+    leak = federated.leak(params, g, "node2")
+    spec = attacks.AttackSpec(scenario="node2a", iterations=ITERATIONS)
+    attacks.attack_node2(leak, spec, params, known_features=g.features,
+                         rng=numkit.make_rng(0))
+
+
+def run_graph_a():
+    r = numkit.make_rng(6)
+    g = graphs.synthetic_graph(r, 6, 2, 4)
+    g = graphs.Graph(adjacency=g.adjacency, features=g.features, graph_label=1)
+    params = models.init_params(r, "sage", "graph", 4, 5, 3, num_nodes=6)
+    leak = federated.leak(params, g, "graph")
+    spec = attacks.AttackSpec(scenario="graph_a", iterations=ITERATIONS)
+    attacks.attack_graph(leak, spec, params, known_features=g.features,
+                         rng=numkit.make_rng(0))
+
+
+@pytest.mark.parametrize("run, task, normalizes", [
+    (run_node1, "node", False), (run_batched_node, "node", False),
+    (run_node2a, "node", True), (run_graph_a, "graph", True),
+], ids=["node1", "batched-node", "node2a", "graph_a"])
+def test_trace_counts_every_pass(run, task, normalizes):
+    calls = traced_calls(run)
+    # the leak's forward and bundle pass, then one of each per iteration
+    # and one for the final objective
+    assert calls[f"models.{task}_ctx"] == 1 + ITERATIONS + 1
+    assert calls[f"models.{task}_bundles"] == calls[f"models.{task}_ctx"]
+    # the adjacency's backward runs once per iteration, not for the final
+    # value
+    assert calls["graphs.normalize_dense_backward"] == (
+        ITERATIONS if normalizes else 0)

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -301,7 +302,7 @@ class TestContractions:
              else g.features)
         ctx = models.node_ctx(params, x, anorm.matrix, targets,
                               r.integers(0, 3, size=len(targets)))
-        stacks = models.node_bundles(ctx, params)
+        stacks = models.node_bundles(ctx, params, per_sample=True)
         want = einsum_node_bundles(ctx, params)
         assert stacks.keys() == want.keys()
         for k in want:
@@ -360,8 +361,8 @@ class TestAllRowTargets:
         for name in ("at", "xt", "mt", "ht", "st", "logits", "q", "g2", "g1",
                      "u"):
             assert np.array_equal(getattr(every, name), getattr(named, name))
-        stacks = models.node_bundles(every, params)
-        want = models.node_bundles(named, params)
+        stacks = models.node_bundles(every, params, per_sample=True)
+        want = models.node_bundles(named, params, per_sample=True)
         assert stacks.keys() == want.keys()
         for k in want:
             assert np.array_equal(stacks[k], want[k])
@@ -393,8 +394,14 @@ class TestMeanBundle:
         targets = r.integers(0, 6, size=batch)
         ctx = models.node_ctx(params, x, anorm.matrix, targets,
                               r.integers(0, 3, size=batch))
-        self.check(models.node_mean_bundle(ctx, params),
-                   models.node_bundles(ctx, params))
+        mean = models.node_bundles(ctx, params)
+        stacks = models.node_bundles(ctx, params, per_sample=True)
+        self.check(mean, stacks)
+        if batch == 1:
+            # one target is a batch of one: the single-sample leak and
+            # attacks run the mean pass and keep the per-sample bits
+            for k, stack in stacks.items():
+                assert np.array_equal(mean[k], stack)
 
     @staticmethod
     def check(mean, stacks):
@@ -444,8 +451,8 @@ class TestBundleOut:
     @pytest.mark.parametrize("mean", [False, True], ids=["per-sample", "mean"])
     def test_node(self, framework, layout, mean):
         ctx, params = node_case(framework, layout)
-        fn = models.node_mean_bundle if mean else models.node_bundles
-        self.check(fn, ctx, params)
+        self.check(functools.partial(models.node_bundles,
+                                     per_sample=not mean), ctx, params)
 
     @pytest.mark.parametrize("framework", ["gcn", "sage"])
     @pytest.mark.parametrize("batch", [1, 3])
@@ -527,7 +534,7 @@ class TestSharedCovector:
         ctx = models.node_ctx(params, x, anorm.matrix, r.integers(0, 8, size=5),
                               r.integers(0, 3, size=5))
         self.check_batch(models.node_matching_grad, ctx, params,
-                         models.node_mean_bundle(ctx, params), r)
+                         models.node_bundles(ctx, params), r)
 
     @pytest.mark.parametrize("framework", ["gcn", "sage"])
     def test_graph_batch_of_five(self, framework):
