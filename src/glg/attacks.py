@@ -278,10 +278,8 @@ def _checked(value, shape, name):
     return value
 
 
-def _start(rng, spec, shape, warm, name):
-    """Starting point of an optimized input: ``warm`` if given, else the init."""
-    if warm is not None:
-        return _checked(warm, shape, name)
+def _start(rng, spec, shape):
+    """Starting point of an optimized input: the configured init."""
     if spec.init == "constant":
         return np.full(shape, float(spec.init_value))
     return rng.standard_normal(shape)
@@ -442,7 +440,7 @@ def _optimize(spec, objective, x=None, a=None):
 # Attacks
 # ---------------------------------------------------------------------------
 
-def _attack_trees(spec, params, rng, bundle, labels, warm_x=None):
+def _attack_trees(spec, params, rng, bundle, labels):
     """One dummy tree per label, matched to one (averaged) node-task bundle.
 
     Each tree's target is its root. Only the target and its d_tree
@@ -450,8 +448,7 @@ def _attack_trees(spec, params, rng, bundle, labels, warm_x=None):
     reads no other row, so the grandchildren get no gradient (they still
     set the children's degrees). One tree keeps the (N, D) layout, B trees
     the (B, N, D) stack; ``features`` comes back in that full shape, the
-    grandchildren at their starting point. ``warm_x`` (that shape) warm
-    starts the tree features instead of the configured init.
+    grandchildren at their starting point.
     """
     tree = dummy_tree(rng, spec.d_tree, params.feature_dim)
     live = 1 + spec.d_tree
@@ -460,27 +457,26 @@ def _attack_trees(spec, params, rng, bundle, labels, warm_x=None):
         spec, params, [bundle], labels, targets=np.zeros(b, dtype=np.int64),
         anorm=normalize_dense(tree.adjacency, params.norm_mode)[:live, :live])
     shape = tree.features.shape if b == 1 else (b,) + tree.features.shape
-    x = _start(rng, spec, shape, warm_x, "init_features")
+    x = _start(rng, spec, shape)
     best = _optimize(spec, objective, x=x[..., :live, :])
     x[..., :live, :] = best.features
     best.features = x
     return best
 
 
-def attack_node1(leak, spec, params, rng, init_features=None):
+def attack_node1(leak, spec, params, rng):
     """Recover target (and neighbor) features from one node-task bundle.
 
     Infers the label from the leak and runs the dummy-tree attack on a
     batch of one, with the plain cosine/L2 objective (no regularizers).
     ``rng`` draws the dummy tree, then the gaussian start. ``features``
     comes back in the full tree's shape, the grandchildren at their
-    starting draw. ``init_features`` (the full tree's shape) warm starts
-    the tree features instead of the configured init.
+    starting draw.
     """
     _check_scenario(spec, params, ("node1",), "node")
     bundle = leak.bundle
     labels = check_labels(infer_label(bundle), params.num_classes)
-    best = _attack_trees(spec, params, rng, bundle, labels, init_features)
+    best = _attack_trees(spec, params, rng, bundle, labels)
     best.labels = labels
     best.target_feature = best.features[0].copy()
     best.neighbor_features = best.features[1:1 + spec.d_tree].copy()
@@ -488,14 +484,14 @@ def attack_node1(leak, spec, params, rng, init_features=None):
 
 
 def _attack_unknowns(spec, params, rng, bundles, n, labels, known_features,
-                     known_adjacency, init_features, init_adjacency):
+                     known_adjacency):
     """Subgraph / whole-graph attack body: the scenario picks the unknowns.
 
     Scenario suffix a optimizes the adjacency, b the features, c both; the
-    known input is required, and a known or warm-start input of the wrong
-    shape raises :class:`ShapeError` before any iteration. The features
-    start first, then the adjacency. A recovered adjacency is binarized
-    with the configured finalization.
+    known input is required, and one of the wrong shape raises
+    :class:`ShapeError` before any iteration. The features start first,
+    then the adjacency. A recovered adjacency is binarized with the
+    configured finalization.
     """
     opt_x = spec.scenario[-1] in "bc"
     opt_a = spec.scenario[-1] in "ac"
@@ -507,9 +503,8 @@ def _attack_unknowns(spec, params, rng, bundles, n, labels, known_features,
     objective = _matching_objective(spec, params, bundles, labels,
                                     known_x=known_x, known_a=known_a,
                                     anorm=anorm, regularize=True)
-    x = _start(rng, spec, xs, init_features, "init_features") if opt_x else None
-    a = (_start(rng, spec, (n, n), init_adjacency, "init_adjacency")
-         if opt_a else None)
+    x = _start(rng, spec, xs) if opt_x else None
+    a = _start(rng, spec, (n, n)) if opt_a else None
     best = _optimize(spec, objective, x, a)
     best.labels = labels
     if opt_a:
@@ -519,38 +514,35 @@ def _attack_unknowns(spec, params, rng, bundles, n, labels, known_features,
 
 
 def attack_node2(leak, spec, params, known_features=None, known_adjacency=None,
-                 *, rng, init_features=None, init_adjacency=None):
+                 *, rng):
     """Recover features and/or structure from per-node bundles of a subgraph.
 
     node2a optimizes the adjacency (features known), node2b the features
     (adjacency known), node2c both. The objective sums per-node matching
     losses and adds the smoothness and Frobenius terms weighted by
     spec.alpha / spec.beta. ``rng`` draws the gaussian starts and the
-    Bernoulli finalization; ``init_features`` / ``init_adjacency`` warm
-    start the optimized variables instead of the configured init.
+    Bernoulli finalization.
     """
     _check_scenario(spec, params, ("node2a", "node2b", "node2c"), "node")
     bundles = leak.bundles
     labels = check_labels([infer_label(b) for b in bundles], params.num_classes)
     return _attack_unknowns(spec, params, rng, bundles, len(bundles), labels,
-                            known_features, known_adjacency, init_features,
-                            init_adjacency)
+                            known_features, known_adjacency)
 
 
 def attack_graph(leak, spec, params, known_features=None, known_adjacency=None,
-                 *, rng, init_features=None, init_adjacency=None):
+                 *, rng):
     """Recover features and/or structure from one graph-task bundle.
 
-    Same unknown-selection logic, ``rng`` and warm starts as the subgraph
-    attack, driven by a single graph-level loss. With alpha = beta = 0 the
-    objective reduces to the plain matching loss.
+    Same unknown-selection logic and ``rng`` as the subgraph attack, driven
+    by a single graph-level loss. With alpha = beta = 0 the objective
+    reduces to the plain matching loss.
     """
     _check_scenario(spec, params, ("graph_a", "graph_b", "graph_c"), "graph")
     bundle = leak.bundle
     labels = check_labels(infer_label(bundle), params.num_classes)
     return _attack_unknowns(spec, params, rng, [bundle], params.num_nodes,
-                            labels, known_features, known_adjacency,
-                            init_features, init_adjacency)
+                            labels, known_features, known_adjacency)
 
 
 def attack_batched(leak, spec, params, labels, known_adjacencies=None, *, rng):
@@ -581,8 +573,8 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, *, rng):
         anorm = np.stack([normalize_dense(a, params.norm_mode) for a in known])
         objective = _matching_objective(spec, params, [bundle], labels,
                                         anorm=anorm)
-        best = _optimize(spec, objective, x=_start(
-            rng, spec, (b, n, params.feature_dim), None, "features"))
+        best = _optimize(spec, objective,
+                         x=_start(rng, spec, (b, n, params.feature_dim)))
     features = best.features.reshape((b, -1, params.feature_dim))
     return [
         RecoveryResult(

@@ -2,8 +2,8 @@
 
 Subcommands: ``attack`` runs one configured scenario, ``sweep`` repeats it
 over a list of hyperparameter values, ``selftest`` runs the gradient and
-recovery property suites. Exit codes: 0 success, 1 configuration error,
-2 numeric failure.
+recovery property suites. Exit codes: 0 success, 1 configuration error
+(an unusable config or output path too), 2 numeric failure.
 """
 
 import argparse
@@ -22,9 +22,6 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
-    p.add_argument("--timing", action="store_true",
-                   help="include wall time in the report (breaks byte-for-byte "
-                        "reproducibility)")
 
 
 def build_parser():
@@ -55,7 +52,7 @@ def build_parser():
 def _emit(rows, cfg, args):
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"report.{args.format}")
-    emit_report(rows, args.format, path, config=cfg, include_timing=args.timing)
+    emit_report(rows, args.format, path, config=cfg)
     print(path)
 
 
@@ -63,7 +60,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "selftest":
-            return 0 if run_all(verbose=True, fast=args.fast) else 2
+            return 0 if run_all(fast=args.fast) else 2
         cfg = load_config(args.config)
         if args.seed is not None:
             # the dataclass re-runs its checks on the new seed
@@ -75,7 +72,7 @@ def main(argv=None):
             rows = sweep(cfg, args.param, values)
         _emit(rows, cfg, args)
         return 0
-    except (ConfigError, json.JSONDecodeError, FileNotFoundError) as exc:
+    except (ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except GlgError as exc:

@@ -10,7 +10,6 @@ import json
 import math
 import numbers
 import os
-import time
 from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
@@ -200,7 +199,6 @@ class ReportRow:
     metrics: dict                      # name -> {mean, std, min}
     hyperparams: dict
     errors: List[str]
-    wall_time_s: float
 
 
 def _rep_rng(seed, rep):
@@ -344,7 +342,7 @@ def _one_repetition(cfg, rep, files_graph):
     return out, arts
 
 
-def _aggregate(per_rep, cfg, errors, elapsed):
+def _aggregate(per_rep, cfg, errors):
     names = sorted({k for rep in per_rep for k, v in rep.items() if v is not None})
     stats = {}
     for name in names:
@@ -365,7 +363,6 @@ def _aggregate(per_rep, cfg, errors, elapsed):
         metrics=stats,
         hyperparams=hp,
         errors=errors,
-        wall_time_s=elapsed,
     )
 
 
@@ -378,7 +375,6 @@ def run_experiment(cfg, dump_dir=None):
     written there as CSV (``rep<i>_<name>.csv``), so every reported metric
     can be recomputed from the files.
     """
-    start = time.perf_counter()
     files_graph = _load_files(cfg) if cfg.dataset.source == "files" else None
     per_rep = []
     errors = []
@@ -396,16 +392,16 @@ def run_experiment(cfg, dump_dir=None):
                            np.atleast_2d(arr), fmt="%.17g", delimiter=",")
     if not per_rep and errors:
         raise GlgError("every repetition failed: " + "; ".join(errors))
-    elapsed = time.perf_counter() - start
-    return [_aggregate(per_rep, cfg, errors, elapsed)]
+    return [_aggregate(per_rep, cfg, errors)]
 
 
 def sweep(cfg, parameter, values):
     """Re-run the experiment for each value of one hyperparameter.
 
-    Every value is parsed and its config checked before the first run. An
-    integer parameter takes an int (not a bool) or a string that parses as
-    one, so a value such as 2.5 is refused rather than truncated.
+    Every value is parsed and its config checked before the first run. No
+    parameter takes a bool. An integer parameter takes an int or a string
+    that parses as one, so a value such as 2.5 is refused rather than
+    truncated.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigError("sweep parameter must be one of "
@@ -413,11 +409,11 @@ def sweep(cfg, parameter, values):
     parse = SWEEP_PARAMETERS[parameter]
     configs = []
     for value in values:
-        # int() would truncate a float and accept a bool
-        whole = (isinstance(value, (str, numbers.Integral))
-                 and not isinstance(value, bool))
+        # float() and int() would take a bool, and int() truncates a float
+        refused = isinstance(value, bool) or (
+            parse is int and not isinstance(value, (str, numbers.Integral)))
         try:
-            if parse is int and not whole:
+            if refused:
                 raise TypeError
             parsed = parse(value)
         except (TypeError, ValueError):
@@ -444,8 +440,8 @@ _RUN_HP = ("hidden_dim", "batch_size", "seed")
 _HP_COLUMNS = _ATTACK_HP + _RUN_HP + ("swept_parameter", "swept_value")
 
 
-def _row_record(row, include_timing):
-    rec = {
+def _row_record(row):
+    return {
         "scenario": row.scenario,
         "framework": row.framework,
         "dataset": row.dataset,
@@ -454,19 +450,16 @@ def _row_record(row, include_timing):
         "hyperparams": dict(row.hyperparams),
         "errors": list(row.errors),
     }
-    if include_timing:
-        rec["wall_time_s"] = row.wall_time_s
-    return rec
 
 
-def emit_report(rows, fmt, path, config=None, include_timing=False):
+def emit_report(rows, fmt, path, config=None):
     """Write rows as CSV or JSON with a deterministic layout; returns the path."""
     if fmt not in ("csv", "json"):
         raise ConfigError("format must be csv or json", "format")
     if fmt == "json":
         payload = {
             "config": config.to_dict() if config is not None else None,
-            "rows": [_row_record(r, include_timing) for r in rows],
+            "rows": [_row_record(r) for r in rows],
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -477,10 +470,7 @@ def emit_report(rows, fmt, path, config=None, include_timing=False):
     header = list(_BASE_COLUMNS)
     for m in metric_names:
         header += [f"{m}_mean", f"{m}_std", f"{m}_min"]
-    header += _HP_COLUMNS
-    if include_timing:
-        header.append("wall_time_s")
-    header.append("errors")
+    header += _HP_COLUMNS + ("errors",)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -491,8 +481,6 @@ def emit_report(rows, fmt, path, config=None, include_timing=False):
                 rec += ([st["mean"], st["std"], st["min"]] if st
                         else ["", "", ""])
             rec += [r.hyperparams.get(c, "") for c in _HP_COLUMNS]
-            if include_timing:
-                rec.append(f"{r.wall_time_s:.3f}")
             rec.append("; ".join(r.errors))
             writer.writerow(rec)
     return path

@@ -11,9 +11,10 @@ Both tasks come in a "gcn" flavour (single weight on the aggregated input,
 self-loop normalization) and a "sage" flavour (separate aggregation and
 self weights, mean normalization).
 
-Besides plain backward passes (the gradient bundles a federated server
-would see), this module computes batch means of bundles directly, one pass
-per task; a single sample is a batch of one. Only :func:`node_bundles` with
+Besides plain backward passes (the parameter gradient bundles a federated
+server would see) and the loss's input gradients (``*_input_grads``), this
+module computes batch means of bundles directly, one pass per task; a
+single sample is a batch of one. Only :func:`node_bundles` with
 ``per_sample`` builds per-sample stacks, for node2's per-node leak and the
 node2 attacks that match it row by row. It also computes the gradient of
 ``<bundle, V>`` with respect to the input features and the normalized
@@ -150,8 +151,6 @@ class GradientBundle:
     """Gradients of one loss w.r.t. every parameter tensor (same shapes)."""
 
     tensors: dict
-    d_features: Optional[np.ndarray] = None
-    d_adj_norm: Optional[np.ndarray] = None
 
     @property
     def param_names(self):
@@ -432,12 +431,11 @@ def _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency):
     return xbar, abar
 
 
-def node_input_grads(ctx, params, want_adjacency=True):
-    """First-order d loss / d features (and d loss / d anorm), summed over samples."""
+def node_input_grads(ctx, params):
+    """First-order d loss / d features and d loss / d anorm, summed over samples."""
     t = params.tensors
     xtbar = ctx.g1 @ t["conv1_self"] if "conv1_self" in t else None
-    return _node_scatter(ctx, ctx.g1 @ t["conv1_agg"], xtbar, True,
-                         want_adjacency)
+    return _node_scatter(ctx, ctx.g1 @ t["conv1_agg"], xtbar, True, True)
 
 
 def node_matching_grad(ctx, params, v, want_adjacency, want_features=True):
@@ -477,16 +475,12 @@ def node_matching_grad(ctx, params, v, want_adjacency, want_features=True):
     return _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency)
 
 
-def forward_node(params, g, anorm, target, label=None):
-    """Run the node classifier at ``target``; the trace feeds :func:`backward_node`."""
+def forward_node(params, g, anorm, target, label):
+    """Node classifier's loss at ``target`` for ``label``; feeds the backward passes."""
     if params.task != "node":
         raise ShapeError("params are not a node-task model")
     mat = _check_norm(params, anorm)
     x = g.features if isinstance(g, Graph) else np.asarray(g, dtype=np.float64)
-    if label is None:
-        if not isinstance(g, Graph) or g.labels is None:
-            raise ShapeError("no label given and the graph carries none")
-        label = int(g.labels[target])
     if not 0 <= target < x.shape[0]:
         raise ShapeError(f"target {target} out of range")
     labels = check_labels(label, params.num_classes)
@@ -499,15 +493,9 @@ def _single(stacked):
     return {k: v[0] for k, v in stacked.items()}
 
 
-def backward_node(params, trace, wrt=("params",)):
-    """Exact reverse-mode gradients for a recorded node forward."""
-    bundle = GradientBundle(tensors=_single(node_bundles(trace, params)))
-    if "features" in wrt or "adjacency" in wrt:
-        want_adj = "adjacency" in wrt
-        xbar, abar = node_input_grads(trace, params, want_adjacency=want_adj)
-        bundle.d_features = xbar
-        bundle.d_adj_norm = abar
-    return bundle
+def backward_node(params, trace):
+    """The parameter gradient bundle of a recorded node forward."""
+    return GradientBundle(tensors=_single(node_bundles(trace, params)))
 
 
 # ---------------------------------------------------------------------------
@@ -626,17 +614,14 @@ def graph_bundles(ctx, params, out=None):
     return res
 
 
-def graph_input_grads(ctx, params, want_adjacency=True):
+def graph_input_grads(ctx, params):
     """First-order d loss / d features and d loss / d anorm, per sample."""
     t = params.tensors
     m1bar = ctx.g1 @ t["conv1_agg"]
     xbar = _swap(ctx.anorm) @ m1bar
     if "conv1_self" in t:
         xbar = xbar + ctx.g1 @ t["conv1_self"]
-    abar = None
-    if want_adjacency:
-        abar = ctx.g2w @ _swap(ctx.hidden1) + m1bar @ _swap(ctx.x)
-    return xbar, abar
+    return xbar, ctx.g2w @ _swap(ctx.hidden1) + m1bar @ _swap(ctx.x)
 
 
 def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
@@ -705,32 +690,21 @@ def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
     return xbar, abar_n
 
 
-def forward_graph(params, g, anorm, graph_label=None):
-    """Run the graph classifier; the trace feeds :func:`backward_graph`."""
+def forward_graph(params, g, anorm, graph_label):
+    """Graph classifier's loss for ``graph_label``; feeds the backward passes."""
     if params.task != "graph":
         raise ShapeError("params are not a graph-task model")
     mat = _check_norm(params, anorm)
     x = g.features if isinstance(g, Graph) else np.asarray(g, dtype=np.float64)
-    if graph_label is None:
-        if not isinstance(g, Graph) or g.graph_label is None:
-            raise ShapeError("no graph label given and the graph carries none")
-        graph_label = int(g.graph_label)
     labels = check_labels(graph_label, params.num_classes)
     trace = graph_ctx(params, x, mat, labels)
     trace.losses = _ce_rows(trace.logits, labels)
     return trace
 
 
-def backward_graph(params, trace, wrt=("params",)):
-    """Exact reverse-mode gradients for a recorded graph forward."""
-    bundle = GradientBundle(tensors=_single(graph_bundles(trace, params)))
-    if "features" in wrt or "adjacency" in wrt:
-        want_adj = "adjacency" in wrt
-        xbar, abar = graph_input_grads(trace, params, want_adjacency=want_adj)
-        bundle.d_features = xbar[0]
-        if want_adj:
-            bundle.d_adj_norm = abar[0]
-    return bundle
+def backward_graph(params, trace):
+    """The parameter gradient bundle of a recorded graph forward."""
+    return GradientBundle(tensors=_single(graph_bundles(trace, params)))
 
 
 def infer_label(bundle):

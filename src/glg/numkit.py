@@ -25,6 +25,11 @@ __all__ = [
 # rank, so the default is tight rather than the usual eps*max(m,n).
 DEFAULT_PINV_TOL = 1e-10
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def as_matrix(a, name="matrix"):
     """Coerce to a 2-D float64 array and reject non-finite entries."""
@@ -67,9 +72,6 @@ class AdamState:
     """Adam moment buffers for one optimized variable."""
 
     lr: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: np.ndarray = field(default=None, repr=False)
     v: np.ndarray = field(default=None, repr=False)
@@ -88,13 +90,13 @@ def adam_step(state, var, grad):
         raise ShapeError(f"Adam buffers {state.m.shape} vs variable {var.shape}")
     state.step += 1
     # in place: m *= b1 rounds exactly like the product b1 * m
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    return var - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
+    return var - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def hungarian_assign(cost):

@@ -203,15 +203,36 @@ def tree_world(seed=15, d_tree=3, d=4, f=8, k=3):
     return g, params
 
 
+def optimize_from(spec, params, record, x=None, a=None, **known):
+    """The structure attacks' Adam loop on their objective, from the given
+    starts; ``known`` holds the objective's known inputs. A recovered
+    adjacency is finalized as the attack would, with a fixed draw."""
+    labels = np.array([models.infer_label(b) for b in record.bundles])
+    objective = attacks._matching_objective(spec, params, record.bundles,
+                                            labels, regularize=True, **known)
+    res = attacks._optimize(spec, objective, x, a)
+    if a is not None:
+        res.adjacency = attacks.finalize_adjacency(
+            res.adjacency_prob, spec.finalization, rng=numkit.make_rng(0),
+            tau=spec.threshold)
+    return res
+
+
 class TestFixedPoints:
     def test_node1_truth_init(self):
+        # the node1 loop, started at the truth on the tree's live rows
         g, params = tree_world()
         record = federated.leak(params, g, "node1", targets=[0])
         spec = attacks.AttackSpec(scenario="node1", iterations=8, d_tree=3)
-        res = attacks.attack_node1(record, spec, params, rng=numkit.make_rng(1),
-                                   init_features=g.features)
+        live = 1 + spec.d_tree
+        objective = attacks._matching_objective(
+            spec, params, [record.bundle], g.labels[:1],
+            targets=np.zeros(1, dtype=np.int64),
+            anorm=graphs.normalize_dense(g.adjacency,
+                                         params.norm_mode)[:live, :live])
+        res = attacks._optimize(spec, objective, x=g.features[:live])
         assert np.all(res.objective_trace == 0.0)
-        assert np.array_equal(res.features, g.features)
+        assert np.array_equal(res.features, g.features[:live])
 
     def test_node2c_truth_init(self):
         r = numkit.make_rng(16)
@@ -220,9 +241,7 @@ class TestFixedPoints:
         record = federated.leak(params, g, "node2")
         spec = attacks.AttackSpec(scenario="node2c", iterations=6, alpha=0.0,
                                   beta=0.0)
-        res = attacks.attack_node2(record, spec, params, rng=numkit.make_rng(1),
-                                   init_features=g.features,
-                                   init_adjacency=g.adjacency)
+        res = optimize_from(spec, params, record, g.features, g.adjacency)
         assert np.all(res.objective_trace == 0.0)
         assert np.array_equal(res.features, g.features)
         assert np.array_equal(res.adjacency_prob, g.adjacency)
@@ -236,9 +255,7 @@ class TestFixedPoints:
         record = federated.leak(params, g, "graph")
         spec = attacks.AttackSpec(scenario="graph_c", iterations=6, alpha=0.0,
                                   beta=0.0)
-        res = attacks.attack_graph(record, spec, params, rng=numkit.make_rng(1),
-                                   init_features=g.features,
-                                   init_adjacency=g.adjacency)
+        res = optimize_from(spec, params, record, g.features, g.adjacency)
         assert np.all(res.objective_trace == 0.0)
         assert np.array_equal(res.features, g.features)
 
@@ -495,23 +512,6 @@ class TestIterativeAttacks:
         assert not np.array_equal(features[..., :live, :],
                                   draw[..., :live, :])
 
-    def test_node1_init_features_must_cover_the_tree(self):
-        g, params = tree_world()
-        record = federated.leak(params, g, "node1", targets=[0])
-        spec = attacks.AttackSpec(scenario="node1", iterations=2, d_tree=3)
-        with pytest.raises(ShapeError, match="init_features"):
-            attacks.attack_node1(record, spec, params, rng=numkit.make_rng(0),
-                                 init_features=g.features[:4])
-
-    @pytest.mark.parametrize("task", ["node", "graph"])
-    def test_init_adjacency_must_match_the_graph(self, task):
-        g, params, record, attack, scenario = structure_case(
-            numkit.make_rng(25), task)
-        spec = attacks.AttackSpec(scenario=scenario, iterations=2)
-        with pytest.raises(ShapeError, match="init_adjacency"):
-            attack(record, spec, params, known_features=g.features,
-                   rng=numkit.make_rng(0), init_adjacency=np.zeros((4, 4)))
-
     @pytest.mark.parametrize("scenario,argument,shape", [
         ("batched_graph", "known_adjacencies", (1, 5, 5)),
         ("batched_graph", "known_adjacencies", (2, 5, 5)),
@@ -591,11 +591,9 @@ class TestIterativeAttacks:
         warm = 2.0 * r.standard_normal((6, 6))
         assert (warm < 0.0).any() and (warm > 1.0).any()
         spec = attacks.AttackSpec(scenario="node2c", iterations=20)
-        a, b = [
-            attacks.attack_node2(record, spec, params, rng=numkit.make_rng(0),
-                                 init_adjacency=start)
-            for start in (warm, np.clip(warm, 0.0, 1.0))
-        ]
+        x = numkit.make_rng(0).standard_normal((6, 4))
+        a, b = [optimize_from(spec, params, record, x, start)
+                for start in (warm, np.clip(warm, 0.0, 1.0))]
         for name in ("features", "adjacency_prob", "adjacency",
                      "objective_trace"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
@@ -603,13 +601,13 @@ class TestIterativeAttacks:
     @pytest.mark.parametrize("task", ["node", "graph"])
     def test_adjacency_start_reads_only_the_lower_triangle(self, task):
         r = numkit.make_rng(35)
-        g, params, record, attack, scenario = structure_case(r, task)
+        g, params, record, _, scenario = structure_case(r, task)
         lower = np.tril(r.random((6, 6)), k=-1)
         starts = (lower + lower.T,
                   lower + np.triu(2.0 * r.standard_normal((6, 6))))
         spec = attacks.AttackSpec(scenario=scenario, iterations=20)
-        a, b = [attack(record, spec, params, known_features=g.features,
-                       rng=numkit.make_rng(0), init_adjacency=start)
+        a, b = [optimize_from(spec, params, record, a=start,
+                              known_x=g.features)
                 for start in starts]
         for name in ("adjacency_prob", "adjacency", "objective_trace"):
             assert np.array_equal(getattr(a, name), getattr(b, name))

@@ -149,6 +149,22 @@ class TestAttackCommand:
         out = run_cli("attack", "--config", str(tmp_path / "nope.json"))
         assert out.returncode == 1
 
+    def test_config_directory_is_configuration_error(self, tmp_path):
+        out = run_cli("attack", "--config", str(tmp_path),
+                      "--out", str(tmp_path / "o"))
+        assert out.returncode == 1
+        assert "configuration error: " in out.stderr
+        assert str(tmp_path) in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_output_path_that_is_a_file_is_configuration_error(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out = run_cli("attack", "--config", cfg, "--out", cfg)
+        assert out.returncode == 1
+        assert "configuration error: " in out.stderr
+        assert cfg in out.stderr
+        assert "Traceback" not in out.stderr
+
 
 class TestSweepCommand:
     def test_sweep_writes_rows(self, tmp_path):

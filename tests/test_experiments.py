@@ -362,6 +362,17 @@ class TestSweep:
             sweep(quick_config(), parameter, [4, value])
         assert runs == []
 
+    @pytest.mark.parametrize("parameter", ["alpha", "beta", "threshold"])
+    @pytest.mark.parametrize("value", [True, False])
+    def test_real_parameter_refuses_a_bool(self, monkeypatch, parameter, value):
+        runs = []
+        monkeypatch.setattr("glg.experiments.run_experiment",
+                            lambda cfg: runs.append(cfg) or [])
+        with pytest.raises(ConfigError, match=rf"{parameter}: {value!r} "
+                           "does not parse as float"):
+            sweep(quick_config(), parameter, [0.5, value])
+        assert runs == []
+
     def test_integer_parameter_takes_ints_and_int_strings(self, monkeypatch):
         runs = []
         monkeypatch.setattr("glg.experiments.run_experiment",
