@@ -327,7 +327,9 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
     one-hot rows, the target rows of a known normalized adjacency, and
     two buffers shaped like the leak's flat rows, each with per-tensor
     views: the dummy's bundle rows, which the bundle pass writes, and the
-    matcher's gradient, which the matching pass reads as its co-vector.
+    matcher's gradient, which the matching pass reads as its co-vector. A
+    graph-task model's :class:`~glg.models.GraphTrace` is built by the
+    first call and refilled by every later one.
     """
     names = bundles[0].param_names
     missing = set(names) - set(params.param_names)
@@ -341,6 +343,7 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
     dummy_flat = np.empty_like(leaked_flat)
     dummy = _unflatten(dummy_flat, layout)
     covec = None  # views into the matcher's gradient array, made once
+    trace = None  # the graph trace, built on the first call, refilled after
     mode = params.norm_mode
     node = params.task == "node"
     per_sample = len(bundles) > 1
@@ -349,7 +352,7 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
     known_at = None if anorm is None else _gather_rows(anorm, targets)
 
     def objective(x, a, update):
-        nonlocal covec
+        nonlocal covec, trace
         opt_x = x is not None
         opt_a = a is not None
         x = x if opt_x else known_x
@@ -363,7 +366,8 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
                            None if opt_a else known_at)
             node_bundles(ctx, params, per_sample, out=dummy)
         else:
-            ctx = graph_ctx(params, x, an, labels, onehot_rows)
+            ctx = trace = graph_ctx(params, x, an, labels, onehot_rows,
+                                    out=trace)
             graph_bundles(ctx, params, out=dummy)
         value, vflat = match(dummy_flat)
         gx = ga = None

@@ -50,7 +50,6 @@ def build_parser():
 
 
 def _emit(rows, cfg, args):
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"report.{args.format}")
     emit_report(rows, args.format, path, config=cfg)
     print(path)
@@ -65,6 +64,8 @@ def main(argv=None):
         if args.seed is not None:
             # the dataclass re-runs its checks on the new seed
             cfg = dataclasses.replace(cfg, seed=args.seed)
+        # an unusable output directory fails here, before any repetition runs
+        os.makedirs(args.out, exist_ok=True)
         if args.command == "attack":
             rows = run_experiment(cfg, dump_dir=args.out if args.dump else None)
         else:

@@ -23,10 +23,17 @@ the iterative gradient-matching attacks differentiate through.
 
 Array convention: an optional leading sample axis is supported everywhere;
 ``x`` may be (N, D) or (B, N, D), the normalized adjacency (N, N) or
-(B, N, N).
+(B, N, N). The graph passes keep every per-node array of a batch in one
+(B*N, width) row buffer of a :class:`GraphTrace`, allocated once and
+refilled by ``graph_ctx(..., out=trace)``; the trace's public fields are
+(B, N, width) views made once over those buffers. At B = 1 each weight,
+co-vector and adjacency product is one 2-D ``np.dot`` on the rows, written
+into its buffer; for B > 1 the products run per sample as ``np.matmul``
+on the views, so every sample keeps the bits it has alone.
 """
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -157,21 +164,33 @@ class GradientBundle:
         return [k for k in PARAM_ORDER if k in self.tensors]
 
 
-def softmax(logits):
+def softmax(logits, out=None):
     # the ufunc reductions give np.max's and .sum's bits without their
     # Python wrappers
-    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+    e = np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True),
+                    out=out)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
-def _sigmoid(z):
+def _sigmoid(z, out=None, tmp=None):
+    """The logistic function of ``z``, in ``out`` (which may be ``z``).
+
+    ``tmp``, an array of z's shape, is scratch; without it one is allocated.
+    """
     # exp of a non-positive argument never overflows. The numerator is
     # exp(min(z, 0)): exactly 1 for z >= 0 and e itself for z < 0, so the
     # quotient has the bits of the masked form 1/(1+exp(-z)) for z >= 0 and
     # exp(z)/(1+exp(z)) for z < 0, without np.where's scalar broadcast
-    e = np.exp(-np.abs(z))
-    return np.exp(np.minimum(z, 0.0)) / (1.0 + e)
+    e = np.abs(z, out=tmp)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    num = np.minimum(z, 0.0, out=out)
+    np.exp(num, out=num)
+    num /= e
+    return num
 
 
 def _ce_rows(logits, labels):
@@ -306,15 +325,17 @@ def _gather_rows(arr, targets):
     return arr[targets]
 
 
-def _pre_activation(t, layer, agg, h, product=np.matmul):
+def _pre_activation(t, layer, agg, h, product=np.dot, out=None, tmp=None):
     """Pre-activation of a convolution layer from its aggregated and own inputs.
 
-    ``product`` multiplies the inputs by the transposed weights: the node
-    pass, whose rows are 2-D, passes ``np.dot``; graph stacks keep matmul.
+    ``product`` multiplies the inputs by the transposed weights: ``np.dot``
+    on 2-D rows, ``np.matmul`` on a graph trace's (B, N, width) stacks. The
+    result is written into ``out`` and the self term into ``tmp`` when given.
     """
-    pre = product(agg, t[layer + "_agg"].T) + t[layer + "_bias"]
+    pre = product(agg, t[layer + "_agg"].T, out=out)
+    pre += t[layer + "_bias"]
     if layer + "_self" in t:
-        pre = pre + product(h, t[layer + "_self"].T)
+        pre += product(h, t[layer + "_self"].T, out=tmp)
     return pre
 
 
@@ -341,7 +362,7 @@ def node_ctx(params, x, anorm, targets, labels, onehot_rows=None, at=None):
     ctx.at = _gather_rows(anorm, targets) if at is None else at
     ctx.xt = _gather_rows(x, targets)
     ctx.mt = (ctx.at[:, None, :] @ x)[:, 0] if x.ndim == 3 else np.dot(ctx.at, x)
-    ctx.ht = _sigmoid(_pre_activation(t, "conv1", ctx.mt, ctx.xt, np.dot))
+    ctx.ht = _sigmoid(_pre_activation(t, "conv1", ctx.mt, ctx.xt))
     ctx.st = ctx.ht * (1.0 - ctx.ht)
 
     ctx.logits = np.dot(ctx.ht, t["out_weight"].T) + t["out_bias"]
@@ -502,133 +523,196 @@ def backward_node(params, trace):
 # Graph task
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GraphTrace:
-    """Forward record of the graph task for a batch of losses (leading axis B).
+# the per-node row buffers of a graph trace: name -> "d" (feature wide),
+# "f" (hidden wide) or "n" (node wide). The forward record's buffers back
+# public fields; the passes' scratch is overwritten by the next pass.
+_GRAPH_RECORD = {
+    "agg1": "d", "hidden1": "f", "sig1": "f", "agg2": "f", "hidden2": "f",
+    "sig2": "f", "hbar": "f", "g2": "f", "g2w": "f", "u1": "f", "g1": "f",
+}
+_GRAPH_SCRATCH = {
+    "f1": "f", "f2": "f", "g1bar": "f", "u1bar": "f", "g2bar": "f",
+    "m2bar": "f", "h2bar": "f", "h1bar": "f", "m1bar": "d", "d1": "d",
+    "d2": "d", "nn": "n",
+}
 
-    Only :func:`forward_graph` fills ``losses``; the attack loop never reads
-    them.
+
+class GraphTrace:
+    """Forward record of the graph task for a batch of B graphs of N nodes.
+
+    Built by :func:`graph_ctx`. Every per-node array is a (B*N, width) row
+    buffer allocated here, once; ``agg1``, ``sig1``, ``hidden1``, ``agg2``,
+    ``sig2``, ``hidden2``, ``hbar`` (gp @ mlp_weight), ``g2w``
+    (g2 @ conv2_agg), ``u1``, ``g1`` and ``g2`` are (B, N, width) views
+    over those buffers and ``flat`` the (B, N*F) view of ``hidden2``;
+    ``logits``, ``q`` and ``gp`` (softmax - onehot) are (B, K) buffers.
+    ``x`` is the (B, N, D) view of the input features and ``anorm`` the
+    normalized adjacency as given, (N, N) or (B, N, N). ``graph_ctx(...,
+    out=trace)`` refills every one of these in place, and the passes that
+    read a trace use its remaining buffers as scratch; only the gradients
+    :func:`graph_matching_grad` and :func:`graph_input_grads` return, and
+    the bundles :func:`graph_bundles` returns without ``out``, are fresh
+    arrays. Only :func:`forward_graph` fills ``losses``; the attack loop
+    never reads them.
+
+    The passes compute on the row buffers themselves at B = 1, where every
+    product is a 2-D ``np.dot``. For B > 1 they compute on the (B, N, width)
+    views with ``np.matmul``, one product per sample: a single (B*N)-row
+    product sums in another order in BLAS, so its last bits differ from
+    those of B separate samples.
     """
 
-    x: np.ndarray
-    anorm: np.ndarray
-    labels: np.ndarray
-    agg1: np.ndarray = field(repr=False, default=None)
-    sig1: np.ndarray = field(repr=False, default=None)
-    hidden1: np.ndarray = field(repr=False, default=None)
-    agg2: np.ndarray = field(repr=False, default=None)
-    sig2: np.ndarray = field(repr=False, default=None)
-    hidden2: np.ndarray = field(repr=False, default=None)
-    flat: np.ndarray = field(repr=False, default=None)
-    logits: np.ndarray = field(repr=False, default=None)
-    q: np.ndarray = field(repr=False, default=None)
-    gp: np.ndarray = field(repr=False, default=None)
-    hbar: np.ndarray = field(repr=False, default=None)   # gp @ mlp_weight
-    g2w: np.ndarray = field(repr=False, default=None)    # g2 @ conv2_agg
-    u1: np.ndarray = field(repr=False, default=None)
-    g1: np.ndarray = field(repr=False, default=None)
-    g2: np.ndarray = field(repr=False, default=None)
-    losses: np.ndarray = None
+    def __init__(self, b, n, d, f, k):
+        width = {"d": d, "f": f, "n": n}
+        self._rows = SimpleNamespace(**{
+            name: np.empty((b * n, width[w]))
+            for name, w in {**_GRAPH_RECORD, **_GRAPH_SCRATCH}.items()})
+        stacks = SimpleNamespace(**{name: rows.reshape(b, n, -1)
+                                    for name, rows in vars(self._rows).items()})
+        for name in _GRAPH_RECORD:
+            setattr(self, name, getattr(stacks, name))
+        # what the passes compute on: the rows at B = 1, else the stacks
+        self._work = self._rows if b == 1 else stacks
+        self._mm = np.dot if b == 1 else np.matmul
+        self.flat = self._rows.hidden2.reshape(b, -1)
+        self._hbar_flat = self._rows.hbar.reshape(b, -1)
+        self._f1_flat = self._rows.f1.reshape(b, -1)
+        self._h2bar_flat = self._rows.h2bar.reshape(b, -1)
+        self.logits = np.empty((b, k))
+        self.q = np.empty((b, k))
+        self.gp = np.empty((b, k))
+        self.x = self.anorm = self.labels = self.losses = None
+
+    def _fresh(self, width):
+        """A new (B, N, width) array and the form of it the passes write."""
+        out = np.empty(self.x.shape[:2] + (width,))
+        return out, (out[0] if out.shape[0] == 1 else out)
 
 
-def _swap(a):
-    """Transpose of the last two axes (of every matrix in a stack)."""
-    return a.swapaxes(-1, -2)
-
-
-def graph_ctx(params, x, anorm, labels, onehot_rows=None):
-    """Forward + first-order backward intermediates; x is (B, N, D).
+def graph_ctx(params, x, anorm, labels, onehot_rows=None, out=None):
+    """Forward + first-order backward intermediates; x is (N, D) or (B, N, D).
 
     ``labels`` must already have passed :func:`check_labels`;
     ``onehot_rows`` are their :func:`onehot` rows when built once by the
-    caller.
+    caller. Without ``out`` the pass allocates a new :class:`GraphTrace`.
+    ``out`` is a trace an earlier call returned for inputs of the same
+    shapes (an attack builds one and passes it back each iteration): the
+    pass refills it in place and returns it, so everything the earlier
+    call recorded there is overwritten.
     """
     t = params.tensors
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 2:
-        x = x[None]
+    x3 = x[None] if x.ndim == 2 else x
     anorm = np.asarray(anorm, dtype=np.float64)
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    b, n, _ = x.shape
+    b, n, d = x3.shape
     if params.num_nodes != n:
         raise ShapeError(
             f"model readout expects {params.num_nodes} nodes, graph has {n}"
         )
+    if anorm.ndim == 3 and anorm.shape[0] != b:
+        raise ShapeError(f"{anorm.shape[0]} adjacencies for {b} graphs")
+    ctx = out
+    if ctx is None:
+        ctx = GraphTrace(b, n, d, params.hidden_dim, params.num_classes)
+    elif ctx.x.shape != x3.shape:
+        raise ShapeError(f"trace holds features {ctx.x.shape}, "
+                         f"got {x3.shape}")
+    ctx.x, ctx.anorm, ctx.labels, ctx.losses = x3, anorm, labels, None
+    w = ctx._work
+    mm = ctx._mm
+    if b == 1:
+        w.x = x if x.ndim == 2 else x[0]
+        w.a = anorm if anorm.ndim == 2 else anorm[0]
+    else:
+        ctx._rows.x = x.reshape(b * n, d)
+        w.x, w.a = x3, anorm
+    w.at = w.a.swapaxes(-1, -2)
 
-    ctx = GraphTrace(x=x, anorm=anorm, labels=labels)
-    ctx.agg1 = anorm @ x
-    ctx.hidden1 = _sigmoid(_pre_activation(t, "conv1", ctx.agg1, x))
-    ctx.sig1 = ctx.hidden1 * (1.0 - ctx.hidden1)
+    mm(w.a, w.x, out=w.agg1)
+    h1 = _pre_activation(t, "conv1", w.agg1, w.x, mm, w.hidden1, w.f1)
+    _sigmoid(h1, out=h1, tmp=w.f1)
+    np.subtract(1.0, h1, out=w.sig1)
+    w.sig1 *= h1
 
-    ctx.agg2 = anorm @ ctx.hidden1
-    ctx.hidden2 = _sigmoid(_pre_activation(t, "conv2", ctx.agg2, ctx.hidden1))
-    ctx.sig2 = ctx.hidden2 * (1.0 - ctx.hidden2)
+    mm(w.a, h1, out=w.agg2)
+    h2 = _pre_activation(t, "conv2", w.agg2, h1, mm, w.hidden2, w.f1)
+    _sigmoid(h2, out=h2, tmp=w.f1)
+    np.subtract(1.0, h2, out=w.sig2)
+    w.sig2 *= h2
 
-    ctx.flat = ctx.hidden2.reshape(b, -1)
-    ctx.logits = ctx.flat @ t["mlp_weight"].T + t["mlp_bias"]
-    ctx.q = softmax(ctx.logits)
+    np.dot(ctx.flat, t["mlp_weight"].T, out=ctx.logits)
+    ctx.logits += t["mlp_bias"]
+    softmax(ctx.logits, out=ctx.q)
     if onehot_rows is None:
         onehot_rows = onehot(labels, ctx.q.shape[-1])
-    ctx.gp = ctx.q - onehot_rows
+    np.subtract(ctx.q, onehot_rows, out=ctx.gp)
 
-    ctx.hbar = (ctx.gp @ t["mlp_weight"]).reshape(ctx.hidden2.shape)
-    ctx.g2 = ctx.hbar * ctx.sig2
-    ctx.g2w = ctx.g2 @ t["conv2_agg"]
-    ctx.u1 = _swap(anorm) @ ctx.g2w
+    np.dot(ctx.gp, t["mlp_weight"], out=ctx._hbar_flat)
+    np.multiply(w.hbar, w.sig2, out=w.g2)
+    mm(w.g2, t["conv2_agg"], out=w.g2w)
+    mm(w.at, w.g2w, out=w.u1)
     if "conv2_self" in t:
-        ctx.u1 = ctx.u1 + ctx.g2 @ t["conv2_self"]
-    ctx.g1 = ctx.u1 * ctx.sig1
+        w.u1 += mm(w.g2, t["conv2_self"], out=w.f1)
+    np.multiply(w.u1, w.sig1, out=w.g1)
     return ctx
 
 
 def graph_bundles(ctx, params, out=None):
     """The batch mean of the B graphs' gradients, as a stack of one.
 
-    A single graph is a batch of one. The B graphs' node rows are stacked
-    into one (B*N)-row matrix per operand, so each weight gradient is one
-    matrix product over every sample's nodes. ``out`` works as in
-    :func:`node_bundles`.
+    A single graph is a batch of one. Each weight gradient is one matrix
+    product over the trace's (B*N)-row buffers, summed over every sample's
+    nodes. ``out`` works as in :func:`node_bundles`.
     """
     o = out or {}
     b = ctx.x.shape[0]
-
-    def rows(a):
-        return a.reshape(-1, a.shape[-1])
-
-    g2 = rows(ctx.g2)
-    g1 = rows(ctx.g1)
+    r = ctx._rows
     res = {
         "mlp_weight": _mean_product(ctx.gp.T, ctx.flat, b, o.get("mlp_weight")),
         "mlp_bias": _mean_sum(ctx.gp, b, o.get("mlp_bias")),
-        "conv2_agg": _mean_product(g2.T, rows(ctx.agg2), b, o.get("conv2_agg")),
-        "conv2_bias": _mean_sum(g2, b, o.get("conv2_bias")),
-        "conv1_agg": _mean_product(g1.T, rows(ctx.agg1), b, o.get("conv1_agg")),
-        "conv1_bias": _mean_sum(g1, b, o.get("conv1_bias")),
+        "conv2_agg": _mean_product(r.g2.T, r.agg2, b, o.get("conv2_agg")),
+        "conv2_bias": _mean_sum(r.g2, b, o.get("conv2_bias")),
+        "conv1_agg": _mean_product(r.g1.T, r.agg1, b, o.get("conv1_agg")),
+        "conv1_bias": _mean_sum(r.g1, b, o.get("conv1_bias")),
     }
     if "conv2_self" in params.tensors:
-        res["conv2_self"] = _mean_product(g2.T, rows(ctx.hidden1), b,
+        res["conv2_self"] = _mean_product(r.g2.T, r.hidden1, b,
                                           o.get("conv2_self"))
     if "conv1_self" in params.tensors:
-        res["conv1_self"] = _mean_product(g1.T, rows(ctx.x), b,
-                                          o.get("conv1_self"))
+        res["conv1_self"] = _mean_product(r.g1.T, r.x, b, o.get("conv1_self"))
     return res
 
 
 def graph_input_grads(ctx, params):
     """First-order d loss / d features and d loss / d anorm, per sample."""
     t = params.tensors
-    m1bar = ctx.g1 @ t["conv1_agg"]
-    xbar = _swap(ctx.anorm) @ m1bar
+    w = ctx._work
+    mm = ctx._mm
+    m1bar = mm(w.g1, t["conv1_agg"])
+    xbar, xbar_w = ctx._fresh(ctx.x.shape[2])
+    mm(w.at, m1bar, out=xbar_w)
     if "conv1_self" in t:
-        xbar = xbar + ctx.g1 @ t["conv1_self"]
-    return xbar, ctx.g2w @ _swap(ctx.hidden1) + m1bar @ _swap(ctx.x)
+        xbar_w += mm(w.g1, t["conv1_self"])
+    abar, abar_w = ctx._fresh(ctx.x.shape[1])
+    mm(w.g2w, w.hidden1.swapaxes(-1, -2), out=abar_w)
+    abar_w += mm(m1bar, w.x.swapaxes(-1, -2))
+    return xbar, abar
+
+
+def _graph_covec(v, b):
+    """A conv co-vector stack as the passes use it, and its transpose."""
+    m = v[0] if b == 1 else v
+    return m, m.swapaxes(-1, -2)
 
 
 def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
     """Gradient of sum_b <bundle_b, v_b> w.r.t. features and normalized adjacency.
 
     ``v`` is stacked along the sample axis like :func:`node_matching_grad`'s.
-    A gradient not wanted is not computed and comes back as None.
+    The gradients come back as new (B, N, D) and (B, N, N) arrays; the
+    trace's scratch buffers hold the intermediates. A gradient not wanted
+    is not computed and comes back as None.
     """
     t = params.tensors
     w1a = t["conv1_agg"]
@@ -636,58 +720,86 @@ def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
     w2a = t["conv2_agg"]
     w2s = t.get("conv2_self")
     wm = t["mlp_weight"]
-    anorm_t = _swap(ctx.anorm)
+    w = ctx._work
+    mm = ctx._mm
     b = ctx.x.shape[0]
+    v1a, v1a_t = _graph_covec(v["conv1_agg"], b)
+    v2a, v2a_t = _graph_covec(v["conv2_agg"], b)
+    bias1 = v["conv1_bias"][0] if b == 1 else v["conv1_bias"][:, None, :]
+    bias2 = v["conv2_bias"][0] if b == 1 else v["conv2_bias"][:, None, :]
 
     # adjoints of the first-layer backward outputs
-    g1bar = ctx.agg1 @ _swap(v["conv1_agg"]) + v["conv1_bias"][:, None, :]
+    g1bar = mm(w.agg1, v1a_t, out=w.g1bar)
+    g1bar += bias1
     if w1s is not None:
-        g1bar += ctx.x @ _swap(v["conv1_self"])
-    m1bar = ctx.g1 @ v["conv1_agg"]
+        v1s, v1s_t = _graph_covec(v["conv1_self"], b)
+        g1bar += mm(w.x, v1s_t, out=w.f1)
+    m1bar = mm(w.g1, v1a, out=w.m1bar)
 
-    u1bar = g1bar * ctx.sig1
-    s1bar = g1bar * ctx.u1
-    g2bar = (ctx.anorm @ u1bar) @ w2a.T
-    abar_n = None
+    u1bar = np.multiply(g1bar, w.sig1, out=w.u1bar)
+    s1bar = np.multiply(g1bar, w.u1, out=g1bar)  # g1bar is not read again
+    g2bar = mm(mm(w.a, u1bar, out=w.f1), w2a.T, out=w.g2bar)
+    abar = None
     if want_adjacency:
-        abar_n = ctx.g2w @ _swap(u1bar)
+        abar, abar_w = ctx._fresh(ctx.x.shape[1])
+        mm(w.g2w, u1bar.swapaxes(-1, -2), out=abar_w)
     if w2s is not None:
-        g2bar += u1bar @ w2s.T
+        g2bar += mm(u1bar, w2s.T, out=w.f1)
 
     # adjoints of the second-layer gradient outputs
-    g2bar += ctx.agg2 @ _swap(v["conv2_agg"]) + v["conv2_bias"][:, None, :]
-    m2bar = ctx.g2 @ v["conv2_agg"]
+    p2 = mm(w.agg2, v2a_t, out=w.f1)
+    p2 += bias2
+    g2bar += p2
+    m2bar = mm(w.g2, v2a, out=w.m2bar)
     if w2s is not None:
-        g2bar += ctx.hidden1 @ _swap(v["conv2_self"])
+        v2s, v2s_t = _graph_covec(v["conv2_self"], b)
+        g2bar += mm(w.hidden1, v2s_t, out=w.f1)
 
     # adjoints of the readout gradient outputs
     gpbar = _covec_rows(v["mlp_weight"], ctx.flat) + v["mlp_bias"]
-    rbar = (g2bar * ctx.sig2).reshape(b, -1)
-    gpbar += rbar @ wm.T
-    s2bar = g2bar * ctx.hbar
+    np.multiply(g2bar, w.sig2, out=w.f1)
+    gpbar += np.dot(ctx._f1_flat, wm.T)
+    s2bar = np.multiply(g2bar, w.hbar, out=g2bar)  # g2bar is not read again
 
-    pbar = ctx.q * gpbar - (gpbar * ctx.q).sum(axis=-1, keepdims=True) * ctx.q
-    hflatbar = pbar @ wm + _rows_covec(ctx.gp, v["mlp_weight"])
-    h2bar = hflatbar.reshape(ctx.hidden2.shape) + s2bar * (1.0 - 2.0 * ctx.hidden2)
-    z2bar = h2bar * ctx.sig2
+    q = ctx.q
+    pbar = q * gpbar - np.add.reduce(gpbar * q, axis=-1, keepdims=True) * q
+    np.dot(pbar, wm, out=ctx._h2bar_flat)
+    ctx._h2bar_flat += _rows_covec(ctx.gp, v["mlp_weight"])
+    h2bar = w.h2bar
+    h2bar += _times_one_minus_twice(s2bar, w.hidden2, w.f1)
+    z2bar = np.multiply(h2bar, w.sig2, out=h2bar)
 
-    m2bar = m2bar + z2bar @ w2a
+    m2bar += mm(z2bar, w2a, out=w.f1)
     if want_adjacency:
-        abar_n = abar_n + m2bar @ _swap(ctx.hidden1)
-    h1bar = anorm_t @ m2bar + s1bar * (1.0 - 2.0 * ctx.hidden1)
+        abar_w += mm(m2bar, w.hidden1.swapaxes(-1, -2), out=w.nn)
+    h1bar = mm(w.at, m2bar, out=w.h1bar)
+    h1bar += _times_one_minus_twice(s1bar, w.hidden1, w.f1)
     if w2s is not None:
-        h1bar += ctx.g2 @ v["conv2_self"] + z2bar @ w2s
-    z1bar = h1bar * ctx.sig1
+        p1 = mm(w.g2, v2s, out=w.f1)
+        p1 += mm(z2bar, w2s, out=w.f2)
+        h1bar += p1
+    z1bar = np.multiply(h1bar, w.sig1, out=h1bar)
 
-    m1bar = m1bar + z1bar @ w1a
+    m1bar += mm(z1bar, w1a, out=w.d1)
     if want_adjacency:
-        abar_n = abar_n + m1bar @ _swap(ctx.x)
+        abar_w += mm(m1bar, w.x.swapaxes(-1, -2), out=w.nn)
     xbar = None
     if want_features:
-        xbar = anorm_t @ m1bar
+        xbar, xbar_w = ctx._fresh(ctx.x.shape[2])
+        mm(w.at, m1bar, out=xbar_w)
         if w1s is not None:
-            xbar += ctx.g1 @ v["conv1_self"] + z1bar @ w1s
-    return xbar, abar_n
+            p0 = mm(w.g1, v1s, out=w.d1)
+            p0 += mm(z1bar, w1s, out=w.d2)
+            xbar_w += p0
+    return xbar, abar
+
+
+def _times_one_minus_twice(s, h, out):
+    """``s * (1 - 2 h)`` in ``out``: the sigmoid's second derivative term."""
+    np.multiply(h, 2.0, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= s
+    return out
 
 
 def forward_graph(params, g, anorm, graph_label):

@@ -835,7 +835,8 @@ class TestObjectiveState:
 
     @pytest.mark.parametrize("objective", ["cosine", "l2"])
     @pytest.mark.parametrize("scenario",
-                             ["node1", "node2a", "graph_a", "batched_node"])
+                             ["node1", "node2a", "graph_a", "graph_c",
+                              "batched_node", "batched_graph"])
     def test_second_call_equals_a_fresh_objective(self, monkeypatch, scenario,
                                                   objective):
         f, x2, a2 = objective_case(monkeypatch, scenario, "sage", objective)
@@ -855,6 +856,36 @@ class TestObjectiveState:
         # the second call left what the first returned as it was
         for arr, copy in zip(first, kept):
             assert (arr is None and copy is None) or np.array_equal(arr, copy)
+
+    def test_attacks_in_one_process_share_nothing(self):
+        """A graph attack, a batched graph attack, then the first again:
+        each attack builds its own trace, so the repeat has the first's bits."""
+        r = numkit.make_rng(43)
+        n, d = 6, 4
+        params = models.init_params(r, "sage", "graph", d, 5, 3, num_nodes=n)
+        gs = []
+        for k in range(3):
+            g0 = graphs.er_graph(r, n, 0.5, d)
+            gs.append(graphs.Graph(adjacency=g0.adjacency, features=g0.features,
+                                   graph_label=k))
+        spec = attacks.AttackSpec(scenario="graph_a", iterations=30)
+
+        def graph_a():
+            return attacks.attack_graph(
+                federated.leak(params, gs[0], "graph"), spec, params,
+                known_features=gs[0].features, rng=numkit.make_rng(44))
+
+        first = graph_a()
+        attacks.attack_batched(
+            federated.leak(params, gs, "batched-graph"),
+            attacks.AttackSpec(scenario="graph_b", iterations=30), params,
+            labels=[0, 1, 2], known_adjacencies=[g.adjacency for g in gs],
+            rng=numkit.make_rng(45))
+        again = graph_a()
+        for name in ("adjacency_prob", "adjacency", "labels",
+                     "objective_trace"):
+            assert np.array_equal(getattr(again, name), getattr(first, name))
+        assert again.final_objective == first.final_objective
 
 
 def test_leak_with_a_tensor_the_model_lacks_fails():

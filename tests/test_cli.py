@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import glg
+from glg import cli
 
 
 CONFIG = {
@@ -164,6 +165,21 @@ class TestAttackCommand:
         assert "configuration error: " in out.stderr
         assert cfg in out.stderr
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("command", ["attack", "sweep"])
+    def test_output_path_is_checked_before_any_repetition(
+            self, tmp_path, monkeypatch, capsys, command):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a repetition ran before the output "
+                                 "directory was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        monkeypatch.setattr(cli, "sweep", must_not_run)
+        cfg = write_config(tmp_path)
+        extra = ["--param", "alpha", "--values", "0"] if command == "sweep" else []
+        assert cli.main([command, "--config", cfg, "--out", cfg, *extra]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error: " in err and cfg in err
 
 
 class TestSweepCommand:

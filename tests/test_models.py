@@ -490,6 +490,83 @@ class TestBundleOut:
             assert np.array_equal(views[k], want[k])
 
 
+GRAPH_TRACE_FIELDS = ("x", "anorm", "labels", "agg1", "sig1", "hidden1",
+                      "agg2", "sig2", "hidden2", "flat", "logits", "q", "gp",
+                      "hbar", "g2w", "u1", "g1", "g2", "losses")
+
+
+def graph_inputs(r, params, batch, stack):
+    """Features, normalized adjacency and labels of ``batch`` random graphs;
+    one graph's adjacency is (N, N), or the (1, N, N) stack with ``stack``."""
+    n, d = params.num_nodes, params.feature_dim
+    mats = [graphs.normalize_dense(graphs.er_graph(r, n, 0.5, d).adjacency,
+                                   params.norm_mode) for _ in range(batch)]
+    anorm = np.stack(mats) if stack else mats[0]
+    return (r.standard_normal((batch, n, d)), anorm,
+            r.integers(0, 3, size=batch))
+
+
+class TestTraceReuse:
+    """A trace refilled with ``out`` holds the bits of a fresh one, and the
+    passes that read it hand back arrays of their own."""
+
+    CASES = pytest.mark.parametrize("batch,stack", [
+        (1, False), (1, True), (3, True)], ids=["one", "one-stack", "three"])
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @CASES
+    def test_refill_equals_a_fresh_trace(self, framework, batch, stack):
+        r = numkit.make_rng(91)
+        params = models.init_params(r, framework, "graph", 4, 5, 3, num_nodes=6)
+        trace = models.graph_ctx(params, *graph_inputs(r, params, batch, stack))
+        v = random_covectors(r, models.graph_bundles(trace, params))
+        models.graph_matching_grad(trace, params, v, True)
+        second = graph_inputs(r, params, batch, stack)
+        assert models.graph_ctx(params, *second, out=trace) is trace
+        fresh = models.graph_ctx(params, *second)
+        for name in GRAPH_TRACE_FIELDS:
+            got, want = getattr(trace, name), getattr(fresh, name)
+            assert (got is None) == (want is None), name
+            if want is not None:
+                assert got.shape == want.shape and np.array_equal(got, want), name
+        got = models.graph_bundles(trace, params)
+        want = models.graph_bundles(fresh, params)
+        for k in want:
+            assert np.array_equal(got[k], want[k])
+        for got_arr, want_arr in zip(
+                models.graph_matching_grad(trace, params, v, True),
+                models.graph_matching_grad(fresh, params, v, True)):
+            assert np.array_equal(got_arr, want_arr)
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @CASES
+    def test_gradients_are_fresh_arrays(self, framework, batch, stack):
+        r = numkit.make_rng(92)
+        params = models.init_params(r, framework, "graph", 4, 5, 3, num_nodes=6)
+        trace = models.graph_ctx(params, *graph_inputs(r, params, batch, stack))
+        v = random_covectors(r, models.graph_bundles(trace, params))
+        first = models.graph_matching_grad(trace, params, v, True)
+        kept = [arr.copy() for arr in first]
+        second = models.graph_matching_grad(trace, params, v, True)
+        buffers = [arr for arr in vars(trace).values()
+                   if isinstance(arr, np.ndarray)]
+        buffers += list(vars(trace._rows).values())
+        for arr in first + second:
+            assert not any(np.shares_memory(arr, buf) for buf in buffers)
+        for one in first:
+            assert not any(np.shares_memory(one, two) for two in second)
+        for arr, copy, again in zip(first, kept, second):
+            assert np.array_equal(arr, copy) and np.array_equal(again, copy)
+
+    def test_refill_with_another_shape_raises(self):
+        r = numkit.make_rng(93)
+        params = models.init_params(r, "sage", "graph", 4, 5, 3, num_nodes=6)
+        trace = models.graph_ctx(params, *graph_inputs(r, params, 1, False))
+        with pytest.raises(ShapeError, match="trace holds features"):
+            models.graph_ctx(params, *graph_inputs(r, params, 3, True),
+                             out=trace)
+
+
 class TestSharedCovector:
     """A shared co-vector (a stack of one) is contracted by 2-D products;
     the batched broadcast it replaces gives the same numbers. A batch mean
