@@ -117,7 +117,6 @@ class RecoveryResult:
     labels: Optional[np.ndarray] = None
     objective_trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
     target_feature: Optional[np.ndarray] = None
-    neighbor_features: Optional[np.ndarray] = None
     final_objective: float = np.inf
 
 
@@ -469,7 +468,7 @@ def _attack_trees(spec, params, rng, bundle, labels):
 
 
 def attack_node1(leak, spec, params, rng):
-    """Recover target (and neighbor) features from one node-task bundle.
+    """Recover the target's features from one node-task bundle.
 
     Infers the label from the leak and runs the dummy-tree attack on a
     batch of one, with the plain cosine/L2 objective (no regularizers).
@@ -483,7 +482,6 @@ def attack_node1(leak, spec, params, rng):
     best = _attack_trees(spec, params, rng, bundle, labels)
     best.labels = labels
     best.target_feature = best.features[0].copy()
-    best.neighbor_features = best.features[1:1 + spec.d_tree].copy()
     return best
 
 
@@ -491,8 +489,9 @@ def _attack_unknowns(spec, params, rng, bundles, n, labels, known_features,
                      known_adjacency):
     """Subgraph / whole-graph attack body: the scenario picks the unknowns.
 
-    Scenario suffix a optimizes the adjacency, b the features, c both; the
-    known input is required, and one of the wrong shape raises
+    Scenario suffix a optimizes the adjacency, b the features, c both.
+    Only the known input the scenario needs is read, so a caller may pass
+    both; that one is required, and one of the wrong shape raises
     :class:`ShapeError` before any iteration. The features start first,
     then the adjacency. A recovered adjacency is binarized with the
     configured finalization.

@@ -68,7 +68,6 @@ class DatasetSpec:
     source: str = "synthetic"          # synthetic | er | tree | files
     n: int = 50
     avg_degree: float = 4.0
-    edge_prob: Optional[float] = None  # er; defaults to avg_degree / (n - 1)
     feature_dim: int = 10
     num_classes: int = 4
     d_tree: int = 10                   # tree source
@@ -83,8 +82,6 @@ class DatasetSpec:
                               ("d_tree", 1)):
             check_int(getattr(self, name), f"dataset.{name}", minimum)
         check_real(self.avg_degree, "dataset.avg_degree")
-        if self.edge_prob is not None:
-            check_real(self.edge_prob, "dataset.edge_prob")
         if self.source == "files":
             for name in ("feature_file", "edge_file"):
                 path = getattr(self, name)
@@ -101,14 +98,10 @@ class DatasetSpec:
                 raise ConfigError(f"avg_degree {self.avg_degree} asks for more "
                                   f"edges than {self.n} nodes have",
                                   "dataset.avg_degree")
-        elif self.edge_prob is not None:
-            if not 0.0 <= self.edge_prob <= 1.0:
-                raise ConfigError("edge_prob must lie in [0, 1]",
-                                  "dataset.edge_prob")
         elif self.n < 2 or self.avg_degree > self.n - 1:
-            raise ConfigError("the default edge probability avg_degree / (n - 1) "
-                              "must lie in [0, 1]; set edge_prob or lower "
-                              "avg_degree", "dataset.avg_degree")
+            raise ConfigError("the er edge probability avg_degree / (n - 1) "
+                              "must lie in [0, 1]; lower avg_degree or raise n",
+                              "dataset.avg_degree")
 
 
 @dataclass
@@ -120,7 +113,6 @@ class ExperimentConfig:
     attack: AttackSpec = None
     egonet_hops: Optional[int] = 3     # node2*: sample this k-hop egonet
     batch_size: int = 5                # batched scenarios
-    one_hop_eval: bool = False         # node1: also score matched neighbors
     repeats: int = 1
     seed: int = 0
 
@@ -229,8 +221,8 @@ def _build_graph(cfg, rng, files_graph, need_graph_label=False):
         g = synthetic_graph(rng, ds.n, ds.avg_degree, ds.feature_dim,
                             num_classes=ds.num_classes)
     elif ds.source == "er":
-        p = ds.edge_prob if ds.edge_prob is not None else ds.avg_degree / (ds.n - 1)
-        g = er_graph(rng, ds.n, p, ds.feature_dim, num_classes=ds.num_classes)
+        g = er_graph(rng, ds.n, ds.avg_degree / (ds.n - 1), ds.feature_dim,
+                     num_classes=ds.num_classes)
     elif ds.source == "tree":
         g = dummy_tree(rng, ds.d_tree, ds.feature_dim, num_classes=ds.num_classes)
     else:
@@ -265,19 +257,9 @@ def _one_repetition(cfg, rep, files_graph):
     if cfg.scenario == "node1":
         g = _build_graph(cfg, rng, files_graph)
         target = int(rng.integers(0, g.num_nodes))
-        spec = cfg.attack
-        if cfg.one_hop_eval:
-            deg = max(1, int(g.degrees()[target]))
-            spec = AttackSpec(**{**asdict(spec), "d_tree": deg})
         record = leak(params, g, "node1", targets=[target])
-        res = attack_node1(record, spec, params, rng=rng)
+        res = attack_node1(record, cfg.attack, params, rng=rng)
         out["target_rnmse"] = rnmse(g.features[target], res.target_feature)
-        if cfg.one_hop_eval:
-            nbrs = g.neighbors(target)
-            if len(nbrs) == len(res.neighbor_features):
-                ms = batch_match_score([g.features[v] for v in nbrs],
-                                       list(res.neighbor_features))
-                out["neighbor_rnmse"] = ms.mean
         arts["true_features"] = g.features[target][None]
         arts["recovered_features"] = res.target_feature[None]
         return out, arts
@@ -310,8 +292,8 @@ def _one_repetition(cfg, rep, files_graph):
         arts["recovered_features"] = np.vstack(recovered)
         return out, arts
 
-    # subgraph (node2*) and whole-graph (graph_*) scenarios; the suffix names
-    # the known input: a the features, b the adjacency, c neither
+    # subgraph (node2*) and whole-graph (graph_*) scenarios; the attack reads
+    # the known input its scenario needs
     g = _build_graph(cfg, rng, files_graph,
                      need_graph_label=cfg.task == "graph")
     if cfg.task == "node":
@@ -321,10 +303,8 @@ def _one_repetition(cfg, rep, files_graph):
         record, attack = leak(params, g, "node2"), attack_node2
     else:
         record, attack = leak(params, g, "graph"), attack_graph
-    known = cfg.scenario[-1]
-    res = attack(record, cfg.attack, params,
-                 known_features=g.features if known == "a" else None,
-                 known_adjacency=g.adjacency if known == "b" else None, rng=rng)
+    res = attack(record, cfg.attack, params, known_features=g.features,
+                 known_adjacency=g.adjacency, rng=rng)
     if res.features is not None:
         out["feature_rnmse"] = rnmse_per_row(g.features, res.features)
         arts["true_features"] = g.features
@@ -440,18 +420,6 @@ _RUN_HP = ("hidden_dim", "batch_size", "seed")
 _HP_COLUMNS = _ATTACK_HP + _RUN_HP + ("swept_parameter", "swept_value")
 
 
-def _row_record(row):
-    return {
-        "scenario": row.scenario,
-        "framework": row.framework,
-        "dataset": row.dataset,
-        "repeats": row.repeats,
-        "metrics": {k: dict(v) for k, v in sorted(row.metrics.items())},
-        "hyperparams": dict(row.hyperparams),
-        "errors": list(row.errors),
-    }
-
-
 def emit_report(rows, fmt, path, config=None):
     """Write rows as CSV or JSON with a deterministic layout; returns the path."""
     if fmt not in ("csv", "json"):
@@ -459,7 +427,7 @@ def emit_report(rows, fmt, path, config=None):
     if fmt == "json":
         payload = {
             "config": config.to_dict() if config is not None else None,
-            "rows": [_row_record(r) for r in rows],
+            "rows": [asdict(r) for r in rows],
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)

@@ -273,6 +273,20 @@ def _rows_covec(rows, w):
     return (rows[:, None, :] @ w)[:, 0]
 
 
+def _softmax_adjoint(q, qbar):
+    """The logits' adjoint of ``q = softmax(logits)`` given q's adjoint ``qbar``."""
+    return q * qbar - np.add.reduce(qbar * q, axis=-1, keepdims=True) * q
+
+
+def _times_one_minus_twice(s, h, out=None):
+    """``s * (1 - 2 h)``, in ``out`` when given: the sigmoid's second
+    derivative term."""
+    out = np.multiply(h, 2.0, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= s
+    return out
+
+
 def _check_norm(params, anorm):
     if isinstance(anorm, NormalizedAdjacency):
         if anorm.mode != params.norm_mode:
@@ -484,10 +498,10 @@ def node_matching_grad(ctx, params, v, want_adjacency, want_features=True):
     stbar = g1bar * ctx.u
     g2bar = (_covec_rows(v["out_weight"], ctx.ht) + v["out_bias"]
              + np.dot(ubar, w_out.T))
-    pbar = ctx.q * g2bar - (g2bar * ctx.q).sum(axis=-1, keepdims=True) * ctx.q
+    pbar = _softmax_adjoint(ctx.q, g2bar)
     htbar = (np.dot(pbar, w_out)
              + _rows_covec(ctx.g2, v["out_weight"])
-             + stbar * (1.0 - 2.0 * ctx.ht))
+             + _times_one_minus_twice(stbar, ctx.ht))
     ztbar = htbar * ctx.st
     mtbar = mtbar + np.dot(ztbar, w_agg)
     xtbar = None
@@ -700,20 +714,20 @@ def graph_input_grads(ctx, params):
     return xbar, abar
 
 
-def _graph_covec(v, b):
-    """A conv co-vector stack as the passes use it, and its transpose."""
-    m = v[0] if b == 1 else v
-    return m, m.swapaxes(-1, -2)
-
-
 def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
-    """Gradient of sum_b <bundle_b, v_b> w.r.t. features and normalized adjacency.
+    """Gradient of sum_b <bundle_b, v> w.r.t. features and normalized adjacency.
 
-    ``v`` is stacked along the sample axis like :func:`node_matching_grad`'s.
-    The gradients come back as new (B, N, D) and (B, N, N) arrays; the
-    trace's scratch buffers hold the intermediates. A gradient not wanted
-    is not computed and comes back as None.
+    A graph leak is one bundle, the batch mean, so one co-vector ``v`` is
+    shared by every sample: each tensor's co-vector is a stack of one (the
+    attacks pass the mean's co-vector scaled by 1/B); a stack of more
+    entries raises :class:`ShapeError`. The gradients come back as new
+    (B, N, D) and (B, N, N) arrays; the trace's scratch buffers hold the
+    intermediates. A gradient not wanted is not computed and comes back as
+    None.
     """
+    if len(v["mlp_bias"]) != 1:
+        raise ShapeError(f"a graph co-vector is a stack of one, got "
+                         f"{len(v['mlp_bias'])}")
     t = params.tensors
     w1a = t["conv1_agg"]
     w1s = t.get("conv1_self")
@@ -722,18 +736,16 @@ def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
     wm = t["mlp_weight"]
     w = ctx._work
     mm = ctx._mm
-    b = ctx.x.shape[0]
-    v1a, v1a_t = _graph_covec(v["conv1_agg"], b)
-    v2a, v2a_t = _graph_covec(v["conv2_agg"], b)
-    bias1 = v["conv1_bias"][0] if b == 1 else v["conv1_bias"][:, None, :]
-    bias2 = v["conv2_bias"][0] if b == 1 else v["conv2_bias"][:, None, :]
+    v1a = v["conv1_agg"][0]
+    v2a = v["conv2_agg"][0]
+    vm = v["mlp_weight"][0]
 
     # adjoints of the first-layer backward outputs
-    g1bar = mm(w.agg1, v1a_t, out=w.g1bar)
-    g1bar += bias1
+    g1bar = mm(w.agg1, v1a.T, out=w.g1bar)
+    g1bar += v["conv1_bias"][0]
     if w1s is not None:
-        v1s, v1s_t = _graph_covec(v["conv1_self"], b)
-        g1bar += mm(w.x, v1s_t, out=w.f1)
+        v1s = v["conv1_self"][0]
+        g1bar += mm(w.x, v1s.T, out=w.f1)
     m1bar = mm(w.g1, v1a, out=w.m1bar)
 
     u1bar = np.multiply(g1bar, w.sig1, out=w.u1bar)
@@ -747,24 +759,22 @@ def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
         g2bar += mm(u1bar, w2s.T, out=w.f1)
 
     # adjoints of the second-layer gradient outputs
-    p2 = mm(w.agg2, v2a_t, out=w.f1)
-    p2 += bias2
+    p2 = mm(w.agg2, v2a.T, out=w.f1)
+    p2 += v["conv2_bias"][0]
     g2bar += p2
     m2bar = mm(w.g2, v2a, out=w.m2bar)
     if w2s is not None:
-        v2s, v2s_t = _graph_covec(v["conv2_self"], b)
-        g2bar += mm(w.hidden1, v2s_t, out=w.f1)
+        v2s = v["conv2_self"][0]
+        g2bar += mm(w.hidden1, v2s.T, out=w.f1)
 
     # adjoints of the readout gradient outputs
-    gpbar = _covec_rows(v["mlp_weight"], ctx.flat) + v["mlp_bias"]
+    gpbar = np.dot(ctx.flat, vm.T) + v["mlp_bias"][0]
     np.multiply(g2bar, w.sig2, out=w.f1)
     gpbar += np.dot(ctx._f1_flat, wm.T)
     s2bar = np.multiply(g2bar, w.hbar, out=g2bar)  # g2bar is not read again
 
-    q = ctx.q
-    pbar = q * gpbar - np.add.reduce(gpbar * q, axis=-1, keepdims=True) * q
-    np.dot(pbar, wm, out=ctx._h2bar_flat)
-    ctx._h2bar_flat += _rows_covec(ctx.gp, v["mlp_weight"])
+    np.dot(_softmax_adjoint(ctx.q, gpbar), wm, out=ctx._h2bar_flat)
+    ctx._h2bar_flat += np.dot(ctx.gp, vm)
     h2bar = w.h2bar
     h2bar += _times_one_minus_twice(s2bar, w.hidden2, w.f1)
     z2bar = np.multiply(h2bar, w.sig2, out=h2bar)
@@ -792,14 +802,6 @@ def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
             p0 += mm(z1bar, w1s, out=w.d2)
             xbar_w += p0
     return xbar, abar
-
-
-def _times_one_minus_twice(s, h, out):
-    """``s * (1 - 2 h)`` in ``out``: the sigmoid's second derivative term."""
-    np.multiply(h, 2.0, out=out)
-    np.subtract(1.0, out, out=out)
-    out *= s
-    return out
 
 
 def forward_graph(params, g, anorm, graph_label):

@@ -22,8 +22,8 @@ __all__ = [
 ]
 
 # Relative singular-value cutoff. The closed-form recoveries assume exact
-# rank, so the default is tight rather than the usual eps*max(m,n).
-DEFAULT_PINV_TOL = 1e-10
+# rank, so it is tight rather than the usual eps*max(m,n).
+PINV_TOL = 1e-10
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -41,10 +41,10 @@ def as_matrix(a, name="matrix"):
     return m
 
 
-def pseudoinverse(m, tol=DEFAULT_PINV_TOL):
+def pseudoinverse(m):
     """Moore-Penrose pseudoinverse via SVD.
 
-    Singular values at or below ``tol * sigma_max`` are treated as zero.
+    Singular values at or below ``PINV_TOL * sigma_max`` are treated as zero.
     """
     m = as_matrix(m)
     try:
@@ -53,7 +53,7 @@ def pseudoinverse(m, tol=DEFAULT_PINV_TOL):
         raise NumericError(f"SVD did not converge: {exc}") from exc
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[1], m.shape[0]))
-    inv = np.where(s > tol * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    inv = np.where(s > PINV_TOL * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return (vt.T * inv) @ u.T
 
 

@@ -39,12 +39,21 @@ def write_config(tmp_path, data=CONFIG):
     return str(path)
 
 
-def assert_attack_field_rejected(tmp_path, name):
-    old = dict(CONFIG, attack=dict(CONFIG["attack"], **{name: 1}))
+def assert_field_rejected(tmp_path, field, value=1):
+    """A config setting ``field`` ("section.name" or a top-level name)
+    exits 1 with a configuration error naming it, before any run."""
+    section, _, name = field.rpartition(".")
+    old = dict(CONFIG)
+    if section:
+        old[section] = dict(CONFIG[section], **{name: value})
+        name_prefix = f"{section}: "
+    else:
+        old[name] = value
+        name_prefix = ""
     cfg = write_config(tmp_path, old)
     out = run_cli("attack", "--config", cfg, "--out", str(tmp_path / "o"))
     assert out.returncode == 1
-    assert "configuration error: attack: " in out.stderr
+    assert f"configuration error: {name_prefix}" in out.stderr
     assert repr(name) in out.stderr
     assert "Traceback" not in out.stderr
     assert not (tmp_path / "o" / "report.csv").exists()
@@ -83,16 +92,6 @@ class TestAttackCommand:
         out = run_cli("attack", "--config", cfg, "--out", str(tmp_path))
         assert out.returncode == 1
         assert "configuration error" in out.stderr
-
-    def test_bad_edge_probability_is_configuration_error(self, tmp_path):
-        bad = dict(CONFIG, dataset={"source": "er", "n": 6, "edge_prob": 1.5,
-                                    "feature_dim": 12, "num_classes": 3})
-        cfg = write_config(tmp_path, bad)
-        out = run_cli("attack", "--config", cfg, "--out", str(tmp_path / "o"))
-        assert out.returncode == 1
-        assert "configuration error" in out.stderr
-        assert "dataset.edge_prob" in out.stderr
-        assert "Traceback" not in out.stderr
 
     def test_diverging_attack_exits_numeric_failure(self, tmp_path):
         bad = dict(CONFIG, scenario="node2b",
@@ -141,10 +140,18 @@ class TestAttackCommand:
     # restarts and seed are no attack fields; a config that sets one is
     # rejected, not ignored
     def test_old_config_with_restarts_is_configuration_error(self, tmp_path):
-        assert_attack_field_rejected(tmp_path, "restarts")
+        assert_field_rejected(tmp_path, "attack.restarts")
 
     def test_old_config_with_attack_seed_is_configuration_error(self, tmp_path):
-        assert_attack_field_rejected(tmp_path, "seed")
+        assert_field_rejected(tmp_path, "attack.seed")
+
+    # neither is a config field any more: the er source's edge probability
+    # is avg_degree / (n - 1), and node1 scores the target only
+    @pytest.mark.parametrize("field,value", [
+        ("one_hop_eval", True), ("dataset.edge_prob", 0.5)],
+        ids=["one_hop_eval", "dataset.edge_prob"])
+    def test_removed_key_is_configuration_error(self, tmp_path, field, value):
+        assert_field_rejected(tmp_path, field, value)
 
     def test_missing_config_exit_code(self, tmp_path):
         out = run_cli("attack", "--config", str(tmp_path / "nope.json"))

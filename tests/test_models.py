@@ -333,14 +333,23 @@ class TestContractions:
         assert mean.keys() == want.keys()
         for k in want:
             assert_close_rel(mean[k], want[k].mean(axis=0, keepdims=True))
-        # one co-vector per sample, as matching per-sample stacks would give
-        v = random_covectors(r, want)
+        # the mean's co-vector, a stack of one that every sample shares
+        v = random_covectors(r, mean)
+        tiled = {k: np.repeat(s, batch, axis=0) for k, s in v.items()}
         got = models.graph_matching_grad(ctx, params, v, True)
-        for got_arr, want_arr in zip(got, einsum_graph_matching_grad(ctx, params, v)):
+        for got_arr, want_arr in zip(got, einsum_graph_matching_grad(ctx, params,
+                                                                     tiled)):
             assert_close_rel(got_arr, want_arr)
         xbar, abar = models.graph_matching_grad(ctx, params, v, True,
                                                 want_features=False)
         assert xbar is None and np.array_equal(abar, got[1])
+
+    def test_graph_covector_of_several_samples_raises(self):
+        ctx, params = graph_case("sage", 3)
+        v = random_covectors(numkit.make_rng(64),
+                             einsum_graph_bundles(ctx, params))
+        with pytest.raises(ShapeError, match="stack of one, got 3"):
+            models.graph_matching_grad(ctx, params, v, True)
 
 
 class TestAllRowTargets:
@@ -611,14 +620,18 @@ class TestSharedCovector:
         ctx = models.node_ctx(params, x, anorm.matrix, r.integers(0, 8, size=5),
                               r.integers(0, 3, size=5))
         self.check_batch(models.node_matching_grad, ctx, params,
-                         models.node_bundles(ctx, params), r)
+                         models.node_bundles(ctx, params), r,
+                         models.node_matching_grad)
 
     @pytest.mark.parametrize("framework", ["gcn", "sage"])
     def test_graph_batch_of_five(self, framework):
+        """The graph pass takes no per-sample stack, so the tiled co-vector
+        goes to the einsum reference."""
         ctx, params = graph_case(framework, 5)
         self.check_batch(models.graph_matching_grad, ctx, params,
                          models.graph_bundles(ctx, params),
-                         numkit.make_rng(87))
+                         numkit.make_rng(87),
+                         lambda c, p, v, _: einsum_graph_matching_grad(c, p, v))
 
     @staticmethod
     def check_one_sample(grad, ctx, params, stacks, monkeypatch):
@@ -638,11 +651,13 @@ class TestSharedCovector:
             assert np.array_equal(got_arr, want_arr)
 
     @staticmethod
-    def check_batch(grad, ctx, params, mean, r):
+    def check_batch(grad, ctx, params, mean, r, reference):
+        """``grad`` on a shared co-vector equals ``reference`` on that
+        co-vector tiled to one entry per sample."""
         shared = random_covectors(r, mean)
         tiled = {k: np.repeat(s, 5, axis=0) for k, s in shared.items()}
         for got_arr, want_arr in zip(grad(ctx, params, shared, True),
-                                     grad(ctx, params, tiled, True)):
+                                     reference(ctx, params, tiled, True)):
             assert_close_rel(got_arr, want_arr)
 
 
