@@ -33,6 +33,8 @@ from .graphs import (
 )
 from .models import (
     _gather_rows,
+    bundle_rows,
+    bundle_views,
     check_labels,
     graph_bundles,
     graph_ctx,
@@ -124,42 +126,15 @@ class RecoveryResult:
 # Objectives
 # ---------------------------------------------------------------------------
 
-def _stack_tensors(bundles):
-    names = bundles[0].param_names
-    return {k: np.stack([b.tensors[k] for b in bundles]) for k in names}
-
-
-def _flatten(stacks, names):
-    s = stacks[names[0]].shape[0]
-    return np.concatenate([stacks[k].reshape(s, -1) for k in names], axis=1)
-
-
-def _layout(stacks, names):
-    """``(name, start, stop, shape)`` of each tensor in a flattened stack row."""
-    out = []
-    pos = 0
-    for k in names:
-        shape = stacks[k].shape
-        size = math.prod(shape[1:])
-        out.append((k, pos, pos + size, shape))
-        pos += size
-    return out
-
-
-def _unflatten(mat, layout):
-    return {k: mat[:, lo:hi].reshape(shape) for k, lo, hi, shape in layout}
-
-
-def _matcher(leaked_flat, kind):
+def _matcher(leaked_flat, kind, grad):
     """``match(dummy_flat) -> (value, d value / d dummy_flat)`` against the leak.
 
     The value is the sum of per-row matching losses. The leak's own norms
     and unit rows are computed here, once; a zero-norm leaked row raises
     :class:`DegenerateGradientError` under the cosine objective. The
-    gradient is written into one array allocated here: every call returns
-    that same array, and the next call overwrites it.
+    gradient is written into ``grad``, an array of the leak's shape: every
+    call returns that same array, and the next call overwrites it.
     """
-    grad = np.empty_like(leaked_flat)
     if kind == "l2":
         def match(dummy_flat):
             np.subtract(dummy_flat, leaked_flat, out=grad)
@@ -321,27 +296,23 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
     spec.alpha / spec.beta.
 
     Whatever stays fixed for the whole attack is built here, once: the
-    leak's layout and cosine norms (so a zero-norm leak raises
-    :class:`DegenerateGradientError` before any iteration), the labels'
-    one-hot rows, the target rows of a known normalized adjacency, and
-    two buffers shaped like the leak's flat rows, each with per-tensor
-    views: the dummy's bundle rows, which the bundle pass writes, and the
-    matcher's gradient, which the matching pass reads as its co-vector. A
-    graph-task model's :class:`~glg.models.GraphTrace` is built by the
-    first call and refilled by every later one.
+    leak's flat rows, every leaked bundle checked against the model (a
+    :class:`ShapeError` before any iteration), and cosine norms (so a
+    zero-norm leak raises :class:`DegenerateGradientError` before any
+    iteration), the labels' one-hot rows, the target rows of a known
+    normalized adjacency, and two buffers shaped like the leak's flat
+    rows, each with per-tensor views: the dummy's bundle rows, which the
+    bundle pass writes, and the matcher's gradient, which the matching
+    pass reads as its co-vector. A graph-task model's
+    :class:`~glg.models.GraphTrace` is built by the first call and
+    refilled by every later one.
     """
-    names = bundles[0].param_names
-    missing = set(names) - set(params.param_names)
-    if missing:
-        raise ShapeError(f"leaked tensors {sorted(missing)} are not in the "
-                         "model")
-    leaked = _stack_tensors(bundles)
-    layout = _layout(leaked, names)
-    leaked_flat = _flatten(leaked, names)
-    match = _matcher(leaked_flat, spec.objective)
+    leaked_flat = bundle_rows(params, bundles)
     dummy_flat = np.empty_like(leaked_flat)
-    dummy = _unflatten(dummy_flat, layout)
-    covec = None  # views into the matcher's gradient array, made once
+    dummy = bundle_views(params, dummy_flat)
+    grad_flat = np.empty_like(leaked_flat)
+    covec = bundle_views(params, grad_flat)
+    match = _matcher(leaked_flat, spec.objective, grad_flat)
     trace = None  # the graph trace, built on the first call, refilled after
     mode = params.norm_mode
     node = params.task == "node"
@@ -351,7 +322,7 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
     known_at = None if anorm is None else _gather_rows(anorm, targets)
 
     def objective(x, a, update):
-        nonlocal covec, trace
+        nonlocal trace
         opt_x = x is not None
         opt_a = a is not None
         x = x if opt_x else known_x
@@ -374,8 +345,6 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
             if batch > 1:
                 # every sample shares the mean's co-vector, scaled by 1/B
                 vflat /= batch
-            if covec is None:
-                covec = _unflatten(vflat, layout)
             grad = node_matching_grad if node else graph_matching_grad
             gx, abar_norm = grad(ctx, params, covec, opt_a, opt_x)
             if opt_x:

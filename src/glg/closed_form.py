@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PartialRecoveryError, ShapeError, UnrecoverableError
-from .models import GradientBundle
+from .models import bundle_tensors
 from .numkit import least_squares, pseudoinverse
 
 __all__ = [
@@ -37,10 +37,6 @@ EPS_DIV = 1e-12
 # Relative singular-value threshold under which a recovery gets a
 # conditioning warning attached instead of a silent bad answer.
 RANK_TOL = 1e-8
-
-
-def _tensors(bundle):
-    return bundle.tensors if isinstance(bundle, GradientBundle) else bundle
 
 
 def _row_ratio(weight_grad, bias_grad):
@@ -62,7 +58,7 @@ def recover_agg_features(bundle, framework):
     Uses the aggregation-path weight gradient: the single conv weight for
     gcn, the neighbor-aggregation weight for sage.
     """
-    t = _tensors(bundle)
+    t = bundle_tensors(bundle)
     if framework not in ("gcn", "sage"):
         raise ShapeError(f"unknown framework {framework!r}")
     if framework == "gcn" and "conv1_self" in t:
@@ -74,7 +70,7 @@ def recover_agg_features(bundle, framework):
 
 def recover_target_features(bundle):
     """Raw feature vector of the sample's target node (sage only)."""
-    t = _tensors(bundle)
+    t = bundle_tensors(bundle)
     if "conv1_self" not in t:
         raise ShapeError("target-feature recovery needs the sage self weight")
     return _row_ratio(t["conv1_self"], t["conv1_bias"])
@@ -163,7 +159,7 @@ def recover_adjacency_graph_sage(bundle, x):
     squares; dividing out X yields Anorm. Exact when X has full row rank
     and G has rank N (hidden width >= N).
     """
-    t = _tensors(bundle)
+    t = bundle_tensors(bundle)
     if "conv1_self" not in t:
         raise ShapeError("graph-task adjacency chain needs the sage self weight")
     x = np.asarray(x, dtype=np.float64)

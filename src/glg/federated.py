@@ -16,12 +16,14 @@ from .errors import ShapeError
 from .graphs import Graph, normalize_adjacency
 from .models import (
     GradientBundle,
-    ModelParams,
+    bundle_rows,
+    bundle_views,
     check_labels,
     graph_bundles,
     graph_ctx,
     node_bundles,
     node_ctx,
+    split_bundles,
 )
 
 __all__ = [
@@ -119,13 +121,6 @@ def _graph_stacks(params, gs):
     return graph_bundles(graph_ctx(params, x, anorm, labels), params)
 
 
-def _split(stacks):
-    """One bundle per entry of the stacks' leading axis."""
-    size = len(next(iter(stacks.values())))
-    return [GradientBundle(tensors={k: v[i] for k, v in stacks.items()})
-            for i in range(size)]
-
-
 def client_gradients(params, shard, batch_indices):
     """One bundle per batch index; each must be an int in [0, shard size)."""
     node = params.task == "node"
@@ -149,27 +144,18 @@ def aggregate_and_step(params, client_bundles, learning_rate, round_index=0):
     """Average all per-sample bundles and apply one SGD step.
 
     ``client_bundles`` is a list (over clients, in client-id order) of lists
-    of per-sample bundles. Returns the updated parameters and the round
-    record; the input parameters are not mutated.
+    of per-sample bundles, each checked against the model before any
+    update. Returns the updated parameters and the round record; the
+    input parameters are not mutated.
     """
     flat = [b for per_client in client_bundles for b in per_client]
     if not flat:
         raise ShapeError("cannot average zero bundles")
-    names = flat[0].param_names
-    first = flat[0].tensors
-    for b in flat[1:]:
-        if b.param_names != names:
-            raise ShapeError("bundles are not congruent")
-        for k in names:
-            if b.tensors[k].shape != first[k].shape:
-                raise ShapeError(f"bundles are not congruent: {k} has shape "
-                                 f"{b.tensors[k].shape}, the first bundle's "
-                                 f"{first[k].shape}")
-    averaged = GradientBundle(tensors={
-        k: np.stack([b.tensors[k] for b in flat]).mean(axis=0) for k in names})
+    mean = bundle_rows(params, flat).mean(axis=0, keepdims=True)
+    averaged = split_bundles(bundle_views(params, mean))[0]
     updated = params.copy()
-    for k in updated.param_names:
-        updated.tensors[k] = updated.tensors[k] - learning_rate * averaged.tensors[k]
+    for k, grad in averaged.tensors.items():
+        updated.tensors[k] = updated.tensors[k] - learning_rate * grad
     record = FedRound(
         round_index=round_index,
         batch_size=len(flat) // max(len(client_bundles), 1),
@@ -206,7 +192,7 @@ def leak(params, data, scenario, targets=None):
         raise ShapeError(f"{scenario} leak needs one Graph, got "
                          f"{type(data).__name__}")
     if scenario == "node2":
-        return LeakRecord(scenario=scenario, bundles=_split(
+        return LeakRecord(scenario=scenario, bundles=split_bundles(
             _node_stacks(params, data, np.arange(data.num_nodes),
                          per_sample=True)))
     if params.task == "node":
@@ -218,5 +204,5 @@ def leak(params, data, scenario, targets=None):
         gs = [data] if scenario == "graph" else list(data)
         size = len(gs)
         stacks = _graph_stacks(params, gs)
-    return LeakRecord(scenario=scenario, bundles=_split(stacks),
+    return LeakRecord(scenario=scenario, bundles=split_bundles(stacks),
                       batch_size=size)

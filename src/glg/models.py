@@ -11,6 +11,11 @@ Both tasks come in a "gcn" flavour (single weight on the aggregated input,
 self-loop normalization) and a "sage" flavour (separate aggregation and
 self weights, mean normalization).
 
+It is the one home of the bundle layout, the model's tensors in
+:data:`PARAM_ORDER` (:func:`check_bundle`): :func:`bundle_rows`,
+:func:`bundle_views` and :func:`split_bundles` convert between per-sample
+bundles, (S, ...) stacks and (S, P) flat rows.
+
 Besides plain backward passes (the parameter gradient bundles a federated
 server would see) and the loss's input gradients (``*_input_grads``), this
 module computes batch means of bundles directly, one pass per task; a
@@ -59,7 +64,7 @@ __all__ = [
 FRAMEWORKS = ("gcn", "sage")
 TASKS = ("node", "graph")
 
-# Canonical tensor order used when flattening bundles.
+# Canonical tensor order: the layout of a bundle's flat row.
 PARAM_ORDER = (
     "conv1_agg",
     "conv1_self",
@@ -72,6 +77,10 @@ PARAM_ORDER = (
     "mlp_weight",
     "mlp_bias",
 )
+
+# the one rule for a model's and a bundle's tensor names and their order
+_PARAM_NAMES = property(lambda self: [k for k in PARAM_ORDER
+                                      if k in self.tensors])
 
 
 @dataclass
@@ -101,9 +110,7 @@ class ModelParams:
     def norm_mode(self):
         return "gcn" if self.framework == "gcn" else "sage-mean"
 
-    @property
-    def param_names(self):
-        return [k for k in PARAM_ORDER if k in self.tensors]
+    param_names = _PARAM_NAMES
 
     def copy(self):
         return ModelParams(
@@ -158,10 +165,53 @@ class GradientBundle:
     """Gradients of one loss w.r.t. every parameter tensor (same shapes)."""
 
     tensors: dict
+    param_names = _PARAM_NAMES
 
-    @property
-    def param_names(self):
-        return [k for k in PARAM_ORDER if k in self.tensors]
+
+def bundle_tensors(bundle):
+    """The tensor dict of a :class:`GradientBundle`, or the dict itself."""
+    return bundle.tensors if isinstance(bundle, GradientBundle) else bundle
+
+
+def check_bundle(params, bundle):
+    """Raise :class:`ShapeError`, naming the tensor, unless ``bundle`` holds
+    exactly the model's tensors, each in the model's shape."""
+    names = params.param_names
+    t = bundle.tensors
+    for k in [k for k in t if k not in names] + names:
+        if k not in names or k not in t:
+            raise ShapeError(f"bundle is not congruent with the model: {k} "
+                             f"is not in the {'model' if k in t else 'bundle'}")
+        if np.shape(t[k]) != params.tensors[k].shape:
+            raise ShapeError(f"bundle is not congruent with the model: {k} "
+                             f"has shape {np.shape(t[k])}, the model's "
+                             f"{params.tensors[k].shape}")
+
+
+def bundle_rows(params, bundles):
+    """The (S, P) flat rows of S bundles, each checked by :func:`check_bundle`
+    first: a row is every tensor raveled, in the model's order."""
+    names = params.param_names
+    for b in bundles:
+        check_bundle(params, b)
+    return np.array([np.concatenate([np.ravel(b.tensors[k]) for k in names])
+                     for b in bundles])
+
+
+def bundle_views(params, rows):
+    """Per-tensor (S, *shape) views of (S, P) rows laid out as
+    :func:`bundle_rows` lays them, in the model's order."""
+    names = params.param_names
+    ends = np.cumsum([params.tensors[k].size for k in names])
+    return {k: part.reshape(rows.shape[:1] + params.tensors[k].shape)
+            for k, part in zip(names, np.split(rows, ends[:-1], axis=1))}
+
+
+def split_bundles(stacks):
+    """One :class:`GradientBundle` per entry of the stacks' leading axis; each
+    tensor is a view into its stack."""
+    return [GradientBundle(tensors=dict(zip(stacks, entry)))
+            for entry in zip(*stacks.values())]
 
 
 def softmax(logits, out=None):
@@ -435,7 +485,8 @@ def _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency):
 
     ``xtbar`` is None for a model without a self weight or when the features
     are not wanted. A shared graph sums over the targets; a batch of graphs
-    keeps one stack entry per sample. An input not wanted comes back as None.
+    keeps one stack entry per sample and raises :class:`ShapeError` if the
+    adjacency is wanted. An input not wanted comes back as None.
     """
     xbar = abar = None
     if ctx.targets is None:  # every row is a target: no scatter
@@ -447,14 +498,13 @@ def _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency):
             abar = np.dot(mtbar, ctx.x.T)
         return xbar, abar
     if ctx.x.ndim == 3:
-        rows = np.arange(ctx.x.shape[0])
+        if want_adjacency:
+            raise ShapeError("a batch of node graphs has no adjacency "
+                             "gradient")
         if want_features:
             xbar = ctx.at[:, :, None] * mtbar[:, None, :]
             if xtbar is not None:
-                xbar[rows, ctx.targets] += xtbar
-        if want_adjacency:
-            abar = np.zeros(ctx.x.shape[:-1] + (ctx.x.shape[-2],))
-            abar[rows, ctx.targets] = (ctx.x @ mtbar[:, :, None])[:, :, 0]
+                xbar[np.arange(ctx.x.shape[0]), ctx.targets] += xtbar
         return xbar, abar
     if want_features:
         xbar = np.dot(ctx.at.T, mtbar)
@@ -479,7 +529,8 @@ def node_matching_grad(ctx, params, v, want_adjacency, want_features=True):
     ``v`` holds one co-tensor per parameter, stacked along the sample axis
     (a stack of one is shared by every sample). The return value follows
     the ctx layout: a shared graph gives (N, D) and (N, N) arrays summed
-    over samples, a batch of graphs per-sample stacks. A gradient not
+    over samples, a batch of graphs the (B, N, D) features' stack only
+    (``want_adjacency`` raises :class:`ShapeError`). A gradient not
     wanted is not computed and comes back as None.
     """
     t = params.tensors
@@ -524,13 +575,9 @@ def forward_node(params, g, anorm, target, label):
     return trace
 
 
-def _single(stacked):
-    return {k: v[0] for k, v in stacked.items()}
-
-
 def backward_node(params, trace):
     """The parameter gradient bundle of a recorded node forward."""
-    return GradientBundle(tensors=_single(node_bundles(trace, params)))
+    return split_bundles(node_bundles(trace, params))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +865,7 @@ def forward_graph(params, g, anorm, graph_label):
 
 def backward_graph(params, trace):
     """The parameter gradient bundle of a recorded graph forward."""
-    return GradientBundle(tensors=_single(graph_bundles(trace, params)))
+    return split_bundles(graph_bundles(trace, params))[0]
 
 
 def infer_label(bundle):
@@ -831,7 +878,7 @@ def infer_label(bundle):
     product test and the row sums break the tie. Raises if the rule does not
     isolate exactly one class (e.g. an all-zero bundle).
     """
-    tensors = bundle.tensors if isinstance(bundle, GradientBundle) else bundle
+    tensors = bundle_tensors(bundle)
     w = tensors.get("mlp_weight", tensors.get("out_weight"))
     if w is None:
         raise ShapeError("bundle lacks a final-layer weight gradient")

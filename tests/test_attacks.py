@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,8 @@ def match(kind, leaked, dummy):
     """The attack's matching loss between two bundles, each one flat row."""
     def row(b):
         return np.concatenate([b.tensors[k].ravel() for k in b.param_names])[None]
-    return attacks._matcher(row(leaked), kind)(row(dummy))[0]
+    grad = np.empty_like(row(leaked))
+    return attacks._matcher(row(leaked), kind, grad)(row(dummy))[0]
 
 
 class TestObjectives:
@@ -889,7 +892,7 @@ class TestObjectiveState:
 
 
 def test_leak_with_a_tensor_the_model_lacks_fails():
-    """The dummy's bundle buffer is laid out from the leak, so a leaked
+    """The dummy's bundle buffer is laid out from the model, so a leaked
     tensor the model never writes is refused before any iteration."""
     r = numkit.make_rng(42)
     g = graphs.synthetic_graph(r, 6, 2, 3, num_classes=3)
@@ -900,3 +903,50 @@ def test_leak_with_a_tensor_the_model_lacks_fails():
     with pytest.raises(ShapeError, match="conv1_self"):
         attacks.attack_node2(record, spec, gcn, known_adjacency=g.adjacency,
                              rng=r)
+
+
+def no_iteration(*args, **kwargs):
+    raise AssertionError("an attack iteration ran")
+
+
+def test_leak_that_lacks_a_model_tensor_fails(monkeypatch):
+    """A gcn leak attacked with a sage model lacks the self weight: refused,
+    naming it, before the first forward pass."""
+    r = numkit.make_rng(42)
+    g = graphs.synthetic_graph(r, 6, 2, 3, num_classes=3)
+    sage = models.init_params(r, "sage", "node", 3, 4, 3)
+    gcn = models.init_params(r, "gcn", "node", 3, 4, 3)
+    record = federated.leak(gcn, g, "node2")
+    spec = attacks.AttackSpec(scenario="node2b", iterations=2)
+    monkeypatch.setattr(attacks, "node_ctx", no_iteration)
+    with pytest.raises(ShapeError, match="conv1_self is not in the bundle"):
+        attacks.attack_node2(record, spec, sage, known_adjacency=g.adjacency,
+                             rng=r)
+
+
+@pytest.mark.parametrize("task", ["node", "graph"])
+def test_leaked_tensor_of_the_wrong_shape_fails(task, monkeypatch):
+    """A leak of a wider model is refused, naming the first tensor whose
+    shape differs from the model's, before the first forward pass."""
+    r = numkit.make_rng(43)
+    num_nodes = None if task == "node" else 6
+    wide, narrow = (models.init_params(r, "sage", task, 3, f, 3,
+                                       num_nodes=num_nodes) for f in (5, 4))
+    if task == "node":
+        g = graphs.synthetic_graph(r, 6, 2, 3, num_classes=3)
+        record = federated.leak(wide, g, "node2")
+        spec = attacks.AttackSpec(scenario="node2b", iterations=2)
+        attack = functools.partial(attacks.attack_node2,
+                                   known_adjacency=g.adjacency)
+    else:
+        g = graphs.Graph(adjacency=graphs.er_graph(r, 6, 0.5, 3).adjacency,
+                         features=r.standard_normal((6, 3)), graph_label=1)
+        record = federated.leak(wide, g, "graph")
+        spec = attacks.AttackSpec(scenario="graph_b", iterations=2)
+        attack = functools.partial(attacks.attack_graph,
+                                   known_adjacency=g.adjacency)
+    monkeypatch.setattr(attacks, f"{task}_ctx", no_iteration)
+    with pytest.raises(ShapeError,
+                       match=r"conv1_agg has shape \(5, 3\), the model's "
+                             r"\(4, 3\)"):
+        attack(record, spec, narrow, rng=r)

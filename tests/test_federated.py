@@ -155,6 +155,21 @@ class TestAggregateAndStep:
                            match=r"conv1_agg has shape \(5, 3\).*\(4, 3\)"):
             federated.aggregate_and_step(narrow, bundles, 0.1)
 
+    def test_bundles_that_agree_but_not_with_the_model_fail(self):
+        """Every bundle is checked against the model, not only against the
+        first bundle, and the model is left as it was."""
+        g, narrow = node_setup(f=4)
+        _, wide = node_setup(f=5)
+        shard = federated.ClientShard(client_id=0, graph=g, targets=[1, 2])
+        bundles = federated.client_gradients(wide, shard, [0, 1])
+        before = narrow.copy()
+        with pytest.raises(ShapeError,
+                           match=r"conv1_agg has shape \(5, 3\), the model's "
+                                 r"\(4, 3\)"):
+            federated.aggregate_and_step(narrow, [bundles], 0.1)
+        for k in before.param_names:
+            assert np.array_equal(narrow.tensors[k], before.tensors[k])
+
 
 class TestLeak:
     def test_node2_cardinality(self):

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from glg import attacks, graphs, models, numkit, selftest
+from glg import graphs, models, numkit, selftest
 from glg.errors import AmbiguousLabelError, ShapeError
 
 rng = numkit.make_rng(31)
@@ -195,13 +195,10 @@ def einsum_node_matching_grad(ctx, params, v):
     xtbar = 0.0
     if w_self is not None:
         xtbar = np.einsum("sf,sfd->sd", ctx.g1, v["conv1_self"]) + ztbar @ w_self
-    rows = np.arange(len(ctx.targets))
-    if ctx.x.ndim == 3:
+    if ctx.x.ndim == 3:  # a batch of graphs has no adjacency gradient
         xbar = np.einsum("sn,sd->snd", ctx.at, mtbar)
-        xbar[rows, ctx.targets] += xtbar
-        abar = np.zeros(ctx.x.shape[:-1] + (ctx.x.shape[-2],))
-        abar[rows, ctx.targets] = np.einsum("sd,snd->sn", mtbar, ctx.x)
-        return xbar, abar
+        xbar[np.arange(len(ctx.targets)), ctx.targets] += xtbar
+        return xbar, None
     xbar = np.einsum("sn,sd->nd", ctx.at, mtbar)
     abar = np.zeros((ctx.x.shape[0], ctx.x.shape[0]))
     for s, target in enumerate(ctx.targets):
@@ -308,8 +305,17 @@ class TestContractions:
         for k in want:
             assert_close_rel(stacks[k], want[k])
         v = random_covectors(r, stacks)
+        want = einsum_node_matching_grad(ctx, params, v)
+        if batch:
+            # a batch of graphs gives the features' gradient only
+            xbar, abar = models.node_matching_grad(ctx, params, v, False)
+            assert_close_rel(xbar, want[0])
+            assert abar is None and want[1] is None
+            with pytest.raises(ShapeError, match="no adjacency gradient"):
+                models.node_matching_grad(ctx, params, v, True)
+            return
         got = models.node_matching_grad(ctx, params, v, True)
-        for got_arr, want_arr in zip(got, einsum_node_matching_grad(ctx, params, v)):
+        for got_arr, want_arr in zip(got, want):
             assert_close_rel(got_arr, want_arr)
         # without the feature pull-back the adjacency one is unchanged
         xbar, abar = models.node_matching_grad(ctx, params, v, True,
@@ -482,10 +488,10 @@ class TestBundleOut:
     @staticmethod
     def check(fn, ctx, params):
         want = fn(ctx, params)
-        names = [k for k in models.PARAM_ORDER if k in want]
-        layout = attacks._layout(want, names)
-        buf = np.full((want[names[0]].shape[0], layout[-1][2]), np.nan)
-        views = attacks._unflatten(buf, layout)
+        names = params.param_names
+        width = sum(params.tensors[k].size for k in names)
+        buf = np.full((want[names[0]].shape[0], width), np.nan)
+        views = models.bundle_views(params, buf)
         assert all(np.shares_memory(v, buf) for v in views.values())
         got = fn(ctx, params, out=views)
         assert got.keys() == want.keys()
@@ -577,9 +583,10 @@ class TestTraceReuse:
 
 
 class TestSharedCovector:
-    """A shared co-vector (a stack of one) is contracted by 2-D products;
-    the batched broadcast it replaces gives the same numbers. A batch mean
-    over one sample is the raw product or sum, with nothing divided."""
+    """A shared co-vector (a stack of one) is contracted by 2-D products.
+    In the node pass the batched broadcast it replaces gives the same
+    numbers; the graph pass takes only a stack of one. A batch mean over
+    one sample is the raw product or sum, with nothing divided."""
 
     @pytest.mark.parametrize("shape", [(100, 10), (20, 16), (100, 100)])
     def test_contractions_at_one_sample_are_exact(self, shape):
@@ -607,12 +614,6 @@ class TestSharedCovector:
                               models.node_bundles(ctx, params), monkeypatch)
 
     @pytest.mark.parametrize("framework", ["gcn", "sage"])
-    def test_graph_one_sample_is_exact(self, framework, monkeypatch):
-        ctx, params = graph_case(framework, 1)
-        self.check_one_sample(models.graph_matching_grad, ctx, params,
-                              models.graph_bundles(ctx, params), monkeypatch)
-
-    @pytest.mark.parametrize("framework", ["gcn", "sage"])
     def test_node_batch_of_five(self, framework):
         g, params, anorm = make_node_setup(framework, n=8, seed=85)
         r = numkit.make_rng(86)
@@ -621,7 +622,7 @@ class TestSharedCovector:
                               r.integers(0, 3, size=5))
         self.check_batch(models.node_matching_grad, ctx, params,
                          models.node_bundles(ctx, params), r,
-                         models.node_matching_grad)
+                         models.node_matching_grad, False)
 
     @pytest.mark.parametrize("framework", ["gcn", "sage"])
     def test_graph_batch_of_five(self, framework):
@@ -631,7 +632,8 @@ class TestSharedCovector:
         self.check_batch(models.graph_matching_grad, ctx, params,
                          models.graph_bundles(ctx, params),
                          numkit.make_rng(87),
-                         lambda c, p, v, _: einsum_graph_matching_grad(c, p, v))
+                         lambda c, p, v, _: einsum_graph_matching_grad(c, p, v),
+                         True)
 
     @staticmethod
     def check_one_sample(grad, ctx, params, stacks, monkeypatch):
@@ -651,14 +653,17 @@ class TestSharedCovector:
             assert np.array_equal(got_arr, want_arr)
 
     @staticmethod
-    def check_batch(grad, ctx, params, mean, r, reference):
+    def check_batch(grad, ctx, params, mean, r, reference, want_adjacency):
         """``grad`` on a shared co-vector equals ``reference`` on that
         co-vector tiled to one entry per sample."""
         shared = random_covectors(r, mean)
         tiled = {k: np.repeat(s, 5, axis=0) for k, s in shared.items()}
-        for got_arr, want_arr in zip(grad(ctx, params, shared, True),
-                                     reference(ctx, params, tiled, True)):
-            assert_close_rel(got_arr, want_arr)
+        for got_arr, want_arr in zip(
+                grad(ctx, params, shared, want_adjacency),
+                reference(ctx, params, tiled, want_adjacency)):
+            assert (got_arr is None) == (want_arr is None)
+            if want_arr is not None:
+                assert_close_rel(got_arr, want_arr)
 
 
 class TestForwardGraph:
