@@ -32,7 +32,6 @@ from .graphs import (
     normalize_dense_backward,
 )
 from .models import (
-    _gather_rows,
     bundle_rows,
     bundle_views,
     check_labels,
@@ -133,13 +132,28 @@ def _matcher(leaked_flat, kind, grad):
     and unit rows are computed here, once; a zero-norm leaked row raises
     :class:`DegenerateGradientError` under the cosine objective. The
     gradient is written into ``grad``, an array of the leak's shape: every
-    call returns that same array, and the next call overwrites it.
+    call returns that same array, and the next call overwrites it. The
+    temporaries are allocated here too. A one-row leak (node1's, a graph's)
+    is matched on 1-D rows with a scalar norm; several rows keep a column
+    of norms.
     """
+    one = leaked_flat.shape[0] == 1
+    if one:  # 1-D rows, scalar sums
+        rows, keep, dn, uw = (lambda m: m[0]), False, None, None
+        degenerate = (lambda norm: norm == 0.0)
+    else:  # (S, P) rows, (S, 1) columns of sums
+        rows, keep = (lambda m: m), True
+        dn, uw = np.empty((2, len(grad), 1))
+        degenerate = (lambda norm: np.count_nonzero(norm) < len(norm))
+    g = rows(grad)
+    tmp = np.empty_like(g)
     if kind == "l2":
+        leak = rows(leaked_flat)
+
         def match(dummy_flat):
-            np.subtract(dummy_flat, leaked_flat, out=grad)
-            value = float((grad * grad).sum())
-            np.multiply(grad, 2.0, out=grad)
+            np.subtract(rows(dummy_flat), leak, out=g)
+            value = float(np.add.reduce(np.multiply(g, g, out=tmp), axis=None))
+            np.multiply(g, 2.0, out=g)
             return value, grad
         return match
 
@@ -147,20 +161,27 @@ def _matcher(leaked_flat, kind, grad):
     if np.any(ln == 0.0):
         raise DegenerateGradientError("zero-norm leaked gradient bundle in "
                                       "cosine objective")
-    v = leaked_flat / ln
+    v = rows(leaked_flat / ln)
+    u, w = np.empty((2,) + g.shape)
 
     def match(dummy_flat):
-        dn = np.sqrt((dummy_flat * dummy_flat).sum(axis=1, keepdims=True))
-        if (dn == 0.0).any():
+        d = rows(dummy_flat)
+        norm = np.add.reduce(np.multiply(d, d, out=tmp), axis=-1,
+                             keepdims=keep, out=dn)
+        norm = np.sqrt(norm, out=dn)
+        if degenerate(norm):
             raise DegenerateGradientError("zero-norm dummy gradient bundle in "
                                           "cosine objective")
-        u = dummy_flat / dn
-        w = u - v
+        np.divide(d, norm, out=u)
+        np.subtract(u, v, out=w)
         # 0.5 ||u - v||^2 equals 1 - cos and is exactly zero on identical bundles
-        value = 0.5 * float((w * w).sum())
-        np.multiply(u, (u * w).sum(axis=1, keepdims=True), out=grad)
-        np.subtract(w, grad, out=grad)
-        np.divide(grad, dn, out=grad)
+        value = 0.5 * float(np.add.reduce(np.multiply(w, w, out=tmp),
+                                          axis=None))
+        proj = np.add.reduce(np.multiply(u, w, out=tmp), axis=-1,
+                             keepdims=keep, out=uw)
+        np.multiply(u, proj, out=g)
+        np.subtract(w, g, out=g)
+        np.divide(g, norm, out=g)
         return value, grad
 
     return match
@@ -218,9 +239,12 @@ def finalize_adjacency(prob, rule, rng=None, tau=0.5):
     bernoulli: entrywise draw with the given probabilities. threshold:
     min-max normalize the off-diagonal entries, then keep entries at or
     above tau; when they are all equal, compare the raw entries with tau.
-    Either way the lower triangle is mirrored and the diagonal zeroed.
+    Either way the lower triangle is mirrored and the diagonal zeroed. A
+    NaN or Inf entry raises :class:`NumericError`.
     """
     prob = np.asarray(prob, dtype=np.float64)
+    if not np.isfinite(prob).all():
+        raise NumericError("adjacency probabilities contain NaN or Inf")
     if rule == "bernoulli":
         if rng is None:
             raise ValueError("bernoulli finalization needs an rng")
@@ -299,13 +323,13 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
     leak's flat rows, every leaked bundle checked against the model (a
     :class:`ShapeError` before any iteration), and cosine norms (so a
     zero-norm leak raises :class:`DegenerateGradientError` before any
-    iteration), the labels' one-hot rows, the target rows of a known
-    normalized adjacency, and two buffers shaped like the leak's flat
+    iteration), the labels' one-hot rows for a graph-task model, the
+    matcher's temporaries, and two buffers shaped like the leak's flat
     rows, each with per-tensor views: the dummy's bundle rows, which the
     bundle pass writes, and the matcher's gradient, which the matching
-    pass reads as its co-vector. A graph-task model's
-    :class:`~glg.models.GraphTrace` is built by the first call and
-    refilled by every later one.
+    pass reads as its co-vector. The model's trace
+    (:class:`~glg.models.NodeTrace` or :class:`~glg.models.GraphTrace`)
+    is built by the first call and refilled by every later one.
     """
     leaked_flat = bundle_rows(params, bundles)
     dummy_flat = np.empty_like(leaked_flat)
@@ -313,13 +337,12 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
     grad_flat = np.empty_like(leaked_flat)
     covec = bundle_views(params, grad_flat)
     match = _matcher(leaked_flat, spec.objective, grad_flat)
-    trace = None  # the graph trace, built on the first call, refilled after
+    trace = None  # built on the first call, refilled by every later one
     mode = params.norm_mode
     node = params.task == "node"
     per_sample = len(bundles) > 1
     batch = 1 if per_sample else len(labels)
-    onehot_rows = onehot(labels, params.num_classes)
-    known_at = None if anorm is None else _gather_rows(anorm, targets)
+    onehot_rows = None if node else onehot(labels, params.num_classes)
 
     def objective(x, a, update):
         nonlocal trace
@@ -332,8 +355,7 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
         # the model passes are looked up here, at call time, so a wrapper
         # swapped into this module's namespace sees every call
         if node:
-            ctx = node_ctx(params, x, an, targets, labels, onehot_rows,
-                           None if opt_a else known_at)
+            ctx = trace = node_ctx(params, x, an, targets, labels, out=trace)
             node_bundles(ctx, params, per_sample, out=dummy)
         else:
             ctx = trace = graph_ctx(params, x, an, labels, onehot_rows,

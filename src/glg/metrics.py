@@ -22,12 +22,22 @@ __all__ = [
 ]
 
 
+def _pair(truth, estimate, names=("x_true", "x_hat")):
+    """Both arrays as float64; :class:`ShapeError` unless their shapes agree,
+    :class:`NumericError` naming the one that holds a NaN or Inf."""
+    pair = (np.asarray(truth, dtype=np.float64),
+            np.asarray(estimate, dtype=np.float64))
+    if pair[0].shape != pair[1].shape:
+        raise ShapeError(f"shape mismatch {pair[0].shape} vs {pair[1].shape}")
+    for name, a in zip(names, pair):
+        if not np.isfinite(a).all():
+            raise NumericError(f"{name} contains NaN or Inf")
+    return pair
+
+
 def rnmse(x_true, x_hat):
     """Root normalized mean squared error ||x - x_hat|| / ||x||."""
-    x_true = np.asarray(x_true, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x_true.shape != x_hat.shape:
-        raise ShapeError(f"shape mismatch {x_true.shape} vs {x_hat.shape}")
+    x_true, x_hat = _pair(x_true, x_hat)
     denom = np.linalg.norm(x_true)
     if denom == 0.0:
         raise UndefinedMetricError("RNMSE is undefined for a zero-norm truth")
@@ -36,10 +46,7 @@ def rnmse(x_true, x_hat):
 
 def rnmse_per_row(x_true, x_hat):
     """Mean of per-row RNMSE values; the reported error for a feature matrix."""
-    x_true = np.asarray(x_true, dtype=np.float64)
-    x_hat = np.asarray(x_hat, dtype=np.float64)
-    if x_true.shape != x_hat.shape:
-        raise ShapeError(f"shape mismatch {x_true.shape} vs {x_hat.shape}")
+    x_true, x_hat = _pair(x_true, x_hat)
     norms = np.linalg.norm(x_true, axis=1)
     if np.any(norms == 0.0):
         raise UndefinedMetricError("RNMSE is undefined for a zero-norm feature row")
@@ -111,10 +118,7 @@ def average_precision(a_true, a_hat):
 
 def mae_lower_tri(a_true, a_hat):
     """Mean absolute difference over the lower triangle including the diagonal."""
-    a_true = np.asarray(a_true, dtype=np.float64)
-    a_hat = np.asarray(a_hat, dtype=np.float64)
-    if a_true.shape != a_hat.shape:
-        raise ShapeError("adjacency shapes differ")
+    a_true, a_hat = _pair(a_true, a_hat, ("a_true", "a_hat"))
     lt = _lower_tri_values(np.abs(a_true - a_hat), k=0)
     return float(lt.mean())
 

@@ -28,16 +28,22 @@ the iterative gradient-matching attacks differentiate through.
 
 Array convention: an optional leading sample axis is supported everywhere;
 ``x`` may be (N, D) or (B, N, D), the normalized adjacency (N, N) or
-(B, N, N). The graph passes keep every per-node array of a batch in one
-(B*N, width) row buffer of a :class:`GraphTrace`, allocated once and
-refilled by ``graph_ctx(..., out=trace)``; the trace's public fields are
-(B, N, width) views made once over those buffers. At B = 1 each weight,
-co-vector and adjacency product is one 2-D ``np.dot`` on the rows, written
-into its buffer; for B > 1 the products run per sample as ``np.matmul``
-on the views, so every sample keeps the bits it has alone.
+(B, N, N). Each task's forward pass records a trace, allocated once and
+refilled in place by ``node_ctx(..., out=trace)`` / ``graph_ctx(...,
+out=trace)``, so an attack builds one per run; the passes that read a
+trace compute in its scratch buffers and return fresh gradients. A
+:class:`NodeTrace` holds one (rows, width) buffer per intermediate, one row
+per target (every row of a shared graph, or one per graph of a batch), so
+every weight and co-vector product is one 2-D ``np.dot`` written into its
+buffer. A :class:`GraphTrace` keeps every per-node array of a batch in one
+(B*N, width) row buffer, with (B, N, width) views made once over those
+buffers as its public fields. At B = 1 each weight, co-vector and
+adjacency product is one 2-D ``np.dot`` on the rows; for B > 1 the
+products run per sample as ``np.matmul`` on the views, so every sample
+keeps the bits it has alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
 
@@ -276,6 +282,11 @@ def _copy_into(dst, src):
     return dst
 
 
+# np.dot's 2-D product as the ndarray method, without np.dot's
+# array-function dispatch
+_dot = np.ndarray.dot
+
+
 def _mean_product(a, b, n, dst):
     """``a @ b / n`` as a stack of one, computed in ``dst`` when given.
 
@@ -285,7 +296,7 @@ def _mean_product(a, b, n, dst):
     """
     if dst is None:
         dst = np.empty((1, a.shape[0], b.shape[1]))
-    np.dot(a, b, out=dst[0])
+    _dot(a, b, out=dst[0])
     if n > 1:
         dst /= n
     return dst
@@ -304,28 +315,35 @@ def _mean_sum(a, n, dst):
     return dst
 
 
-def _covec_rows(w, rows):
-    """``w[s] @ rows[s]`` for each sample s: an (S, M) stack of products.
+def _covec_rows(w, rows, out):
+    """``w[s] @ rows[s]`` for each sample s, written into ``out``, an (S, M)
+    array, and returned.
 
     A shared co-vector ``w`` (a stack of one) is one 2-D product over all
     the rows instead of S matrix-vector products; ``rows`` is 2-D, so it
     goes to ``np.dot``. Per-sample stacks keep the batched ``@``.
     """
     if w.shape[0] == 1:
-        return np.dot(rows, w[0].T)
-    return (w @ rows[:, :, None])[:, :, 0]
+        return _dot(rows, w[0].T, out=out)
+    np.matmul(w, rows[:, :, None], out=out[:, :, None])
+    return out
 
 
-def _rows_covec(rows, w):
-    """``rows[s] @ w[s]`` for each sample s; a shared ``w`` as one 2-D product."""
+def _rows_covec(rows, w, out):
+    """``rows[s] @ w[s]`` for each sample s, written into ``out``; a shared
+    ``w`` as one 2-D product."""
     if w.shape[0] == 1:
-        return np.dot(rows, w[0])
-    return (rows[:, None, :] @ w)[:, 0]
+        return _dot(rows, w[0], out=out)
+    np.matmul(rows[:, None, :], w, out=out[:, None, :])
+    return out
 
 
-def _softmax_adjoint(q, qbar):
-    """The logits' adjoint of ``q = softmax(logits)`` given q's adjoint ``qbar``."""
-    return q * qbar - np.add.reduce(qbar * q, axis=-1, keepdims=True) * q
+def _softmax_adjoint(q, qbar, out=None):
+    """The logits' adjoint of ``q = softmax(logits)`` given q's adjoint
+    ``qbar``, computed in ``out`` when given (which may be ``qbar``)."""
+    p = np.multiply(q, qbar, out=out)
+    p -= np.add.reduce(p, axis=-1, keepdims=True) * q
+    return p
 
 
 def _times_one_minus_twice(s, h, out=None):
@@ -352,90 +370,170 @@ def _check_norm(params, anorm):
 # Node task
 # ---------------------------------------------------------------------------
 
-@dataclass
+# the row buffers of a node trace, one row per target: name -> "d" (feature
+# wide), "f" (hidden wide) or "k" (class wide). The forward record's buffers
+# back public fields; the matching pass's scratch is overwritten by the
+# next pass.
+_NODE_RECORD = {"mt": "d", "ht": "f", "st": "f", "u": "f", "g1": "f",
+                "logits": "k", "q": "k", "g2": "k"}
+_NODE_SCRATCH = {"g1bar": "f", "htbar": "f", "f1": "f", "g2bar": "k",
+                 "k1": "k", "mtbar": "d", "xtbar": "d", "d1": "d"}
+
+
 class NodeTrace:
     """Forward record of the node task: what the backward passes consume.
 
-    Every stack has one row per target. The layout of ``x`` selects between
-    one shared graph with many target nodes (x is (N, D)) and a batch of
-    independent graphs with one target each (x is (B, N, D)). On a shared
-    graph ``targets`` None makes every row a target, and the row stacks are
-    ``x`` and ``anorm`` themselves. Only
-    :func:`forward_node` fills ``losses``; the attack loop never reads them.
+    Built by :func:`node_ctx`. Every row stack has one row per target. The
+    layout of ``x`` selects between one shared graph with many target nodes
+    (x is (N, D)) and a batch of independent graphs with one target each
+    (x is (B, N, D)). On a shared graph ``targets`` None makes every row a
+    target, and the row stacks ``at`` (anorm's rows) and ``xt`` (x's rows)
+    are ``anorm`` and ``x`` themselves; otherwise they are gathered into
+    buffers. ``mt`` (at @ x), ``ht`` (hidden rows), ``st`` (sigma' there),
+    ``logits``, ``q``, ``g2`` (softmax - onehot), ``u`` (g2 @ out_weight)
+    and ``g1`` (d loss / d pre-activation) are (rows, width) buffers
+    allocated here, once, and so is the scratch of
+    :func:`node_matching_grad`. The labels' one-hot rows and the weights'
+    transposed views are made here too. ``node_ctx(..., out=trace)``
+    refills every one of these in place from new ``x`` and ``anorm``, so
+    the next refill overwrites what a trace holds, and so does the next
+    matching pass its scratch. Only the gradients
+    :func:`node_matching_grad` and :func:`node_input_grads` return, and
+    the bundles :func:`node_bundles` returns without ``out`` (bar the
+    per-sample bias stacks, which are ``g2`` and ``g1``), are fresh
+    arrays. Only :func:`forward_node` fills ``losses``; the attack loop
+    never reads them.
     """
 
-    x: np.ndarray
-    anorm: np.ndarray
-    targets: Optional[np.ndarray]
-    labels: np.ndarray
-    ht: np.ndarray = field(repr=False, default=None)     # hidden rows at targets
-    st: np.ndarray = field(repr=False, default=None)     # sigma' at those rows
-    mt: np.ndarray = field(repr=False, default=None)     # aggregated input rows
-    xt: np.ndarray = field(repr=False, default=None)     # raw feature rows
-    at: np.ndarray = field(repr=False, default=None)     # anorm rows at targets
-    q: np.ndarray = field(repr=False, default=None)
-    g2: np.ndarray = field(repr=False, default=None)     # softmax - onehot
-    g1: np.ndarray = field(repr=False, default=None)     # d loss / d pre1 rows
-    u: np.ndarray = field(repr=False, default=None)      # g2 @ out_weight
-    losses: np.ndarray = None
-    logits: np.ndarray = field(repr=False, default=None)
+    def __init__(self, params, x, anorm, targets, labels):
+        t = params.tensors
+        n = x.shape[-2]
+        if x.ndim == 3 and targets is None:
+            raise ShapeError("a batch of node graphs needs one target each")
+        if anorm.shape[-2:] != (n, n) or (anorm.ndim == 3
+                                          and anorm.shape[0] != x.shape[0]):
+            raise ShapeError(f"adjacency {anorm.shape} for features {x.shape}")
+        rows = n if targets is None else len(targets)
+        if x.ndim == 3 and rows != x.shape[0]:
+            raise ShapeError(f"{rows} targets for {x.shape[0]} graphs")
+        if targets is not None and np.any((targets < 0) | (targets >= n)):
+            raise ShapeError(f"target out of range for {n} nodes")
+        if labels.shape != (rows,):
+            raise ShapeError(f"{labels.shape[0]} labels for {rows} targets")
+        self.x, self.anorm, self.targets, self.labels = x, anorm, targets, labels
+        self.losses = None
+        width = {"d": x.shape[-1], "f": params.hidden_dim,
+                 "k": params.num_classes}
+        for name, w in _NODE_RECORD.items():
+            setattr(self, name, np.empty((rows, width[w])))
+        self._scratch = SimpleNamespace(**{
+            name: np.empty((rows, width[w]))
+            for name, w in _NODE_SCRATCH.items()})
+        self._onehot = onehot(labels, params.num_classes)
+        self._conv1 = _layer_weights(t, "conv1")
+        self._out_t = t["out_weight"].T
+        if targets is None:
+            self.at, self.xt = anorm, x
+            return
+        # the rows to gather: a batch's sample i reads row i of each stack
+        flat = np.arange(rows) * n + targets
+        self._xi = targets if x.ndim == 2 else flat
+        self._ai = targets if anorm.ndim == 2 else flat
+        self.at = np.empty((rows, n))
+        self.xt = np.empty((rows, x.shape[-1]))
 
 
-def _gather_rows(arr, targets):
-    if targets is None:  # every row of a shared graph
-        return arr
-    if arr.ndim == 3:  # one row per sample of the stack
-        return arr[np.arange(arr.shape[0]), targets]
-    return arr[targets]
+def _take_rows(arr, idx, out):
+    """Rows ``idx`` of ``arr`` read as one stack of rows, written into
+    ``out``; the indices are checked when the trace is built."""
+    if arr.ndim == 3:
+        arr = arr.reshape(-1, arr.shape[-1])
+    # the method skips np.take's Python wrapper; "clip" skips the buffered
+    # copy that "raise" makes of ``out``
+    return arr.take(idx, 0, out, "clip")
 
 
-def _pre_activation(t, layer, agg, h, product=np.dot, out=None, tmp=None):
+def _layer_weights(t, layer):
+    """What :func:`_pre_activation` applies: the transposed aggregation
+    weight, the bias and the transposed self weight (None without one)."""
+    w_self = t.get(layer + "_self")
+    return (t[layer + "_agg"].T, t[layer + "_bias"],
+            None if w_self is None else w_self.T)
+
+
+def _pre_activation(weights, agg, h, product=_dot, out=None, tmp=None):
     """Pre-activation of a convolution layer from its aggregated and own inputs.
 
-    ``product`` multiplies the inputs by the transposed weights: ``np.dot``
-    on 2-D rows, ``np.matmul`` on a graph trace's (B, N, width) stacks. The
-    result is written into ``out`` and the self term into ``tmp`` when given.
+    ``weights`` come from :func:`_layer_weights`. ``product`` multiplies the
+    inputs by them: ``np.dot`` on 2-D rows, ``np.matmul`` on a graph
+    trace's (B, N, width) stacks. The result is written into ``out`` and
+    the self term into ``tmp`` when given.
     """
-    pre = product(agg, t[layer + "_agg"].T, out=out)
-    pre += t[layer + "_bias"]
-    if layer + "_self" in t:
-        pre += product(h, t[layer + "_self"].T, out=tmp)
+    w_agg, bias, w_self = weights
+    pre = product(agg, w_agg, out=out)
+    pre += bias
+    if w_self is not None:
+        pre += product(h, w_self, out=tmp)
     return pre
 
 
-def node_ctx(params, x, anorm, targets, labels, onehot_rows=None, at=None):
+def node_ctx(params, x, anorm, targets, labels, out=None):
     """Forward and first-order backward intermediates at the target rows.
 
     ``labels`` must already have passed :func:`check_labels`. ``targets``
-    None, on a shared graph, makes every row a target. A caller that runs
-    the pass many times on fixed labels or a fixed ``anorm`` may hand in
-    the labels' :func:`onehot` rows and the target rows ``at`` of
-    ``anorm``, built once.
+    None, on a shared graph, makes every row a target; a target outside
+    the graph, or a label count that is not the target count, raises
+    :class:`ShapeError`. Without ``out`` the pass allocates a new
+    :class:`NodeTrace`. ``out`` is a trace an earlier call returned for
+    the same model (an attack builds one and passes it back each
+    iteration): the pass refills it in place from ``x`` and ``anorm``,
+    float64 arrays of the shapes it was built for, and returns it, so
+    everything the earlier call recorded there is overwritten. A refill
+    takes ``targets`` and ``labels`` as the arrays the trace holds
+    (``trace.targets``, ``trace.labels``); other ones, or another shape,
+    raise :class:`ShapeError`.
     """
-    t = params.tensors
-    x = np.asarray(x, dtype=np.float64)
-    anorm = np.asarray(anorm, dtype=np.float64)
-    if targets is not None:
-        targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    ctx = out
+    if ctx is None:
+        if targets is not None:
+            targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+        ctx = NodeTrace(params, np.asarray(x, dtype=np.float64),
+                        np.asarray(anorm, dtype=np.float64), targets,
+                        np.atleast_1d(np.asarray(labels, dtype=np.int64)))
+    else:
+        if targets is not ctx.targets or labels is not ctx.labels:
+            raise ShapeError("a trace is refilled for the targets and labels "
+                             "it holds")
+        if x.shape != ctx.x.shape or anorm.shape != ctx.anorm.shape:
+            raise ShapeError(f"trace holds features {ctx.x.shape} and "
+                             f"adjacency {ctx.anorm.shape}, got {x.shape} "
+                             f"and {anorm.shape}")
+        ctx.x, ctx.anorm, ctx.losses = x, anorm, None
+        if ctx.targets is None:
+            ctx.at, ctx.xt = anorm, x
+    s = ctx._scratch
 
     # the head reads the first layer at the targets only, so only those
     # rows are computed; every row stack is 2-D, so the products go to
     # np.dot
-    ctx = NodeTrace(x=x, anorm=anorm, targets=targets, labels=labels)
-    ctx.at = _gather_rows(anorm, targets) if at is None else at
-    ctx.xt = _gather_rows(x, targets)
-    ctx.mt = (ctx.at[:, None, :] @ x)[:, 0] if x.ndim == 3 else np.dot(ctx.at, x)
-    ctx.ht = _sigmoid(_pre_activation(t, "conv1", ctx.mt, ctx.xt))
-    ctx.st = ctx.ht * (1.0 - ctx.ht)
+    if ctx.targets is not None:
+        _take_rows(anorm, ctx._ai, ctx.at)
+        _take_rows(x, ctx._xi, ctx.xt)
+    if x.ndim == 3:  # one (1, N) @ (N, D) product per sample
+        np.matmul(ctx.at[:, None], x, out=ctx.mt[:, None])
+    else:
+        _dot(ctx.at, x, out=ctx.mt)
+    ht = _pre_activation(ctx._conv1, ctx.mt, ctx.xt, out=ctx.ht, tmp=s.f1)
+    _sigmoid(ht, out=ht, tmp=s.f1)
+    np.subtract(1.0, ht, out=ctx.st)
+    ctx.st *= ht
 
-    ctx.logits = np.dot(ctx.ht, t["out_weight"].T) + t["out_bias"]
-    ctx.q = softmax(ctx.logits)
-    if onehot_rows is None:
-        onehot_rows = onehot(labels, ctx.q.shape[-1])
-    ctx.g2 = ctx.q - onehot_rows
-    ctx.u = np.dot(ctx.g2, t["out_weight"])
-    ctx.g1 = ctx.u * ctx.st
+    _dot(ht, ctx._out_t, out=ctx.logits)
+    ctx.logits += params.tensors["out_bias"]
+    softmax(ctx.logits, out=ctx.q)
+    np.subtract(ctx.q, ctx._onehot, out=ctx.g2)
+    _dot(ctx.g2, params.tensors["out_weight"], out=ctx.u)
+    np.multiply(ctx.u, ctx.st, out=ctx.g1)
     return ctx
 
 
@@ -486,16 +584,17 @@ def _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency):
     ``xtbar`` is None for a model without a self weight or when the features
     are not wanted. A shared graph sums over the targets; a batch of graphs
     keeps one stack entry per sample and raises :class:`ShapeError` if the
-    adjacency is wanted. An input not wanted comes back as None.
+    adjacency is wanted. An input not wanted comes back as None; the
+    gradients are new arrays.
     """
     xbar = abar = None
     if ctx.targets is None:  # every row is a target: no scatter
         if want_features:
-            xbar = np.dot(ctx.anorm.T, mtbar)
+            xbar = _dot(ctx.anorm.T, mtbar)
             if xtbar is not None:
                 xbar += xtbar
         if want_adjacency:
-            abar = np.dot(mtbar, ctx.x.T)
+            abar = _dot(mtbar, ctx.x.T)
         return xbar, abar
     if ctx.x.ndim == 3:
         if want_adjacency:
@@ -507,12 +606,12 @@ def _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency):
                 xbar[np.arange(ctx.x.shape[0]), ctx.targets] += xtbar
         return xbar, abar
     if want_features:
-        xbar = np.dot(ctx.at.T, mtbar)
+        xbar = _dot(ctx.at.T, mtbar)
         if xtbar is not None:
             np.add.at(xbar, ctx.targets, xtbar)
     if want_adjacency:
         abar = np.zeros((ctx.x.shape[0], ctx.x.shape[0]))
-        np.add.at(abar, ctx.targets, np.dot(mtbar, ctx.x.T))
+        np.add.at(abar, ctx.targets, _dot(mtbar, ctx.x.T))
     return xbar, abar
 
 
@@ -528,36 +627,39 @@ def node_matching_grad(ctx, params, v, want_adjacency, want_features=True):
 
     ``v`` holds one co-tensor per parameter, stacked along the sample axis
     (a stack of one is shared by every sample). The return value follows
-    the ctx layout: a shared graph gives (N, D) and (N, N) arrays summed
-    over samples, a batch of graphs the (B, N, D) features' stack only
-    (``want_adjacency`` raises :class:`ShapeError`). A gradient not
-    wanted is not computed and comes back as None.
+    the ctx layout: a shared graph gives new (N, D) and (N, N) arrays
+    summed over samples, a batch of graphs the (B, N, D) features' stack
+    only (``want_adjacency`` raises :class:`ShapeError`); the trace's
+    scratch buffers hold the intermediates. A gradient not wanted is not
+    computed and comes back as None.
     """
     t = params.tensors
-    w_out = t["out_weight"]
-    w_agg = t["conv1_agg"]
     w_self = t.get("conv1_self")
+    s = ctx._scratch
 
     # contractions of each sample's rows with its co-tensors:
     # (S, F, D) with (S, D) -> (S, F) and (S, F) with (S, F, D) -> (S, D)
-    g1bar = _covec_rows(v["conv1_agg"], ctx.mt) + v["conv1_bias"]
+    g1bar = _covec_rows(v["conv1_agg"], ctx.mt, s.g1bar)
+    g1bar += v["conv1_bias"]
     if w_self is not None:
-        g1bar += _covec_rows(v["conv1_self"], ctx.xt)
-    mtbar = _rows_covec(ctx.g1, v["conv1_agg"])
+        g1bar += _covec_rows(v["conv1_self"], ctx.xt, s.f1)
+    mtbar = _rows_covec(ctx.g1, v["conv1_agg"], s.mtbar)
 
-    ubar = g1bar * ctx.st
-    stbar = g1bar * ctx.u
-    g2bar = (_covec_rows(v["out_weight"], ctx.ht) + v["out_bias"]
-             + np.dot(ubar, w_out.T))
-    pbar = _softmax_adjoint(ctx.q, g2bar)
-    htbar = (np.dot(pbar, w_out)
-             + _rows_covec(ctx.g2, v["out_weight"])
-             + _times_one_minus_twice(stbar, ctx.ht))
-    ztbar = htbar * ctx.st
-    mtbar = mtbar + np.dot(ztbar, w_agg)
+    ubar = np.multiply(g1bar, ctx.st, out=s.f1)
+    stbar = np.multiply(g1bar, ctx.u, out=g1bar)  # g1bar is not read again
+    g2bar = _covec_rows(v["out_weight"], ctx.ht, s.g2bar)
+    g2bar += v["out_bias"]
+    g2bar += _dot(ubar, ctx._out_t, out=s.k1)
+    pbar = _softmax_adjoint(ctx.q, g2bar, out=g2bar)
+    htbar = _dot(pbar, t["out_weight"], out=s.htbar)
+    htbar += _rows_covec(ctx.g2, v["out_weight"], s.f1)
+    htbar += _times_one_minus_twice(stbar, ctx.ht, s.f1)
+    ztbar = np.multiply(htbar, ctx.st, out=htbar)
+    mtbar += _dot(ztbar, t["conv1_agg"], out=s.d1)
     xtbar = None
     if want_features and w_self is not None:
-        xtbar = _rows_covec(ctx.g1, v["conv1_self"]) + np.dot(ztbar, w_self)
+        xtbar = _rows_covec(ctx.g1, v["conv1_self"], s.xtbar)
+        xtbar += _dot(ztbar, w_self, out=s.d1)
     return _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency)
 
 
@@ -634,7 +736,7 @@ class GraphTrace:
             setattr(self, name, getattr(stacks, name))
         # what the passes compute on: the rows at B = 1, else the stacks
         self._work = self._rows if b == 1 else stacks
-        self._mm = np.dot if b == 1 else np.matmul
+        self._mm = _dot if b == 1 else np.matmul
         self.flat = self._rows.hidden2.reshape(b, -1)
         self._hbar_flat = self._rows.hbar.reshape(b, -1)
         self._f1_flat = self._rows.f1.reshape(b, -1)
@@ -691,25 +793,27 @@ def graph_ctx(params, x, anorm, labels, onehot_rows=None, out=None):
     w.at = w.a.swapaxes(-1, -2)
 
     mm(w.a, w.x, out=w.agg1)
-    h1 = _pre_activation(t, "conv1", w.agg1, w.x, mm, w.hidden1, w.f1)
+    h1 = _pre_activation(_layer_weights(t, "conv1"), w.agg1, w.x, mm,
+                         w.hidden1, w.f1)
     _sigmoid(h1, out=h1, tmp=w.f1)
     np.subtract(1.0, h1, out=w.sig1)
     w.sig1 *= h1
 
     mm(w.a, h1, out=w.agg2)
-    h2 = _pre_activation(t, "conv2", w.agg2, h1, mm, w.hidden2, w.f1)
+    h2 = _pre_activation(_layer_weights(t, "conv2"), w.agg2, h1, mm,
+                         w.hidden2, w.f1)
     _sigmoid(h2, out=h2, tmp=w.f1)
     np.subtract(1.0, h2, out=w.sig2)
     w.sig2 *= h2
 
-    np.dot(ctx.flat, t["mlp_weight"].T, out=ctx.logits)
+    _dot(ctx.flat, t["mlp_weight"].T, out=ctx.logits)
     ctx.logits += t["mlp_bias"]
     softmax(ctx.logits, out=ctx.q)
     if onehot_rows is None:
         onehot_rows = onehot(labels, ctx.q.shape[-1])
     np.subtract(ctx.q, onehot_rows, out=ctx.gp)
 
-    np.dot(ctx.gp, t["mlp_weight"], out=ctx._hbar_flat)
+    _dot(ctx.gp, t["mlp_weight"], out=ctx._hbar_flat)
     np.multiply(w.hbar, w.sig2, out=w.g2)
     mm(w.g2, t["conv2_agg"], out=w.g2w)
     mm(w.at, w.g2w, out=w.u1)
@@ -815,13 +919,13 @@ def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
         g2bar += mm(w.hidden1, v2s.T, out=w.f1)
 
     # adjoints of the readout gradient outputs
-    gpbar = np.dot(ctx.flat, vm.T) + v["mlp_bias"][0]
+    gpbar = _dot(ctx.flat, vm.T) + v["mlp_bias"][0]
     np.multiply(g2bar, w.sig2, out=w.f1)
-    gpbar += np.dot(ctx._f1_flat, wm.T)
+    gpbar += _dot(ctx._f1_flat, wm.T)
     s2bar = np.multiply(g2bar, w.hbar, out=g2bar)  # g2bar is not read again
 
-    np.dot(_softmax_adjoint(ctx.q, gpbar), wm, out=ctx._h2bar_flat)
-    ctx._h2bar_flat += np.dot(ctx.gp, vm)
+    _dot(_softmax_adjoint(ctx.q, gpbar), wm, out=ctx._h2bar_flat)
+    ctx._h2bar_flat += _dot(ctx.gp, vm)
     h2bar = w.h2bar
     h2bar += _times_one_minus_twice(s2bar, w.hidden2, w.f1)
     z2bar = np.multiply(h2bar, w.sig2, out=h2bar)

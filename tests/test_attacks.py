@@ -76,6 +76,57 @@ class TestObjectives:
             match("cosine", b, scaled(b, 0.0))
 
 
+def parent_matcher(leaked_flat, kind):
+    """The matcher's expressions on (S, P) rows with (S, 1) norm columns,
+    allocating every temporary: the reference its buffers must reproduce."""
+    if kind == "l2":
+        def match(dummy_flat):
+            grad = dummy_flat - leaked_flat
+            return float((grad * grad).sum()), grad * 2.0
+        return match
+    ln = np.sqrt((leaked_flat * leaked_flat).sum(axis=1, keepdims=True))
+    v = leaked_flat / ln
+
+    def match(dummy_flat):
+        dn = np.sqrt((dummy_flat * dummy_flat).sum(axis=1, keepdims=True))
+        u = dummy_flat / dn
+        w = u - v
+        grad = (w - u * (u * w).sum(axis=1, keepdims=True)) / dn
+        return 0.5 * float((w * w).sum()), grad
+    return match
+
+
+class TestMatcherOperands:
+    """A one-row leak runs on 1-D rows with a scalar norm, several rows on
+    (S, P) rows; either way the bits are the reference's."""
+
+    @pytest.mark.parametrize("kind", ["cosine", "l2"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_equals_the_reference(self, kind, rows):
+        r = numkit.make_rng(17)
+        leaked = r.standard_normal((rows, 57))
+        grad = np.empty_like(leaked)
+        match = attacks._matcher(leaked, kind, grad)
+        want = parent_matcher(leaked, kind)
+        for scale in (1.0, 1e-3, 1e5):
+            dummy = scale * r.standard_normal((rows, 57))
+            value, got = match(dummy)
+            want_value, want_grad = want(dummy)
+            assert value == want_value
+            assert got is grad and np.array_equal(got, want_grad)
+
+    @pytest.mark.parametrize("zero_row", [0, 2])
+    def test_zero_dummy_row_among_several_raises(self, zero_row):
+        r = numkit.make_rng(18)
+        leaked = r.standard_normal((3, 9))
+        match = attacks._matcher(leaked, "cosine", np.empty_like(leaked))
+        dummy = r.standard_normal((3, 9))
+        match(dummy)
+        dummy[zero_row] = 0.0
+        with pytest.raises(DegenerateGradientError, match="dummy"):
+            match(dummy)
+
+
 class TestRegularizers:
     def test_smoothness_empty_graph(self):
         assert attacks.smoothness_grads(rng.standard_normal((4, 2)),
@@ -159,6 +210,15 @@ class TestProjectionFinalization:
         want = np.zeros((3, 3))
         want[1, 2] = want[2, 1] = 1.0
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("rule", ["bernoulli", "threshold"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_finalize_non_finite_raises(self, rule, bad):
+        """An all-NaN matrix once thresholded to all zeros; one bad entry is
+        refused by either rule with a typed error."""
+        for prob in (np.full((4, 4), bad), np.where(np.eye(4) == 1, bad, 0.5)):
+            with pytest.raises(NumericError, match="NaN or Inf"):
+                attacks.finalize_adjacency(prob, rule, rng=numkit.make_rng(15))
 
     def test_finalized_is_symmetric_zero_diagonal(self):
         r = numkit.make_rng(14)
@@ -887,6 +947,31 @@ class TestObjectiveState:
         again = graph_a()
         for name in ("adjacency_prob", "adjacency", "labels",
                      "objective_trace"):
+            assert np.array_equal(getattr(again, name), getattr(first, name))
+        assert again.final_objective == first.final_objective
+
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    def test_node_attacks_in_one_process_share_nothing(self, framework):
+        """node1, a batched node attack, then node1 again: each attack
+        builds its own node trace, so the repeat has the first's bits."""
+        r = numkit.make_rng(46)
+        g = graphs.synthetic_graph(r, 8, 2, 4, num_classes=3)
+        params = models.init_params(r, framework, "node", 4, 6, 3)
+        spec = attacks.AttackSpec(scenario="node1", iterations=30, d_tree=3)
+
+        def node1():
+            return attacks.attack_node1(
+                federated.leak(params, g, "node1", targets=[2]), spec, params,
+                rng=numkit.make_rng(47))
+
+        first = node1()
+        attacks.attack_batched(
+            federated.leak(params, g, "batched-node", targets=[1, 4, 6]),
+            spec, params, labels=g.labels[[1, 4, 6]], rng=numkit.make_rng(48))
+        again = node1()
+        for name in ("features", "labels", "objective_trace",
+                     "target_feature"):
             assert np.array_equal(getattr(again, name), getattr(first, name))
         assert again.final_objective == first.final_objective
 

@@ -46,6 +46,21 @@ class TestRnmse:
         xh = np.array([[3.0, 0.0], [0.0, 0.0]])
         assert metrics.rnmse_per_row(x, xh) == pytest.approx((0.8 + 1.0) / 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["x_true", "x_hat"])
+    def test_non_finite_input_raises(self, bad, side):
+        """A NaN or Inf never becomes a NaN error; the message names the
+        argument that holds it."""
+        x = np.ones((2, 3))
+        broken = x.copy()
+        broken[1, 0] = bad
+        args = (broken, x) if side == "x_true" else (x, broken)
+        for metric in (metrics.rnmse, metrics.rnmse_per_row):
+            with pytest.raises(NumericError, match=side):
+                metric(*args)
+        with pytest.raises(NumericError, match=side):
+            metrics.rnmse(args[0][1], args[1][1])
+
 
 class TestAccuracy:
     def test_exact(self):
@@ -173,6 +188,15 @@ class TestMae:
         a = np.zeros((4, 4))
         b = np.ones((4, 4))
         assert metrics.mae_lower_tri(a, b) == 1.0
+
+    @pytest.mark.parametrize("side", ["a_true", "a_hat"])
+    def test_non_finite_input_raises(self, side):
+        a = np.zeros((3, 3))
+        broken = a.copy()
+        broken[2, 1] = np.nan
+        args = (broken, a) if side == "a_true" else (a, broken)
+        with pytest.raises(NumericError, match=side):
+            metrics.mae_lower_tri(*args)
 
 
 class TestPermutationConsistency:

@@ -582,6 +582,126 @@ class TestTraceReuse:
                              out=trace)
 
 
+NODE_TRACE_FIELDS = ("x", "anorm", "targets", "labels", "at", "xt", "mt",
+                     "ht", "st", "logits", "q", "g2", "u", "g1", "losses")
+NODE_LAYOUTS = pytest.mark.parametrize("layout",
+                                       ["one-target", "every-row", "batch"])
+
+
+def node_inputs(r, params, layout):
+    """Features, normalized adjacency of an 8-node graph, targets and labels:
+    node1's layout (one explicit target), node2's (every row, ``None``) or a
+    batch of three graphs sharing the adjacency, one target each."""
+    g = graphs.synthetic_graph(r, 8, 2, params.feature_dim, num_classes=3)
+    anorm = graphs.normalize_adjacency(g, params.norm_mode).matrix
+    if layout == "one-target":
+        return g.features, anorm, np.array([5]), np.array([1])
+    if layout == "every-row":
+        return g.features, anorm, None, g.labels
+    x = r.standard_normal((3,) + g.features.shape)
+    return x, anorm, np.array([0, 2, 7]), np.array([2, 0, 1])
+
+
+def node_trace_buffers(trace):
+    return ([arr for arr in vars(trace).values() if isinstance(arr, np.ndarray)]
+            + list(vars(trace._scratch).values()))
+
+
+class TestNodeTraceReuse:
+    """A node trace refilled with ``out`` holds the bits of a fresh one, and
+    the passes that read it hand back arrays of their own."""
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @NODE_LAYOUTS
+    def test_refill_equals_a_fresh_trace(self, framework, layout):
+        r = numkit.make_rng(94)
+        params = models.init_params(r, framework, "node", 4, 5, 3)
+        x, anorm, targets, labels = node_inputs(r, params, layout)
+        trace = models.node_ctx(params, x, anorm, targets, labels)
+        v = random_covectors(r, models.node_bundles(trace, params, True))
+        models.node_matching_grad(trace, params, v, layout != "batch")
+        x2, anorm2 = node_inputs(r, params, layout)[:2]
+        assert models.node_ctx(params, x2, anorm2, trace.targets, trace.labels,
+                               out=trace) is trace
+        fresh = models.node_ctx(params, x2, anorm2, targets, labels)
+        for name in NODE_TRACE_FIELDS:
+            got, want = getattr(trace, name), getattr(fresh, name)
+            assert (got is None) == (want is None), name
+            if want is not None:
+                assert got.shape == want.shape and np.array_equal(got, want), name
+        for per_sample in (False, True):
+            got = models.node_bundles(trace, params, per_sample)
+            want = models.node_bundles(fresh, params, per_sample)
+            assert got.keys() == want.keys()
+            for k in want:
+                assert np.array_equal(got[k], want[k])
+        shared = {k: c[:1] for k, c in v.items()}
+        for covec in (v, shared):
+            for got_arr, want_arr in zip(
+                    models.node_matching_grad(trace, params, covec,
+                                              layout != "batch"),
+                    models.node_matching_grad(fresh, params, covec,
+                                              layout != "batch")):
+                assert (got_arr is None) == (want_arr is None)
+                if want_arr is not None:
+                    assert np.array_equal(got_arr, want_arr)
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @NODE_LAYOUTS
+    def test_gradients_are_fresh_arrays(self, framework, layout):
+        r = numkit.make_rng(95)
+        params = models.init_params(r, framework, "node", 4, 5, 3)
+        trace = models.node_ctx(params, *node_inputs(r, params, layout))
+        v = random_covectors(r, models.node_bundles(trace, params, True))
+        want_adjacency = layout != "batch"
+        first = models.node_matching_grad(trace, params, v, want_adjacency)
+        kept = [None if arr is None else arr.copy() for arr in first]
+        second = models.node_matching_grad(trace, params, v, want_adjacency)
+        first, second = ([arr for arr in grads if arr is not None]
+                         for grads in (first, second))
+        buffers = node_trace_buffers(trace)
+        for arr in first + second:
+            assert not any(np.shares_memory(arr, buf) for buf in buffers)
+        for one in first:
+            assert not any(np.shares_memory(one, two) for two in second)
+        for arr, copy, again in zip(first, kept, second):
+            assert np.array_equal(arr, copy) and np.array_equal(again, copy)
+
+    def test_refill_with_another_shape_raises(self):
+        r = numkit.make_rng(96)
+        params = models.init_params(r, "sage", "node", 4, 5, 3)
+        x, anorm, targets, labels = node_inputs(r, params, "batch")
+        trace = models.node_ctx(params, x, anorm, targets, labels)
+        with pytest.raises(ShapeError, match="trace holds features"):
+            models.node_ctx(params, x[:2], anorm, trace.targets, trace.labels,
+                            out=trace)
+        with pytest.raises(ShapeError, match="trace holds features"):
+            models.node_ctx(params, x, anorm[:5, :5], trace.targets,
+                            trace.labels, out=trace)
+
+    def test_refill_with_other_targets_or_labels_raises(self):
+        r = numkit.make_rng(97)
+        params = models.init_params(r, "gcn", "node", 4, 5, 3)
+        x, anorm, targets, labels = node_inputs(r, params, "one-target")
+        trace = models.node_ctx(params, x, anorm, targets, labels)
+        for other in ((np.array([5]), trace.labels),
+                      (trace.targets, np.array([1]))):
+            with pytest.raises(ShapeError, match="targets and labels"):
+                models.node_ctx(params, x, anorm, *other, out=trace)
+
+    @pytest.mark.parametrize("targets,labels,match", [
+        ([8], [1], "target out of range"),
+        ([-1], [1], "target out of range"),
+        ([0, 3], [1], "1 labels for 2 targets"),
+    ])
+    def test_build_checks_targets_and_labels(self, targets, labels, match):
+        r = numkit.make_rng(98)
+        params = models.init_params(r, "sage", "node", 4, 5, 3)
+        x, anorm = node_inputs(r, params, "one-target")[:2]
+        with pytest.raises(ShapeError, match=match):
+            models.node_ctx(params, x, anorm, targets, labels)
+
+
 class TestSharedCovector:
     """A shared co-vector (a stack of one) is contracted by 2-D products.
     In the node pass the batched broadcast it replaces gives the same
@@ -594,10 +714,12 @@ class TestSharedCovector:
         w = r.standard_normal((1,) + shape)
         cols = r.standard_normal((1, shape[1]))
         rows = r.standard_normal((1, shape[0]))
-        assert np.array_equal(models._covec_rows(w, cols),
-                              (w @ cols[:, :, None])[:, :, 0])
-        assert np.array_equal(models._rows_covec(rows, w),
-                              (rows[:, None, :] @ w)[:, 0])
+        assert np.array_equal(
+            models._covec_rows(w, cols, np.empty((1, shape[0]))),
+            (w @ cols[:, :, None])[:, :, 0])
+        assert np.array_equal(
+            models._rows_covec(rows, w, np.empty((1, shape[1]))),
+            (rows[:, None, :] @ w)[:, 0])
         # a general product, an outer product and a product with its own
         # transpose
         for a, b in ((w[0].T, r.standard_normal(shape)), (cols.T, rows),
@@ -640,11 +762,12 @@ class TestSharedCovector:
         v = random_covectors(numkit.make_rng(88), stacks)
         got = grad(ctx, params, v, True)
 
-        # the batched broadcast forms the 2-D products replace
-        def covec_rows(w, rows):
+        # the batched broadcast forms the 2-D products replace, returned
+        # as new arrays: the pass reads what they return, not ``out``
+        def covec_rows(w, rows, out):
             return (w @ rows[:, :, None])[:, :, 0]
 
-        def rows_covec(rows, w):
+        def rows_covec(rows, w, out):
             return (rows[:, None, :] @ w)[:, 0]
 
         monkeypatch.setattr(models, "_covec_rows", covec_rows)
