@@ -42,7 +42,6 @@ from .models import (
     node_bundles,
     node_ctx,
     node_matching_grad,
-    onehot,
 )
 from .numkit import AdamState, adam_step, sample_bernoulli
 
@@ -133,27 +132,16 @@ def _matcher(leaked_flat, kind, grad):
     :class:`DegenerateGradientError` under the cosine objective. The
     gradient is written into ``grad``, an array of the leak's shape: every
     call returns that same array, and the next call overwrites it. The
-    temporaries are allocated here too. A one-row leak (node1's, a graph's)
-    is matched on 1-D rows with a scalar norm; several rows keep a column
-    of norms.
+    temporaries are allocated here too: (S, P) rows like the leak's and
+    (S, 1) columns of row sums.
     """
-    one = leaked_flat.shape[0] == 1
-    if one:  # 1-D rows, scalar sums
-        rows, keep, dn, uw = (lambda m: m[0]), False, None, None
-        degenerate = (lambda norm: norm == 0.0)
-    else:  # (S, P) rows, (S, 1) columns of sums
-        rows, keep = (lambda m: m), True
-        dn, uw = np.empty((2, len(grad), 1))
-        degenerate = (lambda norm: np.count_nonzero(norm) < len(norm))
-    g = rows(grad)
-    tmp = np.empty_like(g)
+    tmp = np.empty_like(grad)
     if kind == "l2":
-        leak = rows(leaked_flat)
-
         def match(dummy_flat):
-            np.subtract(rows(dummy_flat), leak, out=g)
-            value = float(np.add.reduce(np.multiply(g, g, out=tmp), axis=None))
-            np.multiply(g, 2.0, out=g)
+            np.subtract(dummy_flat, leaked_flat, out=grad)
+            value = float(np.add.reduce(np.multiply(grad, grad, out=tmp),
+                                        axis=None))
+            np.multiply(grad, 2.0, out=grad)
             return value, grad
         return match
 
@@ -161,27 +149,27 @@ def _matcher(leaked_flat, kind, grad):
     if np.any(ln == 0.0):
         raise DegenerateGradientError("zero-norm leaked gradient bundle in "
                                       "cosine objective")
-    v = rows(leaked_flat / ln)
-    u, w = np.empty((2,) + g.shape)
+    v = leaked_flat / ln
+    u, w = np.empty((2,) + grad.shape)
+    dn, uw = np.empty((2, len(grad), 1))
 
     def match(dummy_flat):
-        d = rows(dummy_flat)
-        norm = np.add.reduce(np.multiply(d, d, out=tmp), axis=-1,
-                             keepdims=keep, out=dn)
-        norm = np.sqrt(norm, out=dn)
-        if degenerate(norm):
+        np.add.reduce(np.multiply(dummy_flat, dummy_flat, out=tmp), axis=1,
+                      keepdims=True, out=dn)
+        np.sqrt(dn, out=dn)
+        if np.count_nonzero(dn) < len(dn):
             raise DegenerateGradientError("zero-norm dummy gradient bundle in "
                                           "cosine objective")
-        np.divide(d, norm, out=u)
+        np.divide(dummy_flat, dn, out=u)
         np.subtract(u, v, out=w)
         # 0.5 ||u - v||^2 equals 1 - cos and is exactly zero on identical bundles
         value = 0.5 * float(np.add.reduce(np.multiply(w, w, out=tmp),
                                           axis=None))
-        proj = np.add.reduce(np.multiply(u, w, out=tmp), axis=-1,
-                             keepdims=keep, out=uw)
-        np.multiply(u, proj, out=g)
-        np.subtract(w, g, out=g)
-        np.divide(g, norm, out=g)
+        np.add.reduce(np.multiply(u, w, out=tmp), axis=1, keepdims=True,
+                      out=uw)
+        np.multiply(u, uw, out=grad)
+        np.subtract(w, grad, out=grad)
+        np.divide(grad, dn, out=grad)
         return value, grad
 
     return match
@@ -323,13 +311,13 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
     leak's flat rows, every leaked bundle checked against the model (a
     :class:`ShapeError` before any iteration), and cosine norms (so a
     zero-norm leak raises :class:`DegenerateGradientError` before any
-    iteration), the labels' one-hot rows for a graph-task model, the
-    matcher's temporaries, and two buffers shaped like the leak's flat
-    rows, each with per-tensor views: the dummy's bundle rows, which the
-    bundle pass writes, and the matcher's gradient, which the matching
-    pass reads as its co-vector. The model's trace
-    (:class:`~glg.models.NodeTrace` or :class:`~glg.models.GraphTrace`)
-    is built by the first call and refilled by every later one.
+    iteration), the matcher's temporaries, and two buffers shaped like the
+    leak's flat rows, each with per-tensor views: the dummy's bundle rows,
+    which the bundle pass writes, and the matcher's gradient, which the
+    matching pass reads as its co-vector. The model's trace
+    (:class:`~glg.models.NodeTrace` or :class:`~glg.models.GraphTrace`),
+    with the labels' one-hot rows, is built by the first call and refilled
+    by every later one.
     """
     leaked_flat = bundle_rows(params, bundles)
     dummy_flat = np.empty_like(leaked_flat)
@@ -342,7 +330,6 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
     node = params.task == "node"
     per_sample = len(bundles) > 1
     batch = 1 if per_sample else len(labels)
-    onehot_rows = None if node else onehot(labels, params.num_classes)
 
     def objective(x, a, update):
         nonlocal trace
@@ -358,8 +345,7 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
             ctx = trace = node_ctx(params, x, an, targets, labels, out=trace)
             node_bundles(ctx, params, per_sample, out=dummy)
         else:
-            ctx = trace = graph_ctx(params, x, an, labels, onehot_rows,
-                                    out=trace)
+            ctx = trace = graph_ctx(params, x, an, labels, out=trace)
             graph_bundles(ctx, params, out=dummy)
         value, vflat = match(dummy_flat)
         gx = ga = None

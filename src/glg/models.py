@@ -31,16 +31,17 @@ Array convention: an optional leading sample axis is supported everywhere;
 (B, N, N). Each task's forward pass records a trace, allocated once and
 refilled in place by ``node_ctx(..., out=trace)`` / ``graph_ctx(...,
 out=trace)``, so an attack builds one per run; the passes that read a
-trace compute in its scratch buffers and return fresh gradients. A
-:class:`NodeTrace` holds one (rows, width) buffer per intermediate, one row
-per target (every row of a shared graph, or one per graph of a batch), so
-every weight and co-vector product is one 2-D ``np.dot`` written into its
-buffer. A :class:`GraphTrace` keeps every per-node array of a batch in one
-(B*N, width) row buffer, with (B, N, width) views made once over those
-buffers as its public fields. At B = 1 each weight, co-vector and
-adjacency product is one 2-D ``np.dot`` on the rows; for B > 1 the
-products run per sample as ``np.matmul`` on the views, so every sample
-keeps the bits it has alone.
+trace compute in its scratch buffers and return fresh gradients. A trace
+keeps its labels' one-hot rows but no weights: every pass reads those
+from the model it is given. A :class:`NodeTrace` holds one (rows, width)
+buffer per intermediate, one row per target (every row of a shared graph,
+or one per graph of a batch), so every weight and co-vector product is one
+2-D ``np.dot`` written into its buffer. A :class:`GraphTrace` keeps every
+per-node array of a batch in one (B*N, width) row buffer, with (B, N,
+width) views made once over those buffers as its public fields. At B = 1
+each weight, co-vector and adjacency product is one 2-D ``np.dot`` on the
+rows; for B > 1 the products run per sample as ``np.matmul`` on the
+views, so every sample keeps the bits it has alone.
 """
 
 from dataclasses import dataclass
@@ -282,11 +283,6 @@ def _copy_into(dst, src):
     return dst
 
 
-# np.dot's 2-D product as the ndarray method, without np.dot's
-# array-function dispatch
-_dot = np.ndarray.dot
-
-
 def _mean_product(a, b, n, dst):
     """``a @ b / n`` as a stack of one, computed in ``dst`` when given.
 
@@ -296,7 +292,7 @@ def _mean_product(a, b, n, dst):
     """
     if dst is None:
         dst = np.empty((1, a.shape[0], b.shape[1]))
-    _dot(a, b, out=dst[0])
+    np.dot(a, b, out=dst[0])
     if n > 1:
         dst /= n
     return dst
@@ -324,7 +320,7 @@ def _covec_rows(w, rows, out):
     goes to ``np.dot``. Per-sample stacks keep the batched ``@``.
     """
     if w.shape[0] == 1:
-        return _dot(rows, w[0].T, out=out)
+        return np.dot(rows, w[0].T, out=out)
     np.matmul(w, rows[:, :, None], out=out[:, :, None])
     return out
 
@@ -333,7 +329,7 @@ def _rows_covec(rows, w, out):
     """``rows[s] @ w[s]`` for each sample s, written into ``out``; a shared
     ``w`` as one 2-D product."""
     if w.shape[0] == 1:
-        return _dot(rows, w[0], out=out)
+        return np.dot(rows, w[0], out=out)
     np.matmul(rows[:, None, :], w, out=out[:, None, :])
     return out
 
@@ -392,12 +388,12 @@ class NodeTrace:
     buffers. ``mt`` (at @ x), ``ht`` (hidden rows), ``st`` (sigma' there),
     ``logits``, ``q``, ``g2`` (softmax - onehot), ``u`` (g2 @ out_weight)
     and ``g1`` (d loss / d pre-activation) are (rows, width) buffers
-    allocated here, once, and so is the scratch of
-    :func:`node_matching_grad`. The labels' one-hot rows and the weights'
-    transposed views are made here too. ``node_ctx(..., out=trace)``
-    refills every one of these in place from new ``x`` and ``anorm``, so
-    the next refill overwrites what a trace holds, and so does the next
-    matching pass its scratch. Only the gradients
+    allocated here, once, and so are the scratch of
+    :func:`node_matching_grad` and the labels' one-hot rows; the passes
+    read the weights from the model on every call. ``node_ctx(...,
+    out=trace)`` refills every buffer in place from new ``x`` and
+    ``anorm``, so the next refill overwrites what a trace holds, and so
+    does the next matching pass its scratch. Only the gradients
     :func:`node_matching_grad` and :func:`node_input_grads` return, and
     the bundles :func:`node_bundles` returns without ``out`` (bar the
     per-sample bias stacks, which are ``g2`` and ``g1``), are fresh
@@ -406,7 +402,6 @@ class NodeTrace:
     """
 
     def __init__(self, params, x, anorm, targets, labels):
-        t = params.tensors
         n = x.shape[-2]
         if x.ndim == 3 and targets is None:
             raise ShapeError("a batch of node graphs needs one target each")
@@ -430,8 +425,6 @@ class NodeTrace:
             name: np.empty((rows, width[w]))
             for name, w in _NODE_SCRATCH.items()})
         self._onehot = onehot(labels, params.num_classes)
-        self._conv1 = _layer_weights(t, "conv1")
-        self._out_t = t["out_weight"].T
         if targets is None:
             self.at, self.xt = anorm, x
             return
@@ -453,27 +446,17 @@ def _take_rows(arr, idx, out):
     return arr.take(idx, 0, out, "clip")
 
 
-def _layer_weights(t, layer):
-    """What :func:`_pre_activation` applies: the transposed aggregation
-    weight, the bias and the transposed self weight (None without one)."""
-    w_self = t.get(layer + "_self")
-    return (t[layer + "_agg"].T, t[layer + "_bias"],
-            None if w_self is None else w_self.T)
-
-
-def _pre_activation(weights, agg, h, product=_dot, out=None, tmp=None):
+def _pre_activation(t, layer, agg, h, product=np.dot, out=None, tmp=None):
     """Pre-activation of a convolution layer from its aggregated and own inputs.
 
-    ``weights`` come from :func:`_layer_weights`. ``product`` multiplies the
-    inputs by them: ``np.dot`` on 2-D rows, ``np.matmul`` on a graph
-    trace's (B, N, width) stacks. The result is written into ``out`` and
-    the self term into ``tmp`` when given.
+    ``product`` multiplies the inputs by the transposed weights: ``np.dot``
+    on 2-D rows, ``np.matmul`` on a graph trace's (B, N, width) stacks. The
+    result is written into ``out`` and the self term into ``tmp`` when given.
     """
-    w_agg, bias, w_self = weights
-    pre = product(agg, w_agg, out=out)
-    pre += bias
-    if w_self is not None:
-        pre += product(h, w_self, out=tmp)
+    pre = product(agg, t[layer + "_agg"].T, out=out)
+    pre += t[layer + "_bias"]
+    if layer + "_self" in t:
+        pre += product(h, t[layer + "_self"].T, out=tmp)
     return pre
 
 
@@ -511,6 +494,7 @@ def node_ctx(params, x, anorm, targets, labels, out=None):
         ctx.x, ctx.anorm, ctx.losses = x, anorm, None
         if ctx.targets is None:
             ctx.at, ctx.xt = anorm, x
+    t = params.tensors
     s = ctx._scratch
 
     # the head reads the first layer at the targets only, so only those
@@ -522,17 +506,17 @@ def node_ctx(params, x, anorm, targets, labels, out=None):
     if x.ndim == 3:  # one (1, N) @ (N, D) product per sample
         np.matmul(ctx.at[:, None], x, out=ctx.mt[:, None])
     else:
-        _dot(ctx.at, x, out=ctx.mt)
-    ht = _pre_activation(ctx._conv1, ctx.mt, ctx.xt, out=ctx.ht, tmp=s.f1)
+        np.dot(ctx.at, x, out=ctx.mt)
+    ht = _pre_activation(t, "conv1", ctx.mt, ctx.xt, out=ctx.ht, tmp=s.f1)
     _sigmoid(ht, out=ht, tmp=s.f1)
     np.subtract(1.0, ht, out=ctx.st)
     ctx.st *= ht
 
-    _dot(ht, ctx._out_t, out=ctx.logits)
-    ctx.logits += params.tensors["out_bias"]
+    np.dot(ht, t["out_weight"].T, out=ctx.logits)
+    ctx.logits += t["out_bias"]
     softmax(ctx.logits, out=ctx.q)
     np.subtract(ctx.q, ctx._onehot, out=ctx.g2)
-    _dot(ctx.g2, params.tensors["out_weight"], out=ctx.u)
+    np.dot(ctx.g2, t["out_weight"], out=ctx.u)
     np.multiply(ctx.u, ctx.st, out=ctx.g1)
     return ctx
 
@@ -590,11 +574,11 @@ def _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency):
     xbar = abar = None
     if ctx.targets is None:  # every row is a target: no scatter
         if want_features:
-            xbar = _dot(ctx.anorm.T, mtbar)
+            xbar = np.dot(ctx.anorm.T, mtbar)
             if xtbar is not None:
                 xbar += xtbar
         if want_adjacency:
-            abar = _dot(mtbar, ctx.x.T)
+            abar = np.dot(mtbar, ctx.x.T)
         return xbar, abar
     if ctx.x.ndim == 3:
         if want_adjacency:
@@ -606,12 +590,12 @@ def _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency):
                 xbar[np.arange(ctx.x.shape[0]), ctx.targets] += xtbar
         return xbar, abar
     if want_features:
-        xbar = _dot(ctx.at.T, mtbar)
+        xbar = np.dot(ctx.at.T, mtbar)
         if xtbar is not None:
             np.add.at(xbar, ctx.targets, xtbar)
     if want_adjacency:
         abar = np.zeros((ctx.x.shape[0], ctx.x.shape[0]))
-        np.add.at(abar, ctx.targets, _dot(mtbar, ctx.x.T))
+        np.add.at(abar, ctx.targets, np.dot(mtbar, ctx.x.T))
     return xbar, abar
 
 
@@ -649,17 +633,17 @@ def node_matching_grad(ctx, params, v, want_adjacency, want_features=True):
     stbar = np.multiply(g1bar, ctx.u, out=g1bar)  # g1bar is not read again
     g2bar = _covec_rows(v["out_weight"], ctx.ht, s.g2bar)
     g2bar += v["out_bias"]
-    g2bar += _dot(ubar, ctx._out_t, out=s.k1)
+    g2bar += np.dot(ubar, t["out_weight"].T, out=s.k1)
     pbar = _softmax_adjoint(ctx.q, g2bar, out=g2bar)
-    htbar = _dot(pbar, t["out_weight"], out=s.htbar)
+    htbar = np.dot(pbar, t["out_weight"], out=s.htbar)
     htbar += _rows_covec(ctx.g2, v["out_weight"], s.f1)
     htbar += _times_one_minus_twice(stbar, ctx.ht, s.f1)
     ztbar = np.multiply(htbar, ctx.st, out=htbar)
-    mtbar += _dot(ztbar, t["conv1_agg"], out=s.d1)
+    mtbar += np.dot(ztbar, t["conv1_agg"], out=s.d1)
     xtbar = None
     if want_features and w_self is not None:
         xtbar = _rows_covec(ctx.g1, v["conv1_self"], s.xtbar)
-        xtbar += _dot(ztbar, w_self, out=s.d1)
+        xtbar += np.dot(ztbar, w_self, out=s.d1)
     return _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency)
 
 
@@ -708,7 +692,8 @@ class GraphTrace:
     ``sig2``, ``hidden2``, ``hbar`` (gp @ mlp_weight), ``g2w``
     (g2 @ conv2_agg), ``u1``, ``g1`` and ``g2`` are (B, N, width) views
     over those buffers and ``flat`` the (B, N*F) view of ``hidden2``;
-    ``logits``, ``q`` and ``gp`` (softmax - onehot) are (B, K) buffers.
+    ``logits``, ``q`` and ``gp`` (softmax - onehot) are (B, K) buffers,
+    and the labels' one-hot rows are kept with them.
     ``x`` is the (B, N, D) view of the input features and ``anorm`` the
     normalized adjacency as given, (N, N) or (B, N, N). ``graph_ctx(...,
     out=trace)`` refills every one of these in place, and the passes that
@@ -736,7 +721,7 @@ class GraphTrace:
             setattr(self, name, getattr(stacks, name))
         # what the passes compute on: the rows at B = 1, else the stacks
         self._work = self._rows if b == 1 else stacks
-        self._mm = _dot if b == 1 else np.matmul
+        self._mm = np.dot if b == 1 else np.matmul
         self.flat = self._rows.hidden2.reshape(b, -1)
         self._hbar_flat = self._rows.hbar.reshape(b, -1)
         self._f1_flat = self._rows.f1.reshape(b, -1)
@@ -745,6 +730,7 @@ class GraphTrace:
         self.q = np.empty((b, k))
         self.gp = np.empty((b, k))
         self.x = self.anorm = self.labels = self.losses = None
+        self._onehot = None
 
     def _fresh(self, width):
         """A new (B, N, width) array and the form of it the passes write."""
@@ -752,16 +738,18 @@ class GraphTrace:
         return out, (out[0] if out.shape[0] == 1 else out)
 
 
-def graph_ctx(params, x, anorm, labels, onehot_rows=None, out=None):
+def graph_ctx(params, x, anorm, labels, out=None):
     """Forward + first-order backward intermediates; x is (N, D) or (B, N, D).
 
-    ``labels`` must already have passed :func:`check_labels`;
-    ``onehot_rows`` are their :func:`onehot` rows when built once by the
-    caller. Without ``out`` the pass allocates a new :class:`GraphTrace`.
-    ``out`` is a trace an earlier call returned for inputs of the same
-    shapes (an attack builds one and passes it back each iteration): the
-    pass refills it in place and returns it, so everything the earlier
-    call recorded there is overwritten.
+    ``labels`` must already have passed :func:`check_labels`. Without
+    ``out`` the pass allocates a new :class:`GraphTrace`. ``out`` is a
+    trace an earlier call returned for inputs of the same shapes (an
+    attack builds one and passes it back each iteration): the pass refills
+    it in place and returns it, so everything the earlier call recorded
+    there is overwritten. The trace keeps the one-hot rows of its labels;
+    they are rebuilt only when a call brings another labels array than the
+    trace's own (``trace.labels``), so refill with that array when the
+    labels stay.
     """
     t = params.tensors
     x = np.asarray(x, dtype=np.float64)
@@ -781,6 +769,8 @@ def graph_ctx(params, x, anorm, labels, onehot_rows=None, out=None):
     elif ctx.x.shape != x3.shape:
         raise ShapeError(f"trace holds features {ctx.x.shape}, "
                          f"got {x3.shape}")
+    if labels is not ctx.labels:
+        ctx._onehot = onehot(labels, params.num_classes)
     ctx.x, ctx.anorm, ctx.labels, ctx.losses = x3, anorm, labels, None
     w = ctx._work
     mm = ctx._mm
@@ -793,27 +783,23 @@ def graph_ctx(params, x, anorm, labels, onehot_rows=None, out=None):
     w.at = w.a.swapaxes(-1, -2)
 
     mm(w.a, w.x, out=w.agg1)
-    h1 = _pre_activation(_layer_weights(t, "conv1"), w.agg1, w.x, mm,
-                         w.hidden1, w.f1)
+    h1 = _pre_activation(t, "conv1", w.agg1, w.x, mm, w.hidden1, w.f1)
     _sigmoid(h1, out=h1, tmp=w.f1)
     np.subtract(1.0, h1, out=w.sig1)
     w.sig1 *= h1
 
     mm(w.a, h1, out=w.agg2)
-    h2 = _pre_activation(_layer_weights(t, "conv2"), w.agg2, h1, mm,
-                         w.hidden2, w.f1)
+    h2 = _pre_activation(t, "conv2", w.agg2, h1, mm, w.hidden2, w.f1)
     _sigmoid(h2, out=h2, tmp=w.f1)
     np.subtract(1.0, h2, out=w.sig2)
     w.sig2 *= h2
 
-    _dot(ctx.flat, t["mlp_weight"].T, out=ctx.logits)
+    np.dot(ctx.flat, t["mlp_weight"].T, out=ctx.logits)
     ctx.logits += t["mlp_bias"]
     softmax(ctx.logits, out=ctx.q)
-    if onehot_rows is None:
-        onehot_rows = onehot(labels, ctx.q.shape[-1])
-    np.subtract(ctx.q, onehot_rows, out=ctx.gp)
+    np.subtract(ctx.q, ctx._onehot, out=ctx.gp)
 
-    _dot(ctx.gp, t["mlp_weight"], out=ctx._hbar_flat)
+    np.dot(ctx.gp, t["mlp_weight"], out=ctx._hbar_flat)
     np.multiply(w.hbar, w.sig2, out=w.g2)
     mm(w.g2, t["conv2_agg"], out=w.g2w)
     mm(w.at, w.g2w, out=w.u1)
@@ -919,13 +905,13 @@ def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
         g2bar += mm(w.hidden1, v2s.T, out=w.f1)
 
     # adjoints of the readout gradient outputs
-    gpbar = _dot(ctx.flat, vm.T) + v["mlp_bias"][0]
+    gpbar = np.dot(ctx.flat, vm.T) + v["mlp_bias"][0]
     np.multiply(g2bar, w.sig2, out=w.f1)
-    gpbar += _dot(ctx._f1_flat, wm.T)
+    gpbar += np.dot(ctx._f1_flat, wm.T)
     s2bar = np.multiply(g2bar, w.hbar, out=g2bar)  # g2bar is not read again
 
-    _dot(_softmax_adjoint(ctx.q, gpbar), wm, out=ctx._h2bar_flat)
-    ctx._h2bar_flat += _dot(ctx.gp, vm)
+    np.dot(_softmax_adjoint(ctx.q, gpbar), wm, out=ctx._h2bar_flat)
+    ctx._h2bar_flat += np.dot(ctx.gp, vm)
     h2bar = w.h2bar
     h2bar += _times_one_minus_twice(s2bar, w.hidden2, w.f1)
     z2bar = np.multiply(h2bar, w.sig2, out=h2bar)

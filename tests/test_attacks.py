@@ -97,8 +97,8 @@ def parent_matcher(leaked_flat, kind):
 
 
 class TestMatcherOperands:
-    """A one-row leak runs on 1-D rows with a scalar norm, several rows on
-    (S, P) rows; either way the bits are the reference's."""
+    """The buffered matcher gives the reference's bits on a one-row leak
+    (node1's, a graph's) and on several rows (node2's)."""
 
     @pytest.mark.parametrize("kind", ["cosine", "l2"])
     @pytest.mark.parametrize("rows", [1, 3])

@@ -667,6 +667,30 @@ class TestNodeTraceReuse:
         for arr, copy, again in zip(first, kept, second):
             assert np.array_equal(arr, copy) and np.array_equal(again, copy)
 
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @NODE_LAYOUTS
+    def test_refill_reads_the_model_it_is_given(self, framework, layout):
+        # a trace holds no weights: a refill for another model of the same
+        # shapes is that model's fresh trace
+        r = numkit.make_rng(99)
+        first, second = (models.init_params(r, framework, "node", 4, 5, 3)
+                         for _ in range(2))
+        x, anorm, targets, labels = node_inputs(r, first, layout)
+        trace = models.node_ctx(first, x, anorm, targets, labels)
+        models.node_ctx(second, x, anorm, trace.targets, trace.labels,
+                        out=trace)
+        fresh = models.node_ctx(second, x, anorm, targets, labels)
+        for name in NODE_TRACE_FIELDS:
+            got, want = getattr(trace, name), getattr(fresh, name)
+            if want is not None:
+                assert np.array_equal(got, want), name
+        v = random_covectors(r, models.node_bundles(fresh, second, True))
+        for got_arr, want_arr in zip(
+                models.node_matching_grad(trace, second, v, layout != "batch"),
+                models.node_matching_grad(fresh, second, v, layout != "batch")):
+            if want_arr is not None:
+                assert np.array_equal(got_arr, want_arr)
+
     def test_refill_with_another_shape_raises(self):
         r = numkit.make_rng(96)
         params = models.init_params(r, "sage", "node", 4, 5, 3)
