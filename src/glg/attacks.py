@@ -4,11 +4,13 @@ The attacker holds leaked gradient bundles, a copy of the model, and
 optionally part of the private data. Dummy inputs are pushed through the
 model, their gradients compared to the leak under an L2 or cosine
 objective (plus smoothness and Frobenius regularizers when structure is
-being recovered), and the dummies updated by Adam. Adjacency dummies stay
-symmetric by construction: each off-diagonal pair is one unknown, each
-step is projected back into [0, 1], and the final probabilistic matrix is
-binarized by Bernoulli sampling or min-max thresholding. Each attack
-draws from the ``numpy.random.Generator`` it is passed as ``rng``.
+being recovered), and the dummies updated by Adam. An attack's unknowns
+are one flat vector: the unknown features raveled, then the strict lower
+triangle of an unknown adjacency in ``np.tril_indices(n, k=-1)`` order.
+Each off-diagonal pair is thus one unknown, each step is projected back
+into [0, 1], and the final probabilistic matrix is binarized by Bernoulli
+sampling or min-max thresholding. Each attack draws from the
+``numpy.random.Generator`` it is passed as ``rng``.
 """
 
 import math
@@ -99,8 +101,9 @@ class AttackSpec:
         for name in ("alpha", "beta", "init_value", "threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError("must be finite", name)
-        if self.alpha < 0 or self.beta < 0:
-            raise ConfigError("regularizer weights must be non-negative", "alpha")
+        for name in ("alpha", "beta"):
+            if getattr(self, name) < 0:
+                raise ConfigError("regularizer weights must be non-negative", name)
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError("threshold must lie in [0, 1]", "threshold")
         for name in ("iterations", "d_tree"):
@@ -227,42 +230,33 @@ def finalize_adjacency(prob, rule, rng=None, tau=0.5):
     bernoulli: entrywise draw with the given probabilities. threshold:
     min-max normalize the off-diagonal entries, then keep entries at or
     above tau; when they are all equal, compare the raw entries with tau.
-    Either way the lower triangle is mirrored and the diagonal zeroed. A
-    NaN or Inf entry raises :class:`NumericError`.
+    Either way the lower triangle is mirrored and the diagonal zeroed. An
+    entry that is NaN, Inf or outside [0, 1] raises :class:`NumericError`,
+    an unknown rule or a missing ``rng`` :class:`ConfigError`.
     """
+    if rule not in FINALIZATIONS:
+        raise ConfigError(f"unknown finalization rule {rule!r}", "finalization")
+    if rule == "bernoulli" and rng is None:
+        raise ConfigError("bernoulli finalization needs an rng", "rng")
     prob = np.asarray(prob, dtype=np.float64)
-    if not np.isfinite(prob).all():
-        raise NumericError("adjacency probabilities contain NaN or Inf")
+    # a NaN fails both comparisons, so it is rejected with the out-of-range
+    if not ((prob >= 0.0) & (prob <= 1.0)).all():
+        raise NumericError("adjacency probability is NaN or Inf or outside [0, 1]")
     if rule == "bernoulli":
-        if rng is None:
-            raise ValueError("bernoulli finalization needs an rng")
         draw = sample_bernoulli(rng, prob)
-        lower = np.tril(draw, k=-1)
-        return lower + lower.T
-    if rule == "threshold":
+    else:
         off = prob[~np.eye(prob.shape[0], dtype=bool)]
         z = prob
         if off.size and off.max() > off.min():
             z = (prob - off.min()) / (off.max() - off.min())
-        lower = np.tril((z >= tau).astype(np.float64), k=-1)
-        return lower + lower.T
-    raise ValueError(f"unknown finalization rule {rule!r}")
+        draw = (z >= tau).astype(np.float64)
+    lower = np.tril(draw, k=-1)
+    return lower + lower.T
 
 
 # ---------------------------------------------------------------------------
 # The optimization loop shared by every attack
 # ---------------------------------------------------------------------------
-
-def _checked(value, shape, name):
-    """Float64 copy of the argument ``name``, which must have ``shape``."""
-    try:
-        value = np.array(value, dtype=np.float64)
-    except ValueError:
-        raise ShapeError(f"{name} is not one numeric array") from None
-    if value.shape != shape:
-        raise ShapeError(f"{name} shape {value.shape}, expected {shape}")
-    return value
-
 
 def _start(rng, spec, shape):
     """Starting point of an optimized input: the configured init."""
@@ -282,43 +276,53 @@ def _check_scenario(spec, params, scenarios, task):
 
 
 def _known(value, shape, name):
+    """Float64 copy of the known input ``name``, which must have ``shape``."""
     if value is None:
         raise ConfigError(f"scenario requires {name}", name)
-    return _checked(value, shape, name)
+    try:
+        value = np.array(value, dtype=np.float64)
+    except ValueError:
+        raise ShapeError(f"{name} is not one numeric array") from None
+    if value.shape != shape:
+        raise ShapeError(f"{name} shape {value.shape}, expected {shape}")
+    return value
 
 
-def _matching_objective(spec, params, bundles, labels, targets=None,
-                        known_x=None, known_a=None, anorm=None,
+def _pairs(n):
+    """Flat indices of an (n, n) matrix's strict lower triangle and mirror."""
+    rows, cols = np.tril_indices(n, k=-1)
+    return rows * n + cols, cols * n + rows
+
+
+def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
+                        targets=None, known_x=None, known_a=None, anorm=None,
                         regularize=False):
-    """The objective the loop descends: ``f(x, a, update) -> (value, gx, ga)``.
+    """The objective the loop descends: ``f(z, update) -> (value, gz)``.
 
-    The loop passes None for a known input; ``known_x``, or ``known_a``
-    with its normalization ``anorm``, stands in. The dummies go through the
-    model's forward and bundle passes with ``labels`` (one per dummy
-    sample); a node-task model reads its loss at ``targets``, by default
-    (None) row i for sample i. Several leaked bundles (node2's, one per
-    node) are matched row by row against the dummies' per-sample stacks.
-    One leaked bundle is matched by the mean of the B dummies' bundles,
-    computed without per-sample stacks; every sample shares its
-    co-vector, divided by B when B > 1. With ``update``, gradients of the
-    unknowns come back in their own shapes (None otherwise). An optimized
-    adjacency is normalized once per call, and its gradient goes back
-    through :func:`normalize_dense_backward` on that normalization's parts.
-    ``regularize`` adds the smoothness and Frobenius terms weighted by
-    spec.alpha / spec.beta.
+    ``z`` holds the unknowns: the features of shape ``x_shape`` raveled
+    (``known_x`` stands in when it is None), then, when ``n`` > 0, the
+    (n, n) adjacency's strict lower triangle in ``np.tril_indices(n,
+    k=-1)`` order, mirrored into one buffer with a zero diagonal (otherwise
+    ``known_a`` and its normalization ``anorm`` stand in). With ``update``,
+    ``gz`` is a new array like ``z`` (None otherwise); a pair's entry sums
+    the gradients of its two mirrored entries. The dummies go through the
+    model's passes with ``labels``, one per dummy sample; a node-task model
+    reads its loss at ``targets``, by default row i for sample i. Several
+    leaked bundles (node2's) are matched row by row against the dummies'
+    per-sample stacks; one is matched by the mean of the B dummies'
+    bundles, each sample's co-vector divided by B. ``regularize`` adds the
+    smoothness and Frobenius terms weighted by spec.alpha / spec.beta.
 
-    Whatever stays fixed for the whole attack is built here, once: the
-    leak's flat rows, every leaked bundle checked against the model (a
-    :class:`ShapeError` before any iteration), and cosine norms (so a
-    zero-norm leak raises :class:`DegenerateGradientError` before any
-    iteration), the matcher's temporaries, and two buffers shaped like the
-    leak's flat rows, each with per-tensor views: the dummy's bundle rows,
-    which the bundle pass writes, and the matcher's gradient, which the
-    matching pass reads as its co-vector. The model's trace
-    (:class:`~glg.models.NodeTrace` or :class:`~glg.models.GraphTrace`),
-    with the labels' one-hot rows, is built by the first call and refilled
-    by every later one.
+    Built once per attack, before any iteration: the pair indices and
+    adjacency buffer, the leak's flat rows (checked against the model) and
+    cosine norms, the matcher's temporaries, and views of the dummy's
+    bundle rows and of the co-vector. The model's trace is built by the
+    first call and refilled by every later one.
     """
+    opt_x = x_shape is not None
+    nx = math.prod(x_shape) if opt_x else 0
+    lower, upper = _pairs(n)
+    a = np.zeros((n, n)) if n else known_a  # z's pairs are mirrored into it
     leaked_flat = bundle_rows(params, bundles)
     dummy_flat = np.empty_like(leaked_flat)
     dummy = bundle_views(params, dummy_flat)
@@ -330,15 +334,17 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
     node = params.task == "node"
     per_sample = len(bundles) > 1
     batch = 1 if per_sample else len(labels)
+    alpha, beta = (spec.alpha, spec.beta) if regularize else (0.0, 0.0)
 
-    def objective(x, a, update):
+    def objective(z, update):
         nonlocal trace
-        opt_x = x is not None
-        opt_a = a is not None
-        x = x if opt_x else known_x
-        a = a if opt_a else known_a
-        parts = _normalize(a, mode) if opt_a else None
-        an = parts[0] if opt_a else anorm
+        x = z[:nx].reshape(x_shape) if opt_x else known_x
+        an = anorm
+        if n:
+            a.put(lower, z[nx:])
+            a.put(upper, z[nx:])
+            parts = _normalize(a, mode)
+            an = parts[0]
         # the model passes are looked up here, at call time, so a wrapper
         # swapped into this module's namespace sees every call
         if node:
@@ -348,72 +354,58 @@ def _matching_objective(spec, params, bundles, labels, targets=None,
             ctx = trace = graph_ctx(params, x, an, labels, out=trace)
             graph_bundles(ctx, params, out=dummy)
         value, vflat = match(dummy_flat)
-        gx = ga = None
-        if update:
-            if batch > 1:
-                # every sample shares the mean's co-vector, scaled by 1/B
-                vflat /= batch
-            grad = node_matching_grad if node else graph_matching_grad
-            gx, abar_norm = grad(ctx, params, covec, opt_a, opt_x)
-            if opt_x:
-                gx = gx.reshape(x.shape)
-            if opt_a:
-                ga = normalize_dense_backward(abar_norm.reshape(a.shape),
-                                              parts, mode)
-        if regularize and spec.alpha > 0.0:
+        if alpha:
             s_val, s_gx, s_ga = smoothness_grads(
-                x, a, wrt_features=gx is not None, wrt_adjacency=ga is not None)
-            value += spec.alpha * s_val
-            if gx is not None:
-                gx += spec.alpha * s_gx
-            if ga is not None:
-                ga += spec.alpha * s_ga
-        if regularize and spec.beta > 0.0:
-            value += spec.beta * frobenius_penalty(a)
-            if ga is not None:
-                ga += spec.beta * 2.0 * a
-        return value, gx, ga
+                x, a, wrt_features=update and opt_x, wrt_adjacency=update and n > 0)
+            value += alpha * s_val
+        if beta:
+            value += beta * frobenius_penalty(a)
+        if not update:
+            return value, None
+        if batch > 1:
+            # every sample shares the mean's co-vector, scaled by 1/B
+            vflat /= batch
+        grad = node_matching_grad if node else graph_matching_grad
+        gx, abar_norm = grad(ctx, params, covec, n > 0, opt_x)
+        gz = np.empty(len(z))
+        if opt_x:
+            if alpha:
+                gx += alpha * s_gx
+            gz[:nx] = gx.reshape(-1)
+        if n:
+            ga = normalize_dense_backward(abar_norm.reshape(n, n), parts, mode)
+            if alpha:
+                ga += alpha * s_ga
+            if beta:
+                ga += beta * 2.0 * a
+            np.add(ga.take(lower), ga.take(upper), out=gz[nx:])
+        return value, gz
 
     return objective
 
 
-def _finite(value, iteration):
-    if not math.isfinite(value):
-        raise NumericError(f"attack objective is {value} at iteration "
-                           f"{iteration}")
-    return value
+def _optimize(spec, objective, z, pairs=0):
+    """One Adam run on ``z``, the flat vector of an attack's unknowns.
 
-
-def _optimize(spec, objective, x=None, a=None):
-    """One Adam run on the unknown features and/or adjacency.
-
-    ``x`` / ``a`` are the starting points, None where that input is known.
-    The adjacency starts as the mirrored strict lower triangle of ``a``
-    projected into [0, 1]; both entries of an off-diagonal pair step on the
-    pair's summed gradient, so they stay equal, and the diagonal on a zero
-    gradient, so it stays 0; each step is clipped back into [0, 1]. A
-    non-finite objective raises :class:`NumericError`. The result holds the
-    optimized inputs (None where known) and the objective trace.
+    Each step clips the last ``pairs`` entries, the adjacency pairs of
+    :func:`_matching_objective`, back into [0, 1]. A non-finite objective
+    raises :class:`NumericError`. Returns the optimized ``z`` and a
+    :class:`RecoveryResult` with the objective trace and final value.
     """
-    if a is not None:
-        a = np.tril(project_interval(a), k=-1)
-        a = a + a.T
-    x_state = AdamState(lr=spec.learning_rate)
-    a_state = AdamState(lr=spec.learning_rate)
+    state = AdamState(lr=spec.learning_rate)
     trace = np.zeros(spec.iterations)
-    for p in range(spec.iterations):
-        value, gx, ga = objective(x, a, True)
-        trace[p] = _finite(value, p)
-        if x is not None:
-            x = adam_step(x_state, x, gx)
-        if a is not None:
-            ga = ga + ga.T
-            ga.flat[::ga.shape[0] + 1] = 0.0
-            # np.clip's bits, without its dispatch overhead
-            a = np.minimum(np.maximum(adam_step(a_state, a, ga), 0.0), 1.0)
-    final = _finite(objective(x, a, False)[0], spec.iterations)
-    return RecoveryResult(features=x, adjacency_prob=a, objective_trace=trace,
-                          final_objective=final)
+    box = slice(len(z) - pairs, None)
+    for p in range(spec.iterations + 1):
+        # the last evaluation scores the result and takes no gradient
+        value, gz = objective(z, p < spec.iterations)
+        if not math.isfinite(value):
+            raise NumericError(f"attack objective is {value} at iteration {p}")
+        if p == spec.iterations:
+            return z, RecoveryResult(objective_trace=trace, final_objective=value)
+        trace[p] = value
+        z = adam_step(state, z, gz)
+        # np.clip's bits, without its dispatch overhead
+        np.minimum(np.maximum(z[box], 0.0, out=z[box]), 1.0, out=z[box])
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +425,15 @@ def _attack_trees(spec, params, rng, bundle, labels):
     tree = dummy_tree(rng, spec.d_tree, params.feature_dim)
     live = 1 + spec.d_tree
     b = labels.shape[0]
-    objective = _matching_objective(
-        spec, params, [bundle], labels, targets=np.zeros(b, dtype=np.int64),
-        anorm=normalize_dense(tree.adjacency, params.norm_mode)[:live, :live])
     shape = tree.features.shape if b == 1 else (b,) + tree.features.shape
     x = _start(rng, spec, shape)
-    best = _optimize(spec, objective, x=x[..., :live, :])
-    x[..., :live, :] = best.features
+    optimized = x[..., :live, :]
+    objective = _matching_objective(
+        spec, params, [bundle], labels, x_shape=optimized.shape,
+        targets=np.zeros(b, dtype=np.int64),
+        anorm=normalize_dense(tree.adjacency, params.norm_mode)[:live, :live])
+    z, best = _optimize(spec, objective, optimized.ravel())
+    optimized[...] = z.reshape(optimized.shape)
     best.features = x
     return best
 
@@ -474,22 +468,27 @@ def _attack_unknowns(spec, params, rng, bundles, n, labels, known_features,
     configured finalization.
     """
     opt_x = spec.scenario[-1] in "bc"
-    opt_a = spec.scenario[-1] in "ac"
+    na = n if spec.scenario[-1] in "ac" else 0  # optimized adjacency's size
     xs = (n, params.feature_dim)
     known_x = None if opt_x else _known(known_features, xs, "known_features")
-    known_a = None if opt_a else _known(known_adjacency, (n, n),
-                                        "known_adjacency")
-    anorm = None if opt_a else normalize_dense(known_a, params.norm_mode)
-    objective = _matching_objective(spec, params, bundles, labels,
-                                    known_x=known_x, known_a=known_a,
-                                    anorm=anorm, regularize=True)
-    x = _start(rng, spec, xs) if opt_x else None
-    a = _start(rng, spec, (n, n)) if opt_a else None
-    best = _optimize(spec, objective, x, a)
+    known_a = None if na else _known(known_adjacency, (n, n), "known_adjacency")
+    anorm = None if na else normalize_dense(known_a, params.norm_mode)
+    objective = _matching_objective(
+        spec, params, bundles, labels, x_shape=xs if opt_x else None, n=na,
+        known_x=known_x, known_a=known_a, anorm=anorm, regularize=True)
+    lower, upper = _pairs(na)
+    x = _start(rng, spec, xs).ravel() if opt_x else np.zeros(0)
+    a = project_interval(_start(rng, spec, (n, n))) if na else np.zeros(0)
+    z, best = _optimize(spec, objective,
+                        np.concatenate((x, a.take(lower))), len(lower))
     best.labels = labels
-    if opt_a:
+    if opt_x:
+        best.features = z[:x.size].reshape(xs)
+    if na:
+        best.adjacency_prob = prob = np.zeros((n, n))
+        prob.flat[lower] = prob.flat[upper] = z[x.size:]
         best.adjacency = finalize_adjacency(
-            best.adjacency_prob, spec.finalization, rng=rng, tau=spec.threshold)
+            prob, spec.finalization, rng=rng, tau=spec.threshold)
     return best
 
 
@@ -551,10 +550,11 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, *, rng):
         n = params.num_nodes
         known = _known(known_adjacencies, (b, n, n), "known_adjacencies")
         anorm = np.stack([normalize_dense(a, params.norm_mode) for a in known])
+        xs = (b, n, params.feature_dim)
         objective = _matching_objective(spec, params, [bundle], labels,
-                                        anorm=anorm)
-        best = _optimize(spec, objective,
-                         x=_start(rng, spec, (b, n, params.feature_dim)))
+                                        x_shape=xs, anorm=anorm)
+        z, best = _optimize(spec, objective, _start(rng, spec, xs).ravel())
+        best.features = z
     features = best.features.reshape((b, -1, params.feature_dim))
     return [
         RecoveryResult(

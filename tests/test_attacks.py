@@ -220,6 +220,26 @@ class TestProjectionFinalization:
             with pytest.raises(NumericError, match="NaN or Inf"):
                 attacks.finalize_adjacency(prob, rule, rng=numkit.make_rng(15))
 
+    @pytest.mark.parametrize("rule", ["bernoulli", "threshold"])
+    @pytest.mark.parametrize("bad", [1.5, -2.0])
+    def test_finalize_out_of_range_raises(self, rule, bad):
+        """A 3x3 matrix of 1.5 once thresholded to the full graph, one of
+        -2.0 to the empty graph."""
+        with pytest.raises(NumericError, match=r"\[0, 1\]"):
+            attacks.finalize_adjacency(np.full((3, 3), bad), rule,
+                                       rng=numkit.make_rng(15))
+
+    def test_bernoulli_without_rng_raises(self):
+        with pytest.raises(ConfigError, match="rng") as exc:
+            attacks.finalize_adjacency(np.zeros((3, 3)), "bernoulli")
+        assert exc.value.field == "rng"
+
+    def test_unknown_finalization_rule_raises(self):
+        with pytest.raises(ConfigError, match="unknown") as exc:
+            attacks.finalize_adjacency(np.zeros((3, 3)), "round",
+                                       rng=numkit.make_rng(15))
+        assert exc.value.field == "finalization"
+
     def test_finalized_is_symmetric_zero_diagonal(self):
         r = numkit.make_rng(14)
         prob = r.random((6, 6))
@@ -235,14 +255,16 @@ class TestAttackSpecValidation:
         with pytest.raises(ConfigError):
             attacks.AttackSpec(scenario="nodeX")
 
-    def test_tree_init_only_node1(self):
+    def test_unknown_init(self):
         for scenario in ("node1", "graph_a"):
             with pytest.raises(ConfigError, match="init"):
                 attacks.AttackSpec(scenario=scenario, init="tree")
 
-    def test_negative_alpha(self):
-        with pytest.raises(ConfigError):
-            attacks.AttackSpec(scenario="node1", alpha=-1.0)
+    @pytest.mark.parametrize("name", ["alpha", "beta"])
+    def test_negative_alpha(self, name):
+        with pytest.raises(ConfigError) as exc:
+            attacks.AttackSpec(scenario="node1", **{name: -1.0})
+        assert exc.value.field == name
 
     @pytest.mark.parametrize("learning_rate", [-0.05, 0.0, np.inf, np.nan])
     def test_bad_learning_rate(self, learning_rate):
@@ -266,15 +288,32 @@ def tree_world(seed=15, d_tree=3, d=4, f=8, k=3):
     return g, params
 
 
+def flat(*parts):
+    """The flat vector of unknowns: the given parts raveled, None skipped."""
+    return np.concatenate([np.ravel(p) for p in parts if p is not None])
+
+
 def optimize_from(spec, params, record, x=None, a=None, **known):
     """The structure attacks' Adam loop on their objective, from the given
-    starts; ``known`` holds the objective's known inputs. A recovered
-    adjacency is finalized as the attack would, with a fixed draw."""
+    starts (None where the input is known); ``known`` holds the objective's
+    known inputs. As in the attack, the adjacency start is projected and
+    packed, the result unpacked, and a recovered adjacency finalized, here
+    with a fixed draw."""
     labels = np.array([models.infer_label(b) for b in record.bundles])
-    objective = attacks._matching_objective(spec, params, record.bundles,
-                                            labels, regularize=True, **known)
-    res = attacks._optimize(spec, objective, x, a)
-    if a is not None:
+    n = 0 if a is None else len(a)
+    objective = attacks._matching_objective(
+        spec, params, record.bundles, labels,
+        x_shape=None if x is None else x.shape, n=n, regularize=True, **known)
+    lower, upper = attacks._pairs(n)
+    pairs = attacks.project_interval(a).take(lower) if n else None
+    z, res = attacks._optimize(spec, objective, flat(x, pairs), len(lower))
+    nx = 0 if x is None else x.size
+    if x is not None:
+        res.features = z[:nx].reshape(x.shape)
+    if n:
+        res.adjacency_prob = np.zeros((n, n))
+        res.adjacency_prob.put(lower, z[nx:])
+        res.adjacency_prob.put(upper, z[nx:])
         res.adjacency = attacks.finalize_adjacency(
             res.adjacency_prob, spec.finalization, rng=numkit.make_rng(0),
             tau=spec.threshold)
@@ -290,12 +329,13 @@ class TestFixedPoints:
         live = 1 + spec.d_tree
         objective = attacks._matching_objective(
             spec, params, [record.bundle], g.labels[:1],
+            x_shape=g.features[:live].shape,
             targets=np.zeros(1, dtype=np.int64),
             anorm=graphs.normalize_dense(g.adjacency,
                                          params.norm_mode)[:live, :live])
-        res = attacks._optimize(spec, objective, x=g.features[:live])
+        z, res = attacks._optimize(spec, objective, g.features[:live].ravel())
         assert np.all(res.objective_trace == 0.0)
-        assert np.array_equal(res.features, g.features[:live])
+        assert np.array_equal(z.reshape(live, -1), g.features[:live])
 
     def test_node2c_truth_init(self):
         r = numkit.make_rng(16)
@@ -366,13 +406,16 @@ class TestFixedPoints:
         spec = attacks.AttackSpec(scenario="node2a", objective=objective)
         f = attacks._matching_objective(
             spec, params, record.bundles, labels,
+            x_shape=x.shape if opt_x else None, n=n if opt_a else 0,
             known_x=None if opt_x else x, known_a=None if opt_a else a,
             anorm=anorm)
-        value, gx, ga = f(x if opt_x else None, a if opt_a else None, True)
+        # z holds the features, then the adjacency's strict lower triangle
+        z = flat(x if opt_x else None,
+                 a[np.tril_indices(n, k=-1)] if opt_a else None)
+        value, gz = f(z, True)
         assert value == 0.0
-        assert (gx is None) != opt_x and (ga is None) != opt_a
-        for grad in (gx, ga):
-            assert grad is None or np.all(grad == 0.0)
+        assert gz.shape == z.shape
+        assert np.all(gz == 0.0)
 
 
 class TestIterativeAttacks:
@@ -675,13 +718,18 @@ class TestIterativeAttacks:
         for name in ("adjacency_prob", "adjacency", "objective_trace"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
-    def test_gaussian_adjacency_start_is_symmetric_with_zero_diagonal(self):
+    @pytest.mark.parametrize("scenario",
+                             ["node2a", "node2c", "graph_a", "graph_c"])
+    def test_gaussian_adjacency_start_is_symmetric_with_zero_diagonal(
+            self, scenario):
         r = numkit.make_rng(36)
-        _, params, record, _, _ = structure_case(r, "node")
-        spec = attacks.AttackSpec(scenario="node2c", iterations=20)
-        prob = attacks.attack_node2(record, spec, params, rng=r).adjacency_prob
+        g, params, record, attack, _ = structure_case(r, scenario[:-2])
+        spec = attacks.AttackSpec(scenario=scenario, iterations=20)
+        prob = attack(record, spec, params, known_features=g.features,
+                      rng=r).adjacency_prob
         assert np.array_equal(prob, prob.T)
         assert np.all(np.diag(prob) == 0.0)
+        assert np.all((prob >= 0.0) & (prob <= 1.0))
 
     def test_batched_b1_matches_node1(self):
         r = numkit.make_rng(24)
@@ -782,17 +830,21 @@ def captured_objective(monkeypatch, attack, *args, **kwargs):
     return got[0]
 
 
+def probabilities(r, shape):
+    """Entries drawn in (0.1, 0.9)."""
+    return 0.1 + 0.8 * r.random(shape)
+
+
 def symmetric_probabilities(r, n):
     """Zero-diagonal symmetric matrix with off-diagonal entries in (0.1, 0.9)."""
-    lower = np.tril(0.1 + 0.8 * r.random((n, n)), k=-1)
+    lower = np.tril(probabilities(r, (n, n)), k=-1)
     return lower + lower.T
 
 
 def objective_case(monkeypatch, scenario, framework, objective):
-    """Captured objective of one attack plus the point (x, a) to check it at.
-
-    x / a are None where the attack treats the input as known.
-    """
+    """Captured objective of one attack plus the point to check it at: the
+    features x and the adjacency pairs, None where the attack treats the
+    input as known."""
     r = numkit.make_rng(31)
     batched = {"batched_node": "node1", "batched_graph": "graph_b"}
     spec = attacks.AttackSpec(scenario=batched.get(scenario, scenario),
@@ -841,8 +893,8 @@ def objective_case(monkeypatch, scenario, framework, objective):
                            known_features=g.features,
                            known_adjacency=symmetric_probabilities(r, n))
     x = r.standard_normal((n, d)) if scenario[-1] in "bc" else None
-    a = symmetric_probabilities(r, n) if scenario[-1] in "ac" else None
-    return f, x, a
+    pairs = probabilities(r, n * (n - 1) // 2) if scenario[-1] in "ac" else None
+    return f, x, pairs
 
 
 WHOLE_OBJECTIVE_CASES = [
@@ -863,34 +915,21 @@ class TestWholeObjective:
     This covers the composition of the matching objective, the
     second-order matching gradient, the normalization backward pass, the
     regularizers (alpha = beta = 1e-2, large enough to matter) and the
-    lower-triangle folding of the adjacency gradient.
+    fold of each adjacency pair's two entries into one unknown: the
+    differences are taken in the flat vector of unknowns itself.
     """
 
     @pytest.mark.parametrize("scenario,framework,objective", WHOLE_OBJECTIVE_CASES)
     def test_gradients_match_finite_differences(self, monkeypatch, scenario,
                                                 framework, objective):
-        f, x, a = objective_case(monkeypatch, scenario, framework, objective)
-        value, gx, ga = f(x, a, True)
-        assert value == f(x, a, False)[0]
-        assert (gx is None) == (x is None) and (ga is None) == (a is None)
-        if x is not None:
-            fd = selftest.finite_difference(lambda: f(x, a, False)[0], x)
-            np.testing.assert_allclose(gx, fd, rtol=selftest.REL_TOL,
-                                       atol=selftest.ABS_TOL)
-        if a is not None:
-            rows, cols = np.tril_indices(a.shape[0], k=-1)
-            folded = ga[rows, cols] + ga[cols, rows]
-            theta = a[rows, cols]
-
-            def symmetric():
-                lower = np.zeros_like(a)
-                lower[rows, cols] = theta
-                return lower + lower.T
-
-            fd = selftest.finite_difference(
-                lambda: f(x, symmetric(), False)[0], theta)
-            np.testing.assert_allclose(folded, fd, rtol=selftest.REL_TOL,
-                                       atol=selftest.ABS_TOL)
+        f, x, pairs = objective_case(monkeypatch, scenario, framework, objective)
+        z = flat(x, pairs)
+        value, gz = f(z, True)
+        assert value == f(z, False)[0]
+        assert f(z, False)[1] is None and gz.shape == z.shape
+        fd = selftest.finite_difference(lambda: f(z, False)[0], z)
+        np.testing.assert_allclose(gz, fd, rtol=selftest.REL_TOL,
+                                   atol=selftest.ABS_TOL)
 
 
 class TestObjectiveState:
@@ -902,23 +941,21 @@ class TestObjectiveState:
                               "batched_node", "batched_graph"])
     def test_second_call_equals_a_fresh_objective(self, monkeypatch, scenario,
                                                   objective):
-        f, x2, a2 = objective_case(monkeypatch, scenario, "sage", objective)
+        f, x2, p2 = objective_case(monkeypatch, scenario, "sage", objective)
         fresh = objective_case(monkeypatch, scenario, "sage", objective)[0]
         r = numkit.make_rng(41)
         x1 = None if x2 is None else x2 + r.standard_normal(x2.shape)
-        a1 = None if a2 is None else symmetric_probabilities(r, a2.shape[0])
-        first = f(x1, a1, True)
-        kept = [None if arr is None else np.copy(arr) for arr in first]
-        second = f(x2, a2, True)
-        want = fresh(x2, a2, True)
+        p1 = None if p2 is None else probabilities(r, p2.shape)
+        first = f(flat(x1, p1), True)
+        kept = [np.copy(arr) for arr in first]
+        second = f(flat(x2, p2), True)
+        want = fresh(flat(x2, p2), True)
         assert first[0] != second[0]
         for got_arr, want_arr in zip(second, want):
-            assert (got_arr is None) == (want_arr is None)
-            if want_arr is not None:
-                assert np.array_equal(got_arr, want_arr)
+            assert np.array_equal(got_arr, want_arr)
         # the second call left what the first returned as it was
         for arr, copy in zip(first, kept):
-            assert (arr is None and copy is None) or np.array_equal(arr, copy)
+            assert np.array_equal(arr, copy)
 
     def test_attacks_in_one_process_share_nothing(self):
         """A graph attack, a batched graph attack, then the first again:
