@@ -27,12 +27,7 @@ from .errors import (
     check_int,
     check_real,
 )
-from .graphs import (
-    _normalize,
-    dummy_tree,
-    normalize_dense,
-    normalize_dense_backward,
-)
+from .graphs import dummy_tree, normalize_dense, normalize_dense_backward
 from .models import (
     bundle_rows,
     bundle_views,
@@ -127,19 +122,32 @@ class RecoveryResult:
 # Objectives
 # ---------------------------------------------------------------------------
 
+def _row_dots(a, b, out):
+    """Each row of ``a`` dotted with the same row of ``b``, written into
+    ``out``, an (S, 1, 1) array; the (S, P) rows are read as (S, 1, P) and
+    (S, P, 1) stacks, so each dot is one ``np.matmul`` product."""
+    return np.matmul(a[:, None, :], b[:, :, None], out=out)
+
+
 def _matcher(leaked_flat, kind, grad):
     """``match(dummy_flat) -> (value, d value / d dummy_flat)`` against the leak.
 
-    The value is the sum of per-row matching losses. The leak's own norms
-    and unit rows are computed here, once; a zero-norm leaked row raises
-    :class:`DegenerateGradientError` under the cosine objective. The
-    gradient is written into ``grad``, an array of the leak's shape: every
-    call returns that same array, and the next call overwrites it. The
-    temporaries are allocated here too: (S, P) rows like the leak's and
-    (S, 1) columns of row sums.
+    The value is the sum of per-row matching losses. The gradient is
+    written into ``grad``, an array of the leak's shape: every call returns
+    that same array, and the next call overwrites it. The temporaries are
+    allocated here, once. The cosine objective's leaked norms and unit
+    rows are computed here too, and a zero-norm leaked row raises
+    :class:`DegenerateGradientError`. It takes its three reductions from
+    dot products: each row's squared norm and each row's u . w as one
+    ``np.matmul`` of (S, 1, P) by (S, P, 1) stacks, and the sum of w^2 as
+    one ``np.dot`` of the flat rows; a row is scaled by its norm's
+    reciprocal. The leak's rows go through the same products as the
+    dummy's, so a dummy equal to the leak gives unit rows equal to the
+    leak's bit for bit, and a value and gradient of exactly 0.
     """
-    tmp = np.empty_like(grad)
     if kind == "l2":
+        tmp = np.empty_like(grad)
+
         def match(dummy_flat):
             np.subtract(dummy_flat, leaked_flat, out=grad)
             value = float(np.add.reduce(np.multiply(grad, grad, out=tmp),
@@ -148,31 +156,32 @@ def _matcher(leaked_flat, kind, grad):
             return value, grad
         return match
 
-    ln = np.sqrt((leaked_flat * leaked_flat).sum(axis=1, keepdims=True))
+    rows = len(grad)
+    ln = np.sqrt(_row_dots(leaked_flat, leaked_flat, np.empty((rows, 1, 1))))
     if np.any(ln == 0.0):
         raise DegenerateGradientError("zero-norm leaked gradient bundle in "
                                       "cosine objective")
-    v = leaked_flat / ln
+    v = leaked_flat * (1.0 / ln.reshape(rows, 1))
     u, w = np.empty((2,) + grad.shape)
-    dn, uw = np.empty((2, len(grad), 1))
+    w_flat = w.reshape(-1)
+    # (S, 1, 1) buffers for the row dots, and their (S, 1) columns
+    inv3, uw3 = np.empty((2, rows, 1, 1))
+    inv, uw = inv3.reshape(rows, 1), uw3.reshape(rows, 1)
 
     def match(dummy_flat):
-        np.add.reduce(np.multiply(dummy_flat, dummy_flat, out=tmp), axis=1,
-                      keepdims=True, out=dn)
-        np.sqrt(dn, out=dn)
-        if np.count_nonzero(dn) < len(dn):
+        np.sqrt(_row_dots(dummy_flat, dummy_flat, inv3), out=inv3)
+        if np.count_nonzero(inv) < rows:
             raise DegenerateGradientError("zero-norm dummy gradient bundle in "
                                           "cosine objective")
-        np.divide(dummy_flat, dn, out=u)
+        np.divide(1.0, inv3, out=inv3)
+        np.multiply(dummy_flat, inv, out=u)
         np.subtract(u, v, out=w)
         # 0.5 ||u - v||^2 equals 1 - cos and is exactly zero on identical bundles
-        value = 0.5 * float(np.add.reduce(np.multiply(w, w, out=tmp),
-                                          axis=None))
-        np.add.reduce(np.multiply(u, w, out=tmp), axis=1, keepdims=True,
-                      out=uw)
+        value = 0.5 * float(np.dot(w_flat, w_flat))
+        _row_dots(u, w, uw3)
         np.multiply(u, uw, out=grad)
         np.subtract(w, grad, out=grad)
-        np.divide(grad, dn, out=grad)
+        np.multiply(grad, inv, out=grad)
         return value, grad
 
     return match
@@ -182,34 +191,54 @@ def _matcher(leaked_flat, kind, grad):
 # Regularizers, projection, finalization
 # ---------------------------------------------------------------------------
 
-def smoothness_grads(x, a, wrt_features, wrt_adjacency):
+def smoothness_grads(x, a, wrt_features, wrt_adjacency, out=None):
     """Dirichlet energy of the degree-scaled features over the edge set.
 
-    The value is the sum over edges of ||x_i/sqrt(d_i) - x_j/sqrt(d_j)||^2;
-    zero-degree rows contribute nothing. Accepts a weighted adjacency (each
-    ordered pair counts half). Returns ``(value, gx, ga)`` with the exact
-    gradients, degrees included, of the inputs asked for (None otherwise).
+    With d the row sums of ``a``, r_i = d_i^{-1/2} (0 on a row of zero
+    degree) and u_i = r_i x_i, the value is the sum over edges of
+    ||u_i - u_j||^2, so zero-degree rows contribute nothing. Accepts a
+    weighted, even non-symmetric, adjacency: each ordered pair counts
+    half. Returns ``(value, gx, ga)`` with the exact gradients, degrees
+    included, of the inputs asked for (None otherwise); they are written
+    into ``out``, a ``(gx, ga)`` pair of buffers shaped like ``x`` and
+    ``a`` (either may be None when its gradient is not asked for), when
+    it is given.
+
+    Everything but ``gx`` comes from the Gram matrix M = U U^T, that is
+    (r r^T) * (x x^T), which is symmetric: with m its diagonal, c the
+    column sums of ``a`` and s the row sums of (a + a^T) * M (the row plus
+    the column sums of a * M), k = s - c * m gives the value (d . m -
+    sum(k)) / 2 and ga_ij = m_j / 2 - M_ij + r_i^2 k_i / 2. That is the
+    pair's (m_i + m_j) / 2 - M_ij plus the degree channel (d_i enters
+    u_i), -r_i^2 ((d_i + c_i) m_i - s_i) / 2, where r_i^2 d_i = 1 cancels
+    the m_i / 2 (on a zero-degree row r_i, m_i and k_i are all 0).
+    gx = r * ((d + c) * U - a U - a^T U).
     """
     x = np.asarray(x, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
-    d = a.sum(axis=1)
+    gx, ga = (None, None) if out is None else out
+    d = np.add.reduce(a, axis=1)
+    c = np.add.reduce(a, axis=0)
     pos = d > 0.0
-    safe = np.where(pos, d, 1.0)
-    r = np.where(pos, 1.0 / np.sqrt(safe), 0.0)
+    r = np.zeros(len(d))
+    np.divide(1.0, np.sqrt(d, out=r, where=pos), out=r, where=pos)
     u = x * r[:, None]
-    sq = (u * u).sum(axis=1)
-    pair = sq[:, None] + sq[None, :] - 2.0 * np.dot(u, u.T)
-    value = float(0.5 * (a * pair).sum())
-    gu = (d + a.sum(axis=0))[:, None] * u - np.dot(a, u) - np.dot(a.T, u)
-    gx = None
+    gram = np.dot(u, u.T)
+    m = gram.diagonal()
+    k = np.add.reduce(np.multiply(a + a.T, gram), axis=1)
+    k -= np.multiply(c, m)
+    value = 0.5 * (float(np.dot(d, m)) - float(np.add.reduce(k)))
     if wrt_features:
-        gx = gu * r[:, None]
-    ga = None
+        gu = u * (d + c)[:, None]
+        gu -= np.dot(a, u)
+        gu -= np.dot(a.T, u)
+        gx = np.multiply(gu, r[:, None], out=gx)
     if wrt_adjacency:
-        ga = 0.5 * pair
-        # degree channel: d_k enters every u_k = x_k d_k^{-1/2}
-        wdeg = np.where(pos, -0.5 * (gu * u).sum(axis=1) / safe, 0.0)
-        ga += wdeg[:, None]
+        r *= r
+        k *= r
+        ga = np.add(k[:, None], m, out=ga)
+        ga *= 0.5
+        ga -= gram
     return value, gx, ga
 
 
@@ -314,15 +343,21 @@ def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
     smoothness and Frobenius terms weighted by spec.alpha / spec.beta.
 
     Built once per attack, before any iteration: the pair indices and
-    adjacency buffer, the leak's flat rows (checked against the model) and
-    cosine norms, the matcher's temporaries, and views of the dummy's
-    bundle rows and of the co-vector. The model's trace is built by the
-    first call and refilled by every later one.
+    adjacency buffer, the normalization's forward parts and backward
+    output, the smoothness gradients' buffers, the leak's flat rows
+    (checked against the model) and cosine norms, the matcher's
+    temporaries, and views of the dummy's bundle rows and of the
+    co-vector. The model's trace is built by the first call and refilled
+    by every later one. On an attack whose only unknowns are features,
+    ``gz`` is the features' gradient itself, raveled.
     """
     opt_x = x_shape is not None
     nx = math.prod(x_shape) if opt_x else 0
     lower, upper = _pairs(n)
     a = np.zeros((n, n)) if n else known_a  # z's pairs are mirrored into it
+    # normalize_dense's (normalized, degrees, scale) and the backward's output
+    parts = (np.empty((n, n)), np.empty(n), np.empty(n))
+    a_grad = np.empty((n, n))
     leaked_flat = bundle_rows(params, bundles)
     dummy_flat = np.empty_like(leaked_flat)
     dummy = bundle_views(params, dummy_flat)
@@ -335,18 +370,20 @@ def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
     per_sample = len(bundles) > 1
     batch = 1 if per_sample else len(labels)
     alpha, beta = (spec.alpha, spec.beta) if regularize else (0.0, 0.0)
+    smooth = (np.empty(x_shape) if alpha and opt_x else None,
+              np.empty((n, n)) if alpha and n else None)
 
     def objective(z, update):
         nonlocal trace
         x = z[:nx].reshape(x_shape) if opt_x else known_x
         an = anorm
+        # the normalization and the model passes are looked up here, at
+        # call time, so a wrapper swapped into this module's namespace sees
+        # every call
         if n:
             a.put(lower, z[nx:])
             a.put(upper, z[nx:])
-            parts = _normalize(a, mode)
-            an = parts[0]
-        # the model passes are looked up here, at call time, so a wrapper
-        # swapped into this module's namespace sees every call
+            an = normalize_dense(a, mode, out=parts)
         if node:
             ctx = trace = node_ctx(params, x, an, targets, labels, out=trace)
             node_bundles(ctx, params, per_sample, out=dummy)
@@ -356,7 +393,8 @@ def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
         value, vflat = match(dummy_flat)
         if alpha:
             s_val, s_gx, s_ga = smoothness_grads(
-                x, a, wrt_features=update and opt_x, wrt_adjacency=update and n > 0)
+                x, a, wrt_features=update and opt_x,
+                wrt_adjacency=update and n > 0, out=smooth)
             value += alpha * s_val
         if beta:
             value += beta * frobenius_penalty(a)
@@ -367,18 +405,22 @@ def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
             vflat /= batch
         grad = node_matching_grad if node else graph_matching_grad
         gx, abar_norm = grad(ctx, params, covec, n > 0, opt_x)
+        if opt_x and alpha:
+            s_gx *= alpha
+            gx += s_gx
+        if not n:
+            return value, gx.reshape(-1)
+        ga = normalize_dense_backward(abar_norm.reshape(n, n), parts, mode,
+                                      out=a_grad)
+        if alpha:
+            s_ga *= alpha
+            ga += s_ga
+        if beta:
+            ga += beta * 2.0 * a
         gz = np.empty(len(z))
         if opt_x:
-            if alpha:
-                gx += alpha * s_gx
             gz[:nx] = gx.reshape(-1)
-        if n:
-            ga = normalize_dense_backward(abar_norm.reshape(n, n), parts, mode)
-            if alpha:
-                ga += alpha * s_ga
-            if beta:
-                ga += beta * 2.0 * a
-            np.add(ga.take(lower), ga.take(upper), out=gz[nx:])
+        np.add(ga.take(lower), ga.take(upper), out=gz[nx:])
         return value, gz
 
     return objective
@@ -404,8 +446,10 @@ def _optimize(spec, objective, z, pairs=0):
             return z, RecoveryResult(objective_trace=trace, final_objective=value)
         trace[p] = value
         z = adam_step(state, z, gz)
-        # np.clip's bits, without its dispatch overhead
-        np.minimum(np.maximum(z[box], 0.0, out=z[box]), 1.0, out=z[box])
+        if pairs:
+            # np.clip's bits, without its dispatch overhead
+            zb = z[box]
+            np.minimum(np.maximum(zb, 0.0, out=zb), 1.0, out=zb)
 
 
 # ---------------------------------------------------------------------------

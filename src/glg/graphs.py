@@ -5,6 +5,7 @@ diagonal, a dense feature matrix, optional per-node class labels and an
 optional graph-level label. Instances are treated as immutable once built.
 """
 
+import functools
 import numbers
 from collections import deque
 from dataclasses import dataclass
@@ -88,54 +89,77 @@ class NormalizedAdjacency:
     mode: str
 
 
-def _normalize(a, mode):
-    """``(normalized, degrees, scale)`` of a dense adjacency.
+@functools.lru_cache(maxsize=8)
+def _identity(n):
+    """A read-only (n, n) identity, made once per size."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
-    gcn: degrees of A + I, scale d^{-1/2} applied on both sides.
-    sage-mean: row sums, scale the row divisor (1 for an all-zero row).
+
+def normalize_dense(a, mode, out=None):
+    """Normalize a dense (possibly non-binary) adjacency matrix.
+
+    gcn: D^{-1/2} (A + I) D^{-1/2} with degrees d counted on A + I; the
+    scale is d^{-1/2}. sage-mean: each row divided by its sum d, which is
+    the scale; a row whose sum is not positive stays zero, with scale 1.
+    Without ``out`` returns a new normalized matrix. ``out`` is a
+    ``(normalized, degrees, scale)`` triple of float64 buffers of shapes
+    (n, n), (n,) and (n,), which an attack allocates once: the pass
+    refills all three in place and returns ``normalized``, and the triple
+    is the ``parts`` that :func:`normalize_dense_backward` reads. Either
+    way the normalized matrix has the same bits.
     """
     a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
+    if out is None:
+        out = (np.empty((n, n)), np.empty(n), np.empty(n))
+    norm, d, scale = out
     if mode == "gcn":
-        m = a.copy()
-        m.flat[::a.shape[0] + 1] += 1.0  # A + I
-        d = m.sum(axis=1)
-        r = 1.0 / np.sqrt(d)
-        return m * r[:, None] * r[None, :], d, r
+        np.add(a, _identity(n), out=norm)  # A + I
+        np.add.reduce(norm, axis=1, out=d)
+        np.sqrt(d, out=scale)
+        np.divide(1.0, scale, out=scale)
+        np.multiply(norm, scale[:, None], out=norm)
+        return np.multiply(norm, scale, out=norm)
     if mode == "sage-mean":
-        d = a.sum(axis=1)
-        safe = np.where(d > 0.0, d, 1.0)
-        out = a / safe[:, None]
-        out[d <= 0.0] = 0.0
-        return out, d, safe
+        np.add.reduce(a, axis=1, out=d)
+        empty = d <= 0.0
+        np.copyto(scale, d)
+        np.copyto(scale, 1.0, where=empty)
+        np.divide(a, scale[:, None], out=norm)
+        np.copyto(norm, 0.0, where=empty[:, None])
+        return norm
     raise ValueError(f"unknown normalization mode {mode!r}")
 
 
-def normalize_dense(a, mode):
-    """Normalize a dense (possibly non-binary) adjacency matrix.
-
-    gcn: D^{-1/2} (A + I) D^{-1/2} with degrees counted on A + I.
-    sage-mean: each row divided by its sum; all-zero rows stay zero.
-    """
-    return _normalize(a, mode)[0]
-
-
-def normalize_dense_backward(gbar, parts, mode):
+def normalize_dense_backward(gbar, parts, mode, out=None):
     """Pull a gradient on the normalized matrix back onto the raw adjacency.
 
     ``gbar`` is d(objective)/d(normalized), a float64 array, and ``parts``
-    is :func:`_normalize`'s ``(normalized, degrees, scale)`` of the forward
-    pass; the return value is d(objective)/d(a), degree terms included.
+    the ``(normalized, degrees, scale)`` triple that :func:`normalize_dense`
+    filled in the forward pass; the return value is d(objective)/d(a),
+    degree terms included. It is written into ``out``, an (n, n) float64
+    buffer other than ``gbar``, when given, and into a new array otherwise.
     """
     norm, d, scale = parts
+    if out is None:
+        out = np.empty_like(norm)
+    np.multiply(gbar, norm, out=out)
     if mode == "sage-mean":
         # d norm_ij / d a_il = (delta_jl - norm_il) / d_i
-        row_dot = (gbar * norm).sum(axis=1)
-        out = (gbar - row_dot[:, None]) / scale[:, None]
-        out[d <= 0.0] = 0.0
+        row_dot = np.add.reduce(out, axis=1, keepdims=True)
+        np.subtract(gbar, row_dot, out=out)
+        np.divide(out, scale[:, None], out=out)
+        np.copyto(out, 0.0, where=(d <= 0.0)[:, None])
         return out
-    gn = gbar * norm
-    corr = (gn.sum(axis=1) + gn.sum(axis=0)) / d
-    return gbar * scale[:, None] * scale[None, :] - 0.5 * corr[:, None]
+    corr = np.add.reduce(out, axis=1)
+    corr += np.add.reduce(out, axis=0)
+    corr /= d
+    corr *= 0.5
+    np.multiply(gbar, scale[:, None], out=out)
+    np.multiply(out, scale, out=out)
+    return np.subtract(out, corr[:, None], out=out)
 
 
 def normalize_adjacency(g, mode):

@@ -122,9 +122,12 @@ def make_rng(seed):
 
 
 def sample_bernoulli(rng, probs):
-    """Entrywise Bernoulli draw; ``probs`` entries must lie in [0, 1]."""
+    """Entrywise Bernoulli draw; ``probs`` entries must lie in [0, 1].
+
+    An entry that is NaN, Inf or outside [0, 1] raises :class:`NumericError`.
+    """
     probs = np.asarray(probs, dtype=np.float64)
     # a NaN fails both comparisons, so it is rejected with the out-of-range
     if not ((probs >= 0.0) & (probs <= 1.0)).all():
-        raise ValueError("bernoulli probabilities must lie in [0, 1]")
+        raise NumericError("bernoulli probabilities must lie in [0, 1]")
     return (rng.random(probs.shape) < probs).astype(np.float64)

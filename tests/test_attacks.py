@@ -76,14 +76,34 @@ class TestObjectives:
             match("cosine", b, scaled(b, 0.0))
 
 
-def parent_matcher(leaked_flat, kind):
-    """The matcher's expressions on (S, P) rows with (S, 1) norm columns,
-    allocating every temporary: the reference its buffers must reproduce."""
+def row_dots(a, b):
+    """Each row of ``a`` dotted with the same row of ``b``, as a column."""
+    return np.matmul(a[:, None, :], b[:, :, None]).reshape(-1, 1)
+
+
+def reference_matcher(leaked_flat, kind):
+    """The matcher's expressions on (S, P) rows with (S, 1) columns of
+    reciprocal norms, allocating every temporary: the reference its
+    buffers must reproduce."""
     if kind == "l2":
         def match(dummy_flat):
             grad = dummy_flat - leaked_flat
             return float((grad * grad).sum()), grad * 2.0
         return match
+    v = leaked_flat * (1.0 / np.sqrt(row_dots(leaked_flat, leaked_flat)))
+
+    def match(dummy_flat):
+        inv = 1.0 / np.sqrt(row_dots(dummy_flat, dummy_flat))
+        u = dummy_flat * inv
+        w = u - v
+        grad = (w - u * row_dots(u, w)) * inv
+        return 0.5 * float(np.dot(w.reshape(-1), w.reshape(-1))), grad
+    return match
+
+
+def pairwise_matcher(leaked_flat):
+    """The cosine matcher as numpy's pairwise sums of products, dividing by
+    the norms: the expressions it had before its row dot products."""
     ln = np.sqrt((leaked_flat * leaked_flat).sum(axis=1, keepdims=True))
     v = leaked_flat / ln
 
@@ -107,13 +127,18 @@ class TestMatcherOperands:
         leaked = r.standard_normal((rows, 57))
         grad = np.empty_like(leaked)
         match = attacks._matcher(leaked, kind, grad)
-        want = parent_matcher(leaked, kind)
+        want = reference_matcher(leaked, kind)
         for scale in (1.0, 1e-3, 1e5):
             dummy = scale * r.standard_normal((rows, 57))
             value, got = match(dummy)
             want_value, want_grad = want(dummy)
             assert value == want_value
             assert got is grad and np.array_equal(got, want_grad)
+            if kind == "cosine":
+                # the pairwise sums agree to rounding
+                old_value, old_grad = pairwise_matcher(leaked)(dummy)
+                assert value == pytest.approx(old_value, rel=1e-13)
+                np.testing.assert_allclose(got, old_grad, rtol=1e-13)
 
     @pytest.mark.parametrize("zero_row", [0, 2])
     def test_zero_dummy_row_among_several_raises(self, zero_row):
@@ -125,6 +150,42 @@ class TestMatcherOperands:
         dummy[zero_row] = 0.0
         with pytest.raises(DegenerateGradientError, match="dummy"):
             match(dummy)
+
+
+def pairwise_smoothness(x, a):
+    """``smoothness_grads``'s value, gx and ga from the pairwise squared
+    distances of the scaled rows: the reference its Gram form must meet."""
+    d = a.sum(axis=1)
+    pos = d > 0.0
+    safe = np.where(pos, d, 1.0)
+    r = np.where(pos, 1.0 / np.sqrt(safe), 0.0)
+    u = x * r[:, None]
+    sq = (u * u).sum(axis=1)
+    pair = sq[:, None] + sq[None, :] - 2.0 * np.dot(u, u.T)
+    value = float(0.5 * (a * pair).sum())
+    gu = (d + a.sum(axis=0))[:, None] * u - np.dot(a, u) - np.dot(a.T, u)
+    wdeg = np.where(pos, -0.5 * (gu * u).sum(axis=1) / safe, 0.0)
+    return value, gu * r[:, None], 0.5 * pair + wdeg[:, None]
+
+
+def check_smoothness_gradients(x, a, skip_a=()):
+    """``smoothness_grads``'s gx and ga against central differences of its
+    value, leaving out the flat entries ``skip_a`` of ``a``; returns gx."""
+    _, gx, ga = attacks.smoothness_grads(x, a, True, True)
+    eps = 1e-6
+    for arr, grad, skip in ((x, gx, ()), (a, ga, skip_a)):
+        flat = arr.reshape(-1)
+        gflat = grad.reshape(-1)
+        for i in sorted(set(range(flat.size)) - set(skip)):
+            old = flat[i]
+            flat[i] = old + eps
+            fp = attacks.smoothness_grads(x, a, False, False)[0]
+            flat[i] = old - eps
+            fm = attacks.smoothness_grads(x, a, False, False)[0]
+            flat[i] = old
+            assert gflat[i] == pytest.approx((fp - fm) / (2 * eps),
+                                             rel=1e-4, abs=1e-7)
+    return gx
 
 
 class TestRegularizers:
@@ -156,20 +217,43 @@ class TestRegularizers:
         a = np.abs(r.random((5, 5)))
         a = np.tril(a, -1) + np.tril(a, -1).T
         x = r.standard_normal((5, 3))
-        _, gx, ga = attacks.smoothness_grads(x, a, True, True)
-        eps = 1e-6
-        for arr, grad in ((x, gx), (a, ga)):
-            flat = arr.reshape(-1)
-            gflat = grad.reshape(-1)
-            for i in range(flat.size):
-                old = flat[i]
-                flat[i] = old + eps
-                fp = attacks.smoothness_grads(x, a, False, False)[0]
-                flat[i] = old - eps
-                fm = attacks.smoothness_grads(x, a, False, False)[0]
-                flat[i] = old
-                assert gflat[i] == pytest.approx((fp - fm) / (2 * eps),
-                                                 rel=1e-4, abs=1e-7)
+        check_smoothness_gradients(x, a)
+
+    def test_smoothness_zero_degree_row_non_symmetric_finite_difference(self):
+        # a weighted, non-symmetric adjacency whose row 2 sums to zero while
+        # column 2 does not. The value jumps when row 2's degree leaves 0,
+        # so the difference quotients skip that row's entries.
+        r = numkit.make_rng(12)
+        a = r.random((5, 5))
+        np.fill_diagonal(a, 0.0)
+        a[2] = 0.0
+        x = r.standard_normal((5, 3))
+        gx = check_smoothness_gradients(x, a, skip_a=range(10, 15))
+        assert np.all(gx[2] == 0.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_smoothness_equals_the_pairwise_reference(self, seed):
+        r = numkit.make_rng(100 + seed)
+        n = 5 + seed
+        a = r.random((n, n))
+        np.fill_diagonal(a, 0.0)
+        if seed % 2 == 0:
+            a = np.tril(a, -1) + np.tril(a, -1).T
+        if seed >= 3:
+            a[1] = 0.0  # a zero-degree row
+            if seed % 2 == 0:
+                a[:, 1] = 0.0
+        x = r.standard_normal((n, 4))
+        want = pairwise_smoothness(x, a)
+        out = (np.full_like(x, np.nan), np.full_like(a, np.nan))
+        got = attacks.smoothness_grads(x, a, True, True, out=out)
+        assert got[1] is out[0] and got[2] is out[1]
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        # gx keeps the reference's expression, so it keeps its bits
+        assert np.array_equal(got[1], want[1])
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-12)
+        assert attacks.smoothness_grads(x, a, False, False) == (got[0], None,
+                                                                None)
 
     def test_frobenius(self):
         assert attacks.frobenius_penalty(np.zeros((3, 3))) == 0.0

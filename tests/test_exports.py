@@ -116,7 +116,10 @@ def test_trace_counts_every_pass(run, task, normalizes):
     # and one for the final objective
     assert calls[f"models.{task}_ctx"] == 1 + ITERATIONS + 1
     assert calls[f"models.{task}_bundles"] == calls[f"models.{task}_ctx"]
-    # the adjacency's backward runs once per iteration, not for the final
-    # value
+    # an optimized adjacency is normalized for every objective value, and
+    # its backward runs once per iteration, not for the final value; the
+    # dummy-tree attacks normalize their tree once
+    assert calls["graphs.normalize_dense"] == (
+        ITERATIONS + 1 if normalizes else 1)
     assert calls["graphs.normalize_dense_backward"] == (
         ITERATIONS if normalizes else 0)

@@ -7,6 +7,15 @@ from glg.errors import DataFormatError, ShapeError
 rng = numkit.make_rng(77)
 
 
+def parts_of(a, mode):
+    """normalize_dense's ``(normalized, degrees, scale)``, filled through
+    ``out`` into NaN buffers as an attack's are before its first call."""
+    n = len(a)
+    parts = (np.full((n, n), np.nan), np.full(n, np.nan), np.full(n, np.nan))
+    assert graphs.normalize_dense(a, mode, out=parts) is parts[0]
+    return parts
+
+
 def two_node_path(feature_dim=3):
     return graphs.Graph(
         adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -69,7 +78,7 @@ class TestNormalization:
         m = a + np.eye(6)
         d = m.sum(axis=1)
         scale = 1.0 / np.sqrt(d)
-        got = graphs._normalize(a, "gcn")
+        got = parts_of(a, "gcn")
         assert np.array_equal(a, before)  # the input is not modified
         for part, want in zip(got, (m * scale[:, None] * scale[None, :], d,
                                     scale)):
@@ -96,8 +105,7 @@ class TestNormalizationBackward:
         def scalar():
             return float((gbar * graphs.normalize_dense(a, mode)).sum())
 
-        got = graphs.normalize_dense_backward(gbar, graphs._normalize(a, mode),
-                                              mode)
+        got = graphs.normalize_dense_backward(gbar, parts_of(a, mode), mode)
         eps = 1e-6
         for i in range(5):
             for j in range(5):
@@ -119,8 +127,24 @@ class TestNormalizationBackward:
         a = np.abs(r.standard_normal((5, 5)))
         a = np.tril(a, -1) + np.tril(a, -1).T
         a[2] = a[:, 2] = 0.0  # a zero-degree row
-        parts = graphs._normalize(a, mode)
+        parts = parts_of(r.random((5, 5)), mode)
+        graphs.normalize_dense(a, mode, out=parts)  # a refill
         assert np.array_equal(parts[0], graphs.normalize_dense(a, mode))
+
+    @pytest.mark.parametrize("mode", ["gcn", "sage-mean"])
+    def test_backward_into_a_buffer_gives_the_same_bits(self, mode):
+        r = numkit.make_rng(15)
+        a = np.abs(r.standard_normal((5, 5)))
+        a = np.tril(a, -1) + np.tril(a, -1).T
+        a[3] = a[:, 3] = 0.0  # a zero-degree row
+        gbar = r.standard_normal((5, 5))
+        parts = parts_of(a, mode)
+        want = graphs.normalize_dense_backward(gbar, parts, mode)
+        out = np.full((5, 5), np.nan)
+        got = graphs.normalize_dense_backward(gbar, parts, mode, out=out)
+        assert got is out and np.array_equal(got, want)
+        if mode == "sage-mean":
+            assert np.all(got[3] == 0.0)
 
 
 class TestLaplacian:

@@ -159,13 +159,13 @@ class TestSampling:
         assert abs(draws.mean() - 0.5) < 0.02
 
     def test_bernoulli_range_check(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericError):
             numkit.sample_bernoulli(numkit.make_rng(0), np.array([[1.5]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_bernoulli_rejects_non_finite(self, bad):
         # a NaN compares False both ways, so it once drew 0 silently
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        with pytest.raises(NumericError, match=r"\[0, 1\]"):
             numkit.sample_bernoulli(numkit.make_rng(0), np.array([bad, 0.5]))
 
     def test_seed_reproducibility(self):
