@@ -18,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import PartialRecoveryError, ShapeError, UnrecoverableError
-from .models import bundle_tensors
 from .numkit import least_squares, pseudoinverse
 
 __all__ = [
@@ -58,7 +57,7 @@ def recover_agg_features(bundle, framework):
     Uses the aggregation-path weight gradient: the single conv weight for
     gcn, the neighbor-aggregation weight for sage.
     """
-    t = bundle_tensors(bundle)
+    t = bundle.tensors
     if framework not in ("gcn", "sage"):
         raise ShapeError(f"unknown framework {framework!r}")
     if framework == "gcn" and "conv1_self" in t:
@@ -70,7 +69,7 @@ def recover_agg_features(bundle, framework):
 
 def recover_target_features(bundle):
     """Raw feature vector of the sample's target node (sage only)."""
-    t = bundle_tensors(bundle)
+    t = bundle.tensors
     if "conv1_self" not in t:
         raise ShapeError("target-feature recovery needs the sage self weight")
     return _row_ratio(t["conv1_self"], t["conv1_bias"])
@@ -159,7 +158,7 @@ def recover_adjacency_graph_sage(bundle, x):
     squares; dividing out X yields Anorm. Exact when X has full row rank
     and G has rank N (hidden width >= N).
     """
-    t = bundle_tensors(bundle)
+    t = bundle.tensors
     if "conv1_self" not in t:
         raise ShapeError("graph-task adjacency chain needs the sage self weight")
     x = np.asarray(x, dtype=np.float64)

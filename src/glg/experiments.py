@@ -26,7 +26,7 @@ from .attacks import (
 from .errors import (ConfigError, DataFormatError, GlgError, ShapeError,
                      check_int, check_real)
 from .federated import leak
-from .graphs import Graph, dummy_tree, er_graph, khop_egonet, load_graph, synthetic_graph
+from .graphs import Graph, er_graph, khop_egonet, load_graph, synthetic_graph
 from .metrics import (
     batch_match_score,
     rnmse,
@@ -65,21 +65,21 @@ def _attack_scenario(scenario):
 
 @dataclass
 class DatasetSpec:
-    source: str = "synthetic"          # synthetic | er | tree | files
+    source: str = "synthetic"          # synthetic | er | files
     n: int = 50
     avg_degree: float = 4.0
     feature_dim: int = 10
     num_classes: int = 4
-    d_tree: int = 10                   # tree source
     feature_file: Optional[str] = None
     edge_file: Optional[str] = None
     label_file: Optional[str] = None
 
     def validate(self):
-        if self.source not in ("synthetic", "er", "tree", "files"):
-            raise ConfigError("unknown dataset source", "dataset.source")
-        for name, minimum in (("n", 1), ("feature_dim", 1), ("num_classes", 2),
-                              ("d_tree", 1)):
+        sources = ("synthetic", "er", "files")
+        if self.source not in sources:
+            raise ConfigError(f"must be one of {sources}, got {self.source!r}",
+                              "dataset.source")
+        for name, minimum in (("n", 1), ("feature_dim", 1), ("num_classes", 2)):
             check_int(getattr(self, name), f"dataset.{name}", minimum)
         check_real(self.avg_degree, "dataset.avg_degree")
         if self.source == "files":
@@ -87,8 +87,6 @@ class DatasetSpec:
                 path = getattr(self, name)
                 if not path or not os.path.exists(path):
                     raise ConfigError(f"missing file {path!r}", f"dataset.{name}")
-            return
-        if self.source == "tree":
             return
         if not (math.isfinite(self.avg_degree) and self.avg_degree >= 0):
             raise ConfigError("avg_degree must be finite and non-negative",
@@ -223,8 +221,6 @@ def _build_graph(cfg, rng, files_graph, need_graph_label=False):
     elif ds.source == "er":
         g = er_graph(rng, ds.n, ds.avg_degree / (ds.n - 1), ds.feature_dim,
                      num_classes=ds.num_classes)
-    elif ds.source == "tree":
-        g = dummy_tree(rng, ds.d_tree, ds.feature_dim, num_classes=ds.num_classes)
     else:
         g = files_graph
     if need_graph_label:
@@ -237,15 +233,13 @@ def _one_repetition(cfg, rep, files_graph):
     """Returns (metric dict, artifact dict of recovered/true matrices).
 
     The model is sized from the graphs the repetition builds: a ``files``
-    dataset's loaded graph (``files_graph``), a tree's 1 + d + d^2 nodes,
-    else the configured n and feature_dim.
+    dataset's loaded graph (``files_graph``), else the configured n and
+    feature_dim.
     """
     rng = _rep_rng(cfg.seed, rep)
     ds = cfg.dataset
     if files_graph is not None:
         feature_dim, n = files_graph.feature_dim, files_graph.num_nodes
-    elif ds.source == "tree":
-        feature_dim, n = ds.feature_dim, 1 + ds.d_tree + ds.d_tree ** 2
     else:
         feature_dim, n = ds.feature_dim, ds.n
     params = init_params(

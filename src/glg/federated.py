@@ -18,7 +18,7 @@ from .models import (
     GradientBundle,
     bundle_rows,
     bundle_views,
-    check_labels,
+    check_targets,
     graph_bundles,
     graph_ctx,
     node_bundles,
@@ -53,9 +53,7 @@ class ClientShard:
         if self.graph is not None:
             if self.targets is None:
                 raise ShapeError("node shard needs target indices")
-            self.targets = np.asarray(self.targets, dtype=np.int64)
-            if np.any(self.targets < 0) or np.any(self.targets >= self.graph.num_nodes):
-                raise ShapeError("shard target out of range")
+            self.targets = check_targets(self.targets, self.graph.num_nodes)
         elif not self.graphs:
             raise ShapeError("shard holds neither a graph nor a graph list")
 
@@ -92,17 +90,14 @@ def _node_stacks(params, g, targets, per_sample=False):
     as a stack of one; with ``per_sample``, one stack entry per target."""
     if targets is None or np.size(targets) == 0:
         raise ShapeError("node leak needs target indices")
-    targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-    if np.any(targets < 0) or np.any(targets >= g.num_nodes):
-        raise ShapeError(f"target out of range for {g.num_nodes} nodes")
+    targets = check_targets(targets, g.num_nodes)
     if g.feature_dim != params.feature_dim:
         raise ShapeError(f"features are {g.feature_dim} wide, the model "
                          f"expects {params.feature_dim}")
     anorm = normalize_adjacency(g, params.norm_mode).matrix
     if g.labels is None:
         raise ShapeError("node-task graph carries no labels")
-    labels = check_labels(g.labels[targets], params.num_classes)
-    ctx = node_ctx(params, g.features, anorm, targets, labels)
+    ctx = node_ctx(params, g.features, anorm, targets, g.labels[targets])
     return node_bundles(ctx, params, per_sample)
 
 
@@ -117,8 +112,8 @@ def _graph_stacks(params, gs):
         raise ShapeError("graph-task sample carries no graph label")
     anorm = np.stack([normalize_adjacency(g, params.norm_mode).matrix for g in gs])
     x = np.stack([g.features for g in gs])
-    labels = check_labels([g.graph_label for g in gs], params.num_classes)
-    return graph_bundles(graph_ctx(params, x, anorm, labels), params)
+    ctx = graph_ctx(params, x, anorm, [g.graph_label for g in gs])
+    return graph_bundles(ctx, params)
 
 
 def client_gradients(params, shard, batch_indices):

@@ -27,23 +27,24 @@ adjacency for a constant co-vector ``V``. That second-order pass is what
 the iterative gradient-matching attacks differentiate through.
 
 Array convention: an optional leading sample axis is supported everywhere;
-``x`` may be (N, D) or (B, N, D), the normalized adjacency (N, N) or
-(B, N, N). Each task's forward pass records a trace, allocated once and
-refilled in place by ``node_ctx(..., out=trace)`` / ``graph_ctx(...,
-out=trace)``, so an attack builds one per run; the passes that read a
-trace compute in its scratch buffers and return fresh gradients. A trace
-keeps its labels' one-hot rows but no weights: every pass reads those
-from the model it is given. A :class:`NodeTrace` holds one (rows, width)
-buffer per intermediate, one row per target (every row of a shared graph,
-or one per graph of a batch), so every weight and co-vector product is one
-2-D ``np.dot`` written into its buffer. A :class:`GraphTrace` keeps every
-per-node array of a batch in one (B*N, width) row buffer, with (B, N,
-width) views made once over those buffers as its public fields. At B = 1
-each weight, co-vector and adjacency product is one 2-D ``np.dot`` on the
-rows; for B > 1 the products run per sample as ``np.matmul`` on the
-views, so every sample keeps the bits it has alone.
+``x`` may be (N, D) or (B, N, D), the normalized adjacency (N, N), or (B,
+N, N) for a graph batch. Each task's forward pass records a trace,
+allocated once and refilled in place by ``node_ctx(..., out=trace)`` /
+``graph_ctx(..., out=trace)``, so an attack builds one per run; the passes
+that read a trace compute in its scratch buffers and return fresh
+gradients. A trace keeps its labels' one-hot rows but no weights: every
+pass reads those from the model it is given. A :class:`NodeTrace` holds one
+(rows, width) buffer per intermediate, one row per target (every row of a
+shared graph, or one per graph of a batch), so every weight and co-vector
+product is one 2-D ``np.dot`` written into its buffer. A
+:class:`GraphTrace` keeps every per-node array of a batch in one (B*N,
+width) row buffer, with (B, N, width) views made once over those buffers as
+its public fields. At B = 1 each weight, co-vector and adjacency product is
+one 2-D ``np.dot`` on the rows; for B > 1 the products run per sample as
+``np.matmul`` on the views, so every sample keeps the bits it has alone.
 """
 
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
@@ -61,6 +62,7 @@ __all__ = [
     "backward_graph",
     "backward_node",
     "check_labels",
+    "check_targets",
     "forward_graph",
     "forward_node",
     "infer_label",
@@ -175,11 +177,6 @@ class GradientBundle:
     param_names = _PARAM_NAMES
 
 
-def bundle_tensors(bundle):
-    """The tensor dict of a :class:`GradientBundle`, or the dict itself."""
-    return bundle.tensors if isinstance(bundle, GradientBundle) else bundle
-
-
 def check_bundle(params, bundle):
     """Raise :class:`ShapeError`, naming the tensor, unless ``bundle`` holds
     exactly the model's tensors, each in the model's shape."""
@@ -256,15 +253,29 @@ def _ce_rows(logits, labels):
     return lse - z[np.arange(z.shape[0]), labels]
 
 
-def check_labels(labels, num_classes):
-    """Labels as an int64 vector, each checked to be a class index.
+def _indices(values, size, what, of):
+    """``values`` as an int64 vector of indices in ``[0, size)``, or
+    :class:`ShapeError`; non-integers are refused, not truncated, and an
+    int64 vector comes back as itself."""
+    arr = np.atleast_1d(np.asarray(values))
+    if arr.ndim != 1 or arr.size and arr.dtype.kind not in "iu":
+        raise ShapeError(f"{what}s must be a vector of integers, got "
+                         f"{arr.dtype} of shape {arr.shape}")
+    if np.any(arr < 0) or np.any(arr >= size):
+        raise ShapeError(f"{what} out of range for {size} {of}")
+    return arr.astype(np.int64, copy=False)
 
-    Raises :class:`ShapeError` for a label outside ``[0, num_classes)``.
-    """
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    if np.any(labels < 0) or np.any(labels >= num_classes):
-        raise ShapeError(f"label out of range for {num_classes} classes")
-    return labels
+
+def check_labels(labels, num_classes):
+    """The one label rule, which both traces apply when they are built:
+    labels are integer class indices, by :func:`_indices`."""
+    return _indices(labels, num_classes, "label", "classes")
+
+
+def check_targets(targets, n):
+    """The one target rule, which a node trace applies when it is built:
+    targets are integer node indices into ``n`` nodes, by :func:`_indices`."""
+    return _indices(targets, n, "target", "nodes")
 
 
 def onehot(labels, num_classes):
@@ -359,7 +370,36 @@ def _check_norm(params, anorm):
                 f"framework {params.framework!r}"
             )
         return anorm.matrix
-    return np.asarray(anorm, dtype=np.float64)
+    return anorm
+
+
+def _model_inputs(params, task, x, anorm):
+    """``x`` and ``anorm`` as float64, once ``params`` is a ``task`` model
+    and ``x`` is (N, D) or (B, N, D) with the model's width D."""
+    if params.task != task:
+        raise ShapeError(f"params are not a {task}-task model")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (2, 3) or x.shape[-1] != params.feature_dim:
+        raise ShapeError(f"features {x.shape} for a model that expects "
+                         f"(N, {params.feature_dim}) or (B, N, "
+                         f"{params.feature_dim})")
+    return x, np.asarray(anorm, dtype=np.float64)
+
+
+def _refill(ctx, x, anorm, *held):
+    """``ctx`` bound to new inputs under the refill rule of both traces:
+    float64 ``x`` and ``anorm`` of the shapes it was built for, converted by
+    nothing, and as ``held`` the very arrays it holds (``ctx._held``).
+    Anything else raises :class:`ShapeError`, shapes checked first."""
+    if (x.shape, anorm.shape) != ctx._shapes:
+        raise ShapeError(f"trace holds features {ctx._shapes[0]} and "
+                         f"adjacency {ctx._shapes[1]}, got {x.shape} and "
+                         f"{anorm.shape}")
+    if not all(map(operator.is_, held, ctx._held.values())):
+        raise ShapeError(f"a trace is refilled for the "
+                         f"{' and '.join(ctx._held)} it holds")
+    ctx._bind(x, anorm)
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -379,44 +419,44 @@ _NODE_SCRATCH = {"g1bar": "f", "htbar": "f", "f1": "f", "g2bar": "k",
 class NodeTrace:
     """Forward record of the node task: what the backward passes consume.
 
-    Built by :func:`node_ctx`. Every row stack has one row per target. The
-    layout of ``x`` selects between one shared graph with many target nodes
-    (x is (N, D)) and a batch of independent graphs with one target each
-    (x is (B, N, D)). On a shared graph ``targets`` None makes every row a
-    target, and the row stacks ``at`` (anorm's rows) and ``xt`` (x's rows)
-    are ``anorm`` and ``x`` themselves; otherwise they are gathered into
-    buffers. ``mt`` (at @ x), ``ht`` (hidden rows), ``st`` (sigma' there),
-    ``logits``, ``q``, ``g2`` (softmax - onehot), ``u`` (g2 @ out_weight)
-    and ``g1`` (d loss / d pre-activation) are (rows, width) buffers
-    allocated here, once, and so are the scratch of
-    :func:`node_matching_grad` and the labels' one-hot rows; the passes
-    read the weights from the model on every call. ``node_ctx(...,
-    out=trace)`` refills every buffer in place from new ``x`` and
-    ``anorm``, so the next refill overwrites what a trace holds, and so
-    does the next matching pass its scratch. Only the gradients
-    :func:`node_matching_grad` and :func:`node_input_grads` return, and
-    the bundles :func:`node_bundles` returns without ``out`` (bar the
-    per-sample bias stacks, which are ``g2`` and ``g1``), are fresh
-    arrays. Only :func:`forward_node` fills ``losses``; the attack loop
-    never reads them.
+    Built by :func:`node_ctx`; the constructor converts x and anorm to
+    float64, checks them once and builds the labels' one-hot rows. It
+    raises :class:`ShapeError` unless ``params`` is a node-task model, x is
+    (N, D) or (B, N, D) with the model's width, anorm is (N, N), and the
+    targets (:func:`check_targets`) and labels (:func:`check_labels`) come
+    one per row. x (N, D) is one shared graph, where ``targets`` None makes
+    every row a target and the row stacks ``at`` (anorm's rows) and ``xt``
+    (x's rows) are anorm and x themselves; x (B, N, D) is a batch of graphs
+    sharing anorm, one target each. Otherwise the row stacks are gathered
+    into buffers. ``mt`` (at @ x), ``ht`` (hidden rows), ``st`` (sigma'
+    there), ``logits``, ``q``, ``g2`` (softmax - onehot), ``u`` (g2 @
+    out_weight) and ``g1`` (d loss / d pre-activation) are (rows, width)
+    buffers allocated here, once, as is the scratch of
+    :func:`node_matching_grad`; the passes read the weights from the model
+    on every call. ``node_ctx(..., out=trace)`` refills every buffer in
+    place. Only the gradients :func:`node_matching_grad` and
+    :func:`node_input_grads` return, and the bundles :func:`node_bundles`
+    returns without ``out`` (bar the per-sample bias stacks, ``g2`` and
+    ``g1``), are fresh arrays. Only :func:`forward_node` fills ``losses``.
     """
 
     def __init__(self, params, x, anorm, targets, labels):
+        x, anorm = _model_inputs(params, "node", x, anorm)
         n = x.shape[-2]
         if x.ndim == 3 and targets is None:
             raise ShapeError("a batch of node graphs needs one target each")
-        if anorm.shape[-2:] != (n, n) or (anorm.ndim == 3
-                                          and anorm.shape[0] != x.shape[0]):
+        if anorm.shape != (n, n):
             raise ShapeError(f"adjacency {anorm.shape} for features {x.shape}")
+        targets = None if targets is None else check_targets(targets, n)
         rows = n if targets is None else len(targets)
         if x.ndim == 3 and rows != x.shape[0]:
             raise ShapeError(f"{rows} targets for {x.shape[0]} graphs")
-        if targets is not None and np.any((targets < 0) | (targets >= n)):
-            raise ShapeError(f"target out of range for {n} nodes")
+        labels = check_labels(labels, params.num_classes)
         if labels.shape != (rows,):
             raise ShapeError(f"{labels.shape[0]} labels for {rows} targets")
-        self.x, self.anorm, self.targets, self.labels = x, anorm, targets, labels
-        self.losses = None
+        self.targets, self.labels = targets, labels
+        self._held = {"targets": targets, "labels": labels}
+        self._shapes = (x.shape, anorm.shape)
         width = {"d": x.shape[-1], "f": params.hidden_dim,
                  "k": params.num_classes}
         for name, w in _NODE_RECORD.items():
@@ -425,15 +465,18 @@ class NodeTrace:
             name: np.empty((rows, width[w]))
             for name, w in _NODE_SCRATCH.items()})
         self._onehot = onehot(labels, params.num_classes)
-        if targets is None:
+        if targets is not None:
+            # the rows of x to gather: a batch's sample i reads row i of
+            # each stack
+            self._xi = targets if x.ndim == 2 else np.arange(rows) * n + targets
+            self.at = np.empty((rows, n))
+            self.xt = np.empty((rows, x.shape[-1]))
+        self._bind(x, anorm)
+
+    def _bind(self, x, anorm):
+        self.x, self.anorm, self.losses = x, anorm, None
+        if self.targets is None:
             self.at, self.xt = anorm, x
-            return
-        # the rows to gather: a batch's sample i reads row i of each stack
-        flat = np.arange(rows) * n + targets
-        self._xi = targets if x.ndim == 2 else flat
-        self._ai = targets if anorm.ndim == 2 else flat
-        self.at = np.empty((rows, n))
-        self.xt = np.empty((rows, x.shape[-1]))
 
 
 def _take_rows(arr, idx, out):
@@ -463,37 +506,18 @@ def _pre_activation(t, layer, agg, h, product=np.dot, out=None, tmp=None):
 def node_ctx(params, x, anorm, targets, labels, out=None):
     """Forward and first-order backward intermediates at the target rows.
 
-    ``labels`` must already have passed :func:`check_labels`. ``targets``
-    None, on a shared graph, makes every row a target; a target outside
-    the graph, or a label count that is not the target count, raises
-    :class:`ShapeError`. Without ``out`` the pass allocates a new
-    :class:`NodeTrace`. ``out`` is a trace an earlier call returned for
+    Without ``out`` the pass builds a :class:`NodeTrace`, which checks and
+    converts the inputs. ``out`` is a trace an earlier call returned for
     the same model (an attack builds one and passes it back each
-    iteration): the pass refills it in place from ``x`` and ``anorm``,
-    float64 arrays of the shapes it was built for, and returns it, so
-    everything the earlier call recorded there is overwritten. A refill
-    takes ``targets`` and ``labels`` as the arrays the trace holds
-    (``trace.targets``, ``trace.labels``); other ones, or another shape,
-    raise :class:`ShapeError`.
+    iteration): the pass refills it in place under the rule both traces
+    share (:func:`_refill`; pass ``trace.targets`` and ``trace.labels``)
+    and returns it, overwriting everything the earlier call recorded.
     """
-    ctx = out
-    if ctx is None:
-        if targets is not None:
-            targets = np.atleast_1d(np.asarray(targets, dtype=np.int64))
-        ctx = NodeTrace(params, np.asarray(x, dtype=np.float64),
-                        np.asarray(anorm, dtype=np.float64), targets,
-                        np.atleast_1d(np.asarray(labels, dtype=np.int64)))
+    if out is None:
+        ctx = NodeTrace(params, x, anorm, targets, labels)
     else:
-        if targets is not ctx.targets or labels is not ctx.labels:
-            raise ShapeError("a trace is refilled for the targets and labels "
-                             "it holds")
-        if x.shape != ctx.x.shape or anorm.shape != ctx.anorm.shape:
-            raise ShapeError(f"trace holds features {ctx.x.shape} and "
-                             f"adjacency {ctx.anorm.shape}, got {x.shape} "
-                             f"and {anorm.shape}")
-        ctx.x, ctx.anorm, ctx.losses = x, anorm, None
-        if ctx.targets is None:
-            ctx.at, ctx.xt = anorm, x
+        ctx = _refill(out, x, anorm, targets, labels)
+    x, anorm = ctx.x, ctx.anorm
     t = params.tensors
     s = ctx._scratch
 
@@ -501,7 +525,7 @@ def node_ctx(params, x, anorm, targets, labels, out=None):
     # rows are computed; every row stack is 2-D, so the products go to
     # np.dot
     if ctx.targets is not None:
-        _take_rows(anorm, ctx._ai, ctx.at)
+        _take_rows(anorm, ctx.targets, ctx.at)
         _take_rows(x, ctx._xi, ctx.xt)
     if x.ndim == 3:  # one (1, N) @ (N, D) product per sample
         np.matmul(ctx.at[:, None], x, out=ctx.mt[:, None])
@@ -649,15 +673,9 @@ def node_matching_grad(ctx, params, v, want_adjacency, want_features=True):
 
 def forward_node(params, g, anorm, target, label):
     """Node classifier's loss at ``target`` for ``label``; feeds the backward passes."""
-    if params.task != "node":
-        raise ShapeError("params are not a node-task model")
-    mat = _check_norm(params, anorm)
-    x = g.features if isinstance(g, Graph) else np.asarray(g, dtype=np.float64)
-    if not 0 <= target < x.shape[0]:
-        raise ShapeError(f"target {target} out of range")
-    labels = check_labels(label, params.num_classes)
-    trace = node_ctx(params, x, mat, [target], labels)
-    trace.losses = _ce_rows(trace.logits, labels)
+    x = g.features if isinstance(g, Graph) else g
+    trace = node_ctx(params, x, _check_norm(params, anorm), target, label)
+    trace.losses = _ce_rows(trace.logits, trace.labels)
     return trace
 
 
@@ -687,17 +705,21 @@ _GRAPH_SCRATCH = {
 class GraphTrace:
     """Forward record of the graph task for a batch of B graphs of N nodes.
 
-    Built by :func:`graph_ctx`. Every per-node array is a (B*N, width) row
-    buffer allocated here, once; ``agg1``, ``sig1``, ``hidden1``, ``agg2``,
-    ``sig2``, ``hidden2``, ``hbar`` (gp @ mlp_weight), ``g2w``
-    (g2 @ conv2_agg), ``u1``, ``g1`` and ``g2`` are (B, N, width) views
-    over those buffers and ``flat`` the (B, N*F) view of ``hidden2``;
-    ``logits``, ``q`` and ``gp`` (softmax - onehot) are (B, K) buffers,
-    and the labels' one-hot rows are kept with them.
-    ``x`` is the (B, N, D) view of the input features and ``anorm`` the
-    normalized adjacency as given, (N, N) or (B, N, N). ``graph_ctx(...,
-    out=trace)`` refills every one of these in place, and the passes that
-    read a trace use its remaining buffers as scratch; only the gradients
+    Built by :func:`graph_ctx` as ``GraphTrace(params, x, anorm, labels)``,
+    which converts x and anorm to float64, checks them once and builds the
+    labels' one-hot rows. It raises :class:`ShapeError` unless ``params``
+    is a graph-task model, x is (N, D) or (B, N, D) with the model's width
+    and node count, anorm is (N, N) (shared) or (B, N, N), and the labels
+    (:func:`check_labels`) come one per graph. Every per-node array is a
+    (B*N, width) row buffer allocated here, once; ``agg1``, ``sig1``,
+    ``hidden1``, ``agg2``, ``sig2``, ``hidden2``, ``hbar`` (gp @
+    mlp_weight), ``g2w`` (g2 @ conv2_agg), ``u1``, ``g1`` and ``g2`` are
+    (B, N, width) views over those buffers and ``flat`` the (B, N*F) view
+    of ``hidden2``; ``logits``, ``q`` and ``gp`` (softmax - onehot) are
+    (B, K) buffers. ``x`` is the (B, N, D) view of the features and
+    ``anorm`` the normalized adjacency as given. ``graph_ctx(...,
+    out=trace)`` refills all of these in place, and the passes use the
+    remaining buffers as scratch; only the gradients
     :func:`graph_matching_grad` and :func:`graph_input_grads` return, and
     the bundles :func:`graph_bundles` returns without ``out``, are fresh
     arrays. Only :func:`forward_graph` fills ``losses``; the attack loop
@@ -710,8 +732,21 @@ class GraphTrace:
     those of B separate samples.
     """
 
-    def __init__(self, b, n, d, f, k):
-        width = {"d": d, "f": f, "n": n}
+    def __init__(self, params, x, anorm, labels):
+        x, anorm = _model_inputs(params, "graph", x, anorm)
+        b, n, d = (1,) + x.shape if x.ndim == 2 else x.shape
+        if n != params.num_nodes:
+            raise ShapeError(f"model readout expects {params.num_nodes} "
+                             f"nodes, graph has {n}")
+        if anorm.shape not in ((n, n), (b, n, n)):
+            raise ShapeError(f"adjacency {anorm.shape} for features {x.shape}")
+        labels = check_labels(labels, params.num_classes)
+        if labels.shape != (b,):
+            raise ShapeError(f"{labels.shape[0]} labels for {b} graphs")
+        self.labels, self._held = labels, {"labels": labels}
+        self._shapes = (x.shape, anorm.shape)
+        k = params.num_classes
+        width = {"d": d, "f": params.hidden_dim, "n": n}
         self._rows = SimpleNamespace(**{
             name: np.empty((b * n, width[w]))
             for name, w in {**_GRAPH_RECORD, **_GRAPH_SCRATCH}.items()})
@@ -729,8 +764,19 @@ class GraphTrace:
         self.logits = np.empty((b, k))
         self.q = np.empty((b, k))
         self.gp = np.empty((b, k))
-        self.x = self.anorm = self.labels = self.losses = None
-        self._onehot = None
+        self._onehot = onehot(labels, k)
+        self._bind(x, anorm)
+
+    def _bind(self, x, anorm):
+        self.x = x[None] if x.ndim == 2 else x
+        self.anorm, self.losses = anorm, None
+        w = self._work
+        if self._mm is np.dot:  # B = 1: the passes read 2-D rows
+            w.x, w.a = self.x[0], (anorm[0] if anorm.ndim == 3 else anorm)
+        else:
+            self._rows.x = x.reshape(-1, x.shape[-1])
+            w.x, w.a = x, anorm
+        w.at = w.a.swapaxes(-1, -2)
 
     def _fresh(self, width):
         """A new (B, N, width) array and the form of it the passes write."""
@@ -741,46 +787,17 @@ class GraphTrace:
 def graph_ctx(params, x, anorm, labels, out=None):
     """Forward + first-order backward intermediates; x is (N, D) or (B, N, D).
 
-    ``labels`` must already have passed :func:`check_labels`. Without
-    ``out`` the pass allocates a new :class:`GraphTrace`. ``out`` is a
-    trace an earlier call returned for inputs of the same shapes (an
-    attack builds one and passes it back each iteration): the pass refills
-    it in place and returns it, so everything the earlier call recorded
-    there is overwritten. The trace keeps the one-hot rows of its labels;
-    they are rebuilt only when a call brings another labels array than the
-    trace's own (``trace.labels``), so refill with that array when the
-    labels stay.
+    ``out`` works as in :func:`node_ctx`: without it the pass builds a
+    :class:`GraphTrace`; with it the pass refills that trace under the
+    rule both traces share (:func:`_refill`; pass ``trace.labels``).
     """
+    if out is None:
+        ctx = GraphTrace(params, x, anorm, labels)
+    else:
+        ctx = _refill(out, x, anorm, labels)
     t = params.tensors
-    x = np.asarray(x, dtype=np.float64)
-    x3 = x[None] if x.ndim == 2 else x
-    anorm = np.asarray(anorm, dtype=np.float64)
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
-    b, n, d = x3.shape
-    if params.num_nodes != n:
-        raise ShapeError(
-            f"model readout expects {params.num_nodes} nodes, graph has {n}"
-        )
-    if anorm.ndim == 3 and anorm.shape[0] != b:
-        raise ShapeError(f"{anorm.shape[0]} adjacencies for {b} graphs")
-    ctx = out
-    if ctx is None:
-        ctx = GraphTrace(b, n, d, params.hidden_dim, params.num_classes)
-    elif ctx.x.shape != x3.shape:
-        raise ShapeError(f"trace holds features {ctx.x.shape}, "
-                         f"got {x3.shape}")
-    if labels is not ctx.labels:
-        ctx._onehot = onehot(labels, params.num_classes)
-    ctx.x, ctx.anorm, ctx.labels, ctx.losses = x3, anorm, labels, None
     w = ctx._work
     mm = ctx._mm
-    if b == 1:
-        w.x = x if x.ndim == 2 else x[0]
-        w.a = anorm if anorm.ndim == 2 else anorm[0]
-    else:
-        ctx._rows.x = x.reshape(b * n, d)
-        w.x, w.a = x3, anorm
-    w.at = w.a.swapaxes(-1, -2)
 
     mm(w.a, w.x, out=w.agg1)
     h1 = _pre_activation(t, "conv1", w.agg1, w.x, mm, w.hidden1, w.f1)
@@ -943,13 +960,9 @@ def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
 
 def forward_graph(params, g, anorm, graph_label):
     """Graph classifier's loss for ``graph_label``; feeds the backward passes."""
-    if params.task != "graph":
-        raise ShapeError("params are not a graph-task model")
-    mat = _check_norm(params, anorm)
-    x = g.features if isinstance(g, Graph) else np.asarray(g, dtype=np.float64)
-    labels = check_labels(graph_label, params.num_classes)
-    trace = graph_ctx(params, x, mat, labels)
-    trace.losses = _ce_rows(trace.logits, labels)
+    x = g.features if isinstance(g, Graph) else g
+    trace = graph_ctx(params, x, _check_norm(params, anorm), graph_label)
+    trace.losses = _ce_rows(trace.logits, trace.labels)
     return trace
 
 
@@ -968,8 +981,7 @@ def infer_label(bundle):
     product test and the row sums break the tie. Raises if the rule does not
     isolate exactly one class (e.g. an all-zero bundle).
     """
-    tensors = bundle_tensors(bundle)
-    w = tensors.get("mlp_weight", tensors.get("out_weight"))
+    w = bundle.tensors.get("mlp_weight", bundle.tensors.get("out_weight"))
     if w is None:
         raise ShapeError("bundle lacks a final-layer weight gradient")
     dots = w @ w.T

@@ -641,6 +641,18 @@ class TestIterativeAttacks:
     @pytest.mark.parametrize("task", ["node", "graph"])
     def test_batched_label_out_of_range_raises_before_iterating(
             self, monkeypatch, task):
+        self.check_batched_labels_refused(monkeypatch, task, [0, 2],
+                                          "label out of range")
+
+    @pytest.mark.parametrize("task", ["node", "graph"])
+    def test_batched_fractional_label_raises_before_iterating(
+            self, monkeypatch, task):
+        # refused, not truncated to label 1
+        self.check_batched_labels_refused(monkeypatch, task, [0, 1.7],
+                                          "labels must be a vector of integers")
+
+    @staticmethod
+    def check_batched_labels_refused(monkeypatch, task, labels, match):
         r = numkit.make_rng(28)
         if task == "node":
             g = graphs.synthetic_graph(r, 6, 2, 3, num_classes=2)
@@ -660,8 +672,8 @@ class TestIterativeAttacks:
         monkeypatch.setattr(attacks, forward,
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         spec = attacks.AttackSpec(scenario=spec, iterations=5)
-        with pytest.raises(ShapeError, match="label out of range"):
-            attacks.attack_batched(record, spec, params, labels=[0, 2],
+        with pytest.raises(ShapeError, match=match):
+            attacks.attack_batched(record, spec, params, labels=labels,
                                    known_adjacencies=known, rng=r)
         assert calls == []
 

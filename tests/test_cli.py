@@ -39,9 +39,13 @@ def write_config(tmp_path, data=CONFIG):
     return str(path)
 
 
-def assert_field_rejected(tmp_path, field, value=1):
+def assert_field_rejected(tmp_path, field, value=1, named=None):
     """A config setting ``field`` ("section.name" or a top-level name)
-    exits 1 with a configuration error naming it, before any run."""
+    exits 1 with a configuration error naming it, before any run.
+
+    ``named`` is the text that must name it; by default the section's
+    prefix and the key's repr, as an unknown key is reported.
+    """
     section, _, name = field.rpartition(".")
     old = dict(CONFIG)
     if section:
@@ -53,8 +57,8 @@ def assert_field_rejected(tmp_path, field, value=1):
     cfg = write_config(tmp_path, old)
     out = run_cli("attack", "--config", cfg, "--out", str(tmp_path / "o"))
     assert out.returncode == 1
-    assert f"configuration error: {name_prefix}" in out.stderr
-    assert repr(name) in out.stderr
+    for text in named or (f"configuration error: {name_prefix}", repr(name)):
+        assert text in out.stderr
     assert "Traceback" not in out.stderr
     assert not (tmp_path / "o" / "report.csv").exists()
 
@@ -145,13 +149,20 @@ class TestAttackCommand:
     def test_old_config_with_attack_seed_is_configuration_error(self, tmp_path):
         assert_field_rejected(tmp_path, "attack.seed")
 
-    # neither is a config field any more: the er source's edge probability
-    # is avg_degree / (n - 1), and node1 scores the target only
-    @pytest.mark.parametrize("field,value", [
-        ("one_hop_eval", True), ("dataset.edge_prob", 0.5)],
-        ids=["one_hop_eval", "dataset.edge_prob"])
-    def test_removed_key_is_configuration_error(self, tmp_path, field, value):
-        assert_field_rejected(tmp_path, field, value)
+    # none is a config field or value any more: the er source's edge
+    # probability is avg_degree / (n - 1), node1 scores the target only,
+    # and no dataset is a tree (the node1 attack's dummy tree is
+    # attack.d_tree's)
+    @pytest.mark.parametrize("field,value,named", [
+        ("one_hop_eval", True, None), ("dataset.edge_prob", 0.5, None),
+        ("dataset.d_tree", 10, None),
+        ("dataset.source", "tree",
+         ("configuration error: dataset.source: ", "'tree'"))],
+        ids=["one_hop_eval", "dataset.edge_prob", "dataset.d_tree",
+             "dataset.source-tree"])
+    def test_removed_key_is_configuration_error(self, tmp_path, field, value,
+                                                named):
+        assert_field_rejected(tmp_path, field, value, named)
 
     def test_missing_config_exit_code(self, tmp_path):
         out = run_cli("attack", "--config", str(tmp_path / "nope.json"))

@@ -34,7 +34,8 @@ class TestRowRatioRecoveries:
     def test_manufactured_outer_product(self):
         b = rng.standard_normal(5)
         agg = rng.standard_normal(3)
-        bundle = {"conv1_agg": np.outer(b, agg), "conv1_bias": b}
+        bundle = models.GradientBundle(
+            tensors={"conv1_agg": np.outer(b, agg), "conv1_bias": b})
         got = closed_form.recover_agg_features(bundle, "gcn")
         assert np.allclose(got, agg, atol=1e-12)
 
@@ -63,12 +64,14 @@ class TestRowRatioRecoveries:
         assert np.abs(xv).max() < 1e-12
 
     def test_zero_bias_gradient_unrecoverable(self):
-        bundle = {"conv1_agg": np.zeros((4, 3)), "conv1_bias": np.zeros(4)}
+        bundle = models.GradientBundle(
+            tensors={"conv1_agg": np.zeros((4, 3)), "conv1_bias": np.zeros(4)})
         with pytest.raises(UnrecoverableError):
             closed_form.recover_agg_features(bundle, "gcn")
 
     def test_gcn_bundle_rejected_for_target_features(self):
-        bundle = {"conv1_agg": np.ones((4, 3)), "conv1_bias": np.ones(4)}
+        bundle = models.GradientBundle(
+            tensors={"conv1_agg": np.ones((4, 3)), "conv1_bias": np.ones(4)})
         with pytest.raises(ShapeError):
             closed_form.recover_target_features(bundle)
 

@@ -110,7 +110,6 @@ class TestConfigValidation:
         ("seed", -1), ("attack.iterations", 2.5),
         ("attack.d_tree", 2.5), ("dataset.n", 8.5),
         ("dataset.feature_dim", 2.5), ("dataset.num_classes", 1),
-        ("dataset.d_tree", 0),
     ])
     def test_bad_integer_field(self, field, value):
         data = quick_config().to_dict()
@@ -240,16 +239,6 @@ class TestModelSizedFromDataset:
         row = run_experiment(files_config(tmp_path, scenario))[0]
         assert row.errors == []
         assert np.isfinite(row.metrics["feature_rnmse"]["mean"])
-
-    def test_tree_graph_c_with_default_n(self):
-        cfg = quick_config(
-            scenario="graph_c", attack={"iterations": 10},
-            dataset={"source": "tree", "d_tree": 2, "feature_dim": 4,
-                     "num_classes": 3},
-            repeats=1)
-        row = run_experiment(cfg)[0]
-        assert row.errors == []
-        assert {"feature_rnmse", "auc"} <= set(row.metrics)
 
     def test_file_labels_beyond_num_classes(self, tmp_path):
         cfg = files_config(tmp_path, "node2b", labels=[0, 1, 2, 0, 1, 2],

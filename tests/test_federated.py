@@ -93,6 +93,13 @@ class TestClientGradients:
         with pytest.raises(ShapeError):
             federated.ClientShard(client_id=0, graph=g, targets=[99])
 
+    def test_shard_fractional_target_raises(self):
+        # refused, not stored as target 2
+        g, _ = node_setup()
+        with pytest.raises(ShapeError, match="targets must be a vector of "
+                                             "integers"):
+            federated.ClientShard(client_id=0, graph=g, targets=[2.5])
+
 
 class TestAggregateAndStep:
     def test_single_bundle_plain_sgd(self):
@@ -259,8 +266,9 @@ class TestLeak:
             federated.leak(params, data, scenario, targets=targets)
 
     @pytest.mark.parametrize("scenario", ["node1", "batched-node"])
-    @pytest.mark.parametrize("targets", [None, [], [7], [-1], [2, 99]],
-                             ids=["none", "empty", "n", "negative", "99"])
+    @pytest.mark.parametrize("targets", [None, [], [7], [-1], [2, 99], [2.7]],
+                             ids=["none", "empty", "n", "negative", "99",
+                                  "fraction"])
     def test_bad_targets_raise(self, scenario, targets):
         g, params = node_setup()
         with pytest.raises(ShapeError, match="target"):

@@ -80,6 +80,19 @@ class TestForwardNode:
         with pytest.raises(ShapeError, match="label out of range"):
             models.forward_node(params, g, anorm, 0, label)
 
+    def test_fractional_target_raises(self):
+        # refused, not read as target 1
+        g, params, anorm = make_node_setup("sage", seed=13)
+        with pytest.raises(ShapeError, match="targets must be a vector of "
+                                             "integers"):
+            models.forward_node(params, g, anorm, 1.9, 0)
+
+    def test_feature_width_mismatch_raises(self):
+        g, params, anorm = make_node_setup("sage", d=4, seed=14)
+        with pytest.raises(ShapeError, match=r"features \(5, 5\) for a model "
+                                             r"that expects \(N, 4\)"):
+            models.forward_node(params, np.ones((5, 5)), anorm, 0, 0)
+
     def test_trace_replay_is_deterministic(self):
         g, params, anorm = make_node_setup("gcn", seed=11)
         a = models.forward_node(params, g, anorm, 1, int(g.labels[1]))
@@ -536,9 +549,10 @@ class TestTraceReuse:
         trace = models.graph_ctx(params, *graph_inputs(r, params, batch, stack))
         v = random_covectors(r, models.graph_bundles(trace, params))
         models.graph_matching_grad(trace, params, v, True)
-        second = graph_inputs(r, params, batch, stack)
-        assert models.graph_ctx(params, *second, out=trace) is trace
-        fresh = models.graph_ctx(params, *second)
+        x2, anorm2 = graph_inputs(r, params, batch, stack)[:2]
+        assert models.graph_ctx(params, x2, anorm2, trace.labels,
+                                out=trace) is trace
+        fresh = models.graph_ctx(params, x2, anorm2, trace.labels)
         for name in GRAPH_TRACE_FIELDS:
             got, want = getattr(trace, name), getattr(fresh, name)
             assert (got is None) == (want is None), name
@@ -580,6 +594,37 @@ class TestTraceReuse:
         with pytest.raises(ShapeError, match="trace holds features"):
             models.graph_ctx(params, *graph_inputs(r, params, 3, True),
                              out=trace)
+
+    @pytest.mark.parametrize("anorm_shape", [(1, 6, 6), (6, 5)])
+    def test_refill_with_another_adjacency_shape_raises(self, anorm_shape):
+        r = numkit.make_rng(93)
+        params = models.init_params(r, "sage", "graph", 4, 5, 3, num_nodes=6)
+        x, anorm, labels = graph_inputs(r, params, 1, False)
+        trace = models.graph_ctx(params, x, anorm, labels)
+        with pytest.raises(ShapeError, match="trace holds features"):
+            models.graph_ctx(params, x, np.zeros(anorm_shape), trace.labels,
+                             out=trace)
+
+    def test_refill_with_another_labels_array_raises(self):
+        r = numkit.make_rng(93)
+        params = models.init_params(r, "gcn", "graph", 4, 5, 3, num_nodes=6)
+        x, anorm, labels = graph_inputs(r, params, 3, True)
+        trace = models.graph_ctx(params, x, anorm, labels)
+        # equal values in another array: the one-hot rows are built once
+        with pytest.raises(ShapeError, match="the labels it holds"):
+            models.graph_ctx(params, x, anorm, labels.copy(), out=trace)
+
+    @pytest.mark.parametrize("batch,labels,match", [
+        (3, [1], "1 labels for 3 graphs"),
+        (1, [-1], "label out of range"),
+        (1, [1.7], "labels must be a vector of integers"),
+    ])
+    def test_build_checks_labels(self, batch, labels, match):
+        r = numkit.make_rng(90)
+        params = models.init_params(r, "gcn", "graph", 4, 5, 3, num_nodes=6)
+        x, anorm = graph_inputs(r, params, batch, True)[:2]
+        with pytest.raises(ShapeError, match=match):
+            models.graph_ctx(params, x, anorm, labels)
 
 
 NODE_TRACE_FIELDS = ("x", "anorm", "targets", "labels", "at", "xt", "mt",
@@ -717,6 +762,9 @@ class TestNodeTraceReuse:
         ([8], [1], "target out of range"),
         ([-1], [1], "target out of range"),
         ([0, 3], [1], "1 labels for 2 targets"),
+        ([2.7], [1], "targets must be a vector of integers"),
+        ([5], [-1], "label out of range"),
+        ([5], [1.7], "labels must be a vector of integers"),
     ])
     def test_build_checks_targets_and_labels(self, targets, labels, match):
         r = numkit.make_rng(98)
@@ -724,6 +772,49 @@ class TestNodeTraceReuse:
         x, anorm = node_inputs(r, params, "one-target")[:2]
         with pytest.raises(ShapeError, match=match):
             models.node_ctx(params, x, anorm, targets, labels)
+
+
+class TestTraceContract:
+    """Each trace checks the model's task when it is built, and the label
+    and target rules refuse what is not an integer index vector."""
+
+    def test_node_trace_needs_a_node_model(self):
+        r = numkit.make_rng(100)
+        params = models.init_params(r, "sage", "graph", 4, 5, 3, num_nodes=8)
+        x, anorm, targets, labels = node_inputs(r, params, "one-target")
+        with pytest.raises(ShapeError, match="not a node-task model"):
+            models.node_ctx(params, x, anorm, targets, labels)
+
+    def test_graph_trace_needs_a_graph_model(self):
+        r = numkit.make_rng(101)
+        params = models.init_params(r, "sage", "node", 4, 5, 3)
+        with pytest.raises(ShapeError, match="not a graph-task model"):
+            models.graph_ctx(params, r.standard_normal((6, 4)), np.eye(6), [0])
+
+    @pytest.mark.parametrize("values,match", [
+        ([1.7], "labels must be a vector of integers, got float64"),
+        (["1"], "labels must be a vector of integers"),
+        ([[0, 1]], r"labels must be a vector of integers, got int64 of "
+                   r"shape \(1, 2\)"),
+    ], ids=["fraction", "string", "matrix"])
+    def test_labels_refuse_non_integer_vectors(self, values, match):
+        with pytest.raises(ShapeError, match=match):
+            models.check_labels(values, 3)
+
+    def test_fractional_targets_are_refused(self):
+        with pytest.raises(ShapeError, match="targets must be a vector of "
+                                             "integers"):
+            models.check_targets([0, 2.5], 5)
+
+    @pytest.mark.parametrize("check", [models.check_labels,
+                                       models.check_targets])
+    def test_index_vectors_pass_through(self, check):
+        # an int64 vector is the array itself, so a trace refilled with the
+        # array it was built from holds that very array
+        vec = np.array([2, 0], dtype=np.int64)
+        assert check(vec, 3) is vec
+        assert np.array_equal(check(np.int32(1), 3), [1])
+        assert check([], 3).shape == (0,)
 
 
 class TestSharedCovector:
@@ -843,6 +934,15 @@ class TestForwardGraph:
             models.forward_graph(params, g, graphs.normalize_adjacency(g, "gcn"),
                                  label)
 
+    def test_feature_width_mismatch_raises(self):
+        r = numkit.make_rng(10)
+        g = graphs.er_graph(r, 4, 0.5, 3)
+        params = models.init_params(r, "gcn", "graph", 2, 4, 2, num_nodes=4)
+        with pytest.raises(ShapeError, match=r"features \(4, 3\) for a model "
+                                             r"that expects \(N, 2\)"):
+            models.forward_graph(params, g, graphs.normalize_adjacency(g, "gcn"),
+                                 0)
+
     def test_node_count_mismatch(self):
         r = numkit.make_rng(7)
         g = graphs.er_graph(r, 5, 0.5, 3)
@@ -928,8 +1028,10 @@ class TestInferLabel:
 
     def test_zero_gradients_ambiguous(self):
         with pytest.raises(AmbiguousLabelError):
-            models.infer_label({"out_weight": np.zeros((3, 4))})
+            models.infer_label(models.GradientBundle(
+                tensors={"out_weight": np.zeros((3, 4))}))
 
     def test_manufactured_signs(self):
         w = np.array([[-1.0, -2.0], [1.0, 2.0], [0.5, 1.0]])
-        assert models.infer_label({"out_weight": w}) == 0
+        assert models.infer_label(
+            models.GradientBundle(tensors={"out_weight": w})) == 0
