@@ -122,33 +122,24 @@ class RecoveryResult:
 # Objectives
 # ---------------------------------------------------------------------------
 
-def _row_dots(a, b, out):
-    """Each row of ``a`` dotted with the same row of ``b``, written into
-    ``out``, an (S, 1, 1) array; the (S, P) rows are read as (S, 1, P) and
-    (S, P, 1) stacks, so each dot is one ``np.matmul`` product."""
-    return np.matmul(a[:, None, :], b[:, :, None], out=out)
+def _matcher(leaked_flat, kind, dummy_flat, grad):
+    """``match() -> (value, d value / d dummy_flat)`` against the leak.
 
-
-def _matcher(leaked_flat, kind, grad):
-    """``match(dummy_flat) -> (value, d value / d dummy_flat)`` against the leak.
-
-    The value is the sum of per-row matching losses. The gradient is
-    written into ``grad``, an array of the leak's shape: every call returns
-    that same array, and the next call overwrites it. The temporaries are
-    allocated here, once. The cosine objective's leaked norms and unit
-    rows are computed here too, and a zero-norm leaked row raises
-    :class:`DegenerateGradientError`. It takes its three reductions from
-    dot products: each row's squared norm and each row's u . w as one
-    ``np.matmul`` of (S, 1, P) by (S, P, 1) stacks, and the sum of w^2 as
-    one ``np.dot`` of the flat rows; a row is scaled by its norm's
-    reciprocal. The leak's rows go through the same products as the
-    dummy's, so a dummy equal to the leak gives unit rows equal to the
-    leak's bit for bit, and a value and gradient of exactly 0.
+    ``dummy_flat`` holds the dummy's rows at each call, and every call
+    writes the gradient into ``grad`` and returns it; both have the leak's
+    shape. The value is the sum of per-row matching losses. The
+    temporaries, the views the products read, and the cosine objective's
+    leaked norms and unit rows are made here, once; a zero-norm leaked row
+    raises :class:`DegenerateGradientError`. Each row's squared norm and
+    u . w is one ``np.matmul`` of (S, 1, P) by (S, P, 1) stacks, the sum of
+    w^2 one ``np.dot``, and a row is scaled by its norm's reciprocal. The
+    leak's rows go through the same products as the dummy's, so a dummy
+    equal to the leak gives a value and gradient of exactly 0.
     """
     if kind == "l2":
         tmp = np.empty_like(grad)
 
-        def match(dummy_flat):
+        def match():
             np.subtract(dummy_flat, leaked_flat, out=grad)
             value = float(np.add.reduce(np.multiply(grad, grad, out=tmp),
                                         axis=None))
@@ -157,19 +148,22 @@ def _matcher(leaked_flat, kind, grad):
         return match
 
     rows = len(grad)
-    ln = np.sqrt(_row_dots(leaked_flat, leaked_flat, np.empty((rows, 1, 1))))
+    ln = np.sqrt(np.matmul(leaked_flat[:, None, :], leaked_flat[:, :, None]))
     if np.any(ln == 0.0):
         raise DegenerateGradientError("zero-norm leaked gradient bundle in "
                                       "cosine objective")
     v = leaked_flat * (1.0 / ln.reshape(rows, 1))
     u, w = np.empty((2,) + grad.shape)
     w_flat = w.reshape(-1)
-    # (S, 1, 1) buffers for the row dots, and their (S, 1) columns
+    # the (S, 1, P) and (S, P, 1) stacks of the rows the dots read, and
+    # (S, 1, 1) buffers for the dots with their (S, 1) columns
+    dummy_rows, dummy_cols = dummy_flat[:, None, :], dummy_flat[:, :, None]
+    u_rows, w_cols = u[:, None, :], w[:, :, None]
     inv3, uw3 = np.empty((2, rows, 1, 1))
     inv, uw = inv3.reshape(rows, 1), uw3.reshape(rows, 1)
 
-    def match(dummy_flat):
-        np.sqrt(_row_dots(dummy_flat, dummy_flat, inv3), out=inv3)
+    def match():
+        np.sqrt(np.matmul(dummy_rows, dummy_cols, out=inv3), out=inv3)
         if np.count_nonzero(inv) < rows:
             raise DegenerateGradientError("zero-norm dummy gradient bundle in "
                                           "cosine objective")
@@ -178,7 +172,7 @@ def _matcher(leaked_flat, kind, grad):
         np.subtract(u, v, out=w)
         # 0.5 ||u - v||^2 equals 1 - cos and is exactly zero on identical bundles
         value = 0.5 * float(np.dot(w_flat, w_flat))
-        _row_dots(u, w, uw3)
+        np.matmul(u_rows, w_cols, out=uw3)
         np.multiply(u, uw, out=grad)
         np.subtract(w, grad, out=grad)
         np.multiply(grad, inv, out=grad)
@@ -346,10 +340,11 @@ def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
     adjacency buffer, the normalization's forward parts and backward
     output, the smoothness gradients' buffers, the leak's flat rows
     (checked against the model) and cosine norms, the matcher's
-    temporaries, and views of the dummy's bundle rows and of the
-    co-vector. The model's trace is built by the first call and refilled
-    by every later one. On an attack whose only unknowns are features,
-    ``gz`` is the features' gradient itself, raveled.
+    temporaries and views, and the :class:`~glg.models.Stacks` of the
+    dummy's bundle rows and of the co-vector. The model's trace is built by
+    the first call and refilled by every later one. On an attack whose
+    only unknowns are features, ``gz`` is the features' gradient itself,
+    raveled.
     """
     opt_x = x_shape is not None
     nx = math.prod(x_shape) if opt_x else 0
@@ -363,7 +358,7 @@ def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
     dummy = bundle_views(params, dummy_flat)
     grad_flat = np.empty_like(leaked_flat)
     covec = bundle_views(params, grad_flat)
-    match = _matcher(leaked_flat, spec.objective, grad_flat)
+    match = _matcher(leaked_flat, spec.objective, dummy_flat, grad_flat)
     trace = None  # built on the first call, refilled by every later one
     mode = params.norm_mode
     node = params.task == "node"
@@ -381,8 +376,9 @@ def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
         # call time, so a wrapper swapped into this module's namespace sees
         # every call
         if n:
-            a.put(lower, z[nx:])
-            a.put(upper, z[nx:])
+            pairs = z[nx:]
+            a.put(lower, pairs)
+            a.put(upper, pairs)
             an = normalize_dense(a, mode, out=parts)
         if node:
             ctx = trace = node_ctx(params, x, an, targets, labels, out=trace)
@@ -390,7 +386,7 @@ def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
         else:
             ctx = trace = graph_ctx(params, x, an, labels, out=trace)
             graph_bundles(ctx, params, out=dummy)
-        value, vflat = match(dummy_flat)
+        value, vflat = match()
         if alpha:
             s_val, s_gx, s_ga = smoothness_grads(
                 x, a, wrt_features=update and opt_x,

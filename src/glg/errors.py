@@ -2,6 +2,8 @@
 
 import numbers
 
+import numpy as np
+
 
 class GlgError(Exception):
     """Base class for all package errors."""
@@ -69,6 +71,22 @@ def check_int(value, field, minimum):
         raise ConfigError(f"must be an integer, got {value!r}", field)
     if value < minimum:
         raise ConfigError(f"must be at least {minimum}, got {value}", field)
+
+
+def check_indices(values, what, size=None, of=""):
+    """``values`` as an int64 vector (itself if it is one) of indices in [0,
+    size), or [0, inf) without ``size``; non-integers, bools too, and
+    indices out of range raise :class:`ShapeError`."""
+    arr = np.atleast_1d(np.asarray(values))
+    if arr.ndim != 1 or arr.size and arr.dtype.kind not in "iu":
+        raise ShapeError(f"{what}s must be a vector of integers, got "
+                         f"{arr.dtype} of shape {arr.shape}")
+    # an unsigned index past int64's range turns negative here
+    arr = arr.astype(np.int64, copy=False)
+    if np.any(arr < 0) or size is not None and np.any(arr >= size):
+        raise ShapeError(f"{what} out of range "
+                         + ("(negative)" if size is None else f"for {size} {of}"))
+    return arr
 
 
 def check_real(value, field):

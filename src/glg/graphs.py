@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataFormatError, ShapeError
+from .errors import DataFormatError, ShapeError, check_indices
 from .numkit import as_matrix
 
 __all__ = [
@@ -59,11 +59,9 @@ class Graph:
         object.__setattr__(self, "adjacency", a)
         object.__setattr__(self, "features", x)
         if self.labels is not None:
-            y = np.asarray(self.labels, dtype=np.int64)
+            y = check_indices(self.labels, "label")
             if y.shape != (a.shape[0],):
                 raise ShapeError(f"labels shape {y.shape} for {a.shape[0]} nodes")
-            if np.any(y < 0):
-                raise ShapeError("labels must be non-negative class indices")
             object.__setattr__(self, "labels", y)
 
     @property
@@ -214,7 +212,7 @@ def synthetic_graph(rng, n, avg_degree, feature_dim, num_classes=None):
     return _attach_features(rng, a, feature_dim, num_classes)
 
 
-def dummy_tree(rng, d_tree, feature_dim, num_classes=None):
+def dummy_tree(rng, d_tree, feature_dim):
     """Two-level tree rooted at node 0: d_tree children, d_tree^2 grandchildren.
 
     Node features are Gaussian-initialized; used as the attacker's dummy graph.
@@ -228,7 +226,7 @@ def dummy_tree(rng, d_tree, feature_dim, num_classes=None):
         for k in range(d_tree):
             gc = 1 + d_tree + (c - 1) * d_tree + k
             a[c, gc] = a[gc, c] = 1.0
-    return _attach_features(rng, a, feature_dim, num_classes)
+    return _attach_features(rng, a, feature_dim, None)
 
 
 def khop_egonet(g, center, k):

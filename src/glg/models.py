@@ -28,30 +28,28 @@ the iterative gradient-matching attacks differentiate through.
 
 Array convention: an optional leading sample axis is supported everywhere;
 ``x`` may be (N, D) or (B, N, D), the normalized adjacency (N, N), or (B,
-N, N) for a graph batch. Each task's forward pass records a trace,
-allocated once and refilled in place by ``node_ctx(..., out=trace)`` /
-``graph_ctx(..., out=trace)``, so an attack builds one per run; the passes
-that read a trace compute in its scratch buffers and return fresh
-gradients. A trace keeps its labels' one-hot rows but no weights: every
-pass reads those from the model it is given. A :class:`NodeTrace` holds one
-(rows, width) buffer per intermediate, one row per target (every row of a
-shared graph, or one per graph of a batch), so every weight and co-vector
-product is one 2-D ``np.dot`` written into its buffer. A
-:class:`GraphTrace` keeps every per-node array of a batch in one (B*N,
-width) row buffer, with (B, N, width) views made once over those buffers as
-its public fields. At B = 1 each weight, co-vector and adjacency product is
-one 2-D ``np.dot`` on the rows; for B > 1 the products run per sample as
-``np.matmul`` on the views, so every sample keeps the bits it has alone.
+N, N) for a graph batch. Each task's forward pass records a trace, built
+once per attack and refilled in place by ``node_ctx(..., out=trace)`` /
+``graph_ctx(..., out=trace)``. A trace holds its buffers, its labels'
+one-hot rows and every view the passes multiply by, made when it is built
+(those of x and anorm when they are bound); the dummy bundle and the
+co-vector are :class:`Stacks`, made once too. So an attack iteration runs
+numpy calls only. A trace holds no weights: every pass reads them from the
+model on every call. A :class:`NodeTrace` holds one (rows, width) buffer per
+intermediate, one row per target, so each weight and shared co-vector
+product is one 2-D ``np.dot``. A :class:`GraphTrace` keeps a batch's
+per-node arrays in (B*N, width) row buffers: at B = 1 each product is one
+2-D ``np.dot`` on the rows, for B > 1 one ``np.matmul`` per sample on (B,
+N, width) views, so every sample keeps the bits it has alone.
 """
 
-import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
-from .errors import AmbiguousLabelError, ShapeError
+from .errors import AmbiguousLabelError, ShapeError, check_indices
 from .graphs import Graph, NormalizedAdjacency
 
 __all__ = [
@@ -202,13 +200,31 @@ def bundle_rows(params, bundles):
                      for b in bundles])
 
 
+class Stacks(dict):
+    """Per-tensor (S, *shape) stacks keyed by tensor name, and the forms
+    the passes read: ``shared`` (S = 1) and, then, ``entry``, each
+    tensor's one entry, and ``entry_t``, the 2-D ones' transposes."""
+
+    def __init__(self, stacks):
+        super().__init__(stacks)
+        self.shared = len(next(iter(self.values()))) == 1
+        self.entry = {k: s[0] for k, s in self.items()} if self.shared else {}
+        self.entry_t = {k: e.T for k, e in self.entry.items() if e.ndim == 2}
+
+
 def bundle_views(params, rows):
-    """Per-tensor (S, *shape) views of (S, P) rows laid out as
-    :func:`bundle_rows` lays them, in the model's order."""
+    """The :class:`Stacks` of (S, P) rows laid out as :func:`bundle_rows`
+    lays them, in the model's order: each stack a view into ``rows``."""
     names = params.param_names
     ends = np.cumsum([params.tensors[k].size for k in names])
-    return {k: part.reshape(rows.shape[:1] + params.tensors[k].shape)
-            for k, part in zip(names, np.split(rows, ends[:-1], axis=1))}
+    return Stacks({k: part.reshape(rows.shape[:1] + params.tensors[k].shape)
+                   for k, part in zip(names, np.split(rows, ends[:-1], axis=1))})
+
+
+def _new_stacks(params, count):
+    """The :class:`Stacks` of ``count`` new, unfilled bundle rows."""
+    return bundle_views(params, np.empty(
+        (count, sum(params.tensors[k].size for k in params.param_names))))
 
 
 def split_bundles(stacks):
@@ -253,29 +269,16 @@ def _ce_rows(logits, labels):
     return lse - z[np.arange(z.shape[0]), labels]
 
 
-def _indices(values, size, what, of):
-    """``values`` as an int64 vector of indices in ``[0, size)``, or
-    :class:`ShapeError`; non-integers are refused, not truncated, and an
-    int64 vector comes back as itself."""
-    arr = np.atleast_1d(np.asarray(values))
-    if arr.ndim != 1 or arr.size and arr.dtype.kind not in "iu":
-        raise ShapeError(f"{what}s must be a vector of integers, got "
-                         f"{arr.dtype} of shape {arr.shape}")
-    if np.any(arr < 0) or np.any(arr >= size):
-        raise ShapeError(f"{what} out of range for {size} {of}")
-    return arr.astype(np.int64, copy=False)
-
-
 def check_labels(labels, num_classes):
     """The one label rule, which both traces apply when they are built:
-    labels are integer class indices, by :func:`_indices`."""
-    return _indices(labels, num_classes, "label", "classes")
+    labels are integer class indices, by :func:`~glg.errors.check_indices`."""
+    return check_indices(labels, "label", num_classes, "classes")
 
 
 def check_targets(targets, n):
     """The one target rule, which a node trace applies when it is built:
-    targets are integer node indices into ``n`` nodes, by :func:`_indices`."""
-    return _indices(targets, n, "target", "nodes")
+    integer node indices into ``n`` nodes, by :func:`~glg.errors.check_indices`."""
+    return check_indices(targets, "target", n, "nodes")
 
 
 def onehot(labels, num_classes):
@@ -283,65 +286,6 @@ def onehot(labels, num_classes):
     of cross-entropy."""
     out = np.zeros((labels.shape[0], num_classes))
     out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
-def _copy_into(dst, src):
-    """``src`` itself when ``dst`` is None, else ``dst`` holding its values."""
-    if dst is None:
-        return src
-    np.copyto(dst, src)
-    return dst
-
-
-def _mean_product(a, b, n, dst):
-    """``a @ b / n`` as a stack of one, computed in ``dst`` when given.
-
-    ``a`` and ``b`` are 2-D, so ``np.dot`` runs the product without the
-    matmul gufunc's dispatch. At ``n = 1`` (a single sample) nothing is
-    divided: ``x / 1`` is exact, so the bits are those of the raw product.
-    """
-    if dst is None:
-        dst = np.empty((1, a.shape[0], b.shape[1]))
-    np.dot(a, b, out=dst[0])
-    if n > 1:
-        dst /= n
-    return dst
-
-
-def _mean_sum(a, n, dst):
-    """The column sums of ``a`` over ``n`` as a stack of one, in ``dst`` when given.
-
-    As in :func:`_mean_product`, nothing is divided at ``n = 1``.
-    """
-    if dst is None:
-        dst = np.empty((1, a.shape[1]))
-    np.add.reduce(a, axis=0, out=dst[0])
-    if n > 1:
-        dst /= n
-    return dst
-
-
-def _covec_rows(w, rows, out):
-    """``w[s] @ rows[s]`` for each sample s, written into ``out``, an (S, M)
-    array, and returned.
-
-    A shared co-vector ``w`` (a stack of one) is one 2-D product over all
-    the rows instead of S matrix-vector products; ``rows`` is 2-D, so it
-    goes to ``np.dot``. Per-sample stacks keep the batched ``@``.
-    """
-    if w.shape[0] == 1:
-        return np.dot(rows, w[0].T, out=out)
-    np.matmul(w, rows[:, :, None], out=out[:, :, None])
-    return out
-
-
-def _rows_covec(rows, w, out):
-    """``rows[s] @ w[s]`` for each sample s, written into ``out``; a shared
-    ``w`` as one 2-D product."""
-    if w.shape[0] == 1:
-        return np.dot(rows, w[0], out=out)
-    np.matmul(rows[:, None, :], w, out=out[:, None, :])
     return out
 
 
@@ -386,20 +330,31 @@ def _model_inputs(params, task, x, anorm):
     return x, np.asarray(anorm, dtype=np.float64)
 
 
-def _refill(ctx, x, anorm, *held):
-    """``ctx`` bound to new inputs under the refill rule of both traces:
-    float64 ``x`` and ``anorm`` of the shapes it was built for, converted by
-    nothing, and as ``held`` the very arrays it holds (``ctx._held``).
-    Anything else raises :class:`ShapeError`, shapes checked first."""
-    if (x.shape, anorm.shape) != ctx._shapes:
+def _refill(ctx, x, anorm, holds):
+    """``ctx`` bound to new inputs under both traces' refill rule: float64
+    ``x`` and ``anorm`` of the shapes it was built for, unconverted, and
+    ``holds``, the caller passed the very ``ctx._held`` arrays; otherwise
+    :class:`ShapeError`, shapes checked first."""
+    if x.shape != ctx._shapes[0] or anorm.shape != ctx._shapes[1]:
         raise ShapeError(f"trace holds features {ctx._shapes[0]} and "
                          f"adjacency {ctx._shapes[1]}, got {x.shape} and "
                          f"{anorm.shape}")
-    if not all(map(operator.is_, held, ctx._held.values())):
-        raise ShapeError(f"a trace is refilled for the "
-                         f"{' and '.join(ctx._held)} it holds")
+    if not holds:
+        raise ShapeError(f"a trace is refilled for the {ctx._held} it holds")
     ctx._bind(x, anorm)
     return ctx
+
+
+def _pre_activation(agg, h, w_agg, bias, w_self, product, out, tmp):
+    """Pre-activation of a convolution layer, in ``out``, from its
+    aggregated and own inputs; the self term, if any, goes to ``tmp``.
+    ``product`` is ``np.dot`` on 2-D rows, ``np.matmul`` on (B, N, width)
+    stacks."""
+    pre = product(agg, w_agg.T, out=out)
+    pre += bias
+    if w_self is not None:
+        pre += product(h, w_self.T, out=tmp)
+    return pre
 
 
 # ---------------------------------------------------------------------------
@@ -407,13 +362,13 @@ def _refill(ctx, x, anorm, *held):
 # ---------------------------------------------------------------------------
 
 # the row buffers of a node trace, one row per target: name -> "d" (feature
-# wide), "f" (hidden wide) or "k" (class wide). The forward record's buffers
-# back public fields; the matching pass's scratch is overwritten by the
-# next pass.
+# wide), "f" (hidden wide), "k" (class wide) or "n" (node wide). The forward
+# record's buffers back public fields; the matching pass's scratch is
+# overwritten by the next pass.
 _NODE_RECORD = {"mt": "d", "ht": "f", "st": "f", "u": "f", "g1": "f",
                 "logits": "k", "q": "k", "g2": "k"}
-_NODE_SCRATCH = {"g1bar": "f", "htbar": "f", "f1": "f", "g2bar": "k",
-                 "k1": "k", "mtbar": "d", "xtbar": "d", "d1": "d"}
+_NODE_SCRATCH = {"g1bar": "f", "htbar": "f", "f1": "f", "f2": "f",
+                 "g2bar": "k", "k1": "k", "mtbar": "d", "xtbar": "d", "d1": "d"}
 
 
 class NodeTrace:
@@ -431,13 +386,9 @@ class NodeTrace:
     into buffers. ``mt`` (at @ x), ``ht`` (hidden rows), ``st`` (sigma'
     there), ``logits``, ``q``, ``g2`` (softmax - onehot), ``u`` (g2 @
     out_weight) and ``g1`` (d loss / d pre-activation) are (rows, width)
-    buffers allocated here, once, as is the scratch of
-    :func:`node_matching_grad`; the passes read the weights from the model
-    on every call. ``node_ctx(..., out=trace)`` refills every buffer in
-    place. Only the gradients :func:`node_matching_grad` and
-    :func:`node_input_grads` return, and the bundles :func:`node_bundles`
-    returns without ``out`` (bar the per-sample bias stacks, ``g2`` and
-    ``g1``), are fresh arrays. Only :func:`forward_node` fills ``losses``.
+    buffers, made here with the scratch and each buffer's transpose,
+    (rows, width, 1) columns and (rows, 1, width) rows. Only
+    :func:`forward_node` fills ``losses``.
     """
 
     def __init__(self, params, x, anorm, targets, labels):
@@ -455,52 +406,47 @@ class NodeTrace:
         if labels.shape != (rows,):
             raise ShapeError(f"{labels.shape[0]} labels for {rows} targets")
         self.targets, self.labels = targets, labels
-        self._held = {"targets": targets, "labels": labels}
-        self._shapes = (x.shape, anorm.shape)
+        self._held, self._shapes = "targets and labels", (x.shape, anorm.shape)
+        self._batch = x.ndim == 3
         width = {"d": x.shape[-1], "f": params.hidden_dim,
-                 "k": params.num_classes}
-        for name, w in _NODE_RECORD.items():
-            setattr(self, name, np.empty((rows, width[w])))
-        self._scratch = SimpleNamespace(**{
-            name: np.empty((rows, width[w]))
-            for name, w in _NODE_SCRATCH.items()})
-        self._onehot = onehot(labels, params.num_classes)
+                 "k": params.num_classes, "n": n}
+        record = dict(_NODE_RECORD)
         if targets is not None:
+            record.update(at="n", xt="d")
             # the rows of x to gather: a batch's sample i reads row i of
             # each stack
             self._xi = targets if x.ndim == 2 else np.arange(rows) * n + targets
-            self.at = np.empty((rows, n))
-            self.xt = np.empty((rows, x.shape[-1]))
+            self._samples = np.arange(rows)
+        bufs = {name: np.empty((rows, width[w]))
+                for name, w in {**record, **_NODE_SCRATCH}.items()}
+        for name in record:
+            setattr(self, name, bufs[name])
+        self._scratch = SimpleNamespace(**{k: bufs[k] for k in _NODE_SCRATCH})
+        self._t = SimpleNamespace(**{k: b.T for k, b in bufs.items()})
+        self._col = SimpleNamespace(**{k: b[:, :, None] for k, b in bufs.items()})
+        self._row = SimpleNamespace(**{k: b[:, None, :] for k, b in bufs.items()})
+        self._onehot = onehot(labels, params.num_classes)
+        self.x = self.anorm = None
         self._bind(x, anorm)
 
     def _bind(self, x, anorm):
-        self.x, self.anorm, self.losses = x, anorm, None
-        if self.targets is None:
-            self.at, self.xt = anorm, x
-
-
-def _take_rows(arr, idx, out):
-    """Rows ``idx`` of ``arr`` read as one stack of rows, written into
-    ``out``; the indices are checked when the trace is built."""
-    if arr.ndim == 3:
-        arr = arr.reshape(-1, arr.shape[-1])
-    # the method skips np.take's Python wrapper; "clip" skips the buffered
-    # copy that "raise" makes of ``out``
-    return arr.take(idx, 0, out, "clip")
-
-
-def _pre_activation(t, layer, agg, h, product=np.dot, out=None, tmp=None):
-    """Pre-activation of a convolution layer from its aggregated and own inputs.
-
-    ``product`` multiplies the inputs by the transposed weights: ``np.dot``
-    on 2-D rows, ``np.matmul`` on a graph trace's (B, N, width) stacks. The
-    result is written into ``out`` and the self term into ``tmp`` when given.
-    """
-    pre = product(agg, t[layer + "_agg"].T, out=out)
-    pre += t[layer + "_bias"]
-    if layer + "_self" in t:
-        pre += product(h, t[layer + "_self"].T, out=tmp)
-    return pre
+        """Bind new inputs and make the views the passes read of each new
+        array; one bound already keeps its views."""
+        self.losses = None
+        if x is not self.x:
+            self.x = x
+            # what the targets' rows are gathered from, and x's transpose
+            if self._batch:
+                self._x_rows = x.reshape(-1, x.shape[-1])
+            else:
+                self._x_rows, self._t.x = x, x.T
+            if self.targets is None:
+                self.xt = x
+                self._col.xt, self._row.xt = x[:, :, None], x[:, None, :]
+        if anorm is not self.anorm:
+            self.anorm = anorm
+            if self.targets is None:
+                self.at, self._t.at = anorm, anorm.T
 
 
 def node_ctx(params, x, anorm, targets, labels, out=None):
@@ -516,22 +462,25 @@ def node_ctx(params, x, anorm, targets, labels, out=None):
     if out is None:
         ctx = NodeTrace(params, x, anorm, targets, labels)
     else:
-        ctx = _refill(out, x, anorm, targets, labels)
-    x, anorm = ctx.x, ctx.anorm
+        ctx = _refill(out, x, anorm,
+                      targets is out.targets and labels is out.labels)
     t = params.tensors
     s = ctx._scratch
 
     # the head reads the first layer at the targets only, so only those
     # rows are computed; every row stack is 2-D, so the products go to
-    # np.dot
+    # np.dot. The ``take`` method skips np.take's Python wrapper; "clip"
+    # skips the buffered copy that "raise" makes of ``out``, and the
+    # indices are checked when the trace is built.
     if ctx.targets is not None:
-        _take_rows(anorm, ctx.targets, ctx.at)
-        _take_rows(x, ctx._xi, ctx.xt)
-    if x.ndim == 3:  # one (1, N) @ (N, D) product per sample
-        np.matmul(ctx.at[:, None], x, out=ctx.mt[:, None])
+        ctx.anorm.take(ctx.targets, 0, ctx.at, "clip")
+        ctx._x_rows.take(ctx._xi, 0, ctx.xt, "clip")
+    if ctx._batch:  # one (1, N) @ (N, D) product per sample
+        np.matmul(ctx._row.at, ctx.x, out=ctx._row.mt)
     else:
-        np.dot(ctx.at, x, out=ctx.mt)
-    ht = _pre_activation(t, "conv1", ctx.mt, ctx.xt, out=ctx.ht, tmp=s.f1)
+        np.dot(ctx.at, ctx.x, out=ctx.mt)
+    ht = _pre_activation(ctx.mt, ctx.xt, t["conv1_agg"], t["conv1_bias"],
+                         t.get("conv1_self"), np.dot, ctx.ht, s.f1)
     _sigmoid(ht, out=ht, tmp=s.f1)
     np.subtract(1.0, ht, out=ctx.st)
     ctx.st *= ht
@@ -551,43 +500,37 @@ def node_bundles(ctx, params, per_sample=False, out=None):
     Each weight gradient is one matrix product summed over the targets, so
     no per-sample stack is built; one target is a batch of one, with
     nothing divided. ``per_sample`` gives one stack entry per target
-    instead (node2's per-node leak); its bias stacks are the trace's own
-    arrays unless ``out`` is given. ``out`` maps each tensor name to an
-    array of its stack's shape (an attack passes views into one flat row
-    buffer); every stack is then written there, the returned dict holds
-    those arrays, and the next call with the same ``out`` overwrites them.
+    instead (node2's per-node leak). The stacks go to ``out``, an
+    attack's :class:`Stacks`, or to new rows, and are returned.
     """
-    o = out or {}
+    rows = len(ctx.g1)
+    out = _new_stacks(params, rows if per_sample else 1) if out is None else out
     has_self = "conv1_self" in params.tensors
     if per_sample:
-        g1 = ctx.g1[:, :, None]
-        res = {
-            "out_weight": np.multiply(ctx.g2[:, :, None], ctx.ht[:, None, :],
-                                      out=o.get("out_weight")),
-            "out_bias": _copy_into(o.get("out_bias"), ctx.g2),
-            "conv1_agg": np.multiply(g1, ctx.mt[:, None, :],
-                                     out=o.get("conv1_agg")),
-            "conv1_bias": _copy_into(o.get("conv1_bias"), ctx.g1),
-        }
+        col, row = ctx._col, ctx._row
+        np.multiply(col.g2, row.ht, out=out["out_weight"])
+        np.copyto(out["out_bias"], ctx.g2)
+        np.multiply(col.g1, row.mt, out=out["conv1_agg"])
+        np.copyto(out["conv1_bias"], ctx.g1)
         if has_self:
-            res["conv1_self"] = np.multiply(g1, ctx.xt[:, None, :],
-                                            out=o.get("conv1_self"))
-        return res
-    b = ctx.g1.shape[0]
-    res = {
-        "out_weight": _mean_product(ctx.g2.T, ctx.ht, b, o.get("out_weight")),
-        "out_bias": _mean_sum(ctx.g2, b, o.get("out_bias")),
-        "conv1_agg": _mean_product(ctx.g1.T, ctx.mt, b, o.get("conv1_agg")),
-        "conv1_bias": _mean_sum(ctx.g1, b, o.get("conv1_bias")),
-    }
+            np.multiply(col.g1, row.xt, out=out["conv1_self"])
+        return out
+    e, tr = out.entry, ctx._t
+    np.dot(tr.g2, ctx.ht, out=e["out_weight"])
+    np.add.reduce(ctx.g2, axis=0, out=e["out_bias"])
+    np.dot(tr.g1, ctx.mt, out=e["conv1_agg"])
+    np.add.reduce(ctx.g1, axis=0, out=e["conv1_bias"])
     if has_self:
-        res["conv1_self"] = _mean_product(ctx.g1.T, ctx.xt, b,
-                                          o.get("conv1_self"))
-    return res
+        np.dot(tr.g1, ctx.xt, out=e["conv1_self"])
+    if rows > 1:
+        for stack in out.values():
+            stack /= rows
+    return out
 
 
-def _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency):
-    """Pull the adjoints of ``mt = at @ x`` and ``xt`` back to x and anorm.
+def _node_scatter(ctx, xtbar, want_features, want_adjacency):
+    """Pull the adjoints of ``mt = at @ x`` (scratch ``mtbar``) and ``xt``
+    back to x and anorm.
 
     ``xtbar`` is None for a model without a self weight or when the features
     are not wanted. A shared graph sums over the targets; a batch of graphs
@@ -595,31 +538,29 @@ def _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency):
     adjacency is wanted. An input not wanted comes back as None; the
     gradients are new arrays.
     """
+    mtbar = ctx._scratch.mtbar
     xbar = abar = None
-    if ctx.targets is None:  # every row is a target: no scatter
-        if want_features:
-            xbar = np.dot(ctx.anorm.T, mtbar)
-            if xtbar is not None:
-                xbar += xtbar
-        if want_adjacency:
-            abar = np.dot(mtbar, ctx.x.T)
-        return xbar, abar
-    if ctx.x.ndim == 3:
+    if ctx._batch:
         if want_adjacency:
             raise ShapeError("a batch of node graphs has no adjacency "
                              "gradient")
         if want_features:
-            xbar = ctx.at[:, :, None] * mtbar[:, None, :]
+            xbar = ctx._col.at * ctx._row.mtbar
             if xtbar is not None:
-                xbar[np.arange(ctx.x.shape[0]), ctx.targets] += xtbar
+                xbar[ctx._samples, ctx.targets] += xtbar
         return xbar, abar
+    # with every row a target (``targets`` None) nothing is scattered
     if want_features:
-        xbar = np.dot(ctx.at.T, mtbar)
-        if xtbar is not None:
+        xbar = np.dot(ctx._t.at, mtbar)
+        if xtbar is not None and ctx.targets is None:
+            xbar += xtbar
+        elif xtbar is not None:
             np.add.at(xbar, ctx.targets, xtbar)
-    if want_adjacency:
-        abar = np.zeros((ctx.x.shape[0], ctx.x.shape[0]))
-        np.add.at(abar, ctx.targets, np.dot(mtbar, ctx.x.T))
+    if want_adjacency and ctx.targets is None:
+        abar = np.dot(mtbar, ctx._t.x)
+    elif want_adjacency:
+        abar = np.zeros(ctx._shapes[1])
+        np.add.at(abar, ctx.targets, np.dot(mtbar, ctx._t.x))
     return xbar, abar
 
 
@@ -627,48 +568,67 @@ def node_input_grads(ctx, params):
     """First-order d loss / d features and d loss / d anorm, summed over samples."""
     t = params.tensors
     xtbar = ctx.g1 @ t["conv1_self"] if "conv1_self" in t else None
-    return _node_scatter(ctx, ctx.g1 @ t["conv1_agg"], xtbar, True, True)
+    np.matmul(ctx.g1, t["conv1_agg"], out=ctx._scratch.mtbar)
+    return _node_scatter(ctx, xtbar, True, True)
 
 
 def node_matching_grad(ctx, params, v, want_adjacency, want_features=True):
     """Gradient of sum_s <bundle_s, v_s> w.r.t. features and normalized adjacency.
 
     ``v`` holds one co-tensor per parameter, stacked along the sample axis
-    (a stack of one is shared by every sample). The return value follows
-    the ctx layout: a shared graph gives new (N, D) and (N, N) arrays
-    summed over samples, a batch of graphs the (B, N, D) features' stack
-    only (``want_adjacency`` raises :class:`ShapeError`); the trace's
-    scratch buffers hold the intermediates. A gradient not wanted is not
-    computed and comes back as None.
+    (a stack of one is shared by every sample), as :class:`Stacks` or a
+    dict of stacks. The return value follows the ctx layout: a shared
+    graph gives new (N, D) and (N, N) arrays summed over samples, a batch
+    of graphs the (B, N, D) features' stack only (``want_adjacency``
+    raises :class:`ShapeError`); the trace's scratch buffers hold the
+    intermediates. A gradient not wanted is not computed and comes back as
+    None.
     """
+    v = v if type(v) is Stacks else Stacks(v)
     t = params.tensors
     w_self = t.get("conv1_self")
-    s = ctx._scratch
+    s, col, row, ve, vt = ctx._scratch, ctx._col, ctx._row, v.entry, v.entry_t
+    xtbar = s.xtbar if want_features and w_self is not None else None
 
-    # contractions of each sample's rows with its co-tensors:
-    # (S, F, D) with (S, D) -> (S, F) and (S, F) with (S, F, D) -> (S, D)
-    g1bar = _covec_rows(v["conv1_agg"], ctx.mt, s.g1bar)
+    # each sample's rows with its co-tensors: one 2-D product over all the
+    # rows for a shared co-vector, else one batched product per sample
+    if v.shared:
+        np.dot(ctx.mt, vt["conv1_agg"], out=s.g1bar)
+        np.dot(ctx.g1, ve["conv1_agg"], out=s.mtbar)
+        np.dot(ctx.ht, vt["out_weight"], out=s.g2bar)
+        np.dot(ctx.g2, ve["out_weight"], out=s.f2)
+        if w_self is not None:
+            np.dot(ctx.xt, vt["conv1_self"], out=s.f1)
+        if xtbar is not None:
+            np.dot(ctx.g1, ve["conv1_self"], out=xtbar)
+    else:
+        np.matmul(v["conv1_agg"], col.mt, out=col.g1bar)
+        np.matmul(row.g1, v["conv1_agg"], out=row.mtbar)
+        np.matmul(v["out_weight"], col.ht, out=col.g2bar)
+        np.matmul(row.g2, v["out_weight"], out=row.f2)
+        if w_self is not None:
+            np.matmul(v["conv1_self"], col.xt, out=col.f1)
+        if xtbar is not None:
+            np.matmul(row.g1, v["conv1_self"], out=row.xtbar)
+
+    g1bar = s.g1bar
     g1bar += v["conv1_bias"]
     if w_self is not None:
-        g1bar += _covec_rows(v["conv1_self"], ctx.xt, s.f1)
-    mtbar = _rows_covec(ctx.g1, v["conv1_agg"], s.mtbar)
-
+        g1bar += s.f1
     ubar = np.multiply(g1bar, ctx.st, out=s.f1)
     stbar = np.multiply(g1bar, ctx.u, out=g1bar)  # g1bar is not read again
-    g2bar = _covec_rows(v["out_weight"], ctx.ht, s.g2bar)
+    g2bar = s.g2bar
     g2bar += v["out_bias"]
     g2bar += np.dot(ubar, t["out_weight"].T, out=s.k1)
     pbar = _softmax_adjoint(ctx.q, g2bar, out=g2bar)
     htbar = np.dot(pbar, t["out_weight"], out=s.htbar)
-    htbar += _rows_covec(ctx.g2, v["out_weight"], s.f1)
+    htbar += s.f2
     htbar += _times_one_minus_twice(stbar, ctx.ht, s.f1)
     ztbar = np.multiply(htbar, ctx.st, out=htbar)
-    mtbar += np.dot(ztbar, t["conv1_agg"], out=s.d1)
-    xtbar = None
-    if want_features and w_self is not None:
-        xtbar = _rows_covec(ctx.g1, v["conv1_self"], s.xtbar)
+    s.mtbar += np.dot(ztbar, t["conv1_agg"], out=s.d1)
+    if xtbar is not None:
         xtbar += np.dot(ztbar, w_self, out=s.d1)
-    return _node_scatter(ctx, mtbar, xtbar, want_features, want_adjacency)
+    return _node_scatter(ctx, xtbar, want_features, want_adjacency)
 
 
 def forward_node(params, g, anorm, target, label):
@@ -716,14 +676,10 @@ class GraphTrace:
     mlp_weight), ``g2w`` (g2 @ conv2_agg), ``u1``, ``g1`` and ``g2`` are
     (B, N, width) views over those buffers and ``flat`` the (B, N*F) view
     of ``hidden2``; ``logits``, ``q`` and ``gp`` (softmax - onehot) are
-    (B, K) buffers. ``x`` is the (B, N, D) view of the features and
-    ``anorm`` the normalized adjacency as given. ``graph_ctx(...,
-    out=trace)`` refills all of these in place, and the passes use the
-    remaining buffers as scratch; only the gradients
-    :func:`graph_matching_grad` and :func:`graph_input_grads` return, and
-    the bundles :func:`graph_bundles` returns without ``out``, are fresh
-    arrays. Only :func:`forward_graph` fills ``losses``; the attack loop
-    never reads them.
+    (B, K) buffers, made here with the transposes the passes multiply by
+    and the scratch. ``x`` is the (B, N, D) view of the features and
+    ``anorm`` the normalized adjacency as given. Only :func:`forward_graph`
+    fills ``losses``.
 
     The passes compute on the row buffers themselves at B = 1, where every
     product is a 2-D ``np.dot``. For B > 1 they compute on the (B, N, width)
@@ -743,45 +699,60 @@ class GraphTrace:
         labels = check_labels(labels, params.num_classes)
         if labels.shape != (b,):
             raise ShapeError(f"{labels.shape[0]} labels for {b} graphs")
-        self.labels, self._held = labels, {"labels": labels}
+        self.labels, self._held = labels, "labels"
         self._shapes = (x.shape, anorm.shape)
         k = params.num_classes
         width = {"d": d, "f": params.hidden_dim, "n": n}
         self._rows = SimpleNamespace(**{
             name: np.empty((b * n, width[w]))
             for name, w in {**_GRAPH_RECORD, **_GRAPH_SCRATCH}.items()})
-        stacks = SimpleNamespace(**{name: rows.reshape(b, n, -1)
-                                    for name, rows in vars(self._rows).items()})
+        self._stacks = SimpleNamespace(**{
+            name: rows.reshape(b, n, -1)
+            for name, rows in vars(self._rows).items()})
         for name in _GRAPH_RECORD:
-            setattr(self, name, getattr(stacks, name))
+            setattr(self, name, getattr(self._stacks, name))
         # what the passes compute on: the rows at B = 1, else the stacks
-        self._work = self._rows if b == 1 else stacks
+        self._work = self._rows if b == 1 else self._stacks
         self._mm = np.dot if b == 1 else np.matmul
         self.flat = self._rows.hidden2.reshape(b, -1)
         self._hbar_flat = self._rows.hbar.reshape(b, -1)
         self._f1_flat = self._rows.f1.reshape(b, -1)
         self._h2bar_flat = self._rows.h2bar.reshape(b, -1)
-        self.logits = np.empty((b, k))
-        self.q = np.empty((b, k))
-        self.gp = np.empty((b, k))
+        self.logits, self.q, self.gp = np.empty((3, b, k))
         self._onehot = onehot(labels, k)
+        # the transposes of the rows the bundles read and of the work forms
+        self._rows_t = SimpleNamespace(gp=self.gp.T, g1=self._rows.g1.T,
+                                       g2=self._rows.g2.T)
+        self._work_t = SimpleNamespace(
+            hidden1=self._work.hidden1.swapaxes(-1, -2),
+            u1bar=self._work.u1bar.swapaxes(-1, -2))
+        # the (B, N, width) and work shapes of the inputs and new gradients
+        work = (n,) if b == 1 else (b, n)
+        self._x3 = (b, n, d)
+        self._a_work = (n, n) if b == 1 else anorm.shape
+        self._new = {"x": (self._x3, work + (d,)), "a": ((b, n, n), work + (n,))}
+        self._x_given = self.anorm = None
         self._bind(x, anorm)
 
     def _bind(self, x, anorm):
-        self.x = x[None] if x.ndim == 2 else x
-        self.anorm, self.losses = anorm, None
-        w = self._work
-        if self._mm is np.dot:  # B = 1: the passes read 2-D rows
-            w.x, w.a = self.x[0], (anorm[0] if anorm.ndim == 3 else anorm)
-        else:
+        """As :meth:`NodeTrace._bind`."""
+        self.losses = None
+        if x is not self._x_given:
+            self._x_given = x
+            self._stacks.x = self.x = x.reshape(self._x3)
             self._rows.x = x.reshape(-1, x.shape[-1])
-            w.x, w.a = x, anorm
-        w.at = w.a.swapaxes(-1, -2)
+            self._work_t.x = self._work.x.swapaxes(-1, -2)
+        if anorm is not self.anorm:
+            self.anorm = anorm
+            self._work.a = anorm.reshape(self._a_work)
+            self._work_t.a = self._work.a.swapaxes(-1, -2)
 
-    def _fresh(self, width):
-        """A new (B, N, width) array and the form of it the passes write."""
-        out = np.empty(self.x.shape[:2] + (width,))
-        return out, (out[0] if out.shape[0] == 1 else out)
+    def _fresh(self, kind):
+        """A new (B, N, width) gradient of the features (``kind`` "x") or
+        the adjacency ("a"), and the form of it the passes write."""
+        shape, work = self._new[kind]
+        out = np.empty(shape)
+        return out, out.reshape(work)
 
 
 def graph_ctx(params, x, anorm, labels, out=None):
@@ -794,19 +765,21 @@ def graph_ctx(params, x, anorm, labels, out=None):
     if out is None:
         ctx = GraphTrace(params, x, anorm, labels)
     else:
-        ctx = _refill(out, x, anorm, labels)
+        ctx = _refill(out, x, anorm, labels is out.labels)
     t = params.tensors
     w = ctx._work
     mm = ctx._mm
 
     mm(w.a, w.x, out=w.agg1)
-    h1 = _pre_activation(t, "conv1", w.agg1, w.x, mm, w.hidden1, w.f1)
+    h1 = _pre_activation(w.agg1, w.x, t["conv1_agg"], t["conv1_bias"],
+                         t.get("conv1_self"), mm, w.hidden1, w.f1)
     _sigmoid(h1, out=h1, tmp=w.f1)
     np.subtract(1.0, h1, out=w.sig1)
     w.sig1 *= h1
 
     mm(w.a, h1, out=w.agg2)
-    h2 = _pre_activation(t, "conv2", w.agg2, h1, mm, w.hidden2, w.f1)
+    h2 = _pre_activation(w.agg2, h1, t["conv2_agg"], t["conv2_bias"],
+                         t.get("conv2_self"), mm, w.hidden2, w.f1)
     _sigmoid(h2, out=h2, tmp=w.f1)
     np.subtract(1.0, h2, out=w.sig2)
     w.sig2 *= h2
@@ -819,7 +792,7 @@ def graph_ctx(params, x, anorm, labels, out=None):
     np.dot(ctx.gp, t["mlp_weight"], out=ctx._hbar_flat)
     np.multiply(w.hbar, w.sig2, out=w.g2)
     mm(w.g2, t["conv2_agg"], out=w.g2w)
-    mm(w.at, w.g2w, out=w.u1)
+    mm(ctx._work_t.a, w.g2w, out=w.u1)
     if "conv2_self" in t:
         w.u1 += mm(w.g2, t["conv2_self"], out=w.f1)
     np.multiply(w.u1, w.sig1, out=w.g1)
@@ -833,38 +806,38 @@ def graph_bundles(ctx, params, out=None):
     product over the trace's (B*N)-row buffers, summed over every sample's
     nodes. ``out`` works as in :func:`node_bundles`.
     """
-    o = out or {}
-    b = ctx.x.shape[0]
-    r = ctx._rows
-    res = {
-        "mlp_weight": _mean_product(ctx.gp.T, ctx.flat, b, o.get("mlp_weight")),
-        "mlp_bias": _mean_sum(ctx.gp, b, o.get("mlp_bias")),
-        "conv2_agg": _mean_product(r.g2.T, r.agg2, b, o.get("conv2_agg")),
-        "conv2_bias": _mean_sum(r.g2, b, o.get("conv2_bias")),
-        "conv1_agg": _mean_product(r.g1.T, r.agg1, b, o.get("conv1_agg")),
-        "conv1_bias": _mean_sum(r.g1, b, o.get("conv1_bias")),
-    }
+    out = _new_stacks(params, 1) if out is None else out
+    e, r, rt = out.entry, ctx._rows, ctx._rows_t
+    np.dot(rt.gp, ctx.flat, out=e["mlp_weight"])
+    np.add.reduce(ctx.gp, axis=0, out=e["mlp_bias"])
+    np.dot(rt.g2, r.agg2, out=e["conv2_agg"])
+    np.add.reduce(r.g2, axis=0, out=e["conv2_bias"])
+    np.dot(rt.g1, r.agg1, out=e["conv1_agg"])
+    np.add.reduce(r.g1, axis=0, out=e["conv1_bias"])
     if "conv2_self" in params.tensors:
-        res["conv2_self"] = _mean_product(r.g2.T, r.hidden1, b,
-                                          o.get("conv2_self"))
+        np.dot(rt.g2, r.hidden1, out=e["conv2_self"])
     if "conv1_self" in params.tensors:
-        res["conv1_self"] = _mean_product(r.g1.T, r.x, b, o.get("conv1_self"))
-    return res
+        np.dot(rt.g1, r.x, out=e["conv1_self"])
+    b = len(ctx.gp)
+    if b > 1:
+        for stack in out.values():
+            stack /= b
+    return out
 
 
 def graph_input_grads(ctx, params):
     """First-order d loss / d features and d loss / d anorm, per sample."""
     t = params.tensors
-    w = ctx._work
+    w, wt = ctx._work, ctx._work_t
     mm = ctx._mm
     m1bar = mm(w.g1, t["conv1_agg"])
-    xbar, xbar_w = ctx._fresh(ctx.x.shape[2])
-    mm(w.at, m1bar, out=xbar_w)
+    xbar, xbar_w = ctx._fresh("x")
+    mm(wt.a, m1bar, out=xbar_w)
     if "conv1_self" in t:
         xbar_w += mm(w.g1, t["conv1_self"])
-    abar, abar_w = ctx._fresh(ctx.x.shape[1])
-    mm(w.g2w, w.hidden1.swapaxes(-1, -2), out=abar_w)
-    abar_w += mm(m1bar, w.x.swapaxes(-1, -2))
+    abar, abar_w = ctx._fresh("a")
+    mm(w.g2w, wt.hidden1, out=abar_w)
+    abar_w += mm(m1bar, wt.x)
     return xbar, abar
 
 
@@ -873,13 +846,14 @@ def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
 
     A graph leak is one bundle, the batch mean, so one co-vector ``v`` is
     shared by every sample: each tensor's co-vector is a stack of one (the
-    attacks pass the mean's co-vector scaled by 1/B); a stack of more
-    entries raises :class:`ShapeError`. The gradients come back as new
-    (B, N, D) and (B, N, N) arrays; the trace's scratch buffers hold the
-    intermediates. A gradient not wanted is not computed and comes back as
-    None.
+    attacks pass the mean's co-vector scaled by 1/B), best as the
+    :class:`Stacks` an attack makes once; a stack of more entries raises
+    :class:`ShapeError`. The gradients come back as new (B, N, D) and (B,
+    N, N) arrays; the trace's scratch buffers hold the intermediates. A
+    gradient not wanted is not computed and comes back as None.
     """
-    if len(v["mlp_bias"]) != 1:
+    v = v if type(v) is Stacks else Stacks(v)
+    if not v.shared:
         raise ShapeError(f"a graph co-vector is a stack of one, got "
                          f"{len(v['mlp_bias'])}")
     t = params.tensors
@@ -888,71 +862,67 @@ def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
     w2a = t["conv2_agg"]
     w2s = t.get("conv2_self")
     wm = t["mlp_weight"]
-    w = ctx._work
+    w, wt = ctx._work, ctx._work_t
     mm = ctx._mm
-    v1a = v["conv1_agg"][0]
-    v2a = v["conv2_agg"][0]
-    vm = v["mlp_weight"][0]
+    ve, vt = v.entry, v.entry_t
 
     # adjoints of the first-layer backward outputs
-    g1bar = mm(w.agg1, v1a.T, out=w.g1bar)
-    g1bar += v["conv1_bias"][0]
+    g1bar = mm(w.agg1, vt["conv1_agg"], out=w.g1bar)
+    g1bar += ve["conv1_bias"]
     if w1s is not None:
-        v1s = v["conv1_self"][0]
-        g1bar += mm(w.x, v1s.T, out=w.f1)
-    m1bar = mm(w.g1, v1a, out=w.m1bar)
+        g1bar += mm(w.x, vt["conv1_self"], out=w.f1)
+    m1bar = mm(w.g1, ve["conv1_agg"], out=w.m1bar)
 
     u1bar = np.multiply(g1bar, w.sig1, out=w.u1bar)
     s1bar = np.multiply(g1bar, w.u1, out=g1bar)  # g1bar is not read again
     g2bar = mm(mm(w.a, u1bar, out=w.f1), w2a.T, out=w.g2bar)
     abar = None
     if want_adjacency:
-        abar, abar_w = ctx._fresh(ctx.x.shape[1])
-        mm(w.g2w, u1bar.swapaxes(-1, -2), out=abar_w)
+        abar, abar_w = ctx._fresh("a")
+        mm(w.g2w, wt.u1bar, out=abar_w)
     if w2s is not None:
         g2bar += mm(u1bar, w2s.T, out=w.f1)
 
     # adjoints of the second-layer gradient outputs
-    p2 = mm(w.agg2, v2a.T, out=w.f1)
-    p2 += v["conv2_bias"][0]
+    p2 = mm(w.agg2, vt["conv2_agg"], out=w.f1)
+    p2 += ve["conv2_bias"]
     g2bar += p2
-    m2bar = mm(w.g2, v2a, out=w.m2bar)
+    m2bar = mm(w.g2, ve["conv2_agg"], out=w.m2bar)
     if w2s is not None:
-        v2s = v["conv2_self"][0]
-        g2bar += mm(w.hidden1, v2s.T, out=w.f1)
+        g2bar += mm(w.hidden1, vt["conv2_self"], out=w.f1)
 
     # adjoints of the readout gradient outputs
-    gpbar = np.dot(ctx.flat, vm.T) + v["mlp_bias"][0]
+    gpbar = np.dot(ctx.flat, vt["mlp_weight"]) + ve["mlp_bias"]
     np.multiply(g2bar, w.sig2, out=w.f1)
     gpbar += np.dot(ctx._f1_flat, wm.T)
     s2bar = np.multiply(g2bar, w.hbar, out=g2bar)  # g2bar is not read again
 
     np.dot(_softmax_adjoint(ctx.q, gpbar), wm, out=ctx._h2bar_flat)
-    ctx._h2bar_flat += np.dot(ctx.gp, vm)
+    ctx._h2bar_flat += np.dot(ctx.gp, ve["mlp_weight"])
     h2bar = w.h2bar
     h2bar += _times_one_minus_twice(s2bar, w.hidden2, w.f1)
     z2bar = np.multiply(h2bar, w.sig2, out=h2bar)
 
     m2bar += mm(z2bar, w2a, out=w.f1)
     if want_adjacency:
-        abar_w += mm(m2bar, w.hidden1.swapaxes(-1, -2), out=w.nn)
-    h1bar = mm(w.at, m2bar, out=w.h1bar)
+        abar_w += mm(m2bar, wt.hidden1, out=w.nn)
+    h1bar = mm(wt.a, m2bar, out=w.h1bar)
     h1bar += _times_one_minus_twice(s1bar, w.hidden1, w.f1)
     if w2s is not None:
-        p1 = mm(w.g2, v2s, out=w.f1)
+        p1 = mm(w.g2, ve["conv2_self"], out=w.f1)
         p1 += mm(z2bar, w2s, out=w.f2)
         h1bar += p1
     z1bar = np.multiply(h1bar, w.sig1, out=h1bar)
 
     m1bar += mm(z1bar, w1a, out=w.d1)
     if want_adjacency:
-        abar_w += mm(m1bar, w.x.swapaxes(-1, -2), out=w.nn)
+        abar_w += mm(m1bar, wt.x, out=w.nn)
     xbar = None
     if want_features:
-        xbar, xbar_w = ctx._fresh(ctx.x.shape[2])
-        mm(w.at, m1bar, out=xbar_w)
+        xbar, xbar_w = ctx._fresh("x")
+        mm(wt.a, m1bar, out=xbar_w)
         if w1s is not None:
-            p0 = mm(w.g1, v1s, out=w.d1)
+            p0 = mm(w.g1, ve["conv1_self"], out=w.d1)
             p0 += mm(z1bar, w1s, out=w.d2)
             xbar_w += p0
     return xbar, abar

@@ -34,7 +34,7 @@ def match(kind, leaked, dummy):
     def row(b):
         return np.concatenate([b.tensors[k].ravel() for k in b.param_names])[None]
     grad = np.empty_like(row(leaked))
-    return attacks._matcher(row(leaked), kind, grad)(row(dummy))[0]
+    return attacks._matcher(row(leaked), kind, row(dummy), grad)()[0]
 
 
 class TestObjectives:
@@ -125,12 +125,13 @@ class TestMatcherOperands:
     def test_equals_the_reference(self, kind, rows):
         r = numkit.make_rng(17)
         leaked = r.standard_normal((rows, 57))
-        grad = np.empty_like(leaked)
-        match = attacks._matcher(leaked, kind, grad)
+        dummy, grad = np.empty((2,) + leaked.shape)
+        match = attacks._matcher(leaked, kind, dummy, grad)
         want = reference_matcher(leaked, kind)
         for scale in (1.0, 1e-3, 1e5):
-            dummy = scale * r.standard_normal((rows, 57))
-            value, got = match(dummy)
+            # the matcher reads the buffer it was built with
+            np.multiply(scale, r.standard_normal((rows, 57)), out=dummy)
+            value, got = match()
             want_value, want_grad = want(dummy)
             assert value == want_value
             assert got is grad and np.array_equal(got, want_grad)
@@ -144,12 +145,13 @@ class TestMatcherOperands:
     def test_zero_dummy_row_among_several_raises(self, zero_row):
         r = numkit.make_rng(18)
         leaked = r.standard_normal((3, 9))
-        match = attacks._matcher(leaked, "cosine", np.empty_like(leaked))
         dummy = r.standard_normal((3, 9))
-        match(dummy)
+        match = attacks._matcher(leaked, "cosine", dummy,
+                                 np.empty_like(leaked))
+        match()
         dummy[zero_row] = 0.0
         with pytest.raises(DegenerateGradientError, match="dummy"):
-            match(dummy)
+            match()
 
 
 def pairwise_smoothness(x, a):

@@ -38,6 +38,24 @@ class TestGraphType:
             graphs.Graph(adjacency=np.array([[0.0, 0.5], [0.5, 0.0]]),
                          features=np.zeros((2, 1)))
 
+    # a label is a class index under the rule the model traces apply:
+    # fractions and bools are refused, not truncated to 1 and 0
+    @pytest.mark.parametrize("labels", [[1.5, 0.9], [True, False]],
+                             ids=["fraction", "bool"])
+    def test_rejects_non_integer_labels(self, labels):
+        with pytest.raises(ShapeError, match="labels must be a vector of "
+                                             "integers"):
+            graphs.Graph(adjacency=np.zeros((2, 2)), features=np.zeros((2, 1)),
+                         labels=labels)
+
+    @pytest.mark.parametrize("labels", [[0, -1],
+                                        np.array([2**63, 0], dtype=np.uint64)],
+                             ids=["negative", "past-int64"])
+    def test_rejects_negative_labels(self, labels):
+        with pytest.raises(ShapeError, match="label out of range"):
+            graphs.Graph(adjacency=np.zeros((2, 2)), features=np.zeros((2, 1)),
+                         labels=labels)
+
 
 class TestNormalization:
     def test_two_node_path_gcn(self):

@@ -774,6 +774,178 @@ class TestNodeTraceReuse:
             models.node_ctx(params, x, anorm, targets, labels)
 
 
+def node_pass_inputs(r, params, layout, count):
+    """``count`` node inputs of one layout: new features and adjacency
+    arrays, with the layout's targets and labels."""
+    first = node_inputs(r, params, layout)
+    return [first[:2]] + [node_inputs(r, params, layout)[:2]
+                          for _ in range(count - 1)], first[2:]
+
+
+def graph_pass_inputs(r, params, layout, count):
+    """``count`` graph inputs of one layout, as :func:`node_pass_inputs`:
+    one graph with (N, D) features and an (N, N) adjacency, one with a
+    (1, N, N) stack, or three graphs."""
+    batch, stack = {"one": (1, False), "one-stack": (1, True),
+                    "three": (3, True)}[layout]
+    inputs = [graph_inputs(r, params, batch, stack) for _ in range(count)]
+    pairs = [(x[0] if layout == "one" else x, anorm) for x, anorm, _ in inputs]
+    return pairs, (inputs[0][2],)
+
+
+def views_made_once(r, params, ctx_pass, bundle_pass, grad_pass, inputs,
+                    held, want_adjacency):
+    """Run the passes as an attack does, on one trace refilled in place and
+    on the dummy's and the co-vector's :class:`models.Stacks`, each made
+    once over a flat row buffer; at every step, compare them with the
+    passes on a fresh trace and fresh ``bundle_views`` stacks."""
+    trace = ctx_pass(params, *inputs[0], *held)
+    rows = len(next(iter(bundle_pass(trace, params).values())))
+    width = sum(params.tensors[k].size for k in params.param_names)
+    dummy_flat, covec_flat = np.empty((2, rows, width))
+    dummy = models.bundle_views(params, dummy_flat)
+    covec = models.bundle_views(params, covec_flat)
+    held = tuple(getattr(trace, k) for k in ("targets", "labels")
+                 if hasattr(trace, k))
+    for x, anorm in inputs:
+        assert ctx_pass(params, x, anorm, *held, out=trace) is trace
+        assert bundle_pass(trace, params, out=dummy) is dummy
+        covec_flat[...] = r.standard_normal(covec_flat.shape)
+        got = grad_pass(trace, params, covec, want_adjacency)
+
+        fresh = ctx_pass(params, x.copy(), anorm.copy(), *held)
+        want = bundle_pass(fresh, params, out=models.bundle_views(
+            params, np.empty_like(dummy_flat)))
+        for k in want:
+            assert np.array_equal(dummy[k], want[k]), k
+        for got_arr, want_arr in zip(got, grad_pass(
+                fresh, params, models.bundle_views(params, covec_flat.copy()),
+                want_adjacency)):
+            assert (got_arr is None) == (want_arr is None)
+            if want_arr is not None:
+                assert np.array_equal(got_arr, want_arr)
+
+
+class TestViewsMadeOnce:
+    """The views an attack makes once (the trace's views of its buffers and
+    inputs, the dummy's and the co-vector's stacks) give, over refills, the
+    bits of the passes on views made afresh."""
+
+    @pytest.mark.parametrize("covector", ["shared", "per-sample"])
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @NODE_LAYOUTS
+    def test_node(self, layout, framework, covector):
+        r = numkit.make_rng(110)
+        params = models.init_params(r, framework, "node", 4, 5, 3)
+        inputs, held = node_pass_inputs(r, params, layout, 3)
+        views_made_once(
+            r, params, models.node_ctx,
+            functools.partial(models.node_bundles,
+                              per_sample=covector == "per-sample"),
+            models.node_matching_grad, inputs, held, layout != "batch")
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @pytest.mark.parametrize("layout", ["one", "one-stack", "three"])
+    def test_graph(self, layout, framework):
+        r = numkit.make_rng(111)
+        params = models.init_params(r, framework, "graph", 4, 5, 3, num_nodes=6)
+        inputs, held = graph_pass_inputs(r, params, layout, 3)
+        views_made_once(r, params, models.graph_ctx, models.graph_bundles,
+                        models.graph_matching_grad, inputs, held, True)
+
+    @pytest.mark.parametrize("task", ["node", "graph"])
+    def test_refill_reads_new_inputs(self, task):
+        """After the trace's views are made, a refill reads new arrays and
+        new values written into the arrays it holds (an attack's
+        normalization refills one buffer), then the first arrays again."""
+        r = numkit.make_rng(112)
+        if task == "node":
+            params = models.init_params(r, "sage", "node", 4, 5, 3)
+            (first, second), held = node_pass_inputs(r, params, "every-row", 2)
+            ctx_pass, grad_pass = models.node_ctx, models.node_matching_grad
+            fields = NODE_TRACE_FIELDS
+        else:
+            params = models.init_params(r, "sage", "graph", 4, 5, 3,
+                                        num_nodes=6)
+            (first, second), held = graph_pass_inputs(r, params, "one", 2)
+            ctx_pass, grad_pass = models.graph_ctx, models.graph_matching_grad
+            fields = GRAPH_TRACE_FIELDS
+        trace = ctx_pass(params, *first, *held)
+        held = (trace.labels,) if task == "graph" else (trace.targets,
+                                                        trace.labels)
+        v = random_covectors(r, {k: t[None] for k, t in params.tensors.items()})
+        x, anorm = (arr.copy() for arr in first)
+        steps = [second, (x, anorm), (x, anorm), first]
+        for i, (x_i, anorm_i) in enumerate(steps):
+            if i == 2:  # new values in the arrays the trace holds
+                x += r.standard_normal(x.shape)
+                anorm *= 0.5
+            ctx_pass(params, x_i, anorm_i, *held, out=trace)
+            fresh = ctx_pass(params, x_i.copy(), anorm_i.copy(), *held)
+            for name in fields:
+                got, want = getattr(trace, name), getattr(fresh, name)
+                if want is not None and name not in ("targets", "labels"):
+                    assert np.array_equal(got, want), (i, name)
+            for got_arr, want_arr in zip(grad_pass(trace, params, v, True),
+                                         grad_pass(fresh, params, v, True)):
+                assert np.array_equal(got_arr, want_arr), i
+
+
+ROP_STEPS = (1e-4, 1e-5)
+
+
+def r_operator_case(task, framework):
+    """A model at the bench's sizes, the context pass that records its
+    trace on fixed inputs, and its input-gradient and bundle passes: a
+    d_tree = 10 dummy tree (111 nodes) with target 0 for the node task, an
+    8-node graph for the graph task."""
+    r = numkit.make_rng(120)
+    if task == "node":
+        params = models.init_params(r, framework, "node", 10, 100, 4)
+        tree = graphs.dummy_tree(r, 10, 10)
+        anorm = graphs.normalize_dense(tree.adjacency, params.norm_mode)
+        return (params, lambda p: models.node_ctx(p, tree.features, anorm,
+                                                  [0], [2]),
+                models.node_input_grads, models.node_bundles,
+                models.node_matching_grad)
+    params = models.init_params(r, framework, "graph", 16, 20, 3, num_nodes=8)
+    g = graphs.er_graph(r, 8, 0.4, 16)
+    anorm = graphs.normalize_dense(g.adjacency, params.norm_mode)
+    return (params, lambda p: models.graph_ctx(p, g.features, anorm, [1]),
+            models.graph_input_grads, models.graph_bundles,
+            models.graph_matching_grad)
+
+
+class TestROperator:
+    """The matching passes against a second derivation, at the bench's
+    sizes. A bundle is b(x) = grad_theta L(theta, x), and a matching pass
+    returns J^T v with J = db/dx. Mixed partials commute, so J^T v =
+    d/de grad_x L(theta + e v, x) at e = 0 (Pearlmutter's R-operator): a
+    central difference of the first-order input-gradient passes along v,
+    whose error falls 100x per 10x step in e."""
+
+    @pytest.mark.parametrize("wrt", [0, 1], ids=["features", "adjacency"])
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    @pytest.mark.parametrize("task", ["node", "graph"])
+    def test_matching_grad_is_the_r_operator(self, task, framework, wrt):
+        params, ctx, input_grads, bundles, matching_grad = r_operator_case(
+            task, framework)
+        trace = ctx(params)
+        v = random_covectors(numkit.make_rng(121), bundles(trace, params))
+        want = matching_grad(trace, params, v, True)[wrt]
+
+        def moved(e):
+            p = params.copy()
+            for k, c in v.items():
+                p.tensors[k] = p.tensors[k] + e * c[0]
+            return input_grads(ctx(p), p)[wrt]
+
+        errors = [np.abs((moved(e) - moved(-e)) / (2 * e) - want).max()
+                  / np.abs(want).max() for e in ROP_STEPS]
+        assert errors[1] < 1e-7
+        assert 50 <= errors[0] / errors[1] <= 200, errors
+
+
 class TestTraceContract:
     """Each trace checks the model's task when it is built, and the label
     and target rules refuse what is not an integer index vector."""
@@ -825,30 +997,30 @@ class TestSharedCovector:
 
     @pytest.mark.parametrize("shape", [(100, 10), (20, 16), (100, 100)])
     def test_contractions_at_one_sample_are_exact(self, shape):
+        # one target of a node model whose first layer's weights are
+        # ``shape``: the mean bundle of one target is its per-sample bundle,
+        # and the 2-D products of a shared co-vector give the bits of the
+        # batched ones
+        f, d = shape
         r = numkit.make_rng(84)
-        w = r.standard_normal((1,) + shape)
-        cols = r.standard_normal((1, shape[1]))
-        rows = r.standard_normal((1, shape[0]))
-        assert np.array_equal(
-            models._covec_rows(w, cols, np.empty((1, shape[0]))),
-            (w @ cols[:, :, None])[:, :, 0])
-        assert np.array_equal(
-            models._rows_covec(rows, w, np.empty((1, shape[1]))),
-            (rows[:, None, :] @ w)[:, 0])
-        # a general product, an outer product and a product with its own
-        # transpose
-        for a, b in ((w[0].T, r.standard_normal(shape)), (cols.T, rows),
-                     (w[0], w[0].T)):
-            assert np.array_equal(models._mean_product(a, b, 1, None),
-                                  (a @ b)[None])
-        assert np.array_equal(models._mean_sum(w[0], 1, None),
-                              w[0].sum(axis=0, keepdims=True))
+        g = graphs.er_graph(r, 8, 0.4, d, num_classes=4)
+        for framework in ("gcn", "sage"):
+            params = models.init_params(r, framework, "node", d, f, 4)
+            anorm = graphs.normalize_adjacency(g, params.norm_mode).matrix
+            ctx = models.node_ctx(params, g.features, anorm, [3],
+                                  g.labels[[3]])
+            mean = models.node_bundles(ctx, params)
+            each = models.node_bundles(ctx, params, per_sample=True)
+            for k in mean:
+                assert np.array_equal(mean[k], each[k]), k
+            self.check_one_sample(models.node_matching_grad, ctx, params,
+                                  mean)
 
     @pytest.mark.parametrize("framework", ["gcn", "sage"])
-    def test_node_one_sample_is_exact(self, framework, monkeypatch):
+    def test_node_one_sample_is_exact(self, framework):
         ctx, params = node_case(framework, "one-target")
         self.check_one_sample(models.node_matching_grad, ctx, params,
-                              models.node_bundles(ctx, params), monkeypatch)
+                              models.node_bundles(ctx, params))
 
     @pytest.mark.parametrize("framework", ["gcn", "sage"])
     def test_node_batch_of_five(self, framework):
@@ -873,20 +1045,12 @@ class TestSharedCovector:
                          True)
 
     @staticmethod
-    def check_one_sample(grad, ctx, params, stacks, monkeypatch):
-        v = random_covectors(numkit.make_rng(88), stacks)
+    def check_one_sample(grad, ctx, params, stacks):
+        v = models.Stacks(random_covectors(numkit.make_rng(88), stacks))
         got = grad(ctx, params, v, True)
-
-        # the batched broadcast forms the 2-D products replace, returned
-        # as new arrays: the pass reads what they return, not ``out``
-        def covec_rows(w, rows, out):
-            return (w @ rows[:, :, None])[:, :, 0]
-
-        def rows_covec(rows, w, out):
-            return (rows[:, None, :] @ w)[:, 0]
-
-        monkeypatch.setattr(models, "_covec_rows", covec_rows)
-        monkeypatch.setattr(models, "_rows_covec", rows_covec)
+        # the batched products the 2-D ones replace: the same stack of one,
+        # read as per-sample stacks
+        v.shared = False
         for got_arr, want_arr in zip(got, grad(ctx, params, v, True)):
             assert np.array_equal(got_arr, want_arr)
 
