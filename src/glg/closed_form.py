@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PartialRecoveryError, ShapeError, UnrecoverableError
+from .models import FRAMEWORKS
 from .numkit import least_squares, pseudoinverse
 
 __all__ = [
@@ -58,7 +59,7 @@ def recover_agg_features(bundle, framework):
     gcn, the neighbor-aggregation weight for sage.
     """
     t = bundle.tensors
-    if framework not in ("gcn", "sage"):
+    if framework not in FRAMEWORKS:
         raise ShapeError(f"unknown framework {framework!r}")
     if framework == "gcn" and "conv1_self" in t:
         raise ShapeError("bundle has a self-path tensor; not a gcn bundle")

@@ -33,7 +33,7 @@ from .metrics import (
     rnmse_per_row,
     score_adjacency,
 )
-from .models import init_params
+from .models import FRAMEWORKS, init_params
 
 __all__ = [
     "DatasetSpec",
@@ -118,8 +118,8 @@ class ExperimentConfig:
         if self.scenario not in EXPERIMENT_SCENARIOS:
             raise ConfigError(
                 f"scenario must be one of {EXPERIMENT_SCENARIOS}", "scenario")
-        if self.framework not in ("gcn", "sage"):
-            raise ConfigError("framework must be gcn or sage", "framework")
+        if self.framework not in FRAMEWORKS:
+            raise ConfigError(f"must be one of {FRAMEWORKS}", "framework")
         for name in ("hidden_dim", "batch_size", "repeats"):
             check_int(getattr(self, name), name, 1)
         check_int(self.seed, "seed", 0)

@@ -11,8 +11,9 @@ Both tasks come in a "gcn" flavour (single weight on the aggregated input,
 self-loop normalization) and a "sage" flavour (separate aggregation and
 self weights, mean normalization).
 
-It is the one home of the bundle layout, the model's tensors in
-:data:`PARAM_ORDER` (:func:`check_bundle`): :func:`bundle_rows`,
+It is the one home of the model's tensor layout, which :func:`init_params`
+draws from and :class:`ModelParams` checks against, and of the bundle
+layout, the model's tensors in :data:`PARAM_ORDER`: :func:`bundle_rows`,
 :func:`bundle_views` and :func:`split_bundles` convert between per-sample
 bundles, (S, ...) stacks and (S, P) flat rows.
 
@@ -43,13 +44,14 @@ per-node arrays in (B*N, width) row buffers: at B = 1 each product is one
 N, width) views, so every sample keeps the bits it has alone.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
-from .errors import AmbiguousLabelError, ShapeError, check_indices
+from .errors import (AmbiguousLabelError, ConfigError, NumericError,
+                     ShapeError, check_indices, check_int)
 from .graphs import Graph, NormalizedAdjacency
 
 __all__ = [
@@ -90,9 +92,52 @@ _PARAM_NAMES = property(lambda self: [k for k in PARAM_ORDER
                                       if k in self.tensors])
 
 
+def _tensor_layout(framework, task, feature_dim, hidden_dim, num_classes,
+                   num_nodes=None):
+    """The model's ``(name, shape, fan_in)`` rows in :data:`PARAM_ORDER`;
+    an unknown name or a dimension that is not an integer >= 1 raises
+    :class:`ConfigError`."""
+    for field, value, known in (("framework", framework, FRAMEWORKS),
+                                ("task", task, TASKS)):
+        if value not in known:
+            raise ConfigError(f"must be one of {known}, got {value!r}", field)
+    sage, node, graph = framework == "sage", task == "node", task == "graph"
+    for name, value in zip(("feature_dim", "hidden_dim", "num_classes",
+                            "num_nodes")[:3 + graph],
+                           (feature_dim, hidden_dim, num_classes, num_nodes)):
+        check_int(value, name, 1)
+    d, f, k = feature_dim, hidden_dim, num_classes
+    flat = num_nodes * f if graph else None
+    rows = (("conv1_agg", (f, d), d, True),
+            ("conv1_self", (f, d), d, sage),
+            ("conv1_bias", (f,), d, True),
+            ("conv2_agg", (f, f), f, graph),
+            ("conv2_self", (f, f), f, sage and graph),
+            ("conv2_bias", (f,), f, graph),
+            ("out_weight", (k, f), f, node),
+            ("out_bias", (k,), f, node),
+            ("mlp_weight", (k, flat), flat, graph),
+            ("mlp_bias", (k,), flat, graph))
+    return [row[:3] for row in rows if row[3]]
+
+
+def _check_congruent(tensors, shapes, what, of):
+    """Raise :class:`ShapeError`, naming the tensor, unless ``tensors`` holds
+    exactly the names of ``shapes`` (name: shape), each in its shape."""
+    for k in [k for k in tensors if k not in shapes] + list(shapes):
+        if k not in shapes or k not in tensors:
+            raise ShapeError(f"{what} is not congruent with the {of}: {k} is "
+                             f"not in the {of if k in tensors else what}")
+        if np.shape(tensors[k]) != shapes[k]:
+            raise ShapeError(f"{what} is not congruent with the {of}: {k} "
+                             f"has shape {np.shape(tensors[k])}, the {of}'s "
+                             f"{shapes[k]}")
+
+
 @dataclass
 class ModelParams:
-    """Parameter tensors of one classifier, keyed by canonical names."""
+    """Parameter tensors of one classifier, keyed by canonical names; made
+    float64 and checked against the layout :func:`init_params` draws from."""
 
     framework: str
     task: str
@@ -103,15 +148,16 @@ class ModelParams:
     num_nodes: Optional[int] = None  # graph task: node count the MLP expects
 
     def __post_init__(self):
-        if self.framework not in FRAMEWORKS:
-            raise ValueError(f"framework must be one of {FRAMEWORKS}")
-        if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}")
-        if self.task == "graph" and self.num_nodes is None:
-            raise ValueError("graph task requires num_nodes")
-        self.tensors = {
-            k: np.asarray(v, dtype=np.float64) for k, v in self.tensors.items()
-        }
+        layout = _tensor_layout(self.framework, self.task, self.feature_dim,
+                                self.hidden_dim, self.num_classes,
+                                self.num_nodes)
+        self.tensors = {k: np.asarray(v, dtype=np.float64)
+                        for k, v in self.tensors.items()}
+        _check_congruent(self.tensors, {k: shape for k, shape, _ in layout},
+                         "model", "layout")
+        for k, v in self.tensors.items():
+            if not np.isfinite(v).all():
+                raise NumericError(f"model tensor {k} contains NaN or Inf")
 
     @property
     def norm_mode(self):
@@ -120,51 +166,18 @@ class ModelParams:
     param_names = _PARAM_NAMES
 
     def copy(self):
-        return ModelParams(
-            framework=self.framework,
-            task=self.task,
-            feature_dim=self.feature_dim,
-            hidden_dim=self.hidden_dim,
-            num_classes=self.num_classes,
-            tensors={k: v.copy() for k, v in self.tensors.items()},
-            num_nodes=self.num_nodes,
-        )
+        return replace(self, tensors={k: v.copy()
+                                      for k, v in self.tensors.items()})
 
 
 def init_params(rng, framework, task, feature_dim, hidden_dim, num_classes,
                 num_nodes=None):
-    """Gaussian init, std 1/sqrt(fan_in) per tensor."""
-    d, f, k = feature_dim, hidden_dim, num_classes
-    tensors = {}
-
-    def gauss(shape, fan_in):
-        return rng.standard_normal(shape) / np.sqrt(fan_in)
-
-    tensors["conv1_agg"] = gauss((f, d), d)
-    if framework == "sage":
-        tensors["conv1_self"] = gauss((f, d), d)
-    tensors["conv1_bias"] = gauss((f,), d)
-    if task == "node":
-        tensors["out_weight"] = gauss((k, f), f)
-        tensors["out_bias"] = gauss((k,), f)
-    else:
-        if num_nodes is None:
-            raise ValueError("graph task requires num_nodes")
-        tensors["conv2_agg"] = gauss((f, f), f)
-        if framework == "sage":
-            tensors["conv2_self"] = gauss((f, f), f)
-        tensors["conv2_bias"] = gauss((f,), f)
-        tensors["mlp_weight"] = gauss((k, num_nodes * f), num_nodes * f)
-        tensors["mlp_bias"] = gauss((k,), num_nodes * f)
-    return ModelParams(
-        framework=framework,
-        task=task,
-        feature_dim=d,
-        hidden_dim=f,
-        num_classes=k,
-        tensors=tensors,
-        num_nodes=num_nodes,
-    )
+    """Gaussian init, std 1/sqrt(fan_in) per tensor, drawn in the layout's
+    order."""
+    dims = (framework, task, feature_dim, hidden_dim, num_classes)
+    tensors = {k: rng.standard_normal(shape) / np.sqrt(fan_in)
+               for k, shape, fan_in in _tensor_layout(*dims, num_nodes)}
+    return ModelParams(*dims, tensors, num_nodes)
 
 
 @dataclass
@@ -175,27 +188,13 @@ class GradientBundle:
     param_names = _PARAM_NAMES
 
 
-def check_bundle(params, bundle):
-    """Raise :class:`ShapeError`, naming the tensor, unless ``bundle`` holds
-    exactly the model's tensors, each in the model's shape."""
-    names = params.param_names
-    t = bundle.tensors
-    for k in [k for k in t if k not in names] + names:
-        if k not in names or k not in t:
-            raise ShapeError(f"bundle is not congruent with the model: {k} "
-                             f"is not in the {'model' if k in t else 'bundle'}")
-        if np.shape(t[k]) != params.tensors[k].shape:
-            raise ShapeError(f"bundle is not congruent with the model: {k} "
-                             f"has shape {np.shape(t[k])}, the model's "
-                             f"{params.tensors[k].shape}")
-
-
 def bundle_rows(params, bundles):
-    """The (S, P) flat rows of S bundles, each checked by :func:`check_bundle`
-    first: a row is every tensor raveled, in the model's order."""
+    """The (S, P) flat rows of S bundles, each first checked against the
+    model's tensors: a row is every tensor raveled, in the model's order."""
     names = params.param_names
     for b in bundles:
-        check_bundle(params, b)
+        _check_congruent(b.tensors, {k: params.tensors[k].shape
+                                     for k in names}, "bundle", "model")
     return np.array([np.concatenate([np.ravel(b.tensors[k]) for k in names])
                      for b in bundles])
 
