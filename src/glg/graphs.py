@@ -6,14 +6,14 @@ optional graph-level label. Instances are treated as immutable once built.
 """
 
 import functools
-import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import DataFormatError, ShapeError, check_indices
+from .errors import (ConfigError, DataFormatError, ShapeError, check_indices,
+                     check_int, check_real)
 from .numkit import as_matrix
 
 __all__ = [
@@ -175,6 +175,7 @@ def laplacian(g):
 
 
 def _attach_features(rng, a, feature_dim, num_classes):
+    check_int(feature_dim, "feature_dim", 1)
     n = a.shape[0]
     x = rng.standard_normal((n, feature_dim))
     labels = rng.integers(0, num_classes, size=n) if num_classes else None
@@ -183,8 +184,10 @@ def _attach_features(rng, a, feature_dim, num_classes):
 
 def er_graph(rng, n, p, feature_dim, num_classes=None):
     """Erdos-Renyi graph: each undirected pair kept with probability p."""
+    check_int(n, "n", 1)
+    check_real(p, "p")
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+        raise ConfigError(f"edge probability must lie in [0, 1], got {p}", "p")
     a = np.zeros((n, n))
     iu = np.triu_indices(n, k=1)
     draws = (rng.random(len(iu[0])) < p).astype(np.float64)
@@ -196,19 +199,29 @@ def er_graph(rng, n, p, feature_dim, num_classes=None):
 def synthetic_graph(rng, n, avg_degree, feature_dim, num_classes=None):
     """Random graph with exactly ``floor(avg_degree * n / 2)`` distinct edges.
 
-    Edge endpoints are sampled uniformly without replacement from all pairs;
-    features are standard normal and labels uniform over the classes.
+    Edge endpoints are sampled uniformly without replacement from all pairs,
+    numbered as ``np.triu_indices(n, 1)`` orders them; features are standard
+    normal and labels uniform over the classes.
     """
+    check_int(n, "n", 1)
+    check_real(avg_degree, "avg_degree")
+    if not 0.0 <= avg_degree < np.inf:
+        raise ConfigError(f"must be finite and non-negative, got {avg_degree}",
+                          "avg_degree")
     num_edges = int(avg_degree * n) // 2
     max_edges = n * (n - 1) // 2
     if num_edges > max_edges:
-        raise ValueError(f"{num_edges} edges requested but only {max_edges} exist")
+        raise ConfigError(f"{num_edges} edges requested but only {max_edges} "
+                          f"exist", "avg_degree")
     a = np.zeros((n, n))
     if num_edges > 0:
         chosen = rng.choice(max_edges, size=num_edges, replace=False)
-        iu = np.triu_indices(n, k=1)
-        a[iu[0][chosen], iu[1][chosen]] = 1.0
-        a = a + a.T
+        # pair index -> (i, j): row i's pairs start at i*n - i*(i+1)/2
+        rows = np.arange(n - 1)
+        starts = rows * n - rows * (rows + 1) // 2
+        i = np.searchsorted(starts, chosen, side="right") - 1
+        j = chosen - starts[i] + i + 1
+        a[i, j] = a[j, i] = 1.0
     return _attach_features(rng, a, feature_dim, num_classes)
 
 
@@ -217,8 +230,7 @@ def dummy_tree(rng, d_tree, feature_dim):
 
     Node features are Gaussian-initialized; used as the attacker's dummy graph.
     """
-    if d_tree < 1:
-        raise ValueError("d_tree must be at least 1")
+    check_int(d_tree, "d_tree", 1)
     n = 1 + d_tree + d_tree * d_tree
     a = np.zeros((n, n))
     for c in range(1, d_tree + 1):
@@ -238,8 +250,7 @@ def khop_egonet(g, center, k):
     n = g.num_nodes
     if not 0 <= center < n:
         raise ShapeError(f"center {center} out of range for {n} nodes")
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 0:
-        raise ValueError(f"hop count must be a non-negative integer, got {k!r}")
+    check_int(k, "k", 0)
     dist = np.full(n, -1, dtype=np.int64)
     dist[center] = 0
     queue = deque([center])

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ShapeError, check_int
 
 __all__ = [
     "AdamState",
@@ -117,7 +117,9 @@ def hungarian_assign(cost):
 
 
 def make_rng(seed):
-    """Seeded generator; identical seed gives an identical draw sequence."""
+    """Seeded generator; identical seed gives an identical draw sequence.
+    The seed is an integer >= 0 (:class:`ConfigError` otherwise)."""
+    check_int(seed, "seed", 0)
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from glg import graphs, numkit
-from glg.errors import DataFormatError, ShapeError
+from glg.errors import ConfigError, DataFormatError, ShapeError
 
 rng = numkit.make_rng(77)
 
@@ -221,8 +221,21 @@ class TestGenerators:
         assert np.abs(hist - 0.25).max() < 0.03
 
     def test_synthetic_too_many_edges(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="avg_degree"):
             graphs.synthetic_graph(rng, 4, 4, 1)
+
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_synthetic_pairs_are_the_triu_enumeration(self, n):
+        # the reference numbers the pairs with np.triu_indices, from the same
+        # draw of pair indices
+        for avg_degree in (1, min(3.5, n - 1), n - 1):
+            g = graphs.synthetic_graph(numkit.make_rng(n), n, avg_degree, 2)
+            chosen = numkit.make_rng(n).choice(
+                n * (n - 1) // 2, size=int(avg_degree * n) // 2, replace=False)
+            iu = np.triu_indices(n, k=1)
+            ref = np.zeros((n, n))
+            ref[iu[0][chosen], iu[1][chosen]] = 1.0
+            assert np.array_equal(g.adjacency, ref + ref.T)
 
     def test_tree_single_child(self):
         g = graphs.dummy_tree(rng, 1, 2)
@@ -282,7 +295,7 @@ class TestEgonet:
     @pytest.mark.parametrize("k", [1.5, -1, True])
     def test_rejects_non_integer_or_negative_hops(self, k):
         g = graphs.synthetic_graph(numkit.make_rng(0), 8, 3, 2)
-        with pytest.raises(ValueError, match="hop count"):
+        with pytest.raises(ConfigError, match="k: must be"):
             graphs.khop_egonet(g, 0, k)
 
 

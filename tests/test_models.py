@@ -894,51 +894,106 @@ class TestViewsMadeOnce:
 ROP_STEPS = (1e-4, 1e-5)
 
 
-def r_operator_case(task, framework):
-    """A model at the bench's sizes, the context pass that records its
-    trace on fixed inputs, and its input-gradient and bundle passes: a
-    d_tree = 10 dummy tree (111 nodes) with target 0 for the node task, an
-    8-node graph for the graph task."""
+def r_operator_case(layout, framework):
+    """A model in one layout of the matching passes, on fixed inputs:
+    ``(params, trace, per_sample, reference, bundles, matching_grad)``.
+    ``trace(p)`` records p's trace. ``reference(model)`` is the
+    first-order input-gradient pair that the matching pass differentiates,
+    with ``model(s)`` the model that sample s reads; ``per_sample`` says
+    whether each sample has its own co-vector. "node" and "graph" are at
+    the bench's sizes: a d_tree = 10 dummy tree (111 nodes) with target 0,
+    and one 8-node graph. The rest are small: every node of a 7-node graph
+    a target ("node-all"), 3 graphs sharing an adjacency with one target
+    each ("node-batch"), 3 targets with per-sample co-vectors
+    ("node-per-sample"), and a batch of 3 graphs ("graph-batch")."""
     r = numkit.make_rng(120)
-    if task == "node":
-        params = models.init_params(r, framework, "node", 10, 100, 4)
-        tree = graphs.dummy_tree(r, 10, 10)
-        anorm = graphs.normalize_dense(tree.adjacency, params.norm_mode)
-        return (params, lambda p: models.node_ctx(p, tree.features, anorm,
-                                                  [0], [2]),
-                models.node_input_grads, models.node_bundles,
-                models.node_matching_grad)
-    params = models.init_params(r, framework, "graph", 16, 20, 3, num_nodes=8)
-    g = graphs.er_graph(r, 8, 0.4, 16)
-    anorm = graphs.normalize_dense(g.adjacency, params.norm_mode)
-    return (params, lambda p: models.graph_ctx(p, g.features, anorm, [1]),
-            models.graph_input_grads, models.graph_bundles,
-            models.graph_matching_grad)
+    if layout.startswith("node"):
+        big = layout == "node"
+        params = models.init_params(r, framework, "node", 10,
+                                    100 if big else 6, 4)
+        g = graphs.dummy_tree(r, 10, 10) if big else graphs.er_graph(
+            r, 7, 0.5, 10)
+        anorm = graphs.normalize_dense(g.adjacency, params.norm_mode)
+        x, targets, labels = g.features, [0], [2]
+        if not big:
+            targets, labels = [1, 5, 1], [2, 0, 3]
+        if layout == "node-all":
+            targets, labels = None, [2, 0, 3, 1, 1, 0, 2]
+        if layout == "node-batch":
+            x = r.standard_normal((3, 7, 10))
+
+        def trace(p):
+            return models.node_ctx(p, x, anorm, targets, labels)
+
+        def one(p, s):  # sample s alone
+            return models.node_input_grads(models.node_ctx(
+                p, x[s] if x.ndim == 3 else x, anorm, targets[s:s + 1],
+                labels[s:s + 1]), p)
+
+        reference = lambda model: models.node_input_grads(
+            trace(model(0)), model(0))
+        if layout == "node-per-sample":
+            reference = lambda model: tuple(map(sum, zip(*[
+                one(model(s), s) for s in range(3)])))
+        if layout == "node-batch":
+            reference = lambda model: (np.stack([
+                one(model(0), s)[0] for s in range(3)]), None)
+        return (params, trace, layout == "node-per-sample", reference,
+                models.node_bundles, models.node_matching_grad)
+    b = 1 if layout == "graph" else 3
+    params = models.init_params(r, framework, "graph", 16 if b == 1 else 6,
+                                20 if b == 1 else 5, 3, num_nodes=8)
+    gs = [graphs.er_graph(r, 8, 0.4, params.feature_dim) for _ in range(b)]
+    x = np.stack([g.features for g in gs])
+    anorm = np.stack([graphs.normalize_dense(g.adjacency, params.norm_mode)
+                      for g in gs])
+    if b == 1:
+        x, anorm = x[0], anorm[0]
+
+    def trace(p):
+        return models.graph_ctx(p, x, anorm, [1, 0, 2][:b])
+    return (params, trace, False,
+            lambda model: models.graph_input_grads(trace(model(0)), model(0)),
+            models.graph_bundles, models.graph_matching_grad)
+
+
+# layout, framework, input; a batch of node graphs has no adjacency gradient
+ROP_CASES = [(layout, framework, wrt)
+             for layout in ("node", "graph", "node-all", "node-batch",
+                            "node-per-sample", "graph-batch")
+             for framework in ("gcn", "sage") for wrt in (0, 1)
+             if (layout, wrt) != ("node-batch", 1)]
 
 
 class TestROperator:
-    """The matching passes against a second derivation, at the bench's
-    sizes. A bundle is b(x) = grad_theta L(theta, x), and a matching pass
-    returns J^T v with J = db/dx. Mixed partials commute, so J^T v =
-    d/de grad_x L(theta + e v, x) at e = 0 (Pearlmutter's R-operator): a
-    central difference of the first-order input-gradient passes along v,
-    whose error falls 100x per 10x step in e."""
+    """The matching passes against a second derivation, in every layout. A
+    bundle is b(x) = grad_theta L(theta, x), and a matching pass returns
+    J^T v with J = db/dx. Mixed partials commute, so J^T v = d/de grad_x
+    L(theta + e v, x) at e = 0 (Pearlmutter's R-operator): a central
+    difference of the first-order input-gradient passes along v, whose
+    error falls 100x per 10x step in e. Per-sample co-vectors v_s give the
+    sum over samples of d/de grad_x L_s(theta + e v_s, x), one sample at a
+    time."""
 
-    @pytest.mark.parametrize("wrt", [0, 1], ids=["features", "adjacency"])
-    @pytest.mark.parametrize("framework", ["gcn", "sage"])
-    @pytest.mark.parametrize("task", ["node", "graph"])
-    def test_matching_grad_is_the_r_operator(self, task, framework, wrt):
-        params, ctx, input_grads, bundles, matching_grad = r_operator_case(
-            task, framework)
-        trace = ctx(params)
-        v = random_covectors(numkit.make_rng(121), bundles(trace, params))
-        want = matching_grad(trace, params, v, True)[wrt]
+    @pytest.mark.parametrize("layout,framework,wrt", ROP_CASES, ids=[
+        f"{layout}-{framework}-{('features', 'adjacency')[wrt]}"
+        for layout, framework, wrt in ROP_CASES])
+    def test_matching_grad_is_the_r_operator(self, layout, framework, wrt):
+        params, trace, per_sample, reference, bundles, matching_grad = \
+            r_operator_case(layout, framework)
+        ctx = trace(params)
+        stacks = (bundles(ctx, params, True) if per_sample
+                  else bundles(ctx, params))
+        v = random_covectors(numkit.make_rng(121), stacks)
+        want = matching_grad(ctx, params, v, wrt == 1)[wrt]
 
         def moved(e):
-            p = params.copy()
-            for k, c in v.items():
-                p.tensors[k] = p.tensors[k] + e * c[0]
-            return input_grads(ctx(p), p)[wrt]
+            def model(s):
+                p = params.copy()
+                for k, c in v.items():
+                    p.tensors[k] = p.tensors[k] + e * c[s]
+                return p
+            return reference(model)[wrt]
 
         errors = [np.abs((moved(e) - moved(-e)) / (2 * e) - want).max()
                   / np.abs(want).max() for e in ROP_STEPS]
