@@ -27,6 +27,7 @@ Exits 1 when anything moved (or a run failed), unless ``--report`` is given.
 """
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -147,7 +148,7 @@ def _run_direct(family, framework, objective, alpha, beta, seed):
         return Graph(adjacency=g.adjacency, features=g.features,
                      labels=g.labels, graph_label=int(rng.integers(0, 3)))
 
-    if family.startswith("graph") or family == "batched_graph":
+    if "graph" in family:
         params = init_params(rng, framework, "graph", 5, 10, 3, num_nodes=6)
     else:
         width = 12 if family.startswith("node2") else 5
@@ -200,12 +201,8 @@ def worker(npz_path, out_dir, names):
         else:
             argv = [a.format(out=out_dir, configs=configs_dir)
                     for a in runs[name]]
-            with open(os.devnull, "w") as sink:
-                stdout, sys.stdout = sys.stdout, sink
-                try:
-                    code = cli_main(argv)
-                finally:
-                    sys.stdout = stdout
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main(argv)
             arrays[f"{name}::exit"] = np.asarray(code)
     np.savez(npz_path, **arrays)
 
@@ -289,8 +286,7 @@ def compare_cli(name, a, b, dir_a, dir_b):
     if int(a[f"{name}::exit"]) != int(b[f"{name}::exit"]):
         return [f"exit code {int(a[f'{name}::exit'])} vs "
                 f"{int(b[f'{name}::exit'])}"]
-    sub = name[len("cli-"):]
-    da, db = pathlib.Path(dir_a, f"cli-{sub}"), pathlib.Path(dir_b, f"cli-{sub}")
+    da, db = pathlib.Path(dir_a, name), pathlib.Path(dir_b, name)
     files = sorted({p.relative_to(d).as_posix() for d in (da, db)
                     for p in d.rglob("*") if p.is_file()})
     moved = []
