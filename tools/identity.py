@@ -208,12 +208,12 @@ def worker(npz_path, out_dir, names):
 
 
 # ---------------------------------------------------------------------------
-# Driver
+# Comparison: runs both trees and compares what they wrote
 # ---------------------------------------------------------------------------
 
-def source_dir(tree, scratch):
+def source_dir(tree, tmp):
     """The directory holding ``glg`` for a tree: a directory with ``src/glg``
-    or ``glg``, else a git revision extracted into ``scratch``."""
+    or ``glg``, else a git revision extracted into ``tmp``."""
     path = pathlib.Path(tree)
     for candidate in (path / "src", path):
         if (candidate / "glg" / "__init__.py").is_file():
@@ -225,10 +225,10 @@ def source_dir(tree, scratch):
                          f"revision: {archive.stderr.decode().strip()}")
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
         if hasattr(tarfile, "data_filter"):
-            tar.extractall(scratch, filter="data")
+            tar.extractall(tmp, filter="data")
         else:
-            tar.extractall(scratch)
-    return pathlib.Path(scratch, "src").resolve()
+            tar.extractall(tmp)
+    return pathlib.Path(tmp, "src").resolve()
 
 
 def run_trees(trees, out, names):
@@ -304,8 +304,8 @@ def compare(tree, against, out, names, report_lines=print):
     the number of configs that moved."""
     out = pathlib.Path(out).resolve()
     out.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory() as scratch:
-        trees = [(label, source_dir(t, os.path.join(scratch, label)))
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = [(label, source_dir(t, os.path.join(tmp, label)))
                  for label, t in (("tree", tree), ("against", against))]
         paths = run_trees(trees, out, names)
     (npz_a, cli_a), (npz_b, cli_b) = paths["tree"], paths["against"]
