@@ -7,12 +7,13 @@ honest-but-curious server observes in each attack scenario: gradient
 tensors only, never raw features, adjacency or labels.
 """
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import List, Optional
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError, check_indices, check_real
 from .graphs import Graph, normalize_adjacency
 from .models import (
     GradientBundle,
@@ -51,11 +52,28 @@ class ClientShard:
 
     def __post_init__(self):
         if self.graph is not None:
+            if not isinstance(self.graph, Graph):
+                raise ShapeError(f"node shard needs one Graph, got "
+                                 f"{type(self.graph).__name__}")
             if self.targets is None:
                 raise ShapeError("node shard needs target indices")
             self.targets = check_targets(self.targets, self.graph.num_nodes)
-        elif not self.graphs:
-            raise ShapeError("shard holds neither a graph nor a graph list")
+        else:
+            _check_graphs(self.graphs, "shard without a graph")
+            if not self.graphs:
+                raise ShapeError("shard holds neither a graph nor a graph list")
+
+
+def _check_graphs(data, what):
+    """Raise :class:`ShapeError` unless ``data`` is a list or tuple of
+    :class:`Graph`."""
+    if not isinstance(data, (list, tuple)):
+        raise ShapeError(f"{what} needs a list of Graphs, got "
+                         f"{type(data).__name__}")
+    for g in data:
+        if not isinstance(g, Graph):
+            raise ShapeError(f"{what} needs a list of Graphs, got one "
+                             f"holding a {type(g).__name__}")
 
 
 @dataclass
@@ -117,18 +135,16 @@ def _graph_stacks(params, gs):
 
 
 def client_gradients(params, shard, batch_indices):
-    """One bundle per batch index; each must be an int in [0, shard size)."""
+    """One bundle per batch index; each must be an integer in [0, shard
+    size), by :func:`~glg.errors.check_indices`."""
     node = params.task == "node"
     if node and shard.graph is None:
         raise ShapeError("node task but shard holds graphs")
     if not node and shard.graphs is None:
         raise ShapeError("graph task but shard holds a node graph")
     samples = shard.targets if node else shard.graphs
-    batch_indices = list(batch_indices)
-    for idx in batch_indices:
-        if not isinstance(idx, (int, np.integer)) or not 0 <= idx < len(samples):
-            raise ShapeError(f"batch index {idx!r} out of range for a shard "
-                             f"of {len(samples)} samples")
+    batch_indices = check_indices(batch_indices, "batch index value",
+                                  len(samples), "shard samples")
     if node:
         return [leak(params, shard.graph, "node1", targets=[samples[idx]]).bundle
                 for idx in batch_indices]
@@ -140,17 +156,21 @@ def aggregate_and_step(params, client_bundles, learning_rate, round_index=0):
 
     ``client_bundles`` is a list (over clients, in client-id order) of lists
     of per-sample bundles, each checked against the model before any
-    update. Returns the updated parameters and the round record; the
-    input parameters are not mutated.
+    update. ``learning_rate`` must be a finite real number. Returns the
+    updated parameters, checked as any :class:`~glg.models.ModelParams` is,
+    and the round record; the input parameters are not mutated.
     """
+    check_real(learning_rate, "learning_rate")
+    if not math.isfinite(learning_rate):
+        raise ConfigError("must be finite", "learning_rate")
     flat = [b for per_client in client_bundles for b in per_client]
     if not flat:
         raise ShapeError("cannot average zero bundles")
     mean = bundle_rows(params, flat).mean(axis=0, keepdims=True)
     averaged = split_bundles(bundle_views(params, mean))[0]
-    updated = params.copy()
-    for k, grad in averaged.tensors.items():
-        updated.tensors[k] = updated.tensors[k] - learning_rate * grad
+    updated = replace(params, tensors={
+        k: v - learning_rate * averaged.tensors[k]
+        for k, v in params.tensors.items()})
     record = FedRound(
         round_index=round_index,
         batch_size=len(flat) // max(len(client_bundles), 1),
@@ -179,10 +199,7 @@ def leak(params, data, scenario, targets=None):
         raise ShapeError(f"{scenario} leak needs a "
                          f"{SCENARIO_TASKS[scenario]}-task model")
     if scenario == "batched-graph":
-        if not isinstance(data, (list, tuple)) or not all(
-                isinstance(g, Graph) for g in data):
-            raise ShapeError(f"batched-graph leak needs a list of Graphs, "
-                             f"got {type(data).__name__}")
+        _check_graphs(data, "batched-graph leak")
     elif not isinstance(data, Graph):
         raise ShapeError(f"{scenario} leak needs one Graph, got "
                          f"{type(data).__name__}")

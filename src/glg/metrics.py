@@ -54,8 +54,20 @@ def rnmse_per_row(x_true, x_hat):
     return float(errs.mean())
 
 
+def _adjacency_pair(a_true, a_est):
+    """Both adjacency matrices as float64; :class:`ShapeError` unless they
+    are square and of one shape. The one shape rule of the four adjacency
+    metrics."""
+    pair = (np.asarray(a_true, dtype=np.float64),
+            np.asarray(a_est, dtype=np.float64))
+    shape = pair[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or pair[1].shape != shape:
+        raise ShapeError(f"adjacency matrices must be square and of one "
+                         f"shape, got {shape} and {pair[1].shape}")
+    return pair
+
+
 def _check_binary(a, name):
-    a = np.asarray(a, dtype=np.float64)
     if not np.all((a == 0.0) | (a == 1.0)):
         raise ShapeError(f"{name} must be binary")
     return a
@@ -63,10 +75,9 @@ def _check_binary(a, name):
 
 def adjacency_accuracy(a_true, a_hat):
     """Fraction of matching entries over the full N x N grid."""
-    a_true = _check_binary(a_true, "a_true")
-    a_hat = _check_binary(a_hat, "a_hat")
-    if a_true.shape != a_hat.shape:
-        raise ShapeError("adjacency shapes differ")
+    a_true, a_hat = _adjacency_pair(a_true, a_hat)
+    _check_binary(a_true, "a_true")
+    _check_binary(a_hat, "a_hat")
     return float((a_true == a_hat).mean())
 
 
@@ -92,8 +103,9 @@ def auc(a_true, a_scores):
     ``a_scores`` are the probabilistic adjacency entries; ties receive
     average ranks, so constant scores give 0.5.
     """
+    a_true, a_scores = _adjacency_pair(a_true, a_scores)
     labels = _lower_tri_values(_check_binary(a_true, "a_true"))
-    scores = _lower_tri_values(np.asarray(a_scores, dtype=np.float64))
+    scores = _lower_tri_values(a_scores)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -107,6 +119,7 @@ def auc(a_true, a_scores):
 
 def average_precision(a_true, a_hat):
     """Precision TP / (TP + FP) of the predicted edge set (lower triangle)."""
+    a_true, a_hat = _adjacency_pair(a_true, a_hat)
     labels = _lower_tri_values(_check_binary(a_true, "a_true"))
     preds = _lower_tri_values(_check_binary(a_hat, "a_hat"))
     predicted = preds == 1.0
@@ -118,7 +131,8 @@ def average_precision(a_true, a_hat):
 
 def mae_lower_tri(a_true, a_hat):
     """Mean absolute difference over the lower triangle including the diagonal."""
-    a_true, a_hat = _pair(a_true, a_hat, ("a_true", "a_hat"))
+    a_true, a_hat = _pair(*_adjacency_pair(a_true, a_hat),
+                          ("a_true", "a_hat"))
     lt = _lower_tri_values(np.abs(a_true - a_hat), k=0)
     return float(lt.mean())
 

@@ -11,6 +11,9 @@ from glg.errors import (ConfigError, GlgError, NumericError, ShapeError,
 rng = numkit.make_rng(3)
 NODE = models.init_params(rng, "sage", "node", 4, 3, 2)
 G = graphs.synthetic_graph(rng, 6, 2, 4, num_classes=2)
+GRAPH = models.init_params(rng, "sage", "graph", 4, 3, 2, num_nodes=6)
+LABELED = graphs.Graph(G.adjacency, G.features, graph_label=1)
+BUNDLE = federated.leak(NODE, G, "node1", targets=[0]).bundle
 
 
 def model(**tensors):
@@ -19,6 +22,11 @@ def model(**tensors):
     t = {**NODE.tensors, **tensors}
     return lambda: models.ModelParams(
         "sage", "node", 4, 3, 2, {k: v for k, v in t.items() if v is not None})
+
+
+def step(learning_rate):
+    return lambda: federated.aggregate_and_step(NODE, [[BUNDLE]],
+                                                learning_rate)
 
 
 def init(framework="gcn", task="node", feature_dim=4, hidden_dim=3,
@@ -97,6 +105,18 @@ ROWS = {
         lambda: federated.leak(NODE, G, "node1", targets=[0.5]), ShapeError),
     "leak scenario unknown": (lambda: federated.leak(NODE, G, "node3"),
                               ShapeError),
+    # the federated round: shard inputs, batch indices, the SGD step
+    "ClientShard graph ndarray": (lambda: federated.ClientShard(
+        0, graph=np.zeros((3, 3)), targets=[0]), ShapeError),
+    "ClientShard graphs of ints": (
+        lambda: federated.ClientShard(0, graphs=[1, 2]), ShapeError),
+    "client_gradients bool batch index": (
+        lambda: federated.client_gradients(
+            GRAPH, federated.ClientShard(0, graphs=[LABELED, LABELED]),
+            [True]), ShapeError),
+    "aggregate_and_step learning_rate NaN": (step(np.nan), ConfigError),
+    "aggregate_and_step learning_rate Inf": (step(np.inf), ConfigError),
+    "aggregate_and_step learning_rate str": (step("0.1"), ConfigError),
     "ExperimentConfig hidden_dim 0": (lambda: experiments.ExperimentConfig(
         "node1", hidden_dim=0), ConfigError),
     "ExperimentConfig framework gat": (lambda: experiments.ExperimentConfig(
@@ -112,6 +132,12 @@ ROWS = {
     "auc single-class truth": (lambda: metrics.auc(np.zeros((3, 3)),
                                                    np.zeros((3, 3))),
                                UndefinedMetricError),
+    # the four adjacency metrics share one shape rule
+    "auc 1-D": (lambda: metrics.auc(np.zeros(3), np.zeros(3)), ShapeError),
+    "auc shape mismatch": (lambda: metrics.auc(
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]], np.zeros((2, 2))), ShapeError),
+    "average_precision shape mismatch": (lambda: metrics.average_precision(
+        [[0, 1], [1, 0]], np.ones((3, 3)) - np.eye(3)), ShapeError),
 }
 
 

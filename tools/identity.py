@@ -8,9 +8,9 @@ Runs one fixed set of configs on two source trees and compares them:
   {(0, 0), (0, 1e-3), (1e-3, 1e-3)}, at 300 iterations and d_tree 3. Every
   ``RecoveryResult`` field and ``final_objective`` is compared with
   ``np.array_equal`` (NaN equal to NaN);
-- the CLI set: CI's eight report-determinism configs in both formats, with
-  ``--dump``, and its sweep, run through ``glg.cli.main``. Every file is
-  compared byte for byte.
+- the CLI set: the eight configs of ``CLI_CONFIGS`` in both formats, with
+  ``--dump``, and a sweep over alpha, run through ``glg.cli.main``. Every
+  file is compared byte for byte, and every run must exit 0.
 
 A tree is a git revision, extracted with ``git archive``, or a directory
 holding ``src/glg`` or ``glg``. Each tree runs in one subprocess that
@@ -22,6 +22,12 @@ or which fields moved, by how much.
     python tools/identity.py --against HEAD~1            # working tree vs parent
     python tools/identity.py --tree 19cb5f1 --against 68d7a91
     python tools/identity.py --against ../other-checkout --only node1-gcn-l2-a0-b0
+
+A tree compared with itself checks that a run is deterministic: the two
+runs are separate processes, each with its own hash seed. CI's determinism
+step runs it so on the installed package, ``--tree "$site" --against
+"$site"`` with ``site`` the directory that holds ``glg``; ``CLI_CONFIGS``
+is the only copy of its configs.
 
 Exits 1 when anything moved (or a run failed), unless ``--report`` is given.
 """
@@ -48,7 +54,10 @@ REGULARIZERS = ((0, 0), (0, 1e-3), (1e-3, 1e-3))
 ITERATIONS = 300
 D_TREE = 3
 
-# CI's report-determinism configs (.github/workflows/tier1.yml)
+# the CLI set's configs: the graph configs run the trace each graph attack
+# refills; node1 and batched_node run the dummy-tree attack; the node
+# attacks refill a node trace, the gcn ones without a self weight;
+# graph_a_gcn optimizes the adjacency alone, on the gcn graph trace
 _SMALL = {"n": 8, "avg_degree": 2, "feature_dim": 5, "num_classes": 3}
 CLI_CONFIGS = {
     "node2c": {"scenario": "node2c", "framework": "sage", "hidden_dim": 10,
@@ -282,10 +291,11 @@ def compare_direct(name, a, b):
 
 
 def compare_cli(name, a, b, dir_a, dir_b):
-    """The files of one CLI run that differ between the two output trees."""
-    if int(a[f"{name}::exit"]) != int(b[f"{name}::exit"]):
-        return [f"exit code {int(a[f'{name}::exit'])} vs "
-                f"{int(b[f'{name}::exit'])}"]
+    """The files of one CLI run that differ between the two output trees,
+    or its exit codes unless both are 0: every CLI config is valid."""
+    codes = int(a[f"{name}::exit"]), int(b[f"{name}::exit"])
+    if codes != (0, 0):
+        return [f"exit code {codes[0]} vs {codes[1]}"]
     da, db = pathlib.Path(dir_a, name), pathlib.Path(dir_b, name)
     files = sorted({p.relative_to(d).as_posix() for d in (da, db)
                     for p in d.rglob("*") if p.is_file()})
