@@ -32,8 +32,8 @@ print("computing per-sample gradients on each client...")
 per_client = [client_gradients(params, shard, range(4)) for shard in clients]
 
 updated, rnd = aggregate_and_step(params, per_client, learning_rate=0.1)
-print(f"round {rnd.round_index}: {rnd.num_clients} clients x "
-      f"{rnd.batch_size} samples averaged")
+print(f"round {rnd.round_index}: {rnd.batch_size} samples from "
+      f"{rnd.num_clients} clients averaged")
 for name in params.param_names:
     delta = np.abs(updated.tensors[name] - params.tensors[name]).max()
     print(f"  {name:12s} grad-norm {np.linalg.norm(rnd.averaged.tensors[name]):.4f} "

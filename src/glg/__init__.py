@@ -72,6 +72,7 @@ from .models import (
 )
 from .numkit import (
     AdamState,
+    LbfgsMemory,
     adam_step,
     hungarian_assign,
     least_squares,

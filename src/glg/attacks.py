@@ -4,13 +4,17 @@ The attacker holds leaked gradient bundles, a copy of the model, and
 optionally part of the private data. Dummy inputs are pushed through the
 model, their gradients compared to the leak under an L2 or cosine
 objective (plus smoothness and Frobenius regularizers when structure is
-being recovered), and the dummies updated by Adam. An attack's unknowns
-are one flat vector: the unknown features raveled, then the strict lower
-triangle of an unknown adjacency in ``np.tril_indices(n, k=-1)`` order.
-Each off-diagonal pair is thus one unknown, each step is projected back
-into [0, 1], and the final probabilistic matrix is binarized by Bernoulli
-sampling or min-max thresholding. Each attack draws from the
-``numpy.random.Generator`` it is passed as ``rng``.
+being recovered), and the dummies updated. An attack's unknowns are one
+flat vector: the unknown features raveled, then the strict lower triangle
+of an unknown adjacency in ``np.tril_indices(n, k=-1)`` order. Each
+off-diagonal pair is thus one unknown in the box [0, 1], and the box picks
+the step rule: an attack with an unknown adjacency (node2a/c, graph_a/c)
+runs projected Adam, each step clipped back into [0, 1], and its final
+probabilistic matrix is binarized by Bernoulli sampling or min-max
+thresholding; an attack whose only unknowns are features (node1, node2b,
+graph_b, the batched attacks) runs L-BFGS with a backtracking line search.
+Each attack draws from the ``numpy.random.Generator`` it is passed as
+``rng``.
 """
 
 import math
@@ -40,7 +44,7 @@ from .models import (
     node_ctx,
     node_matching_grad,
 )
-from .numkit import AdamState, adam_step, sample_bernoulli
+from .numkit import AdamState, LbfgsMemory, adam_step, sample_bernoulli
 
 __all__ = [
     "AttackSpec",
@@ -59,10 +63,23 @@ OBJECTIVES = ("cosine", "l2")
 INITS = ("gaussian", "constant")
 FINALIZATIONS = ("bernoulli", "threshold")
 
+# curvature pairs the L-BFGS loop keeps, the share of the predicted
+# decrease its line search asks of a step, and the step below which the
+# search gives up: a unit step's direction is only that exact
+LBFGS_PAIRS = 3
+ARMIJO_C1 = 1e-4
+MIN_STEP = 2.0 ** -52
+
 
 @dataclass
 class AttackSpec:
-    """Configuration of one attack run."""
+    """Configuration of one attack run.
+
+    ``iterations`` caps the run: Adam steps for an attack with an unknown
+    adjacency, evaluations of the objective for one whose only unknowns
+    are features, which runs L-BFGS and may stop sooner. ``learning_rate``
+    is Adam's and applies to the first kind only.
+    """
 
     scenario: str
     objective: str = "cosine"
@@ -423,13 +440,19 @@ def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
 
 
 def _optimize(spec, objective, z, pairs=0):
-    """One Adam run on ``z``, the flat vector of an attack's unknowns.
+    """One optimizer run on ``z``, the flat vector of an attack's unknowns.
 
-    Each step clips the last ``pairs`` entries, the adjacency pairs of
-    :func:`_matching_objective`, back into [0, 1]. A non-finite objective
-    raises :class:`NumericError`. Returns the optimized ``z`` and a
+    The last ``pairs`` entries are the adjacency pairs of
+    :func:`_matching_objective`, which live in the box [0, 1]. With pairs,
+    the run is projected Adam: ``spec.iterations`` steps at
+    ``spec.learning_rate``, each clipped back into the box, then one more
+    evaluation, which takes no gradient, scores the result. Without them,
+    it is L-BFGS (:func:`_lbfgs`). A non-finite objective raises
+    :class:`NumericError`. Returns the optimized ``z`` and a
     :class:`RecoveryResult` with the objective trace and final value.
     """
+    if not pairs:
+        return _lbfgs(spec, objective, z)
     state = AdamState(lr=spec.learning_rate)
     trace = np.zeros(spec.iterations)
     box = slice(len(z) - pairs, None)
@@ -442,10 +465,60 @@ def _optimize(spec, objective, z, pairs=0):
             return z, RecoveryResult(objective_trace=trace, final_objective=value)
         trace[p] = value
         z = adam_step(state, z, gz)
-        if pairs:
-            # np.clip's bits, without its dispatch overhead
-            zb = z[box]
-            np.minimum(np.maximum(zb, 0.0, out=zb), 1.0, out=zb)
+        # np.clip's bits, without its dispatch overhead
+        zb = z[box]
+        np.minimum(np.maximum(zb, 0.0, out=zb), 1.0, out=zb)
+
+
+def _lbfgs(spec, objective, z):
+    """L-BFGS on unknowns without a box, at most ``spec.iterations``
+    evaluations of value and gradient, each one entry of the trace.
+
+    A :class:`~glg.numkit.LbfgsMemory` keeps the last ``LBFGS_PAIRS``
+    curvature pairs, skipping a pair with s . y <= 0, and gives the
+    direction. The line search halves a unit step until the value falls
+    by at least ``ARMIJO_C1`` times the step's predicted decrease
+    (Armijo's rule). The run stops when the gradient is exactly zero, when
+    the line search finds no decrease (the step falls below ``MIN_STEP``
+    or no longer moves ``z``), or when the evaluations are spent. It
+    returns the last accepted point, the lowest value the run has seen.
+    """
+    trace = np.zeros(spec.iterations)
+    memory = LbfgsMemory(LBFGS_PAIRS, len(z))
+    count = 0
+
+    def evaluate(point):
+        nonlocal count
+        value, gz = objective(point, True)
+        if not math.isfinite(value):
+            raise NumericError(f"attack objective is {value} at evaluation "
+                               f"{count}")
+        trace[count] = value
+        count += 1
+        return value, gz
+
+    def result():
+        return z, RecoveryResult(objective_trace=trace[:count],
+                                 final_objective=value)
+
+    value, gz = evaluate(z)
+    while count < spec.iterations:
+        d = memory.direction(gz)
+        if d is None:
+            break  # the gradient is exactly zero
+        bound = ARMIJO_C1 * float(np.dot(gz, d))
+        step, trial = 1.0, z + d
+        t_value, t_gz = evaluate(trial)
+        while not (t_value < value and t_value <= value + step * bound):
+            step *= 0.5
+            trial = z + step * d
+            if (count == spec.iterations or step < MIN_STEP
+                    or np.array_equal(trial, z)):
+                return result()
+            t_value, t_gz = evaluate(trial)
+        memory.push(trial, z, t_gz, gz)
+        z, value, gz = trial, t_value, t_gz
+    return result()
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,8 @@ SCENARIO_TASKS = {"node1": "node", "node2": "node", "batched-node": "node",
 
 @dataclass
 class ClientShard:
-    """One client's private data: a graph with targets, or a list of graphs."""
+    """One client's private data: a graph with targets, or a list of graphs,
+    not both (:class:`ShapeError`)."""
 
     client_id: int
     graph: Optional[Graph] = None
@@ -51,6 +52,8 @@ class ClientShard:
     graphs: Optional[List[Graph]] = None
 
     def __post_init__(self):
+        if self.graph is not None and self.graphs is not None:
+            raise ShapeError("shard holds both a node graph and a graph list")
         if self.graph is not None:
             if not isinstance(self.graph, Graph):
                 raise ShapeError(f"node shard needs one Graph, got "
@@ -158,7 +161,8 @@ def aggregate_and_step(params, client_bundles, learning_rate, round_index=0):
     of per-sample bundles, each checked against the model before any
     update. ``learning_rate`` must be a finite real number. Returns the
     updated parameters, checked as any :class:`~glg.models.ModelParams` is,
-    and the round record; the input parameters are not mutated.
+    and the round record, whose ``batch_size`` is the number of samples the
+    mean weighs; the input parameters are not mutated.
     """
     check_real(learning_rate, "learning_rate")
     if not math.isfinite(learning_rate):
@@ -173,7 +177,7 @@ def aggregate_and_step(params, client_bundles, learning_rate, round_index=0):
         for k, v in params.tensors.items()})
     record = FedRound(
         round_index=round_index,
-        batch_size=len(flat) // max(len(client_bundles), 1),
+        batch_size=len(flat),
         num_clients=len(client_bundles),
         learning_rate=learning_rate,
         client_bundles=client_bundles,

@@ -42,7 +42,14 @@ class Graph:
     graph_label: Optional[int] = None
 
     def __post_init__(self):
-        a = as_matrix(self.adjacency, "adjacency")
+        a = np.asarray(self.adjacency, dtype=np.float64)
+        # a square symmetric matrix of 0s and 1s is finite, and of its
+        # entries only the diagonal is left to check; any other input goes
+        # through every check, in order
+        valid = (a.ndim == 2 and a.shape[0] == a.shape[1]
+                 and _binary_symmetric(a))
+        if not valid:
+            a = as_matrix(a, "adjacency")
         x = as_matrix(self.features, "features")
         if a.shape[0] != a.shape[1]:
             raise ShapeError(f"adjacency must be square, got {a.shape}")
@@ -50,11 +57,11 @@ class Graph:
             raise ShapeError(
                 f"features have {x.shape[0]} rows for {a.shape[0]} nodes"
             )
-        if not np.array_equal(a, a.T):
+        if not (valid or np.array_equal(a, a.T)):
             raise ShapeError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0.0):
+        if np.any(a.diagonal() != 0.0):
             raise ShapeError("adjacency diagonal must be zero")
-        if not np.all((a == 0.0) | (a == 1.0)):
+        if not (valid or np.all((a == 0.0) | (a == 1.0))):
             raise ShapeError("adjacency entries must be 0 or 1")
         object.__setattr__(self, "adjacency", a)
         object.__setattr__(self, "features", x)
@@ -77,6 +84,30 @@ class Graph:
 
     def neighbors(self, node):
         return np.flatnonzero(self.adjacency[node])
+
+
+# rows of a square matrix that _binary_symmetric reads at once
+_SCAN_ROWS = 256
+
+
+def _binary_symmetric(a):
+    """Whether the square float64 ``a`` equals its transpose and holds only
+    0s and 1s.
+
+    One pass over blocks of ``_SCAN_ROWS`` rows, each read up to the end of
+    its diagonal block, so every temporary holds a block, not the matrix.
+    A block must equal the transpose of the matching column strip, and its
+    nonzero count must equal its count of ones (NaN and Inf are nonzero).
+    The blocks cover every entry on and below the diagonal, which a
+    symmetric matrix mirrors above it.
+    """
+    for i in range(0, a.shape[0], _SCAN_ROWS):
+        j = i + _SCAN_ROWS
+        left = a[i:j, :j]
+        if not (np.array_equal(a[:j, i:j], left.T)
+                and np.count_nonzero(left) == np.count_nonzero(left == 1.0)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -232,12 +263,12 @@ def dummy_tree(rng, d_tree, feature_dim):
     """
     check_int(d_tree, "d_tree", 1)
     n = 1 + d_tree + d_tree * d_tree
+    # child c's grandchildren are the d_tree nodes from 1 + c * d_tree on
+    parent = np.concatenate((np.zeros(d_tree, dtype=np.int64),
+                             np.repeat(np.arange(1, d_tree + 1), d_tree)))
+    child = np.arange(1, n)
     a = np.zeros((n, n))
-    for c in range(1, d_tree + 1):
-        a[0, c] = a[c, 0] = 1.0
-        for k in range(d_tree):
-            gc = 1 + d_tree + (c - 1) * d_tree + k
-            a[c, gc] = a[gc, c] = 1.0
+    a[parent, child] = a[child, parent] = 1.0
     return _attach_features(rng, a, feature_dim, None)
 
 

@@ -1,9 +1,11 @@
-"""Dense numeric kernel: pseudoinverse, least squares, Adam, assignment, RNG.
+"""Dense numeric kernel: pseudoinverse, least squares, Adam, L-BFGS,
+assignment, RNG.
 
 Everything runs in float64. All randomness flows through an explicit
 ``numpy.random.Generator`` so that a seed fully determines every draw.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,6 +14,7 @@ from .errors import NumericError, ShapeError, check_int
 
 __all__ = [
     "AdamState",
+    "LbfgsMemory",
     "adam_step",
     "as_matrix",
     "hungarian_assign",
@@ -97,6 +100,94 @@ def adam_step(state, var, grad):
     m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
     v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
     return var - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+class LbfgsMemory:
+    """The last ``size`` curvature pairs of an L-BFGS run on vectors of
+    length ``dim``, and their inner products.
+
+    :meth:`push` keeps a pair (s, y) when s . y > 0, dropping the oldest
+    beyond ``size``; :meth:`direction` is the two-loop recursion's -H g
+    (Nocedal & Wright, Numerical Optimization, algorithm 7.4), the initial
+    inverse Hessian the newest pair's s . y / y . y times the identity. The
+    pairs and g are rows of one stack, and the dot products among the
+    pairs are kept as Python floats, refreshed by one product with the
+    stack per pair pushed. So a direction is one product of the stack with
+    g, the recursion on scalars, and one weighted sum of the rows.
+    """
+
+    def __init__(self, size, dim):
+        self.size = size
+        k = size + 1  # slots: one more than the pairs held, for a push
+        # rows 2i and 2i + 1 are slot i's s and y; the last row is the
+        # gradient of the last direction
+        self._rows = np.zeros((2 * k + 1, dim))
+        self._slots = list(range(k))  # the held slots, oldest first
+        self._held = 0
+        self._sy = [[0.0] * k for _ in range(k)]  # s_i . y_j
+        self._yy = [[0.0] * k for _ in range(k)]  # y_i . y_j
+
+    def push(self, z_new, z_old, g_new, g_old):
+        """Store s = z_new - z_old and y = g_new - g_old unless s . y <= 0;
+        returns whether the pair was kept."""
+        slot = self._slots[self._held]
+        pair = self._rows[2 * slot:2 * slot + 2]
+        np.subtract(z_new, z_old, out=pair[0])
+        np.subtract(g_new, g_old, out=pair[1])
+        dots = np.dot(self._rows, pair.T).tolist()  # row . s, row . y
+        if not dots[2 * slot][1] > 0.0:
+            return False
+        sy, yy = self._sy, self._yy
+        for i in self._slots[:self._held + 1]:
+            sy[slot][i] = dots[2 * i + 1][0]
+            sy[i][slot] = dots[2 * i][1]
+            yy[i][slot] = yy[slot][i] = dots[2 * i + 1][1]
+        if self._held < self.size:
+            self._held += 1
+        else:
+            self._slots.append(self._slots.pop(0))  # the oldest slot is free
+        return True
+
+    def direction(self, grad):
+        """-H grad, or None when ``grad`` is exactly zero; with no pair
+        held, the unit steepest descent -grad / ||grad||."""
+        rows = self._rows
+        rows[-1] = grad
+        p = np.dot(rows, grad).tolist()  # s_i . g and y_i . g, then g . g
+        if p[-1] == 0.0 and not grad.any():
+            return None
+        if not self._held:
+            # scaled first, so that ||grad|| neither underflows nor overflows
+            u = grad / np.abs(grad).max()
+            return u * (-1.0 / math.sqrt(np.dot(u, u)))
+        sy, yy = self._sy, self._yy
+        held = self._slots[:self._held]
+        # the weights of -H g on the rows
+        coef = [0.0] * len(p)
+        # first loop, newest pair first: alpha_i = s_i . q / s_i . y_i with
+        # q = g - sum_j alpha_j y_j over the newer pairs j
+        alpha = {}
+        for n in range(len(held) - 1, -1, -1):
+            i = held[n]
+            t = p[2 * i]
+            for j in held[n + 1:]:
+                t -= alpha[j] * sy[i][j]
+            alpha[i] = t / sy[i][i]
+        newest = held[-1]
+        gamma = sy[newest][newest] / yy[newest][newest]
+        # second loop, oldest pair first: beta_i = y_i . r / s_i . y_i with
+        # r = gamma q + sum_j (alpha_j - beta_j) s_j over the older pairs j
+        for n, i in enumerate(held):
+            t = p[2 * i + 1]
+            for j in held:
+                t -= alpha[j] * yy[i][j]
+            t *= gamma
+            for j in held[:n]:
+                t -= coef[2 * j] * sy[j][i]
+            coef[2 * i] = t / sy[i][i] - alpha[i]
+            coef[2 * i + 1] = gamma * alpha[i]
+        coef[-1] = -gamma
+        return np.dot(coef, rows)
 
 
 def hungarian_assign(cost):

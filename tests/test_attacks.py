@@ -448,6 +448,31 @@ class TestFixedPoints:
         assert np.all(res.objective_trace == 0.0)
         assert np.array_equal(res.features, g.features)
 
+    @pytest.mark.parametrize("scenario", ["node2b", "graph_b"])
+    def test_features_only_truth_init(self, scenario):
+        # L-BFGS from the truth: its first gradient is exactly zero, so it
+        # stops there
+        r = numkit.make_rng(19)
+        if scenario == "node2b":
+            g = graphs.synthetic_graph(r, 6, 2, 8, num_classes=3)
+            params = models.init_params(r, "sage", "node", 8, 5, 3)
+            record = federated.leak(params, g, "node2")
+        else:
+            g0 = graphs.er_graph(r, 5, 0.5, 6)
+            g = graphs.Graph(adjacency=g0.adjacency, features=g0.features,
+                             graph_label=1)
+            params = models.init_params(r, "sage", "graph", 6, 4, 3,
+                                        num_nodes=5)
+            record = federated.leak(params, g, "graph")
+        spec = attacks.AttackSpec(scenario=scenario, iterations=6, alpha=0.0,
+                                  beta=0.0)
+        res = optimize_from(spec, params, record, g.features,
+                            known_a=g.adjacency,
+                            anorm=graphs.normalize_dense(g.adjacency,
+                                                         params.norm_mode))
+        assert np.array_equal(res.objective_trace, [0.0])
+        assert np.array_equal(res.features, g.features)
+
     # node1 and the batched node attack optimize a dummy tree, not the
     # private graph, so they have no truth point at which to evaluate this
     @pytest.mark.parametrize("objective", ["cosine", "l2"])
@@ -502,6 +527,70 @@ class TestFixedPoints:
         assert value == 0.0
         assert gz.shape == z.shape
         assert np.all(gz == 0.0)
+
+
+def quadratic(center, scale=1.0, nan_at=None, sign=1.0):
+    """``f(z, update)`` for scale * ||z - center||^2 / 2 with its gradient
+    times ``sign``; the evaluation numbered ``nan_at`` returns NaN."""
+    calls = []
+
+    def f(z, update):
+        assert update  # L-BFGS takes a gradient at every evaluation
+        calls.append(z.copy())
+        r = z - center
+        value = np.nan if len(calls) - 1 == nan_at else 0.5 * scale * r @ r
+        return value, sign * scale * r
+    f.calls = calls
+    return f
+
+
+class TestQuasiNewton:
+    """The L-BFGS loop that attacks whose unknowns carry no box run."""
+
+    spec = attacks.AttackSpec(scenario="node2b", iterations=200)
+
+    def test_non_finite_value_names_the_evaluation(self):
+        f = quadratic(np.ones(4), nan_at=2)
+        with pytest.raises(NumericError, match=r"nan at evaluation 2$"):
+            attacks._optimize(self.spec, f, np.zeros(4))
+        assert len(f.calls) == 3
+
+    def test_converges_on_a_quadratic_before_the_cap(self):
+        center = numkit.make_rng(3).standard_normal(9)
+        f = quadratic(center, scale=40.0)
+        z, res = attacks._optimize(self.spec, f, np.zeros(9))
+        assert np.allclose(z, center, rtol=0.0, atol=1e-12)
+        assert len(res.objective_trace) == len(f.calls) < self.spec.iterations
+        # the result is the last accepted point, the lowest value seen
+        assert res.final_objective == res.objective_trace.min()
+
+    def test_no_decrease_stops_at_the_start(self):
+        # the gradient points uphill, so no step lowers the value
+        f = quadratic(np.ones(3), sign=-1.0)
+        z, res = attacks._optimize(self.spec, f, np.zeros(3))
+        assert np.array_equal(z, np.zeros(3))
+        assert res.final_objective == res.objective_trace[0] == 1.5
+        assert np.all(res.objective_trace[1:] >= 1.5)
+        assert len(res.objective_trace) < self.spec.iterations
+
+    def test_cap_counts_evaluations(self):
+        f = quadratic(np.ones(5))
+        spec = attacks.AttackSpec(scenario="node2b", iterations=3)
+        _, res = attacks._optimize(spec, f, np.zeros(5))
+        assert len(f.calls) == len(res.objective_trace) == 3
+
+    def test_test06_seed_stops_before_the_cap(self):
+        # the first seed of acceptance criterion 6's config
+        r = numkit.make_rng(9000)
+        g = graphs.synthetic_graph(r, 50, 4, 10, num_classes=4)
+        params = models.init_params(r, "sage", "node", 10, 100, 4)
+        target = int(r.integers(0, 50))
+        record = federated.leak(params, g, "node1", targets=[target])
+        spec = attacks.AttackSpec(scenario="node1", iterations=2000,
+                                  d_tree=10)
+        res = attacks.attack_node1(record, spec, params, rng=r)
+        assert len(res.objective_trace) < spec.iterations
+        assert metrics.rnmse(g.features[target], res.target_feature) <= 1e-12
 
 
 class TestIterativeAttacks:
@@ -567,7 +656,8 @@ class TestIterativeAttacks:
         g = graphs.synthetic_graph(r, 8, 3, 5, num_classes=3)
         params = models.init_params(r, "sage", "node", 5, 12, 3)
         record = federated.leak(params, g, "node2")
-        spec = attacks.AttackSpec(scenario="node2b", iterations=20,
+        # node2c steps with Adam, so the learning rate reaches the step
+        spec = attacks.AttackSpec(scenario="node2c", iterations=20,
                                   learning_rate=1e300)
         with np.errstate(all="ignore"), pytest.raises(NumericError,
                                                       match=r"iteration \d+"):
@@ -708,8 +798,8 @@ class TestIterativeAttacks:
         draw = replay.standard_normal(features.shape)
         live = 1 + spec.d_tree
         assert features.shape[-2] == 1 + spec.d_tree + spec.d_tree ** 2
-        # iterations + 1 forward calls, each on the live rows only
-        assert len(starts) == spec.iterations + 1
+        # one forward call per L-BFGS evaluation, each on the live rows only
+        assert len(starts) == spec.iterations
         assert all(start.shape[-2] == live for start in starts)
         assert np.array_equal(starts[0], draw[..., :live, :])
         assert np.array_equal(features[..., live:, :], draw[..., live:, :])

@@ -98,7 +98,8 @@ class TestAttackCommand:
         assert "configuration error" in out.stderr
 
     def test_diverging_attack_exits_numeric_failure(self, tmp_path):
-        bad = dict(CONFIG, scenario="node2b",
+        # node2c steps with Adam, so the learning rate reaches the step
+        bad = dict(CONFIG, scenario="node2c",
                    dataset=dict(CONFIG["dataset"], n=8),
                    attack={"iterations": 20, "learning_rate": 1e300})
         cfg = write_config(tmp_path, bad)

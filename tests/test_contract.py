@@ -108,6 +108,8 @@ ROWS = {
     # the federated round: shard inputs, batch indices, the SGD step
     "ClientShard graph ndarray": (lambda: federated.ClientShard(
         0, graph=np.zeros((3, 3)), targets=[0]), ShapeError),
+    "ClientShard graph and graphs": (lambda: federated.ClientShard(
+        0, graph=G, targets=[0, 1], graphs=[LABELED]), ShapeError),
     "ClientShard graphs of ints": (
         lambda: federated.ClientShard(0, graphs=[1, 2]), ShapeError),
     "client_gradients bool batch index": (

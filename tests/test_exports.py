@@ -106,20 +106,25 @@ def run_graph_a():
                          rng=numkit.make_rng(0))
 
 
-@pytest.mark.parametrize("run, task, normalizes", [
+@pytest.mark.parametrize("run, task, structure", [
     (run_node1, "node", False), (run_batched_node, "node", False),
     (run_node2a, "node", True), (run_graph_a, "graph", True),
 ], ids=["node1", "batched-node", "node2a", "graph_a"])
-def test_trace_counts_every_pass(run, task, normalizes):
+def test_trace_counts_every_pass(run, task, structure):
     calls = traced_calls(run)
-    # the leak's forward and bundle pass, then one of each per iteration
-    # and one for the final objective
-    assert calls[f"models.{task}_ctx"] == 1 + ITERATIONS + 1
+    # the leak's forward and bundle pass, then one of each per objective
+    # evaluation. The structure attacks' Adam evaluates once per iteration
+    # and once more for the final objective, without a gradient; the
+    # features-only attacks' L-BFGS takes a gradient at every evaluation
+    evaluations = ITERATIONS + 1 if structure else ITERATIONS
+    assert calls[f"models.{task}_ctx"] == 1 + evaluations
     assert calls[f"models.{task}_bundles"] == calls[f"models.{task}_ctx"]
+    assert calls[f"models.{task}_matching_grad"] == ITERATIONS
+    assert calls["numkit.adam_step"] == (ITERATIONS if structure else 0)
     # an optimized adjacency is normalized for every objective value, and
     # its backward runs once per iteration, not for the final value; the
     # dummy-tree attacks normalize their tree once
     assert calls["graphs.normalize_dense"] == (
-        ITERATIONS + 1 if normalizes else 1)
+        ITERATIONS + 1 if structure else 1)
     assert calls["graphs.normalize_dense_backward"] == (
-        ITERATIONS if normalizes else 0)
+        ITERATIONS if structure else 0)

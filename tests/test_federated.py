@@ -137,6 +137,21 @@ class TestAggregateAndStep:
             want = sum(b.tensors[k] for b in flat) / 6.0
             assert np.abs(rnd.averaged.tensors[k] - want).max() < 1e-15
 
+    def test_batch_size_counts_the_samples_the_mean_weighs(self):
+        # clients of 1 and 3 samples: the mean weighs 4 samples equally
+        g, params = node_setup(n=9)
+        per_client = [
+            federated.client_gradients(params, federated.ClientShard(
+                client_id=c, graph=g, targets=targets), range(len(targets)))
+            for c, targets in enumerate(([0], [2, 4, 6]))]
+        _, rnd = federated.aggregate_and_step(params, per_client, 0.1)
+        assert rnd.batch_size == 4
+        assert rnd.num_clients == 2
+        flat = per_client[0] + per_client[1]
+        for k in params.param_names:
+            want = sum(b.tensors[k] for b in flat) / 4.0
+            assert np.abs(rnd.averaged.tensors[k] - want).max() < 1e-15
+
     def test_empty_fails(self):
         _, params = node_setup()
         with pytest.raises(ShapeError):

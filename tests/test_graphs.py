@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from glg import graphs, numkit
-from glg.errors import ConfigError, DataFormatError, ShapeError
+from glg.errors import ConfigError, DataFormatError, NumericError, ShapeError
 
 rng = numkit.make_rng(77)
 
@@ -37,6 +37,34 @@ class TestGraphType:
         with pytest.raises(ShapeError):
             graphs.Graph(adjacency=np.array([[0.0, 0.5], [0.5, 0.0]]),
                          features=np.zeros((2, 1)))
+
+    # an adjacency with more rows than one block of the entry scan; each
+    # defect sits in another block or across the diagonal
+    @pytest.mark.parametrize("r, c", [(0, 600), (600, 0), (300, 5), (5, 300),
+                                      (600, 599), (256, 255)])
+    @pytest.mark.parametrize("defect, error, match", [
+        ("one side", ShapeError, "symmetric"),
+        ("two", ShapeError, "0 or 1"),
+        ("nan", NumericError, "NaN or Inf"),
+        ("inf both sides", NumericError, "NaN or Inf"),
+        ("nan and diagonal", NumericError, "NaN or Inf"),
+        ("two and diagonal", ShapeError, "diagonal"),
+    ])
+    def test_entry_defects_in_any_block(self, r, c, defect, error, match):
+        n = 601
+        a = graphs.er_graph(numkit.make_rng(7), n, 0.01, 1).adjacency
+        if defect == "one side":
+            a[r, c] = 1.0 - a[r, c]
+        elif defect == "nan":
+            a[r, c] = np.nan
+        else:
+            a[r, c] = a[c, r] = np.inf if defect.startswith("inf") else 2.0
+            if defect.endswith("diagonal"):
+                a[3, 3] = 1.0
+            if defect.startswith("nan"):
+                a[r, c] = np.nan
+        with pytest.raises(error, match=match):
+            graphs.Graph(adjacency=a, features=np.zeros((n, 1)))
 
     # a label is a class index under the rule the model traces apply:
     # fractions and bools are refused, not truncated to 1 and 0
@@ -246,6 +274,17 @@ class TestGenerators:
         g = graphs.dummy_tree(rng, 10, 4)
         assert g.num_nodes == 111
         assert g.adjacency.sum() / 2 == 110
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 10])
+    def test_tree_grandchildren_follow_their_parent(self, d):
+        # child c's grandchildren are nodes 1 + c * d, ..., (c + 1) * d
+        a = graphs.dummy_tree(rng, d, 2).adjacency
+        want = np.zeros_like(a)
+        for c in range(1, d + 1):
+            want[0, c] = want[c, 0] = 1.0
+            for gc in range(1 + c * d, 1 + (c + 1) * d):
+                want[c, gc] = want[gc, c] = 1.0
+        assert np.array_equal(a, want)
 
     def test_tree_internal_degree(self):
         d = 4

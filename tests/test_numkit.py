@@ -114,6 +114,66 @@ class TestAdam:
             numkit.adam_step(state, np.zeros((2, 2)), np.zeros((3, 2)))
 
 
+def two_loop(grad, pairs):
+    """The textbook two-loop recursion over (s, y) pairs, oldest first."""
+    if not pairs:
+        return -grad / np.linalg.norm(grad)
+    q = grad.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        alphas.append(np.dot(s, q) / np.dot(s, y))
+        q -= alphas[-1] * y
+    s, y = pairs[-1]
+    q *= np.dot(s, y) / np.dot(y, y)
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        q += (a - np.dot(y, q) / np.dot(s, y)) * s
+    return -q
+
+
+class TestLbfgsMemory:
+    def test_directions_equal_the_two_loop_recursion(self):
+        # L-BFGS steps on a convex quadratic; one pushed pair has s . y = 0
+        r = numkit.make_rng(31)
+        dim, size = 12, 3
+        h = r.standard_normal((dim, dim))
+        h = h @ h.T + np.eye(dim)
+        memory = numkit.LbfgsMemory(size, dim)
+        pairs = []
+        z = r.standard_normal(dim)
+        g = h @ z
+        for step in range(10):
+            d = memory.direction(g)
+            assert np.allclose(d, two_loop(g, pairs), rtol=1e-12, atol=0.0)
+            z_new = z + 0.5 * d
+            g_new = g if step == 4 else h @ z_new
+            kept = memory.push(z_new, z, g_new, g)
+            assert kept == (step != 4)
+            if kept:
+                pairs = (pairs + [(z_new - z, g_new - g)])[-size:]
+            z, g = z_new, g_new
+        assert len(pairs) == size
+
+    def test_no_pair_gives_the_unit_steepest_descent(self):
+        g = np.array([3.0, -4.0])
+        d = numkit.LbfgsMemory(3, 2).direction(g)
+        assert np.allclose(d, [-0.6, 0.8], rtol=1e-15, atol=0.0)
+
+    def test_zero_gradient_has_no_direction(self):
+        memory = numkit.LbfgsMemory(3, 4)
+        assert memory.direction(np.zeros(4)) is None
+        # a gradient whose squared norm underflows is not zero
+        tiny = np.full(4, 1e-310)
+        assert np.all(memory.direction(tiny) < 0.0)
+
+    def test_pair_with_non_positive_curvature_is_skipped(self):
+        memory = numkit.LbfgsMemory(3, 2)
+        z0, z1 = np.zeros(2), np.array([1.0, 0.0])
+        assert not memory.push(z1, z0, np.array([-1.0, 0.0]), np.zeros(2))
+        assert not memory.push(z1, z0, np.array([0.0, 1.0]), np.zeros(2))
+        g = np.array([0.0, 2.0])
+        assert np.array_equal(memory.direction(g), [0.0, -1.0])
+
+
 class TestHungarian:
     def test_identity_cost(self):
         cost = np.ones((3, 3)) - np.eye(3)
