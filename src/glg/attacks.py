@@ -18,7 +18,7 @@ Each attack draws from the ``numpy.random.Generator`` it is passed as
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -227,6 +227,8 @@ def smoothness_grads(x, a, wrt_features, wrt_adjacency, out=None):
     """
     x = np.asarray(x, dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
+    if a.shape != (len(x), len(x)):
+        raise ShapeError(f"adjacency {a.shape} for {len(x)} feature rows")
     gx, ga = (None, None) if out is None else out
     d = np.add.reduce(a, axis=1)
     c = np.add.reduce(a, axis=0)
@@ -272,13 +274,16 @@ def finalize_adjacency(prob, rule, rng=None, tau=0.5):
     above tau; when they are all equal, compare the raw entries with tau.
     Either way the lower triangle is mirrored and the diagonal zeroed. An
     entry that is NaN, Inf or outside [0, 1] raises :class:`NumericError`,
-    an unknown rule or a missing ``rng`` :class:`ConfigError`.
+    a matrix that is not square :class:`ShapeError`, an unknown rule or a
+    missing ``rng`` :class:`ConfigError`.
     """
     if rule not in FINALIZATIONS:
         raise ConfigError(f"unknown finalization rule {rule!r}", "finalization")
     if rule == "bernoulli" and rng is None:
         raise ConfigError("bernoulli finalization needs an rng", "rng")
     prob = np.asarray(prob, dtype=np.float64)
+    if prob.ndim != 2 or prob.shape[0] != prob.shape[1]:
+        raise ShapeError(f"adjacency probabilities of shape {prob.shape}")
     # a NaN fails both comparisons, so it is rejected with the out-of-range
     if not ((prob >= 0.0) & (prob <= 1.0)).all():
         raise NumericError("adjacency probability is NaN or Inf or outside [0, 1]")
@@ -337,21 +342,22 @@ def _pairs(n):
 def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
                         targets=None, known_x=None, known_a=None, anorm=None,
                         regularize=False):
-    """The objective the loop descends: ``f(z, update) -> (value, gz)``.
+    """The objective the loop descends: ``f(z) -> (value, gz)``.
 
     ``z`` holds the unknowns: the features of shape ``x_shape`` raveled
     (``known_x`` stands in when it is None), then, when ``n`` > 0, the
     (n, n) adjacency's strict lower triangle in ``np.tril_indices(n,
     k=-1)`` order, mirrored into one buffer with a zero diagonal (otherwise
-    ``known_a`` and its normalization ``anorm`` stand in). With ``update``,
-    ``gz`` is a new array like ``z`` (None otherwise); a pair's entry sums
-    the gradients of its two mirrored entries. The dummies go through the
-    model's passes with ``labels``, one per dummy sample; a node-task model
-    reads its loss at ``targets``, by default row i for sample i. Several
-    leaked bundles (node2's) are matched row by row against the dummies'
-    per-sample stacks; one is matched by the mean of the B dummies'
-    bundles, each sample's co-vector divided by B. ``regularize`` adds the
-    smoothness and Frobenius terms weighted by spec.alpha / spec.beta.
+    ``known_a`` and its normalization ``anorm`` stand in). Every call
+    returns the value and its gradient ``gz``, a new array like ``z``; a
+    pair's entry sums the gradients of its two mirrored entries. The
+    dummies go through the model's passes with ``labels``, one per dummy
+    sample; a node-task model reads its loss at ``targets``, by default
+    row i for sample i. Several leaked bundles (node2's) are matched row
+    by row against the dummies' per-sample stacks; one is matched by the
+    mean of the B dummies' bundles, each sample's co-vector divided by B.
+    ``regularize`` adds the smoothness and Frobenius terms weighted by
+    spec.alpha / spec.beta.
 
     Built once per attack, before any iteration: the pair indices and
     adjacency buffer, the normalization's forward parts and backward
@@ -385,7 +391,7 @@ def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
     smooth = (np.empty(x_shape) if alpha and opt_x else None,
               np.empty((n, n)) if alpha and n else None)
 
-    def objective(z, update):
+    def objective(z):
         nonlocal trace
         x = z[:nx].reshape(x_shape) if opt_x else known_x
         an = anorm
@@ -406,13 +412,10 @@ def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
         value, vflat = match()
         if alpha:
             s_val, s_gx, s_ga = smoothness_grads(
-                x, a, wrt_features=update and opt_x,
-                wrt_adjacency=update and n > 0, out=smooth)
+                x, a, wrt_features=opt_x, wrt_adjacency=n > 0, out=smooth)
             value += alpha * s_val
         if beta:
             value += beta * frobenius_penalty(a)
-        if not update:
-            return value, None
         if batch > 1:
             # every sample shares the mean's co-vector, scaled by 1/B
             vflat /= batch
@@ -443,36 +446,49 @@ def _optimize(spec, objective, z, pairs=0):
     """One optimizer run on ``z``, the flat vector of an attack's unknowns.
 
     The last ``pairs`` entries are the adjacency pairs of
-    :func:`_matching_objective`, which live in the box [0, 1]. With pairs,
-    the run is projected Adam: ``spec.iterations`` steps at
-    ``spec.learning_rate``, each clipped back into the box, then one more
-    evaluation, which takes no gradient, scores the result. Without them,
-    it is L-BFGS (:func:`_lbfgs`). A non-finite objective raises
-    :class:`NumericError`. Returns the optimized ``z`` and a
-    :class:`RecoveryResult` with the objective trace and final value.
+    :func:`_matching_objective`, in the box [0, 1]: with pairs the run is
+    projected Adam (:func:`_adam`), without them L-BFGS (:func:`_lbfgs`).
+    Both step rules call ``evaluate``, the loop's one evaluation of
+    ``objective(z) -> (value, gz)``: a value that is not finite raises
+    :class:`NumericError` naming the evaluation, and the trace keeps the
+    first ``spec.iterations`` values. Returns the optimized ``z`` and a
+    :class:`RecoveryResult` with the trace and the final value.
     """
-    if not pairs:
-        return _lbfgs(spec, objective, z)
-    state = AdamState(lr=spec.learning_rate)
-    trace = np.zeros(spec.iterations)
-    box = slice(len(z) - pairs, None)
-    for p in range(spec.iterations + 1):
-        # the last evaluation scores the result and takes no gradient
-        value, gz = objective(z, p < spec.iterations)
+    trace = []
+
+    def evaluate(point):
+        value, gz = objective(point)
         if not math.isfinite(value):
-            raise NumericError(f"attack objective is {value} at iteration {p}")
-        if p == spec.iterations:
-            return z, RecoveryResult(objective_trace=trace, final_objective=value)
-        trace[p] = value
-        z = adam_step(state, z, gz)
+            raise NumericError(f"attack objective is {value} at evaluation "
+                               f"{len(trace)}")
+        trace.append(value)
+        return value, gz
+
+    if pairs:
+        z, value = _adam(spec, evaluate, z, pairs)
+    else:
+        z, value = _lbfgs(spec, evaluate, z)
+    trace = np.array(trace[:spec.iterations], dtype=np.float64)
+    return z, RecoveryResult(objective_trace=trace, final_objective=value)
+
+
+def _adam(spec, evaluate, z, pairs):
+    """Projected Adam: ``spec.iterations`` steps at ``spec.learning_rate``,
+    each clipping the last ``pairs`` entries of ``z`` back into [0, 1],
+    then one evaluation past the trace scores the result, its gradient
+    unused. Returns ``(z, value)``."""
+    state = AdamState(lr=spec.learning_rate)
+    for _ in range(spec.iterations):
+        z = adam_step(state, z, evaluate(z)[1])
         # np.clip's bits, without its dispatch overhead
-        zb = z[box]
-        np.minimum(np.maximum(zb, 0.0, out=zb), 1.0, out=zb)
+        box = z[-pairs:]
+        np.minimum(np.maximum(box, 0.0, out=box), 1.0, out=box)
+    return z, evaluate(z)[0]
 
 
-def _lbfgs(spec, objective, z):
+def _lbfgs(spec, evaluate, z):
     """L-BFGS on unknowns without a box, at most ``spec.iterations``
-    evaluations of value and gradient, each one entry of the trace.
+    evaluations. Returns ``(z, value)``.
 
     A :class:`~glg.numkit.LbfgsMemory` keeps the last ``LBFGS_PAIRS``
     curvature pairs, skipping a pair with s . y <= 0, and gives the
@@ -483,42 +499,28 @@ def _lbfgs(spec, objective, z):
     or no longer moves ``z``), or when the evaluations are spent. It
     returns the last accepted point, the lowest value the run has seen.
     """
-    trace = np.zeros(spec.iterations)
     memory = LbfgsMemory(LBFGS_PAIRS, len(z))
-    count = 0
-
-    def evaluate(point):
-        nonlocal count
-        value, gz = objective(point, True)
-        if not math.isfinite(value):
-            raise NumericError(f"attack objective is {value} at evaluation "
-                               f"{count}")
-        trace[count] = value
-        count += 1
-        return value, gz
-
-    def result():
-        return z, RecoveryResult(objective_trace=trace[:count],
-                                 final_objective=value)
-
     value, gz = evaluate(z)
-    while count < spec.iterations:
+    spent = 1
+    while spent < spec.iterations:
         d = memory.direction(gz)
         if d is None:
             break  # the gradient is exactly zero
         bound = ARMIJO_C1 * float(np.dot(gz, d))
         step, trial = 1.0, z + d
-        t_value, t_gz = evaluate(trial)
-        while not (t_value < value and t_value <= value + step * bound):
+        while True:
+            t_value, t_gz = evaluate(trial)
+            spent += 1
+            if t_value < value and t_value <= value + step * bound:
+                break
             step *= 0.5
             trial = z + step * d
-            if (count == spec.iterations or step < MIN_STEP
+            if (spent == spec.iterations or step < MIN_STEP
                     or np.array_equal(trial, z)):
-                return result()
-            t_value, t_gz = evaluate(trial)
+                return z, value
         memory.push(trial, z, t_gz, gz)
         z, value, gz = trial, t_value, t_gz
-    return result()
+    return z, value
 
 
 # ---------------------------------------------------------------------------
@@ -668,15 +670,12 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, *, rng):
                                         x_shape=xs, anorm=anorm)
         z, best = _optimize(spec, objective, _start(rng, spec, xs).ravel())
         best.features = z
+    # each sample's result shares the run's trace and final value
     features = best.features.reshape((b, -1, params.feature_dim))
     return [
-        RecoveryResult(
-            features=features[i].copy(),
-            labels=np.array([labels[i]]),
-            objective_trace=best.objective_trace,
-            final_objective=best.final_objective,
-            target_feature=(features[i, 0].copy()
-                            if params.task == "node" else None),
-        )
+        replace(best, features=features[i].copy(),
+                labels=np.array([labels[i]]),
+                target_feature=(features[i, 0].copy()
+                                if params.task == "node" else None))
         for i in range(b)
     ]

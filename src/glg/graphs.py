@@ -137,7 +137,8 @@ def normalize_dense(a, mode, out=None):
     (n, n), (n,) and (n,), which an attack allocates once: the pass
     refills all three in place and returns ``normalized``, and the triple
     is the ``parts`` that :func:`normalize_dense_backward` reads. Either
-    way the normalized matrix has the same bits.
+    way the normalized matrix has the same bits. Any other mode raises
+    :class:`ConfigError`.
     """
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -159,7 +160,8 @@ def normalize_dense(a, mode, out=None):
         np.divide(a, scale[:, None], out=norm)
         np.copyto(norm, 0.0, where=empty[:, None])
         return norm
-    raise ValueError(f"unknown normalization mode {mode!r}")
+    raise ConfigError(f"mode must be one of {NORM_MODES}, got {mode!r}",
+                      "mode")
 
 
 def normalize_dense_backward(gbar, parts, mode, out=None):
@@ -192,8 +194,6 @@ def normalize_dense_backward(gbar, parts, mode, out=None):
 
 
 def normalize_adjacency(g, mode):
-    if mode not in NORM_MODES:
-        raise ValueError(f"mode must be one of {NORM_MODES}, got {mode!r}")
     return NormalizedAdjacency(normalize_dense(g.adjacency, mode), mode)
 
 
@@ -213,17 +213,26 @@ def _attach_features(rng, a, feature_dim, num_classes):
     return Graph(adjacency=a, features=x, labels=labels)
 
 
+def _pair_nodes(n, index):
+    """Endpoints ``(i, j)``, i < j, of the node pairs numbered ``index`` in
+    the order ``np.triu_indices(n, 1)`` lists them: row i's pairs start at
+    i*n - i*(i+1)/2."""
+    rows = np.arange(n - 1)
+    starts = rows * n - rows * (rows + 1) // 2
+    i = np.searchsorted(starts, index, side="right") - 1
+    return i, index - starts[i] + i + 1
+
+
 def er_graph(rng, n, p, feature_dim, num_classes=None):
-    """Erdos-Renyi graph: each undirected pair kept with probability p."""
+    """Erdos-Renyi graph: each undirected pair kept with probability p, one
+    uniform draw per pair in ``np.triu_indices(n, 1)`` order."""
     check_int(n, "n", 1)
     check_real(p, "p")
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"edge probability must lie in [0, 1], got {p}", "p")
     a = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    draws = (rng.random(len(iu[0])) < p).astype(np.float64)
-    a[iu] = draws
-    a = a + a.T
+    i, j = _pair_nodes(n, np.flatnonzero(rng.random(n * (n - 1) // 2) < p))
+    a[i, j] = a[j, i] = 1.0
     return _attach_features(rng, a, feature_dim, num_classes)
 
 
@@ -247,11 +256,7 @@ def synthetic_graph(rng, n, avg_degree, feature_dim, num_classes=None):
     a = np.zeros((n, n))
     if num_edges > 0:
         chosen = rng.choice(max_edges, size=num_edges, replace=False)
-        # pair index -> (i, j): row i's pairs start at i*n - i*(i+1)/2
-        rows = np.arange(n - 1)
-        starts = rows * n - rows * (rows + 1) // 2
-        i = np.searchsorted(starts, chosen, side="right") - 1
-        j = chosen - starts[i] + i + 1
+        i, j = _pair_nodes(n, chosen)
         a[i, j] = a[j, i] = 1.0
     return _attach_features(rng, a, feature_dim, num_classes)
 
@@ -279,8 +284,8 @@ def khop_egonet(g, center, k):
     indices; the center always maps to subgraph index 0.
     """
     n = g.num_nodes
-    if not 0 <= center < n:
-        raise ShapeError(f"center {center} out of range for {n} nodes")
+    # a one-element list, so that a vector of centers is refused too
+    center = int(check_indices([center], "center", n, "nodes")[0])
     check_int(k, "k", 0)
     dist = np.full(n, -1, dtype=np.int64)
     dist[center] = 0
@@ -379,7 +384,13 @@ def load_graph(feature_file, edge_file, label_file=None):
 
 
 def save_graph(g, feature_file, edge_file, label_file=None):
-    """Write a graph in the format that :func:`load_graph` reads."""
+    """Write a graph in the format that :func:`load_graph` reads.
+
+    A label file for a graph without labels raises :class:`ConfigError`
+    before any file is opened.
+    """
+    if label_file is not None and g.labels is None:
+        raise ConfigError("graph has no labels to save", "label_file")
     with open(feature_file, "w", encoding="utf-8") as fh:
         for row in g.features:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
@@ -388,8 +399,6 @@ def save_graph(g, feature_file, edge_file, label_file=None):
         for i, j in zip(ii, jj):
             fh.write(f"{i} {j}\n")
     if label_file is not None:
-        if g.labels is None:
-            raise ValueError("graph has no labels to save")
         with open(label_file, "w", encoding="utf-8") as fh:
             for y in g.labels:
                 fh.write(f"{int(y)}\n")

@@ -47,6 +47,9 @@ def rnmse(x_true, x_hat):
 def rnmse_per_row(x_true, x_hat):
     """Mean of per-row RNMSE values; the reported error for a feature matrix."""
     x_true, x_hat = _pair(x_true, x_hat)
+    if x_true.ndim != 2:
+        raise ShapeError(f"per-row RNMSE needs (rows, features) matrices, "
+                         f"got shape {x_true.shape}")
     norms = np.linalg.norm(x_true, axis=1)
     if np.any(norms == 0.0):
         raise UndefinedMetricError("RNMSE is undefined for a zero-norm feature row")
@@ -184,12 +187,12 @@ def batch_match_score(true_samples, recovered_samples):
     Builds the pairwise RNMSE cost matrix (true sample i vs recovered j),
     finds the minimum-cost assignment, and reports mean/min/std over the
     matched pairs. Resolves the permutation ambiguity of batched recovery.
+    Empty or unequal sets raise :class:`ShapeError`.
     """
-    if len(true_samples) != len(recovered_samples):
-        raise ShapeError(
-            f"{len(true_samples)} true vs {len(recovered_samples)} recovered"
-        )
     b = len(true_samples)
+    if b != len(recovered_samples) or b == 0:
+        raise ShapeError(f"{b} true vs {len(recovered_samples)} recovered "
+                         f"samples; need one or more of each, equally many")
     cost = np.zeros((b, b))
     for i in range(b):
         for j in range(b):

@@ -523,25 +523,36 @@ class TestFixedPoints:
         # z holds the features, then the adjacency's strict lower triangle
         z = flat(x if opt_x else None,
                  a[np.tril_indices(n, k=-1)] if opt_a else None)
-        value, gz = f(z, True)
+        value, gz = f(z)
         assert value == 0.0
         assert gz.shape == z.shape
         assert np.all(gz == 0.0)
 
 
 def quadratic(center, scale=1.0, nan_at=None, sign=1.0):
-    """``f(z, update)`` for scale * ||z - center||^2 / 2 with its gradient
-    times ``sign``; the evaluation numbered ``nan_at`` returns NaN."""
+    """``f(z)`` for scale * ||z - center||^2 / 2 with its gradient times
+    ``sign``; the evaluation numbered ``nan_at`` returns NaN."""
     calls = []
 
-    def f(z, update):
-        assert update  # L-BFGS takes a gradient at every evaluation
+    def f(z):
         calls.append(z.copy())
         r = z - center
         value = np.nan if len(calls) - 1 == nan_at else 0.5 * scale * r @ r
         return value, sign * scale * r
     f.calls = calls
     return f
+
+
+@pytest.mark.parametrize("pairs, k", [(0, 2), (2, 2), (2, 5)],
+                         ids=["lbfgs", "adam", "adam-score"])
+def test_both_step_rules_share_one_guard(pairs, k):
+    # with pairs the run is Adam, whose evaluation 5 is the one past its
+    # five steps that scores the result
+    spec = attacks.AttackSpec(scenario="node2a", iterations=5)
+    f = quadratic(np.ones(4), nan_at=k)
+    with pytest.raises(NumericError, match=rf"nan at evaluation {k}$"):
+        attacks._optimize(spec, f, np.zeros(4), pairs)
+    assert len(f.calls) == k + 1
 
 
 class TestQuasiNewton:
@@ -659,8 +670,8 @@ class TestIterativeAttacks:
         # node2c steps with Adam, so the learning rate reaches the step
         spec = attacks.AttackSpec(scenario="node2c", iterations=20,
                                   learning_rate=1e300)
-        with np.errstate(all="ignore"), pytest.raises(NumericError,
-                                                      match=r"iteration \d+"):
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericError, match=r"at evaluation \d+"):
             attacks.attack_node2(record, spec, params,
                                  known_adjacency=g.adjacency, rng=r)
 
@@ -1112,10 +1123,9 @@ class TestWholeObjective:
                                                 framework, objective):
         f, x, pairs = objective_case(monkeypatch, scenario, framework, objective)
         z = flat(x, pairs)
-        value, gz = f(z, True)
-        assert value == f(z, False)[0]
-        assert f(z, False)[1] is None and gz.shape == z.shape
-        fd = selftest.finite_difference(lambda: f(z, False)[0], z)
+        value, gz = f(z)
+        assert gz.shape == z.shape
+        fd = selftest.finite_difference(lambda: f(z)[0], z)
         np.testing.assert_allclose(gz, fd, rtol=selftest.REL_TOL,
                                    atol=selftest.ABS_TOL)
 
@@ -1134,10 +1144,10 @@ class TestObjectiveState:
         r = numkit.make_rng(41)
         x1 = None if x2 is None else x2 + r.standard_normal(x2.shape)
         p1 = None if p2 is None else probabilities(r, p2.shape)
-        first = f(flat(x1, p1), True)
+        first = f(flat(x1, p1))
         kept = [np.copy(arr) for arr in first]
-        second = f(flat(x2, p2), True)
-        want = fresh(flat(x2, p2), True)
+        second = f(flat(x2, p2))
+        want = fresh(flat(x2, p2))
         assert first[0] != second[0]
         for got_arr, want_arr in zip(second, want):
             assert np.array_equal(got_arr, want_arr)

@@ -1,6 +1,8 @@
 """One table: each public entry point, given a malformed value, raises a
 named :class:`GlgError` subclass. The table holds no valid input."""
 
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ G = graphs.synthetic_graph(rng, 6, 2, 4, num_classes=2)
 GRAPH = models.init_params(rng, "sage", "graph", 4, 3, 2, num_nodes=6)
 LABELED = graphs.Graph(G.adjacency, G.features, graph_label=1)
 BUNDLE = federated.leak(NODE, G, "node1", targets=[0]).bundle
+MISSING = pathlib.Path(__file__).parent / "no-such-directory"
 
 
 def model(**tensors):
@@ -57,6 +60,19 @@ ROWS = {
     "khop_egonet k 1.5": (lambda: graphs.khop_egonet(G, 0, 1.5), ConfigError),
     "khop_egonet k True": (lambda: graphs.khop_egonet(G, 0, True), ConfigError),
     "khop_egonet center 6": (lambda: graphs.khop_egonet(G, 6, 1), ShapeError),
+    "khop_egonet center 1.5": (lambda: graphs.khop_egonet(G, 1.5, 1),
+                               ShapeError),
+    "khop_egonet center True": (lambda: graphs.khop_egonet(G, True, 1),
+                                ShapeError),
+    "normalize_dense mode unknown": (
+        lambda: graphs.normalize_dense(G.adjacency, "sym"), ConfigError),
+    "normalize_adjacency mode unknown": (
+        lambda: graphs.normalize_adjacency(G, "sym"), ConfigError),
+    # refused before any file is opened, so the missing directory is
+    # never reached
+    "save_graph labels of an unlabeled graph": (lambda: graphs.save_graph(
+        LABELED, *(MISSING / f for f in ("x.csv", "e.txt", "y.txt"))),
+        ConfigError),
     "synthetic_graph n -1": (lambda: graphs.synthetic_graph(rng, -1, 2, 3),
                              ConfigError),
     "synthetic_graph too many edges": (
@@ -140,6 +156,20 @@ ROWS = {
         [[0, 1, 0], [1, 0, 0], [0, 0, 0]], np.zeros((2, 2))), ShapeError),
     "average_precision shape mismatch": (lambda: metrics.average_precision(
         [[0, 1], [1, 0]], np.ones((3, 3)) - np.eye(3)), ShapeError),
+    "batch_match_score empty": (lambda: metrics.batch_match_score([], []),
+                                ShapeError),
+    "rnmse_per_row 1-D": (lambda: metrics.rnmse_per_row(np.ones(3),
+                                                        np.ones(3)),
+                          ShapeError),
+    "finalize_adjacency 1-D": (
+        lambda: attacks.finalize_adjacency(np.zeros(3), "threshold"),
+        ShapeError),
+    "finalize_adjacency non-square": (
+        lambda: attacks.finalize_adjacency(np.zeros((2, 3)), "threshold"),
+        ShapeError),
+    "smoothness_grads node counts differ": (
+        lambda: attacks.smoothness_grads(np.ones((3, 2)), np.zeros((4, 4)),
+                                         True, True), ShapeError),
 }
 
 

@@ -113,18 +113,17 @@ def run_graph_a():
 def test_trace_counts_every_pass(run, task, structure):
     calls = traced_calls(run)
     # the leak's forward and bundle pass, then one of each per objective
-    # evaluation. The structure attacks' Adam evaluates once per iteration
-    # and once more for the final objective, without a gradient; the
-    # features-only attacks' L-BFGS takes a gradient at every evaluation
+    # evaluation, and every evaluation takes one matching gradient. The
+    # structure attacks' Adam evaluates once per step and once more to
+    # score the result; the features-only attacks' L-BFGS spends all its
+    # evaluations on these small problems
     evaluations = ITERATIONS + 1 if structure else ITERATIONS
     assert calls[f"models.{task}_ctx"] == 1 + evaluations
     assert calls[f"models.{task}_bundles"] == calls[f"models.{task}_ctx"]
-    assert calls[f"models.{task}_matching_grad"] == ITERATIONS
+    assert calls[f"models.{task}_matching_grad"] == evaluations
     assert calls["numkit.adam_step"] == (ITERATIONS if structure else 0)
-    # an optimized adjacency is normalized for every objective value, and
-    # its backward runs once per iteration, not for the final value; the
-    # dummy-tree attacks normalize their tree once
-    assert calls["graphs.normalize_dense"] == (
-        ITERATIONS + 1 if structure else 1)
+    # an optimized adjacency is normalized, forward and backward, at every
+    # evaluation; the dummy-tree attacks normalize their tree once
+    assert calls["graphs.normalize_dense"] == (evaluations if structure else 1)
     assert calls["graphs.normalize_dense_backward"] == (
-        ITERATIONS if structure else 0)
+        evaluations if structure else 0)

@@ -265,6 +265,22 @@ class TestGenerators:
             ref[iu[0][chosen], iu[1][chosen]] = 1.0
             assert np.array_equal(g.adjacency, ref + ref.T)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 50])
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.5, 1.0])
+    def test_er_pairs_are_the_triu_enumeration(self, n, p):
+        # the reference keeps the pairs np.triu_indices lists, one draw
+        # each, then draws the features and labels from the same generator
+        for seed in range(3):
+            g = graphs.er_graph(numkit.make_rng(seed), n, p, 3, num_classes=4)
+            r = numkit.make_rng(seed)
+            ref = np.zeros((n, n))
+            iu = np.triu_indices(n, k=1)
+            ref[iu] = (r.random(len(iu[0])) < p).astype(np.float64)
+            want = graphs._attach_features(r, ref + ref.T, 3, 4)
+            assert np.array_equal(g.adjacency, want.adjacency)
+            assert np.array_equal(g.features, want.features)
+            assert np.array_equal(g.labels, want.labels)
+
     def test_tree_single_child(self):
         g = graphs.dummy_tree(rng, 1, 2)
         assert g.num_nodes == 3
@@ -360,6 +376,13 @@ class TestFileIO:
         assert np.array_equal(back.adjacency, g.adjacency)
         assert np.array_equal(back.features, g.features)
         assert np.array_equal(back.labels, g.labels)
+
+    def test_labels_of_an_unlabeled_graph_write_nothing(self, tmp_path):
+        g = graphs.er_graph(rng, 4, 0.5, 2)
+        paths = [tmp_path / f for f in ("x.csv", "e.txt", "y.txt")]
+        with pytest.raises(ConfigError, match="label_file"):
+            graphs.save_graph(g, *paths)
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_edge_reports_line(self, tmp_path):
         (tmp_path / "x.csv").write_text("1.0\n2.0\n")
