@@ -63,10 +63,13 @@ OBJECTIVES = ("cosine", "l2")
 INITS = ("gaussian", "constant")
 FINALIZATIONS = ("bernoulli", "threshold")
 
-# curvature pairs the L-BFGS loop keeps, the share of the predicted
+# the L-BFGS loop's curvature pairs: as many as a node1 run keeps, but no
+# more than fit in LBFGS_BYTES, since every step reads them twice (64
+# pairs of B = 50's 3,000 unknowns are 3 MB); the share of the predicted
 # decrease its line search asks of a step, and the step below which the
 # search gives up: a unit step's direction is only that exact
-LBFGS_PAIRS = 3
+LBFGS_PAIRS = 64
+LBFGS_BYTES = 256 * 1024
 ARMIJO_C1 = 1e-4
 MIN_STEP = 2.0 ** -52
 
@@ -491,7 +494,8 @@ def _lbfgs(spec, evaluate, z):
     evaluations. Returns ``(z, value)``.
 
     A :class:`~glg.numkit.LbfgsMemory` keeps the last ``LBFGS_PAIRS``
-    curvature pairs, skipping a pair with s . y <= 0, and gives the
+    curvature pairs, fewer when their s and y rows would pass
+    ``LBFGS_BYTES``, skipping a pair with s . y <= 0, and gives the
     direction. The line search halves a unit step until the value falls
     by at least ``ARMIJO_C1`` times the step's predicted decrease
     (Armijo's rule). The run stops when the gradient is exactly zero, when
@@ -499,7 +503,9 @@ def _lbfgs(spec, evaluate, z):
     or no longer moves ``z``), or when the evaluations are spent. It
     returns the last accepted point, the lowest value the run has seen.
     """
-    memory = LbfgsMemory(LBFGS_PAIRS, len(z))
+    # a pair is two rows of z's size
+    size = min(LBFGS_PAIRS, max(1, LBFGS_BYTES // (2 * z.nbytes)))
+    memory = LbfgsMemory(size, len(z))
     value, gz = evaluate(z)
     spent = 1
     while spent < spec.iterations:

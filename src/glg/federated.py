@@ -8,12 +8,13 @@ tensors only, never raw features, adjacency or labels.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, check_indices, check_real
+from .errors import (ConfigError, ShapeError, check_indices, check_int,
+                     check_real)
 from .graphs import Graph, normalize_adjacency
 from .models import (
     GradientBundle,
@@ -93,11 +94,26 @@ class FedRound:
 
 @dataclass
 class LeakRecord:
-    """What the server sees for one attack scenario: gradients only."""
+    """What the server sees for one attack scenario: gradients only, a
+    non-empty list of bundles (:class:`ShapeError` otherwise) averaged over
+    ``batch_size`` samples, an integer >= 1 (:class:`ConfigError`
+    otherwise)."""
 
     scenario: str
-    bundles: List[GradientBundle] = field(default_factory=list)
+    bundles: List[GradientBundle]
     batch_size: int = 1
+
+    def __post_init__(self):
+        if not isinstance(self.bundles, (list, tuple)):
+            raise ShapeError(f"leak needs a list of GradientBundles, got "
+                             f"{type(self.bundles).__name__}")
+        if not self.bundles:
+            raise ShapeError("leak holds no gradient bundle")
+        for b in self.bundles:
+            if not isinstance(b, GradientBundle):
+                raise ShapeError(f"leak needs a list of GradientBundles, got "
+                                 f"one holding a {type(b).__name__}")
+        check_int(self.batch_size, "batch_size", 1)
 
     @property
     def bundle(self):

@@ -104,88 +104,108 @@ def adam_step(state, var, grad):
 
 class LbfgsMemory:
     """The last ``size`` curvature pairs of an L-BFGS run on vectors of
-    length ``dim``, and their inner products.
+    length ``dim``, and the products that give its direction.
 
     :meth:`push` keeps a pair (s, y) when s . y > 0, dropping the oldest
-    beyond ``size``; :meth:`direction` is the two-loop recursion's -H g
-    (Nocedal & Wright, Numerical Optimization, algorithm 7.4), the initial
-    inverse Hessian the newest pair's s . y / y . y times the identity. The
-    pairs and g are rows of one stack, and the dot products among the
-    pairs are kept as Python floats, refreshed by one product with the
-    stack per pair pushed. So a direction is one product of the stack with
-    g, the recursion on scalars, and one weighted sum of the rows.
+    beyond ``size``; :meth:`direction` is -H g in the compact form of
+    Byrd, Nocedal & Schnabel (Math. Prog. 63, 1994), which equals the
+    two-loop recursion's (Nocedal & Wright, Numerical Optimization,
+    algorithm 7.4)::
+
+        H = gamma I + [S  gamma Y] M [S^T; gamma Y^T]
+        M = [[R^-T (D + gamma Y^T Y) R^-1, -R^-T], [-R^-1, 0]]
+
+    with the pairs the columns of S and Y, oldest first, R the upper
+    triangle of S^T Y, D its diagonal and gamma the newest pair's
+    s . y / y . y. So -H g = -gamma g - S q + gamma Y p, with
+    p = R^-1 S^T g and q = R^-T ((D + gamma Y^T Y) p - gamma Y^T g).
+
+    The pairs and g are rows of one stack, in slots; R^-1, Y^T Y and D
+    are kept in slot order, R^-1 zero in the rows and columns of the slots
+    not held. A push adds R^-1's column for its pair (the inverse of
+    [[R, r], [0, rho]] is [[R^-1, -R^-1 r / rho], [0, 1 / rho]]), and
+    dropping the oldest pair zeroes its row: R^-1's trailing block is the
+    inverse of R's, and the oldest pair's column is zero off the diagonal.
+    A push reads the stack once, against its y and its g_new, which also
+    gives the next direction's S^T g and Y^T g; a direction is then a few
+    products of slot-sized arrays and one weighted sum of the rows,
+    whatever the pair count.
     """
 
     def __init__(self, size, dim):
         self.size = size
-        k = size + 1  # slots: one more than the pairs held, for a push
-        # rows 2i and 2i + 1 are slot i's s and y; the last row is the
-        # gradient of the last direction
+        # slots: one more than the pairs held, for a push
+        self._k = k = size + 1
+        # row i is slot i's s, row k + i its y; the last row is the
+        # gradient of the last push or direction
         self._rows = np.zeros((2 * k + 1, dim))
         self._slots = list(range(k))  # the held slots, oldest first
         self._held = 0
-        self._sy = [[0.0] * k for _ in range(k)]  # s_i . y_j
-        self._yy = [[0.0] * k for _ in range(k)]  # y_i . y_j
+        self._rinv = np.zeros((k, k))  # R^-1, zero outside the held slots
+        self._yy = np.zeros((k, k))  # y_i . y_j
+        self._sy = np.zeros(k)  # D's diagonal, s_i . y_i
+        self._gamma = 0.0
+        # the g_new of the last push and every row's product with it
+        self._grad = self._dots = None
 
     def push(self, z_new, z_old, g_new, g_old):
         """Store s = z_new - z_old and y = g_new - g_old unless s . y <= 0;
         returns whether the pair was kept."""
-        slot = self._slots[self._held]
-        pair = self._rows[2 * slot:2 * slot + 2]
-        np.subtract(z_new, z_old, out=pair[0])
-        np.subtract(g_new, g_old, out=pair[1])
-        dots = np.dot(self._rows, pair.T).tolist()  # row . s, row . y
-        if not dots[2 * slot][1] > 0.0:
+        k, slot, rows = self._k, self._slots[self._held], self._rows
+        np.subtract(z_new, z_old, out=rows[slot])
+        np.subtract(g_new, g_old, out=rows[k + slot])
+        rows[-1] = g_new
+        dots = np.dot(rows[[k + slot, -1]], rows.T)  # y . row, g_new . row
+        self._grad, self._dots = g_new, dots[1]
+        sy = dots[0, slot]
+        if not sy > 0.0:
             return False
-        sy, yy = self._sy, self._yy
-        for i in self._slots[:self._held + 1]:
-            sy[slot][i] = dots[2 * i + 1][0]
-            sy[i][slot] = dots[2 * i][1]
-            yy[i][slot] = yy[slot][i] = dots[2 * i + 1][1]
+        rinv = self._rinv
         if self._held < self.size:
             self._held += 1
         else:
-            self._slots.append(self._slots.pop(0))  # the oldest slot is free
+            oldest = self._slots.pop(0)
+            self._slots.append(oldest)  # the oldest slot is free
+            rinv[oldest] = 0.0
+        column = np.dot(rinv, dots[0, :k])  # R^-1 S^T y
+        column *= -1.0 / sy
+        column[slot] = 1.0 / sy
+        rinv[:, slot] = column
+        yy = dots[0, k:-1]
+        self._yy[slot] = self._yy[:, slot] = yy
+        self._sy[slot] = sy
+        self._gamma = sy / yy[slot]
         return True
 
     def direction(self, grad):
         """-H grad, or None when ``grad`` is exactly zero; with no pair
-        held, the unit steepest descent -grad / ||grad||."""
-        rows = self._rows
-        rows[-1] = grad
-        p = np.dot(rows, grad).tolist()  # s_i . g and y_i . g, then g . g
-        if p[-1] == 0.0 and not grad.any():
+        held, the unit steepest descent -grad / ||grad||. A direction at
+        the last push's ``g_new``, unchanged since, takes that push's
+        products with the stack; any other gradient reads the stack once
+        more."""
+        k, rows, dots = self._k, self._rows, self._dots
+        if grad is not self._grad:
+            rows[-1] = grad
+            dots = np.dot(rows, grad)
+            self._grad = None  # the gradient row no longer holds g_new
+        if dots[-1] == 0.0 and not grad.any():
             return None
         if not self._held:
             # scaled first, so that ||grad|| neither underflows nor overflows
             u = grad / np.abs(grad).max()
             return u * (-1.0 / math.sqrt(np.dot(u, u)))
-        sy, yy = self._sy, self._yy
-        held = self._slots[:self._held]
-        # the weights of -H g on the rows
-        coef = [0.0] * len(p)
-        # first loop, newest pair first: alpha_i = s_i . q / s_i . y_i with
-        # q = g - sum_j alpha_j y_j over the newer pairs j
-        alpha = {}
-        for n in range(len(held) - 1, -1, -1):
-            i = held[n]
-            t = p[2 * i]
-            for j in held[n + 1:]:
-                t -= alpha[j] * sy[i][j]
-            alpha[i] = t / sy[i][i]
-        newest = held[-1]
-        gamma = sy[newest][newest] / yy[newest][newest]
-        # second loop, oldest pair first: beta_i = y_i . r / s_i . y_i with
-        # r = gamma q + sum_j (alpha_j - beta_j) s_j over the older pairs j
-        for n, i in enumerate(held):
-            t = p[2 * i + 1]
-            for j in held:
-                t -= alpha[j] * yy[i][j]
-            t *= gamma
-            for j in held[:n]:
-                t -= coef[2 * j] * sy[j][i]
-            coef[2 * i] = t / sy[i][i] - alpha[i]
-            coef[2 * i + 1] = gamma * alpha[i]
+        gamma, rinv = self._gamma, self._rinv
+        p = np.dot(rinv, dots[:k])
+        w = np.dot(self._yy, p)
+        w -= dots[k:-1]
+        w *= gamma
+        w += self._sy * p
+        # the weights of -H g on the rows: -q = -R^-T w on the s rows,
+        # gamma p on the y rows, -gamma on the gradient row
+        coef = np.empty(len(dots))
+        np.dot(w, rinv, out=coef[:k])
+        coef[:k] *= -1.0
+        np.multiply(p, gamma, out=coef[k:-1])
         coef[-1] = -gamma
         return np.dot(coef, rows)
 

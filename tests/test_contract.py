@@ -32,6 +32,13 @@ def step(learning_rate):
                                                 learning_rate)
 
 
+def batched(batch_size, labels):
+    return lambda: attacks.attack_batched(
+        federated.LeakRecord("batched-node", [BUNDLE], batch_size),
+        attacks.AttackSpec("node1", iterations=3, d_tree=2), NODE, labels,
+        rng=rng)
+
+
 def init(framework="gcn", task="node", feature_dim=4, hidden_dim=3,
          num_classes=2, num_nodes=None):
     return lambda: models.init_params(rng, framework, task, feature_dim,
@@ -132,6 +139,21 @@ ROWS = {
         lambda: federated.client_gradients(
             GRAPH, federated.ClientShard(0, graphs=[LABELED, LABELED]),
             [True]), ShapeError),
+    # the leak record: a non-empty list of bundles from >= 1 samples
+    "attack_batched batch_size True": (batched(True, [0]), ConfigError),
+    "attack_batched batch_size 3.0": (batched(3.0, [0, 0, 0]), ConfigError),
+    "attack_batched batch_size 0": (batched(0, np.zeros(0, dtype=np.int64)),
+                                    ConfigError),
+    "attack_node1 bundles None": (lambda: attacks.attack_node1(
+        federated.LeakRecord("node1", None), attacks.AttackSpec("node1"),
+        NODE, rng), ShapeError),
+    "attack_node1 bundle not a GradientBundle": (
+        lambda: attacks.attack_node1(federated.LeakRecord("node1", [1]),
+                                     attacks.AttackSpec("node1"), NODE, rng),
+        ShapeError),
+    "attack_node2 empty leak": (lambda: attacks.attack_node2(
+        federated.LeakRecord("node2", []), attacks.AttackSpec("node2b"), NODE,
+        known_adjacency=G.adjacency, rng=rng), ShapeError, "no gradient"),
     "aggregate_and_step learning_rate NaN": (step(np.nan), ConfigError),
     "aggregate_and_step learning_rate Inf": (step(np.inf), ConfigError),
     "aggregate_and_step learning_rate str": (step("0.1"), ConfigError),
@@ -175,7 +197,9 @@ ROWS = {
 
 @pytest.mark.parametrize("row", ROWS)
 def test_malformed_input_raises_its_named_error(row):
-    call, error = ROWS[row]
+    # a third entry is a pattern the message must match, for a row whose
+    # error type alone does not tell the right check from a wrong one
+    call, error, *match = ROWS[row]
     assert issubclass(error, GlgError) and error is not GlgError
-    with pytest.raises(error):
+    with pytest.raises(error, match=match[0] if match else None):
         call()

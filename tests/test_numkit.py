@@ -131,27 +131,43 @@ def two_loop(grad, pairs):
 
 
 class TestLbfgsMemory:
-    def test_directions_equal_the_two_loop_recursion(self):
-        # L-BFGS steps on a convex quadratic; one pushed pair has s . y = 0
+    @staticmethod
+    def _steps_against_the_two_loop_recursion(size):
+        """L-BFGS steps on a convex quadratic, each direction compared with
+        the two-loop recursion's; the pairs pushed at steps 4 and 9 have
+        s . y = 0."""
         r = numkit.make_rng(31)
-        dim, size = 12, 3
+        dim, steps, refused = 12, 16, (4, 9)
         h = r.standard_normal((dim, dim))
         h = h @ h.T + np.eye(dim)
         memory = numkit.LbfgsMemory(size, dim)
         pairs = []
         z = r.standard_normal(dim)
         g = h @ z
-        for step in range(10):
+        for step in range(steps):
+            want = two_loop(g, pairs)
+            # a gradient other than the last push's reads the stack itself,
+            # and the last push's products still serve its own
+            assert np.allclose(memory.direction(-g), -want, rtol=1e-12,
+                               atol=0.0)
             d = memory.direction(g)
-            assert np.allclose(d, two_loop(g, pairs), rtol=1e-12, atol=0.0)
+            assert np.allclose(d, want, rtol=1e-12, atol=0.0)
             z_new = z + 0.5 * d
-            g_new = g if step == 4 else h @ z_new
+            g_new = g if step in refused else h @ z_new
             kept = memory.push(z_new, z, g_new, g)
-            assert kept == (step != 4)
+            assert kept == (step not in refused)
             if kept:
                 pairs = (pairs + [(z_new - z, g_new - g)])[-size:]
             z, g = z_new, g_new
-        assert len(pairs) == size
+        assert len(pairs) == min(size, steps - len(refused))
+
+    def test_directions_equal_the_two_loop_recursion(self):
+        # the memory wraps around at step 3, and each refused pair is
+        # written into the free slot that the next kept pair reuses
+        self._steps_against_the_two_loop_recursion(3)
+
+    def test_memory_deeper_than_the_run(self):
+        self._steps_against_the_two_loop_recursion(64)
 
     def test_no_pair_gives_the_unit_steepest_descent(self):
         g = np.array([3.0, -4.0])
