@@ -2,8 +2,9 @@
 
 One scenario per level of attacker knowledge. Known features -> recover
 the structure; known structure -> recover the features; neither -> recover
-both. All three run the same projected gradient-matching loop, only the
-optimized variables change.
+both. All three match the first-layer inputs that the per-node gradients
+give in closed form, by one objective; only the optimized variables
+change.
 """
 import numpy as np
 

@@ -4,9 +4,13 @@ The attacker holds leaked gradient bundles, a copy of the model, and
 optionally part of the private data. Dummy inputs are pushed through the
 model, their gradients compared to the leak under an L2 or cosine
 objective (plus smoothness and Frobenius regularizers when structure is
-being recovered), and the dummies updated. An attack's unknowns are one
-flat vector: the unknown features raveled, then the strict lower triangle
-of an unknown adjacency in ``np.tril_indices(n, k=-1)`` order. Each
+being recovered), and the dummies updated. node2's per-node bundles are
+not matched as bundles: each node's bundle reads the graph only through
+its first-layer input, which the leak's row ratios give in closed form,
+so node2 matches the dummy's input rows to those by L2, with no model
+pass. Each attack reads a leak of its own scenario. An attack's unknowns
+are one flat vector: the unknown features raveled, then the strict lower
+triangle of an unknown adjacency in ``np.tril_indices(n, k=-1)`` order. Each
 off-diagonal pair is thus one unknown in the box [0, 1], and the box picks
 the step rule: an attack with an unknown adjacency (node2a/c, graph_a/c)
 runs projected Adam, each step clipped back into [0, 1], and its final
@@ -19,15 +23,17 @@ Each attack draws from the ``numpy.random.Generator`` it is passed as
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import closed_form
 from .errors import (
     ConfigError,
     DegenerateGradientError,
     NumericError,
     ShapeError,
+    UnrecoverableError,
     check_int,
     check_real,
 )
@@ -35,6 +41,7 @@ from .graphs import dummy_tree, normalize_dense, normalize_dense_backward
 from .models import (
     bundle_rows,
     bundle_views,
+    check_bundles,
     check_labels,
     graph_bundles,
     graph_ctx,
@@ -81,7 +88,10 @@ class AttackSpec:
     ``iterations`` caps the run: Adam steps for an attack with an unknown
     adjacency, evaluations of the objective for one whose only unknowns
     are features, which runs L-BFGS and may stop sooner. ``learning_rate``
-    is Adam's and applies to the first kind only.
+    is Adam's and applies to the first kind only. ``objective`` is the
+    gradient-matching loss of the attacks that match bundles (node1,
+    graph_*, batched); node2 matches the leak's layer-input rows by L2
+    whatever it says.
     """
 
     scenario: str
@@ -201,6 +211,92 @@ def _matcher(leaked_flat, kind, dummy_flat, grad):
     return match
 
 
+class LayerInputs(NamedTuple):
+    """The first-layer input rows that a node2 leak gives in closed form.
+
+    ``keep`` holds the nodes with a recoverable row, in order; ``agg``
+    their aggregate rows m_i = (Anorm X)_i, one per kept node; ``own``
+    their feature rows x_i in the same order, or None when they are not
+    matched.
+    """
+
+    keep: np.ndarray
+    agg: np.ndarray
+    own: Optional[np.ndarray]
+
+
+def _layer_inputs(params, bundles, own):
+    """The :class:`LayerInputs` of node2's per-node bundles.
+
+    Node i's bundle reads the graph only through the input of the first
+    layer, m_i and, for sage, x_i, and the row ratio of its first-layer
+    weight and bias gradients gives that input exactly
+    (:func:`~glg.closed_form.recover_agg_features`, and
+    :func:`~glg.closed_form.recover_target_features` when ``own``). The
+    bundles are first checked against the model (:class:`ShapeError`). A
+    node whose bias-gradient entries are all (near) zero has no
+    recoverable row and is left out; :class:`UnrecoverableError` when no
+    node is left.
+    """
+    check_bundles(params, bundles)
+    keep, agg, mine = [], [], []
+    for i, b in enumerate(bundles):
+        # through the module, so a wrapper swapped into its namespace sees
+        # every call
+        try:
+            m = closed_form.recover_agg_features(b, params.framework)
+            x = closed_form.recover_target_features(b) if own else None
+        except UnrecoverableError:
+            continue
+        keep.append(i)
+        agg.append(m)
+        mine.append(x)
+    if not keep:
+        raise UnrecoverableError("no node of the leak has a recoverable "
+                                 "layer input")
+    return LayerInputs(np.array(keep), np.array(agg),
+                       np.array(mine) if own else None)
+
+
+def _input_rows(inputs, n, dummy, grad):
+    """The dummy's layer-input rows: ``(rows, rows_grad)``, a pass and its
+    adjoint over the rows of ``inputs`` (:class:`LayerInputs`) of n nodes.
+
+    ``rows(x, an)`` writes the kept nodes' aggregate rows (an @ x)_i into
+    the first rows of ``dummy``, then, when ``inputs.own`` is matched,
+    their feature rows x_i. ``rows_grad(x, want_adjacency,
+    want_features)`` reads the rows' gradient from ``grad``, laid out as
+    ``dummy``: with g_m and g_s its two parts, the features' gradient is
+    an_keep^T g_m plus g_s on the kept rows and the normalized
+    adjacency's is g_m x^T on the kept rows, zero on the others, both new
+    arrays, None when not wanted; an_keep holds the rows of the last
+    ``rows`` call's ``an``.
+    """
+    keep = inputs.keep
+    k = len(keep)
+    own = inputs.own is not None
+    agg, agg_grad, own_rows, own_grad = dummy[:k], grad[:k], dummy[k:], grad[k:]
+    at = np.empty((k, n))
+
+    def rows(x, an):
+        np.dot(an.take(keep, 0, at, "clip"), x, out=agg)
+        if own:
+            x.take(keep, 0, own_rows, "clip")
+
+    def rows_grad(x, want_adjacency, want_features):
+        gx = ga = None
+        if want_features:
+            gx = np.dot(at.T, agg_grad)
+            if own:
+                gx[keep] += own_grad
+        if want_adjacency:
+            ga = np.zeros((n, n))
+            ga[keep] = np.dot(agg_grad, x.T)
+        return gx, ga
+
+    return rows, rows_grad
+
+
 # ---------------------------------------------------------------------------
 # Regularizers, projection, finalization
 # ---------------------------------------------------------------------------
@@ -313,14 +409,18 @@ def _start(rng, spec, shape):
     return rng.standard_normal(shape)
 
 
-def _check_scenario(spec, params, scenarios, task):
-    """Raise :class:`ConfigError` unless the spec and model fit this attack."""
+def _check_scenario(spec, params, scenarios, task, leak, leaked):
+    """Raise :class:`ConfigError` unless the spec, the model and the leak,
+    which must be of the ``leaked`` scenario, fit this attack."""
     if spec.scenario not in scenarios:
         raise ConfigError(f"spec scenario {spec.scenario} is not one of "
                           f"{scenarios}", "scenario")
     if params.task != task:
         raise ConfigError(f"{spec.scenario} needs a {task}-task model",
                           "scenario")
+    if leak.scenario != leaked:
+        raise ConfigError(f"{spec.scenario} needs a {leaked} leak, got "
+                          f"{leak.scenario!r}", "scenario")
 
 
 def _known(value, shape, name):
@@ -342,7 +442,7 @@ def _pairs(n):
     return rows * n + cols, cols * n + rows
 
 
-def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
+def _matching_objective(spec, params, leaked, labels, x_shape=None, n=0,
                         targets=None, known_x=None, known_a=None, anorm=None,
                         regularize=False):
     """The objective the loop descends: ``f(z) -> (value, gz)``.
@@ -353,12 +453,19 @@ def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
     k=-1)`` order, mirrored into one buffer with a zero diagonal (otherwise
     ``known_a`` and its normalization ``anorm`` stand in). Every call
     returns the value and its gradient ``gz``, a new array like ``z``; a
-    pair's entry sums the gradients of its two mirrored entries. The
-    dummies go through the model's passes with ``labels``, one per dummy
-    sample; a node-task model reads its loss at ``targets``, by default
-    row i for sample i. Several leaked bundles (node2's) are matched row
-    by row against the dummies' per-sample stacks; one is matched by the
-    mean of the B dummies' bundles, each sample's co-vector divided by B.
+    pair's entry sums the gradients of its two mirrored entries.
+
+    ``leaked`` is what the dummies are matched against, by one of two
+    pass/adjoint pairs:
+    - one gradient bundle in a list (node1's, a graph's, a batch's mean):
+      the dummies go through the model's passes with ``labels``, one per
+      dummy sample, and the mean of their B bundles is matched under
+      spec.objective, each sample's co-vector divided by B. A node-task
+      model reads its loss at ``targets``, by default row i for sample i.
+    - node2's :class:`LayerInputs`: the dummy's first-layer input rows
+      (:func:`_input_rows`) are matched by L2, with no model pass;
+      ``labels`` is not read.
+
     ``regularize`` adds the smoothness and Frobenius terms weighted by
     spec.alpha / spec.beta.
 
@@ -367,10 +474,10 @@ def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
     output, the smoothness gradients' buffers, the leak's flat rows
     (checked against the model) and cosine norms, the matcher's
     temporaries and views, and the :class:`~glg.models.Stacks` of the
-    dummy's bundle rows and of the co-vector. The model's trace is built by
-    the first call and refilled by every later one. On an attack whose
-    only unknowns are features, ``gz`` is the features' gradient itself,
-    raveled.
+    dummy's bundle rows and of the co-vector, or the input rows' pass and
+    adjoint. The model's trace is built by the first call and refilled by
+    every later one. On an attack whose only unknowns are features, ``gz``
+    is the features' gradient itself, raveled.
     """
     opt_x = x_shape is not None
     nx = math.prod(x_shape) if opt_x else 0
@@ -379,17 +486,27 @@ def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
     # normalize_dense's (normalized, degrees, scale) and the backward's output
     parts = (np.empty((n, n)), np.empty(n), np.empty(n))
     a_grad = np.empty((n, n))
-    leaked_flat = bundle_rows(params, bundles)
+    inputs = isinstance(leaked, LayerInputs)
+    if inputs:
+        leaked_flat = (leaked.agg if leaked.own is None
+                       else np.concatenate((leaked.agg, leaked.own)))
+    else:
+        leaked_flat = bundle_rows(params, leaked)
     dummy_flat = np.empty_like(leaked_flat)
-    dummy = bundle_views(params, dummy_flat)
     grad_flat = np.empty_like(leaked_flat)
-    covec = bundle_views(params, grad_flat)
-    match = _matcher(leaked_flat, spec.objective, dummy_flat, grad_flat)
+    match = _matcher(leaked_flat, "l2" if inputs else spec.objective,
+                     dummy_flat, grad_flat)
+    if inputs:
+        rows, rows_grad = _input_rows(
+            leaked, x_shape[0] if opt_x else len(known_x), dummy_flat,
+            grad_flat)
+    else:
+        dummy = bundle_views(params, dummy_flat)
+        covec = bundle_views(params, grad_flat)
+        batch = len(labels)
     trace = None  # built on the first call, refilled by every later one
     mode = params.norm_mode
     node = params.task == "node"
-    per_sample = len(bundles) > 1
-    batch = 1 if per_sample else len(labels)
     alpha, beta = (spec.alpha, spec.beta) if regularize else (0.0, 0.0)
     smooth = (np.empty(x_shape) if alpha and opt_x else None,
               np.empty((n, n)) if alpha and n else None)
@@ -406,9 +523,11 @@ def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
             a.put(lower, pairs)
             a.put(upper, pairs)
             an = normalize_dense(a, mode, out=parts)
-        if node:
+        if inputs:
+            rows(x, an)
+        elif node:
             ctx = trace = node_ctx(params, x, an, targets, labels, out=trace)
-            node_bundles(ctx, params, per_sample, out=dummy)
+            node_bundles(ctx, params, out=dummy)
         else:
             ctx = trace = graph_ctx(params, x, an, labels, out=trace)
             graph_bundles(ctx, params, out=dummy)
@@ -419,11 +538,14 @@ def _matching_objective(spec, params, bundles, labels, x_shape=None, n=0,
             value += alpha * s_val
         if beta:
             value += beta * frobenius_penalty(a)
-        if batch > 1:
-            # every sample shares the mean's co-vector, scaled by 1/B
-            vflat /= batch
-        grad = node_matching_grad if node else graph_matching_grad
-        gx, abar_norm = grad(ctx, params, covec, n > 0, opt_x)
+        if inputs:
+            gx, abar_norm = rows_grad(x, n > 0, opt_x)
+        else:
+            if batch > 1:
+                # every sample shares the mean's co-vector, scaled by 1/B
+                vflat /= batch
+            grad = node_matching_grad if node else graph_matching_grad
+            gx, abar_norm = grad(ctx, params, covec, n > 0, opt_x)
         if opt_x and alpha:
             s_gx *= alpha
             gx += s_gx
@@ -568,7 +690,7 @@ def attack_node1(leak, spec, params, rng):
     comes back in the full tree's shape, the grandchildren at their
     starting draw.
     """
-    _check_scenario(spec, params, ("node1",), "node")
+    _check_scenario(spec, params, ("node1",), "node", leak, "node1")
     bundle = leak.bundle
     labels = check_labels(infer_label(bundle), params.num_classes)
     best = _attack_trees(spec, params, rng, bundle, labels)
@@ -577,16 +699,16 @@ def attack_node1(leak, spec, params, rng):
     return best
 
 
-def _attack_unknowns(spec, params, rng, bundles, n, labels, known_features,
+def _attack_unknowns(spec, params, rng, leaked, n, labels, known_features,
                      known_adjacency):
     """Subgraph / whole-graph attack body: the scenario picks the unknowns.
 
     Scenario suffix a optimizes the adjacency, b the features, c both.
-    Only the known input the scenario needs is read, so a caller may pass
-    both; that one is required, and one of the wrong shape raises
-    :class:`ShapeError` before any iteration. The features start first,
-    then the adjacency. A recovered adjacency is binarized with the
-    configured finalization.
+    ``leaked`` is what :func:`_matching_objective` matches. Only the known
+    input the scenario needs is read, so a caller may pass both; that one
+    is required, and one of the wrong shape raises :class:`ShapeError`
+    before any iteration. The features start first, then the adjacency. A
+    recovered adjacency is binarized with the configured finalization.
     """
     opt_x = spec.scenario[-1] in "bc"
     na = n if spec.scenario[-1] in "ac" else 0  # optimized adjacency's size
@@ -595,7 +717,7 @@ def _attack_unknowns(spec, params, rng, bundles, n, labels, known_features,
     known_a = None if na else _known(known_adjacency, (n, n), "known_adjacency")
     anorm = None if na else normalize_dense(known_a, params.norm_mode)
     objective = _matching_objective(
-        spec, params, bundles, labels, x_shape=xs if opt_x else None, n=na,
+        spec, params, leaked, labels, x_shape=xs if opt_x else None, n=na,
         known_x=known_x, known_a=known_a, anorm=anorm, regularize=True)
     lower, upper = _pairs(na)
     x = _start(rng, spec, xs).ravel() if opt_x else np.zeros(0)
@@ -618,16 +740,26 @@ def attack_node2(leak, spec, params, known_features=None, known_adjacency=None,
     """Recover features and/or structure from per-node bundles of a subgraph.
 
     node2a optimizes the adjacency (features known), node2b the features
-    (adjacency known), node2c both. The objective sums per-node matching
-    losses and adds the smoothness and Frobenius terms weighted by
-    spec.alpha / spec.beta. ``rng`` draws the gaussian starts and the
+    (adjacency known), node2c both. Node i's bundle reads the graph only
+    through its first-layer input, so the attack matches that input, not
+    the bundle: the leak's row ratios give each node's aggregate row m_i =
+    (Anorm X)_i and, for sage when the features are unknown, its feature
+    row x_i (:class:`LayerInputs`), once; each step matches the dummy's
+    rows [Anorm X | X] to them by L2, with no model pass, and adds the
+    smoothness and Frobenius terms weighted by spec.alpha / spec.beta.
+    spec.objective does not apply. A node without a recoverable row is left
+    out, and a leak with none raises :class:`UnrecoverableError`. Labels
+    are inferred for the report. ``rng`` draws the gaussian starts and the
     Bernoulli finalization.
     """
-    _check_scenario(spec, params, ("node2a", "node2b", "node2c"), "node")
+    _check_scenario(spec, params, ("node2a", "node2b", "node2c"), "node",
+                    leak, "node2")
     bundles = leak.bundles
     labels = check_labels([infer_label(b) for b in bundles], params.num_classes)
-    return _attack_unknowns(spec, params, rng, bundles, len(bundles), labels,
-                            known_features, known_adjacency)
+    own = spec.scenario != "node2a" and params.framework == "sage"
+    return _attack_unknowns(spec, params, rng,
+                            _layer_inputs(params, bundles, own), len(bundles),
+                            labels, known_features, known_adjacency)
 
 
 def attack_graph(leak, spec, params, known_features=None, known_adjacency=None,
@@ -638,7 +770,8 @@ def attack_graph(leak, spec, params, known_features=None, known_adjacency=None,
     by a single graph-level loss. With alpha = beta = 0 the objective
     reduces to the plain matching loss.
     """
-    _check_scenario(spec, params, ("graph_a", "graph_b", "graph_c"), "graph")
+    _check_scenario(spec, params, ("graph_a", "graph_b", "graph_c"), "graph",
+                    leak, "graph")
     bundle = leak.bundle
     labels = check_labels(infer_label(bundle), params.num_classes)
     return _attack_unknowns(spec, params, rng, [bundle], params.num_nodes,
@@ -659,7 +792,7 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, *, rng):
     """
     _check_scenario(spec, params,
                     ("node1",) if params.task == "node" else ("graph_b",),
-                    params.task)
+                    params.task, leak, f"batched-{params.task}")
     bundle, b = leak.bundle, leak.batch_size
     labels = check_labels(labels, params.num_classes)
     if labels.shape[0] != b:

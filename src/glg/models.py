@@ -21,11 +21,11 @@ Besides plain backward passes (the parameter gradient bundles a federated
 server would see) and the loss's input gradients (``*_input_grads``), this
 module computes batch means of bundles directly, one pass per task; a
 single sample is a batch of one. Only :func:`node_bundles` with
-``per_sample`` builds per-sample stacks, for node2's per-node leak and the
-node2 attacks that match it row by row. It also computes the gradient of
-``<bundle, V>`` with respect to the input features and the normalized
-adjacency for a constant co-vector ``V``. That second-order pass is what
-the iterative gradient-matching attacks differentiate through.
+``per_sample`` builds per-sample stacks, for node2's per-node leak. It also
+computes the gradient of ``<bundle, V>`` with respect to the input features
+and the normalized adjacency for a constant co-vector ``V``, one stack that
+every sample shares. That second-order pass is what the iterative
+gradient-matching attacks differentiate through.
 
 Array convention: an optional leading sample axis is supported everywhere;
 ``x`` may be (N, D) or (B, N, D), the normalized adjacency (N, N), or (B,
@@ -188,14 +188,21 @@ class GradientBundle:
     param_names = _PARAM_NAMES
 
 
+def check_bundles(params, bundles):
+    """Raise :class:`ShapeError`, naming the tensor, unless every bundle
+    holds exactly the model's tensors, each in the model's shape."""
+    shapes = {k: params.tensors[k].shape for k in params.param_names}
+    for b in bundles:
+        _check_congruent(b.tensors, shapes, "bundle", "model")
+
+
 def bundle_rows(params, bundles):
     """The (S, P) flat rows of S bundles, each first checked against the
-    model's tensors: a row is every tensor raveled, in the model's order."""
-    names = params.param_names
-    for b in bundles:
-        _check_congruent(b.tensors, {k: params.tensors[k].shape
-                                     for k in names}, "bundle", "model")
-    return np.array([np.concatenate([np.ravel(b.tensors[k]) for k in names])
+    model's tensors (:func:`check_bundles`): a row is every tensor raveled,
+    in the model's order."""
+    check_bundles(params, bundles)
+    return np.array([np.concatenate([np.ravel(b.tensors[k])
+                                     for k in params.param_names])
                      for b in bundles])
 
 
@@ -209,6 +216,17 @@ class Stacks(dict):
         self.shared = len(next(iter(self.values()))) == 1
         self.entry = {k: s[0] for k, s in self.items()} if self.shared else {}
         self.entry_t = {k: e.T for k, e in self.entry.items() if e.ndim == 2}
+
+
+def _covector(v, task):
+    """The co-vector ``v`` as :class:`Stacks`; a matching pass takes one
+    stack that every sample shares, and a stack of more entries raises
+    :class:`ShapeError`."""
+    v = v if type(v) is Stacks else Stacks(v)
+    if not v.shared:
+        raise ShapeError(f"a {task} co-vector is a stack of one, got "
+                         f"{len(next(iter(v.values())))}")
+    return v
 
 
 def bundle_views(params, rows):
@@ -368,6 +386,9 @@ _NODE_RECORD = {"mt": "d", "ht": "f", "st": "f", "u": "f", "g1": "f",
                 "logits": "k", "q": "k", "g2": "k"}
 _NODE_SCRATCH = {"g1bar": "f", "htbar": "f", "f1": "f", "f2": "f",
                  "g2bar": "k", "k1": "k", "mtbar": "d", "xtbar": "d", "d1": "d"}
+# the buffers read as (rows, width, 1) columns and as (rows, 1, width) rows
+_NODE_COLS = ("g1", "g2", "at")
+_NODE_ROWS = ("at", "mt", "mtbar", "ht", "xt")
 
 
 class NodeTrace:
@@ -385,8 +406,9 @@ class NodeTrace:
     into buffers. ``mt`` (at @ x), ``ht`` (hidden rows), ``st`` (sigma'
     there), ``logits``, ``q``, ``g2`` (softmax - onehot), ``u`` (g2 @
     out_weight) and ``g1`` (d loss / d pre-activation) are (rows, width)
-    buffers, made here with the scratch and each buffer's transpose,
-    (rows, width, 1) columns and (rows, 1, width) rows. Only
+    buffers, made here with the scratch, each buffer's transpose, and the
+    (rows, width, 1) columns and (rows, 1, width) rows that the per-sample
+    bundles and a batch of graphs read. Only
     :func:`forward_node` fills ``losses``.
     """
 
@@ -422,8 +444,10 @@ class NodeTrace:
             setattr(self, name, bufs[name])
         self._scratch = SimpleNamespace(**{k: bufs[k] for k in _NODE_SCRATCH})
         self._t = SimpleNamespace(**{k: b.T for k, b in bufs.items()})
-        self._col = SimpleNamespace(**{k: b[:, :, None] for k, b in bufs.items()})
-        self._row = SimpleNamespace(**{k: b[:, None, :] for k, b in bufs.items()})
+        self._col = SimpleNamespace(**{k: bufs[k][:, :, None]
+                                       for k in _NODE_COLS if k in bufs})
+        self._row = SimpleNamespace(**{k: bufs[k][:, None, :]
+                                       for k in _NODE_ROWS if k in bufs})
         self._onehot = onehot(labels, params.num_classes)
         self.x = self.anorm = None
         self._bind(x, anorm)
@@ -441,7 +465,7 @@ class NodeTrace:
                 self._x_rows, self._t.x = x, x.T
             if self.targets is None:
                 self.xt = x
-                self._col.xt, self._row.xt = x[:, :, None], x[:, None, :]
+                self._row.xt = x[:, None, :]
         if anorm is not self.anorm:
             self.anorm = anorm
             if self.targets is None:
@@ -572,43 +596,33 @@ def node_input_grads(ctx, params):
 
 
 def node_matching_grad(ctx, params, v, want_adjacency, want_features=True):
-    """Gradient of sum_s <bundle_s, v_s> w.r.t. features and normalized adjacency.
+    """Gradient of sum_s <bundle_s, v> w.r.t. features and normalized adjacency.
 
-    ``v`` holds one co-tensor per parameter, stacked along the sample axis
-    (a stack of one is shared by every sample), as :class:`Stacks` or a
-    dict of stacks. The return value follows the ctx layout: a shared
+    ``v`` holds one co-tensor per parameter, a stack of one that every
+    sample shares (the attacks pass the mean's co-vector scaled by 1/B), as
+    :class:`Stacks` or a dict of stacks; a stack of more entries raises
+    :class:`ShapeError`. The return value follows the ctx layout: a shared
     graph gives new (N, D) and (N, N) arrays summed over samples, a batch
     of graphs the (B, N, D) features' stack only (``want_adjacency``
     raises :class:`ShapeError`); the trace's scratch buffers hold the
     intermediates. A gradient not wanted is not computed and comes back as
     None.
     """
-    v = v if type(v) is Stacks else Stacks(v)
+    v = _covector(v, "node")
     t = params.tensors
     w_self = t.get("conv1_self")
-    s, col, row, ve, vt = ctx._scratch, ctx._col, ctx._row, v.entry, v.entry_t
+    s, ve, vt = ctx._scratch, v.entry, v.entry_t
     xtbar = s.xtbar if want_features and w_self is not None else None
 
-    # each sample's rows with its co-tensors: one 2-D product over all the
-    # rows for a shared co-vector, else one batched product per sample
-    if v.shared:
-        np.dot(ctx.mt, vt["conv1_agg"], out=s.g1bar)
-        np.dot(ctx.g1, ve["conv1_agg"], out=s.mtbar)
-        np.dot(ctx.ht, vt["out_weight"], out=s.g2bar)
-        np.dot(ctx.g2, ve["out_weight"], out=s.f2)
-        if w_self is not None:
-            np.dot(ctx.xt, vt["conv1_self"], out=s.f1)
-        if xtbar is not None:
-            np.dot(ctx.g1, ve["conv1_self"], out=xtbar)
-    else:
-        np.matmul(v["conv1_agg"], col.mt, out=col.g1bar)
-        np.matmul(row.g1, v["conv1_agg"], out=row.mtbar)
-        np.matmul(v["out_weight"], col.ht, out=col.g2bar)
-        np.matmul(row.g2, v["out_weight"], out=row.f2)
-        if w_self is not None:
-            np.matmul(v["conv1_self"], col.xt, out=col.f1)
-        if xtbar is not None:
-            np.matmul(row.g1, v["conv1_self"], out=row.xtbar)
+    # every sample's rows with the shared co-tensors: one 2-D product each
+    np.dot(ctx.mt, vt["conv1_agg"], out=s.g1bar)
+    np.dot(ctx.g1, ve["conv1_agg"], out=s.mtbar)
+    np.dot(ctx.ht, vt["out_weight"], out=s.g2bar)
+    np.dot(ctx.g2, ve["out_weight"], out=s.f2)
+    if w_self is not None:
+        np.dot(ctx.xt, vt["conv1_self"], out=s.f1)
+    if xtbar is not None:
+        np.dot(ctx.g1, ve["conv1_self"], out=xtbar)
 
     g1bar = s.g1bar
     g1bar += v["conv1_bias"]
@@ -851,10 +865,7 @@ def graph_matching_grad(ctx, params, v, want_adjacency, want_features=True):
     N, N) arrays; the trace's scratch buffers hold the intermediates. A
     gradient not wanted is not computed and comes back as None.
     """
-    v = v if type(v) is Stacks else Stacks(v)
-    if not v.shared:
-        raise ShapeError(f"a graph co-vector is a stack of one, got "
-                         f"{len(v['mlp_bias'])}")
+    v = _covector(v, "graph")
     t = params.tensors
     w1a = t["conv1_agg"]
     w1s = t.get("conv1_self")

@@ -3,12 +3,14 @@ import functools
 import numpy as np
 import pytest
 
-from glg import attacks, federated, graphs, metrics, models, numkit, selftest
+from glg import (attacks, closed_form, federated, graphs, metrics, models,
+                 numkit, selftest)
 from glg.errors import (
     ConfigError,
     DegenerateGradientError,
     NumericError,
     ShapeError,
+    UnrecoverableError,
 )
 from glg.models import GradientBundle
 
@@ -379,16 +381,25 @@ def flat(*parts):
     return np.concatenate([np.ravel(p) for p in parts if p is not None])
 
 
-def optimize_from(spec, params, record, x=None, a=None, **known):
+def optimize_from(spec, params, record, x=None, a=None, leaked=None, **known):
     """The structure attacks' Adam loop on their objective, from the given
     starts (None where the input is known); ``known`` holds the objective's
-    known inputs. As in the attack, the adjacency start is projected and
-    packed, the result unpacked, and a recovered adjacency finalized, here
-    with a fixed draw."""
+    known inputs. It matches ``leaked``, by default what the attack
+    matches: a node2 leak's layer inputs, the feature rows too when a sage
+    model's features are optimized, else the leak's bundles. As in the
+    attack, the adjacency start is projected and packed, the result
+    unpacked, and a recovered adjacency finalized, here with a fixed
+    draw."""
     labels = np.array([models.infer_label(b) for b in record.bundles])
+    if leaked is None and record.scenario == "node2":
+        leaked = attacks._layer_inputs(
+            params, record.bundles,
+            x is not None and params.framework == "sage")
+    elif leaked is None:
+        leaked = record.bundles
     n = 0 if a is None else len(a)
     objective = attacks._matching_objective(
-        spec, params, record.bundles, labels,
+        spec, params, leaked, labels,
         x_shape=None if x is None else x.shape, n=n, regularize=True, **known)
     lower, upper = attacks._pairs(n)
     pairs = attacks.project_interval(a).take(lower) if n else None
@@ -404,6 +415,13 @@ def optimize_from(spec, params, record, x=None, a=None, **known):
             res.adjacency_prob, spec.finalization, rng=numkit.make_rng(0),
             tau=spec.threshold)
     return res
+
+
+def truth_inputs(params, x, a, own):
+    """Every node's layer-input rows from the true features and adjacency,
+    by the products the objective's rows pass runs."""
+    m = np.dot(graphs.normalize_dense(a, params.norm_mode), x)
+    return attacks.LayerInputs(np.arange(len(x)), m, x.copy() if own else None)
 
 
 class TestFixedPoints:
@@ -424,13 +442,17 @@ class TestFixedPoints:
         assert np.array_equal(z.reshape(live, -1), g.features[:live])
 
     def test_node2c_truth_init(self):
+        # rows built from the truth: the leak's ratio-recovered rows carry
+        # rounding, so only these give an exact zero
         r = numkit.make_rng(16)
         g = graphs.synthetic_graph(r, 6, 2, 8, num_classes=3)
         params = models.init_params(r, "sage", "node", 8, 5, 3)
         record = federated.leak(params, g, "node2")
         spec = attacks.AttackSpec(scenario="node2c", iterations=6, alpha=0.0,
                                   beta=0.0)
-        res = optimize_from(spec, params, record, g.features, g.adjacency)
+        res = optimize_from(spec, params, record, g.features, g.adjacency,
+                            leaked=truth_inputs(params, g.features,
+                                                g.adjacency, True))
         assert np.all(res.objective_trace == 0.0)
         assert np.array_equal(res.features, g.features)
         assert np.array_equal(res.adjacency_prob, g.adjacency)
@@ -466,7 +488,10 @@ class TestFixedPoints:
             record = federated.leak(params, g, "graph")
         spec = attacks.AttackSpec(scenario=scenario, iterations=6, alpha=0.0,
                                   beta=0.0)
-        res = optimize_from(spec, params, record, g.features,
+        # node2b's rows built from the truth, as in test_node2c_truth_init
+        leaked = (truth_inputs(params, g.features, g.adjacency, True)
+                  if scenario == "node2b" else None)
+        res = optimize_from(spec, params, record, g.features, leaked=leaked,
                             known_a=g.adjacency,
                             anorm=graphs.normalize_dense(g.adjacency,
                                                          params.norm_mode))
@@ -484,7 +509,9 @@ class TestFixedPoints:
                                             objective):
         """The leak and the attack run the same products, so the dummy's
         bundle at the private inputs has the leak's bits: the matching value
-        and every gradient entry are exactly zero."""
+        and every gradient entry are exactly zero. node2 matches layer-input
+        rows, here built from the truth (:func:`truth_inputs`), by L2
+        whatever the spec's objective."""
         r = numkit.make_rng(18)
         n, d = 8, 20
         if scenario.startswith("node"):
@@ -515,8 +542,12 @@ class TestFixedPoints:
             anorm = np.stack(mats) if len(gs) > 1 else mats[0]
         # of the spec, the objective reads only the matching loss's kind
         spec = attacks.AttackSpec(scenario="node2a", objective=objective)
+        leaked = record.bundles
+        if scenario.startswith("node"):
+            leaked = truth_inputs(params, x, a,
+                                  opt_x and framework == "sage")
         f = attacks._matching_objective(
-            spec, params, record.bundles, labels,
+            spec, params, leaked, labels,
             x_shape=x.shape if opt_x else None, n=n if opt_a else 0,
             known_x=None if opt_x else x, known_a=None if opt_a else a,
             anorm=anorm)
@@ -691,12 +722,14 @@ class TestIterativeAttacks:
 
     @pytest.mark.parametrize("task", ["node2", "graph"])
     def test_zero_leak_raises_before_iterating(self, monkeypatch, task):
+        # node2's zero bundles give no layer-input row to match; a graph's
+        # zero bundle has no direction for the cosine objective
         r = numkit.make_rng(21)
         if task == "node2":
             g = graphs.synthetic_graph(r, 5, 2, 3, num_classes=2)
             params = models.init_params(r, "sage", "node", 3, 4, 2)
             attack, spec = attacks.attack_node2, "node2a"
-            forward = "node_ctx"
+            error, match = UnrecoverableError, "no node"
         else:
             g0 = graphs.er_graph(r, 4, 0.5, 3)
             g = graphs.Graph(adjacency=g0.adjacency, features=g0.features,
@@ -704,7 +737,7 @@ class TestIterativeAttacks:
             params = models.init_params(r, "sage", "graph", 3, 4, 2,
                                         num_nodes=4)
             attack, spec = attacks.attack_graph, "graph_a"
-            forward = "graph_ctx"
+            error, match = DegenerateGradientError, "leaked"
         record = federated.leak(params, g, task)
         zero = federated.LeakRecord(record.scenario, [
             GradientBundle(tensors={k: np.zeros_like(t)
@@ -712,15 +745,53 @@ class TestIterativeAttacks:
             for b in record.bundles])
         # the sign rule reads no label off a zero bundle; supply one
         monkeypatch.setattr(attacks, "infer_label", lambda bundle: 0)
-        calls = []
-        real = getattr(attacks, forward)
-        monkeypatch.setattr(attacks, forward,
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        monkeypatch.setattr(attacks, "_optimize", no_iteration)
         spec = attacks.AttackSpec(scenario=spec, objective="cosine",
                                   iterations=5)
-        with pytest.raises(DegenerateGradientError, match="leaked"):
+        with pytest.raises(error, match=match):
             attack(zero, spec, params, known_features=g.features, rng=r)
-        assert calls == []
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    def test_node_without_a_recoverable_row_is_left_out(self, framework):
+        """A node whose bias-gradient entries are all within EPS_DIV of zero
+        has no layer-input row and is left out: the rows are the other
+        nodes' own, the value is their match plus the regularizers, and
+        the gradient through the kept rows meets central differences."""
+        r = numkit.make_rng(22)
+        g = graphs.synthetic_graph(r, 6, 2, 4, num_classes=3)
+        params = models.init_params(r, framework, "node", 4, 5, 3)
+        bundles = federated.leak(params, g, "node2").bundles
+        bundles[3].tensors["conv1_bias"][:] = closed_form.EPS_DIV
+        bundles[3].tensors["conv1_bias"][0] = -closed_form.EPS_DIV
+        own = framework == "sage"
+        inputs = attacks._layer_inputs(params, bundles, own)
+        assert np.array_equal(inputs.keep, [0, 1, 2, 4, 5])
+        full = attacks._layer_inputs(params, bundles[:3] + bundles[4:], own)
+        for got, want in zip(inputs[1:], full[1:]):
+            assert np.array_equal(got, want)
+        spec = attacks.AttackSpec(scenario="node2c", alpha=1e-2, beta=1e-2)
+        x = r.standard_normal((6, 4))
+        pairs = probabilities(r, 15)
+        f = attacks._matching_objective(spec, params, inputs, None,
+                                        x_shape=x.shape, n=6, regularize=True)
+        z = flat(x, pairs)
+        value, gz = f(z)
+        # the rows pass of the five kept nodes, from the whole graph
+        lower, upper = attacks._pairs(6)
+        a = np.zeros((6, 6))
+        a.put(lower, pairs)
+        a.put(upper, pairs)
+        kept = inputs.keep
+        rows = np.dot(graphs.normalize_dense(a, params.norm_mode), x)[kept]
+        want = ((rows - inputs.agg) ** 2).sum()
+        if own:
+            want += ((x[kept] - inputs.own) ** 2).sum()
+        want += (1e-2 * attacks.smoothness_grads(x, a, False, False)[0]
+                 + 1e-2 * attacks.frobenius_penalty(a))
+        assert value == pytest.approx(want, rel=1e-12)
+        fd = selftest.finite_difference(lambda: f(z)[0], z)
+        np.testing.assert_allclose(gz, fd, rtol=selftest.REL_TOL,
+                                   atol=selftest.ABS_TOL)
 
     def test_scenario_mismatch_errors(self):
         r = numkit.make_rng(23)
@@ -1126,10 +1197,12 @@ class TestWholeObjective:
     """Pin the objective the shared loop follows against finite differences.
 
     This covers the composition of the matching objective, the
-    second-order matching gradient, the normalization backward pass, the
-    regularizers (alpha = beta = 1e-2, large enough to matter) and the
-    fold of each adjacency pair's two entries into one unknown: the
-    differences are taken in the flat vector of unknowns itself.
+    second-order matching gradient (on node2, the adjoint of the
+    layer-input rows, matched by L2 whatever the objective named), the
+    normalization backward pass, the regularizers (alpha = beta = 1e-2,
+    large enough to matter) and the fold of each adjacency pair's two
+    entries into one unknown: the differences are taken in the flat vector
+    of unknowns itself.
     """
 
     @pytest.mark.parametrize("scenario,framework,objective", WHOLE_OBJECTIVE_CASES)

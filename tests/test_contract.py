@@ -16,6 +16,7 @@ G = graphs.synthetic_graph(rng, 6, 2, 4, num_classes=2)
 GRAPH = models.init_params(rng, "sage", "graph", 4, 3, 2, num_nodes=6)
 LABELED = graphs.Graph(G.adjacency, G.features, graph_label=1)
 BUNDLE = federated.leak(NODE, G, "node1", targets=[0]).bundle
+GRAPH_BUNDLE = federated.leak(GRAPH, LABELED, "graph").bundle
 MISSING = pathlib.Path(__file__).parent / "no-such-directory"
 
 
@@ -151,6 +152,22 @@ ROWS = {
         lambda: attacks.attack_node1(federated.LeakRecord("node1", [1]),
                                      attacks.AttackSpec("node1"), NODE, rng),
         ShapeError),
+    # each attack reads the leak of its own scenario
+    "attack_node2 node1 leak": (lambda: attacks.attack_node2(
+        federated.LeakRecord("node1", [BUNDLE]), attacks.AttackSpec("node2b"),
+        NODE, known_adjacency=np.zeros((1, 1)), rng=rng), ConfigError),
+    "attack_node1 node2 leak": (lambda: attacks.attack_node1(
+        federated.LeakRecord("node2", [BUNDLE]),
+        attacks.AttackSpec("node1", iterations=3, d_tree=2), NODE, rng),
+        ConfigError),
+    "attack_graph batched-graph leak": (lambda: attacks.attack_graph(
+        federated.LeakRecord("batched-graph", [GRAPH_BUNDLE]),
+        attacks.AttackSpec("graph_b", iterations=3), GRAPH,
+        known_adjacency=G.adjacency, rng=rng), ConfigError),
+    "attack_batched node1 leak": (lambda: attacks.attack_batched(
+        federated.LeakRecord("node1", [BUNDLE]),
+        attacks.AttackSpec("node1", iterations=3, d_tree=2), NODE, [0],
+        rng=rng), ConfigError),
     "attack_node2 empty leak": (lambda: attacks.attack_node2(
         federated.LeakRecord("node2", []), attacks.AttackSpec("node2b"), NODE,
         known_adjacency=G.adjacency, rng=rng), ShapeError, "no gradient"),

@@ -106,21 +106,25 @@ def run_graph_a():
                          rng=numkit.make_rng(0))
 
 
-@pytest.mark.parametrize("run, task, structure", [
-    (run_node1, "node", False), (run_batched_node, "node", False),
-    (run_node2a, "node", True), (run_graph_a, "graph", True),
+@pytest.mark.parametrize("run, task, structure, bundles", [
+    (run_node1, "node", False, True), (run_batched_node, "node", False, True),
+    (run_node2a, "node", True, False), (run_graph_a, "graph", True, True),
 ], ids=["node1", "batched-node", "node2a", "graph_a"])
-def test_trace_counts_every_pass(run, task, structure):
+def test_trace_counts_every_pass(run, task, structure, bundles):
     calls = traced_calls(run)
-    # the leak's forward and bundle pass, then one of each per objective
-    # evaluation, and every evaluation takes one matching gradient. The
+    # the leak's forward and bundle pass, then, on an attack that matches
+    # bundles, one of each per objective evaluation, and every evaluation
+    # takes one matching gradient. node2a matches the layer inputs of the
+    # leak's 8 nodes, one row ratio each, and runs no model pass. The
     # structure attacks' Adam evaluates once per step and once more to
     # score the result; the features-only attacks' L-BFGS spends all its
     # evaluations on these small problems
     evaluations = ITERATIONS + 1 if structure else ITERATIONS
-    assert calls[f"models.{task}_ctx"] == 1 + evaluations
+    passes = evaluations if bundles else 0
+    assert calls[f"models.{task}_ctx"] == 1 + passes
     assert calls[f"models.{task}_bundles"] == calls[f"models.{task}_ctx"]
-    assert calls[f"models.{task}_matching_grad"] == evaluations
+    assert calls[f"models.{task}_matching_grad"] == passes
+    assert calls["closed_form.recover_agg_features"] == (0 if bundles else 8)
     assert calls["numkit.adam_step"] == (ITERATIONS if structure else 0)
     # an optimized adjacency is normalized, forward and backward, at every
     # evaluation; the dummy-tree attacks normalize their tree once

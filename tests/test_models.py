@@ -317,8 +317,10 @@ class TestContractions:
         assert stacks.keys() == want.keys()
         for k in want:
             assert_close_rel(stacks[k], want[k])
-        v = random_covectors(r, stacks)
-        want = einsum_node_matching_grad(ctx, params, v)
+        # the mean's co-vector, a stack of one that every sample shares
+        v = random_covectors(r, models.node_bundles(ctx, params))
+        want = einsum_node_matching_grad(ctx, params, {
+            k: np.repeat(c, len(targets), axis=0) for k, c in v.items()})
         if batch:
             # a batch of graphs gives the features' gradient only
             xbar, abar = models.node_matching_grad(ctx, params, v, False)
@@ -363,6 +365,13 @@ class TestContractions:
                                                 want_features=False)
         assert xbar is None and np.array_equal(abar, got[1])
 
+    def test_node_covector_of_several_samples_raises(self):
+        ctx, params = node_case("sage", "every-row")
+        v = random_covectors(numkit.make_rng(64),
+                             models.node_bundles(ctx, params, per_sample=True))
+        with pytest.raises(ShapeError, match="stack of one, got 8"):
+            models.node_matching_grad(ctx, params, v, True)
+
     def test_graph_covector_of_several_samples_raises(self):
         ctx, params = graph_case("sage", 3)
         v = random_covectors(numkit.make_rng(64),
@@ -394,7 +403,8 @@ class TestAllRowTargets:
         assert stacks.keys() == want.keys()
         for k in want:
             assert np.array_equal(stacks[k], want[k])
-        v = random_covectors(numkit.make_rng(72), stacks)
+        v = random_covectors(numkit.make_rng(72),
+                             models.node_bundles(every, params))
         got = models.node_matching_grad(every, params, v, want_adjacency,
                                         want_features)
         ref = models.node_matching_grad(named, params, v, want_adjacency,
@@ -663,7 +673,7 @@ class TestNodeTraceReuse:
         params = models.init_params(r, framework, "node", 4, 5, 3)
         x, anorm, targets, labels = node_inputs(r, params, layout)
         trace = models.node_ctx(params, x, anorm, targets, labels)
-        v = random_covectors(r, models.node_bundles(trace, params, True))
+        v = random_covectors(r, models.node_bundles(trace, params))
         models.node_matching_grad(trace, params, v, layout != "batch")
         x2, anorm2 = node_inputs(r, params, layout)[:2]
         assert models.node_ctx(params, x2, anorm2, trace.targets, trace.labels,
@@ -680,16 +690,12 @@ class TestNodeTraceReuse:
             assert got.keys() == want.keys()
             for k in want:
                 assert np.array_equal(got[k], want[k])
-        shared = {k: c[:1] for k, c in v.items()}
-        for covec in (v, shared):
-            for got_arr, want_arr in zip(
-                    models.node_matching_grad(trace, params, covec,
-                                              layout != "batch"),
-                    models.node_matching_grad(fresh, params, covec,
-                                              layout != "batch")):
-                assert (got_arr is None) == (want_arr is None)
-                if want_arr is not None:
-                    assert np.array_equal(got_arr, want_arr)
+        for got_arr, want_arr in zip(
+                models.node_matching_grad(trace, params, v, layout != "batch"),
+                models.node_matching_grad(fresh, params, v, layout != "batch")):
+            assert (got_arr is None) == (want_arr is None)
+            if want_arr is not None:
+                assert np.array_equal(got_arr, want_arr)
 
     @pytest.mark.parametrize("framework", ["gcn", "sage"])
     @NODE_LAYOUTS
@@ -697,7 +703,7 @@ class TestNodeTraceReuse:
         r = numkit.make_rng(95)
         params = models.init_params(r, framework, "node", 4, 5, 3)
         trace = models.node_ctx(params, *node_inputs(r, params, layout))
-        v = random_covectors(r, models.node_bundles(trace, params, True))
+        v = random_covectors(r, models.node_bundles(trace, params))
         want_adjacency = layout != "batch"
         first = models.node_matching_grad(trace, params, v, want_adjacency)
         kept = [None if arr is None else arr.copy() for arr in first]
@@ -729,7 +735,7 @@ class TestNodeTraceReuse:
             got, want = getattr(trace, name), getattr(fresh, name)
             if want is not None:
                 assert np.array_equal(got, want), name
-        v = random_covectors(r, models.node_bundles(fresh, second, True))
+        v = random_covectors(r, models.node_bundles(fresh, second))
         for got_arr, want_arr in zip(
                 models.node_matching_grad(trace, second, v, layout != "batch"),
                 models.node_matching_grad(fresh, second, v, layout != "batch")):
@@ -797,12 +803,13 @@ def views_made_once(r, params, ctx_pass, bundle_pass, grad_pass, inputs,
                     held, want_adjacency):
     """Run the passes as an attack does, on one trace refilled in place and
     on the dummy's and the co-vector's :class:`models.Stacks`, each made
-    once over a flat row buffer; at every step, compare them with the
-    passes on a fresh trace and fresh ``bundle_views`` stacks."""
+    once over a flat row buffer (the co-vector's is one row, which every
+    sample shares); at every step, compare them with the passes on a fresh
+    trace and fresh ``bundle_views`` stacks."""
     trace = ctx_pass(params, *inputs[0], *held)
     rows = len(next(iter(bundle_pass(trace, params).values())))
     width = sum(params.tensors[k].size for k in params.param_names)
-    dummy_flat, covec_flat = np.empty((2, rows, width))
+    dummy_flat, covec_flat = np.empty((rows, width)), np.empty((1, width))
     dummy = models.bundle_views(params, dummy_flat)
     covec = models.bundle_views(params, covec_flat)
     held = tuple(getattr(trace, k) for k in ("targets", "labels")
@@ -831,17 +838,19 @@ class TestViewsMadeOnce:
     inputs, the dummy's and the co-vector's stacks) give, over refills, the
     bits of the passes on views made afresh."""
 
-    @pytest.mark.parametrize("covector", ["shared", "per-sample"])
+    # the dummy's bundles: the mean, one row that every sample shares, or
+    # per-sample stacks
+    @pytest.mark.parametrize("per_sample", [False, True],
+                             ids=["shared", "per-sample"])
     @pytest.mark.parametrize("framework", ["gcn", "sage"])
     @NODE_LAYOUTS
-    def test_node(self, layout, framework, covector):
+    def test_node(self, layout, framework, per_sample):
         r = numkit.make_rng(110)
         params = models.init_params(r, framework, "node", 4, 5, 3)
         inputs, held = node_pass_inputs(r, params, layout, 3)
         views_made_once(
             r, params, models.node_ctx,
-            functools.partial(models.node_bundles,
-                              per_sample=covector == "per-sample"),
+            functools.partial(models.node_bundles, per_sample=per_sample),
             models.node_matching_grad, inputs, held, layout != "batch")
 
     @pytest.mark.parametrize("framework", ["gcn", "sage"])
@@ -896,16 +905,15 @@ ROP_STEPS = (1e-4, 1e-5)
 
 def r_operator_case(layout, framework):
     """A model in one layout of the matching passes, on fixed inputs:
-    ``(params, trace, per_sample, reference, bundles, matching_grad)``.
-    ``trace(p)`` records p's trace. ``reference(model)`` is the
-    first-order input-gradient pair that the matching pass differentiates,
-    with ``model(s)`` the model that sample s reads; ``per_sample`` says
-    whether each sample has its own co-vector. "node" and "graph" are at
+    ``(params, trace, reference, bundles, matching_grad)``. ``trace(p)``
+    records p's trace. ``reference(model)`` is the first-order
+    input-gradient pair that the matching pass differentiates, with
+    ``model(s)`` the model that sample s reads. "node" and "graph" are at
     the bench's sizes: a d_tree = 10 dummy tree (111 nodes) with target 0,
     and one 8-node graph. The rest are small: every node of a 7-node graph
     a target ("node-all"), 3 graphs sharing an adjacency with one target
-    each ("node-batch"), 3 targets with per-sample co-vectors
-    ("node-per-sample"), and a batch of 3 graphs ("graph-batch")."""
+    each ("node-batch"), 3 targets gathered from one graph, one of them
+    twice ("node-targets"), and a batch of 3 graphs ("graph-batch")."""
     r = numkit.make_rng(120)
     if layout.startswith("node"):
         big = layout == "node"
@@ -932,14 +940,11 @@ def r_operator_case(layout, framework):
 
         reference = lambda model: models.node_input_grads(
             trace(model(0)), model(0))
-        if layout == "node-per-sample":
-            reference = lambda model: tuple(map(sum, zip(*[
-                one(model(s), s) for s in range(3)])))
         if layout == "node-batch":
             reference = lambda model: (np.stack([
                 one(model(0), s)[0] for s in range(3)]), None)
-        return (params, trace, layout == "node-per-sample", reference,
-                models.node_bundles, models.node_matching_grad)
+        return (params, trace, reference, models.node_bundles,
+                models.node_matching_grad)
     b = 1 if layout == "graph" else 3
     params = models.init_params(r, framework, "graph", 16 if b == 1 else 6,
                                 20 if b == 1 else 5, 3, num_nodes=8)
@@ -952,7 +957,7 @@ def r_operator_case(layout, framework):
 
     def trace(p):
         return models.graph_ctx(p, x, anorm, [1, 0, 2][:b])
-    return (params, trace, False,
+    return (params, trace,
             lambda model: models.graph_input_grads(trace(model(0)), model(0)),
             models.graph_bundles, models.graph_matching_grad)
 
@@ -960,7 +965,7 @@ def r_operator_case(layout, framework):
 # layout, framework, input; a batch of node graphs has no adjacency gradient
 ROP_CASES = [(layout, framework, wrt)
              for layout in ("node", "graph", "node-all", "node-batch",
-                            "node-per-sample", "graph-batch")
+                            "node-targets", "graph-batch")
              for framework in ("gcn", "sage") for wrt in (0, 1)
              if (layout, wrt) != ("node-batch", 1)]
 
@@ -971,20 +976,17 @@ class TestROperator:
     J^T v with J = db/dx. Mixed partials commute, so J^T v = d/de grad_x
     L(theta + e v, x) at e = 0 (Pearlmutter's R-operator): a central
     difference of the first-order input-gradient passes along v, whose
-    error falls 100x per 10x step in e. Per-sample co-vectors v_s give the
-    sum over samples of d/de grad_x L_s(theta + e v_s, x), one sample at a
-    time."""
+    error falls 100x per 10x step in e. The co-vector is one stack that
+    every sample shares."""
 
     @pytest.mark.parametrize("layout,framework,wrt", ROP_CASES, ids=[
         f"{layout}-{framework}-{('features', 'adjacency')[wrt]}"
         for layout, framework, wrt in ROP_CASES])
     def test_matching_grad_is_the_r_operator(self, layout, framework, wrt):
-        params, trace, per_sample, reference, bundles, matching_grad = \
-            r_operator_case(layout, framework)
+        params, trace, reference, bundles, matching_grad = r_operator_case(
+            layout, framework)
         ctx = trace(params)
-        stacks = (bundles(ctx, params, True) if per_sample
-                  else bundles(ctx, params))
-        v = random_covectors(numkit.make_rng(121), stacks)
+        v = random_covectors(numkit.make_rng(121), bundles(ctx, params))
         want = matching_grad(ctx, params, v, wrt == 1)[wrt]
 
         def moved(e):
@@ -1045,17 +1047,17 @@ class TestTraceContract:
 
 
 class TestSharedCovector:
-    """A shared co-vector (a stack of one) is contracted by 2-D products.
-    In the node pass the batched broadcast it replaces gives the same
-    numbers; the graph pass takes only a stack of one. A batch mean over
-    one sample is the raw product or sum, with nothing divided."""
+    """A shared co-vector (a stack of one) is contracted by 2-D products,
+    which give the numbers of the einsum formulas on that co-vector tiled
+    to one entry per sample; both passes take only a stack of one. A batch
+    mean over one sample is the raw product or sum, with nothing
+    divided."""
 
     @pytest.mark.parametrize("shape", [(100, 10), (20, 16), (100, 100)])
     def test_contractions_at_one_sample_are_exact(self, shape):
         # one target of a node model whose first layer's weights are
         # ``shape``: the mean bundle of one target is its per-sample bundle,
-        # and the 2-D products of a shared co-vector give the bits of the
-        # batched ones
+        # bit for bit
         f, d = shape
         r = numkit.make_rng(84)
         g = graphs.er_graph(r, 8, 0.4, d, num_classes=4)
@@ -1086,7 +1088,8 @@ class TestSharedCovector:
                               r.integers(0, 3, size=5))
         self.check_batch(models.node_matching_grad, ctx, params,
                          models.node_bundles(ctx, params), r,
-                         models.node_matching_grad, False)
+                         lambda c, p, v, _: einsum_node_matching_grad(c, p, v),
+                         False)
 
     @pytest.mark.parametrize("framework", ["gcn", "sage"])
     def test_graph_batch_of_five(self, framework):
@@ -1101,13 +1104,10 @@ class TestSharedCovector:
 
     @staticmethod
     def check_one_sample(grad, ctx, params, stacks):
-        v = models.Stacks(random_covectors(numkit.make_rng(88), stacks))
-        got = grad(ctx, params, v, True)
-        # the batched products the 2-D ones replace: the same stack of one,
-        # read as per-sample stacks
-        v.shared = False
-        for got_arr, want_arr in zip(got, grad(ctx, params, v, True)):
-            assert np.array_equal(got_arr, want_arr)
+        v = random_covectors(numkit.make_rng(88), stacks)
+        for got_arr, want_arr in zip(grad(ctx, params, v, True),
+                                     einsum_node_matching_grad(ctx, params, v)):
+            assert_close_rel(got_arr, want_arr)
 
     @staticmethod
     def check_batch(grad, ctx, params, mean, r, reference, want_adjacency):
