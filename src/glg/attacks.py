@@ -23,7 +23,7 @@ Each attack draws from the ``numpy.random.Generator`` it is passed as
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -157,14 +157,15 @@ def _matcher(leaked_flat, kind, dummy_flat, grad):
 
     ``dummy_flat`` holds the dummy's rows at each call, and every call
     writes the gradient into ``grad`` and returns it; both have the leak's
-    shape. The value is the sum of per-row matching losses. The
-    temporaries, the views the products read, and the cosine objective's
-    leaked norms and unit rows are made here, once; a zero-norm leaked row
-    raises :class:`DegenerateGradientError`. Each row's squared norm and
-    u . w is one ``np.matmul`` of (S, 1, P) by (S, P, 1) stacks, the sum of
-    w^2 one ``np.dot``, and a row is scaled by its norm's reciprocal. The
-    leak's rows go through the same products as the dummy's, so a dummy
-    equal to the leak gives a value and gradient of exactly 0.
+    shape. ``l2`` sums the squared differences of every row. ``cosine`` is
+    1 - cos between the whole flat leak and the whole flat dummy, each one
+    vector (Geiping et al., 2020): every attack that matches by cosine
+    matches one bundle row. The temporaries, and the cosine objective's
+    unit leak, are made here, once; a zero-norm leak or dummy raises
+    :class:`DegenerateGradientError`. Each dot product is one ``np.dot`` of
+    flat vectors, and a vector is scaled by its norm's reciprocal. The
+    leak goes through the same products as the dummy, so a dummy equal to
+    the leak gives a value and gradient of exactly 0.
     """
     if kind == "l2":
         tmp = np.empty_like(grad)
@@ -177,90 +178,38 @@ def _matcher(leaked_flat, kind, dummy_flat, grad):
             return value, grad
         return match
 
-    rows = len(grad)
-    ln = np.sqrt(np.matmul(leaked_flat[:, None, :], leaked_flat[:, :, None]))
-    if np.any(ln == 0.0):
+    leaked = leaked_flat.reshape(-1)
+    ln = math.sqrt(np.dot(leaked, leaked))
+    if ln == 0.0:
         raise DegenerateGradientError("zero-norm leaked gradient bundle in "
                                       "cosine objective")
-    v = leaked_flat * (1.0 / ln.reshape(rows, 1))
-    u, w = np.empty((2,) + grad.shape)
-    w_flat = w.reshape(-1)
-    # the (S, 1, P) and (S, P, 1) stacks of the rows the dots read, and
-    # (S, 1, 1) buffers for the dots with their (S, 1) columns
-    dummy_rows, dummy_cols = dummy_flat[:, None, :], dummy_flat[:, :, None]
-    u_rows, w_cols = u[:, None, :], w[:, :, None]
-    inv3, uw3 = np.empty((2, rows, 1, 1))
-    inv, uw = inv3.reshape(rows, 1), uw3.reshape(rows, 1)
+    v = leaked * (1.0 / ln)
+    dummy, out = dummy_flat.reshape(-1), grad.reshape(-1)
+    u, w = np.empty((2, len(v)))
 
     def match():
-        np.sqrt(np.matmul(dummy_rows, dummy_cols, out=inv3), out=inv3)
-        if np.count_nonzero(inv) < rows:
+        dn = math.sqrt(np.dot(dummy, dummy))
+        if dn == 0.0:
             raise DegenerateGradientError("zero-norm dummy gradient bundle in "
                                           "cosine objective")
-        np.divide(1.0, inv3, out=inv3)
-        np.multiply(dummy_flat, inv, out=u)
+        inv = 1.0 / dn
+        np.multiply(dummy, inv, out=u)
         np.subtract(u, v, out=w)
         # 0.5 ||u - v||^2 equals 1 - cos and is exactly zero on identical bundles
-        value = 0.5 * float(np.dot(w_flat, w_flat))
-        np.matmul(u_rows, w_cols, out=uw3)
-        np.multiply(u, uw, out=grad)
-        np.subtract(w, grad, out=grad)
-        np.multiply(grad, inv, out=grad)
+        value = 0.5 * float(np.dot(w, w))
+        np.multiply(u, np.dot(u, w), out=out)
+        np.subtract(w, out, out=out)
+        np.multiply(out, inv, out=out)
         return value, grad
 
     return match
 
 
-class LayerInputs(NamedTuple):
-    """The first-layer input rows that a node2 leak gives in closed form.
-
-    ``keep`` holds the nodes with a recoverable row, in order; ``agg``
-    their aggregate rows m_i = (Anorm X)_i, one per kept node; ``own``
-    their feature rows x_i in the same order, or None when they are not
-    matched.
-    """
-
-    keep: np.ndarray
-    agg: np.ndarray
-    own: Optional[np.ndarray]
-
-
-def _layer_inputs(params, bundles, own):
-    """The :class:`LayerInputs` of node2's per-node bundles.
-
-    Node i's bundle reads the graph only through the input of the first
-    layer, m_i and, for sage, x_i, and the row ratio of its first-layer
-    weight and bias gradients gives that input exactly
-    (:func:`~glg.closed_form.recover_agg_features`, and
-    :func:`~glg.closed_form.recover_target_features` when ``own``). The
-    bundles are first checked against the model (:class:`ShapeError`). A
-    node whose bias-gradient entries are all (near) zero has no
-    recoverable row and is left out; :class:`UnrecoverableError` when no
-    node is left.
-    """
-    check_bundles(params, bundles)
-    keep, agg, mine = [], [], []
-    for i, b in enumerate(bundles):
-        # through the module, so a wrapper swapped into its namespace sees
-        # every call
-        try:
-            m = closed_form.recover_agg_features(b, params.framework)
-            x = closed_form.recover_target_features(b) if own else None
-        except UnrecoverableError:
-            continue
-        keep.append(i)
-        agg.append(m)
-        mine.append(x)
-    if not keep:
-        raise UnrecoverableError("no node of the leak has a recoverable "
-                                 "layer input")
-    return LayerInputs(np.array(keep), np.array(agg),
-                       np.array(mine) if own else None)
-
-
 def _input_rows(inputs, n, dummy, grad):
     """The dummy's layer-input rows: ``(rows, rows_grad)``, a pass and its
-    adjoint over the rows of ``inputs`` (:class:`LayerInputs`) of n nodes.
+    adjoint over the rows of ``inputs``
+    (:class:`~glg.closed_form.LayerInputs`) of n nodes; inputs that keep no
+    node leave nothing to match and raise :class:`UnrecoverableError`.
 
     ``rows(x, an)`` writes the kept nodes' aggregate rows (an @ x)_i into
     the first rows of ``dummy``, then, when ``inputs.own`` is matched,
@@ -274,6 +223,9 @@ def _input_rows(inputs, n, dummy, grad):
     """
     keep = inputs.keep
     k = len(keep)
+    if not k:
+        raise UnrecoverableError("no node of the leak has a recoverable "
+                                 "layer input")
     own = inputs.own is not None
     agg, agg_grad, own_rows, own_grad = dummy[:k], grad[:k], dummy[k:], grad[k:]
     at = np.empty((k, n))
@@ -443,7 +395,7 @@ def _pairs(n):
 
 
 def _matching_objective(spec, params, leaked, labels, x_shape=None, n=0,
-                        targets=None, known_x=None, known_a=None, anorm=None,
+                        known_x=None, known_a=None, anorm=None,
                         regularize=False):
     """The objective the loop descends: ``f(z) -> (value, gz)``.
 
@@ -457,14 +409,14 @@ def _matching_objective(spec, params, leaked, labels, x_shape=None, n=0,
 
     ``leaked`` is what the dummies are matched against, by one of two
     pass/adjoint pairs:
-    - one gradient bundle in a list (node1's, a graph's, a batch's mean):
-      the dummies go through the model's passes with ``labels``, one per
-      dummy sample, and the mean of their B bundles is matched under
-      spec.objective, each sample's co-vector divided by B. A node-task
-      model reads its loss at ``targets``, by default row i for sample i.
-    - node2's :class:`LayerInputs`: the dummy's first-layer input rows
-      (:func:`_input_rows`) are matched by L2, with no model pass;
-      ``labels`` is not read.
+    - one gradient bundle (node1's, a graph's, a batch's mean): the
+      dummies go through the model's passes with ``labels``, one per dummy
+      sample, and the mean of their B bundles is matched under
+      spec.objective, each sample's co-vector divided by B. On the node
+      task each dummy sample is a tree whose target is its root, row 0.
+    - node2's :class:`~glg.closed_form.LayerInputs`: the dummy's
+      first-layer input rows (:func:`_input_rows`) are matched by L2, with
+      no model pass; ``labels`` is not read.
 
     ``regularize`` adds the smoothness and Frobenius terms weighted by
     spec.alpha / spec.beta.
@@ -486,12 +438,12 @@ def _matching_objective(spec, params, leaked, labels, x_shape=None, n=0,
     # normalize_dense's (normalized, degrees, scale) and the backward's output
     parts = (np.empty((n, n)), np.empty(n), np.empty(n))
     a_grad = np.empty((n, n))
-    inputs = isinstance(leaked, LayerInputs)
+    inputs = isinstance(leaked, closed_form.LayerInputs)
     if inputs:
         leaked_flat = (leaked.agg if leaked.own is None
                        else np.concatenate((leaked.agg, leaked.own)))
     else:
-        leaked_flat = bundle_rows(params, leaked)
+        leaked_flat = bundle_rows(params, [leaked])
     dummy_flat = np.empty_like(leaked_flat)
     grad_flat = np.empty_like(leaked_flat)
     match = _matcher(leaked_flat, "l2" if inputs else spec.objective,
@@ -504,6 +456,7 @@ def _matching_objective(spec, params, leaked, labels, x_shape=None, n=0,
         dummy = bundle_views(params, dummy_flat)
         covec = bundle_views(params, grad_flat)
         batch = len(labels)
+        roots = np.zeros(batch, dtype=np.int64)
     trace = None  # built on the first call, refilled by every later one
     mode = params.norm_mode
     node = params.task == "node"
@@ -526,7 +479,7 @@ def _matching_objective(spec, params, leaked, labels, x_shape=None, n=0,
         if inputs:
             rows(x, an)
         elif node:
-            ctx = trace = node_ctx(params, x, an, targets, labels, out=trace)
+            ctx = trace = node_ctx(params, x, an, roots, labels, out=trace)
             node_bundles(ctx, params, out=dummy)
         else:
             ctx = trace = graph_ctx(params, x, an, labels, out=trace)
@@ -577,8 +530,12 @@ def _optimize(spec, objective, z, pairs=0):
     ``objective(z) -> (value, gz)``: a value that is not finite raises
     :class:`NumericError` naming the evaluation, and the trace keeps the
     first ``spec.iterations`` values. Returns the optimized ``z`` and a
-    :class:`RecoveryResult` with the trace and the final value.
+    :class:`RecoveryResult` with the trace and the final value. An empty
+    ``z`` (node2a on a one-node graph has no pair) raises
+    :class:`UnrecoverableError` before any evaluation.
     """
+    if not len(z):
+        raise UnrecoverableError("the attack has no unknowns")
     trace = []
 
     def evaluate(point):
@@ -672,8 +629,7 @@ def _attack_trees(spec, params, rng, bundle, labels):
     x = _start(rng, spec, shape)
     optimized = x[..., :live, :]
     objective = _matching_objective(
-        spec, params, [bundle], labels, x_shape=optimized.shape,
-        targets=np.zeros(b, dtype=np.int64),
+        spec, params, bundle, labels, x_shape=optimized.shape,
         anorm=normalize_dense(tree.adjacency, params.norm_mode)[:live, :live])
     z, best = _optimize(spec, objective, optimized.ravel())
     optimized[...] = z.reshape(optimized.shape)
@@ -744,22 +700,23 @@ def attack_node2(leak, spec, params, known_features=None, known_adjacency=None,
     through its first-layer input, so the attack matches that input, not
     the bundle: the leak's row ratios give each node's aggregate row m_i =
     (Anorm X)_i and, for sage when the features are unknown, its feature
-    row x_i (:class:`LayerInputs`), once; each step matches the dummy's
-    rows [Anorm X | X] to them by L2, with no model pass, and adds the
-    smoothness and Frobenius terms weighted by spec.alpha / spec.beta.
-    spec.objective does not apply. A node without a recoverable row is left
-    out, and a leak with none raises :class:`UnrecoverableError`. Labels
-    are inferred for the report. ``rng`` draws the gaussian starts and the
-    Bernoulli finalization.
+    row x_i (:func:`~glg.closed_form.recover_layer_inputs`), once; each
+    step matches the dummy's rows [Anorm X | X] to them by L2, with no
+    model pass, and adds the smoothness and Frobenius terms weighted by
+    spec.alpha / spec.beta. spec.objective does not apply. A node without
+    a recoverable row is left out, and a leak with none raises
+    :class:`UnrecoverableError`. Labels are inferred for the report.
+    ``rng`` draws the gaussian starts and the Bernoulli finalization.
     """
     _check_scenario(spec, params, ("node2a", "node2b", "node2c"), "node",
                     leak, "node2")
     bundles = leak.bundles
     labels = check_labels([infer_label(b) for b in bundles], params.num_classes)
     own = spec.scenario != "node2a" and params.framework == "sage"
-    return _attack_unknowns(spec, params, rng,
-                            _layer_inputs(params, bundles, own), len(bundles),
-                            labels, known_features, known_adjacency)
+    check_bundles(params, bundles)
+    inputs = closed_form.recover_layer_inputs(bundles, params.framework, own)
+    return _attack_unknowns(spec, params, rng, inputs, len(bundles), labels,
+                            known_features, known_adjacency)
 
 
 def attack_graph(leak, spec, params, known_features=None, known_adjacency=None,
@@ -774,7 +731,7 @@ def attack_graph(leak, spec, params, known_features=None, known_adjacency=None,
                     leak, "graph")
     bundle = leak.bundle
     labels = check_labels(infer_label(bundle), params.num_classes)
-    return _attack_unknowns(spec, params, rng, [bundle], params.num_nodes,
+    return _attack_unknowns(spec, params, rng, bundle, params.num_nodes,
                             labels, known_features, known_adjacency)
 
 
@@ -805,7 +762,7 @@ def attack_batched(leak, spec, params, labels, known_adjacencies=None, *, rng):
         known = _known(known_adjacencies, (b, n, n), "known_adjacencies")
         anorm = np.stack([normalize_dense(a, params.norm_mode) for a in known])
         xs = (b, n, params.feature_dim)
-        objective = _matching_objective(spec, params, [bundle], labels,
+        objective = _matching_objective(spec, params, bundle, labels,
                                         x_shape=xs, anorm=anorm)
         z, best = _optimize(spec, objective, _start(rng, spec, xs).ravel())
         best.features = z

@@ -2,10 +2,13 @@
 
 Each first-layer weight-gradient row is the bias-gradient entry times the
 layer's input vector, so ratios of rows to bias entries reproduce that
-input exactly. Stacking per-node recoveries turns the aggregation identity
-``X_agg = Anorm @ X`` into a linear system that yields the normalized
-adjacency (given features), the features (given the adjacency), or both
-(GraphSAGE, whose self weight exposes the raw features as well).
+input exactly. :func:`recover_layer_inputs` is the one loop that recovers
+that input node by node, from per-node bundles: the aggregate row and, for
+GraphSAGE, whose self weight exposes the raw features as well, the feature
+row. node2's iterative attacks match those rows. Stacked, they turn the
+aggregation identity ``X_agg = Anorm @ X`` into a linear system that yields
+the normalized adjacency (given features), the features (given the
+adjacency), or both (GraphSAGE).
 
 For the graph task the same information is spread over all nodes; the
 matrix chain below untangles it whenever the feature matrix has full row
@@ -13,7 +16,7 @@ rank and the hidden width is at least the node count.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,12 +25,14 @@ from .models import FRAMEWORKS
 from .numkit import least_squares, pseudoinverse
 
 __all__ = [
+    "LayerInputs",
     "MatrixRecovery",
     "recover_adjacency_given_features",
     "recover_adjacency_graph_sage",
     "recover_agg_features",
     "recover_both_sage",
     "recover_features_given_adjacency",
+    "recover_layer_inputs",
     "recover_target_features",
 ]
 
@@ -74,6 +79,43 @@ def recover_target_features(bundle):
     if "conv1_self" not in t:
         raise ShapeError("target-feature recovery needs the sage self weight")
     return _row_ratio(t["conv1_self"], t["conv1_bias"])
+
+
+class LayerInputs(NamedTuple):
+    """The first-layer input rows that per-node bundles give in closed form.
+
+    ``keep`` holds the nodes with a recoverable row, in order; ``agg``
+    their aggregate rows m_i = (Anorm X)_i, one per kept node; ``own``
+    their feature rows x_i in the same order, or None when they are not
+    recovered.
+    """
+
+    keep: np.ndarray
+    agg: np.ndarray
+    own: Optional[np.ndarray]
+
+
+def recover_layer_inputs(bundles, framework, own):
+    """The :class:`LayerInputs` of per-node bundles, bundle i node i's.
+
+    Node i's bundle reads the graph only through the input of the first
+    layer, m_i and, for sage, x_i: :func:`recover_agg_features` gives m_i
+    and, when ``own``, :func:`recover_target_features` gives x_i. A node
+    whose bias-gradient entries are all (near) zero has no recoverable row
+    and is left out of ``keep``.
+    """
+    keep, agg, mine = [], [], []
+    for i, b in enumerate(bundles):
+        try:
+            m = recover_agg_features(b, framework)
+            x = recover_target_features(b) if own else None
+        except UnrecoverableError:
+            continue
+        keep.append(i)
+        agg.append(m)
+        mine.append(x)
+    return LayerInputs(np.array(keep, dtype=np.int64), np.array(agg),
+                       np.array(mine) if own else None)
 
 
 @dataclass
@@ -131,21 +173,14 @@ def recover_both_sage(bundles):
     """Features and normalized adjacency from per-node sage bundles alone.
 
     Row i of X comes from bundle i's self-path ratio, row i of X_agg from
-    its aggregation-path ratio; the adjacency then follows from
-    ``Anorm X = X_agg``. Nodes whose bias gradients vanish are reported
-    together in a partial-failure error.
+    its aggregation-path ratio (:func:`recover_layer_inputs`); the
+    adjacency then follows from ``Anorm X = X_agg``. Nodes whose bias
+    gradients vanish are reported together in a partial-failure error.
     """
-    xs, aggs, failed = [], [], []
-    for i, b in enumerate(bundles):
-        try:
-            xs.append(recover_target_features(b))
-            aggs.append(recover_agg_features(b, "sage"))
-        except UnrecoverableError:
-            failed.append(i)
-    if failed:
-        raise PartialRecoveryError("per-node recovery failed", failed)
-    x = np.vstack(xs)
-    x_agg = np.vstack(aggs)
+    keep, x_agg, x = recover_layer_inputs(bundles, "sage", True)
+    failed = np.setdiff1d(np.arange(len(bundles)), keep)
+    if failed.size:
+        raise PartialRecoveryError("per-node recovery failed", failed.tolist())
     rec = recover_adjacency_given_features(x_agg, x)
     return x, rec
 

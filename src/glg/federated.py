@@ -94,16 +94,20 @@ class FedRound:
 
 @dataclass
 class LeakRecord:
-    """What the server sees for one attack scenario: gradients only, a
-    non-empty list of bundles (:class:`ShapeError` otherwise) averaged over
-    ``batch_size`` samples, an integer >= 1 (:class:`ConfigError`
-    otherwise)."""
+    """What the server sees for one attack scenario, a key of
+    ``SCENARIO_TASKS``: gradients only, a non-empty list of bundles
+    (:class:`ShapeError` otherwise) averaged over ``batch_size`` samples, an
+    integer >= 1. A scenario or batch size outside those raises
+    :class:`ConfigError`."""
 
     scenario: str
     bundles: List[GradientBundle]
     batch_size: int = 1
 
     def __post_init__(self):
+        if self.scenario not in tuple(SCENARIO_TASKS):
+            raise ConfigError(f"must be one of {tuple(SCENARIO_TASKS)}, got "
+                              f"{self.scenario!r}", "scenario")
         if not isinstance(self.bundles, (list, tuple)):
             raise ShapeError(f"leak needs a list of GradientBundles, got "
                              f"{type(self.bundles).__name__}")

@@ -37,7 +37,8 @@ one-hot rows and every view the passes multiply by, made when it is built
 co-vector are :class:`Stacks`, made once too. So an attack iteration runs
 numpy calls only. A trace holds no weights: every pass reads them from the
 model on every call. A :class:`NodeTrace` holds one (rows, width) buffer per
-intermediate, one row per target, so each weight and shared co-vector
+intermediate, one row per target that its caller names, the adjacency's and
+the features' rows gathered there too, so each weight and shared co-vector
 product is one 2-D ``np.dot``. A :class:`GraphTrace` keeps a batch's
 per-node arrays in (B*N, width) row buffers: at B = 1 each product is one
 2-D ``np.dot`` on the rows, for B > 1 one ``np.matmul`` per sample on (B,
@@ -382,8 +383,8 @@ def _pre_activation(agg, h, w_agg, bias, w_self, product, out, tmp):
 # wide), "f" (hidden wide), "k" (class wide) or "n" (node wide). The forward
 # record's buffers back public fields; the matching pass's scratch is
 # overwritten by the next pass.
-_NODE_RECORD = {"mt": "d", "ht": "f", "st": "f", "u": "f", "g1": "f",
-                "logits": "k", "q": "k", "g2": "k"}
+_NODE_RECORD = {"at": "n", "xt": "d", "mt": "d", "ht": "f", "st": "f",
+                "u": "f", "g1": "f", "logits": "k", "q": "k", "g2": "k"}
 _NODE_SCRATCH = {"g1bar": "f", "htbar": "f", "f1": "f", "f2": "f",
                  "g2bar": "k", "k1": "k", "mtbar": "d", "xtbar": "d", "d1": "d"}
 # the buffers read as (rows, width, 1) columns and as (rows, 1, width) rows
@@ -399,28 +400,26 @@ class NodeTrace:
     raises :class:`ShapeError` unless ``params`` is a node-task model, x is
     (N, D) or (B, N, D) with the model's width, anorm is (N, N), and the
     targets (:func:`check_targets`) and labels (:func:`check_labels`) come
-    one per row. x (N, D) is one shared graph, where ``targets`` None makes
-    every row a target and the row stacks ``at`` (anorm's rows) and ``xt``
-    (x's rows) are anorm and x themselves; x (B, N, D) is a batch of graphs
-    sharing anorm, one target each. Otherwise the row stacks are gathered
-    into buffers. ``mt`` (at @ x), ``ht`` (hidden rows), ``st`` (sigma'
-    there), ``logits``, ``q``, ``g2`` (softmax - onehot), ``u`` (g2 @
-    out_weight) and ``g1`` (d loss / d pre-activation) are (rows, width)
-    buffers, made here with the scratch, each buffer's transpose, and the
-    (rows, width, 1) columns and (rows, 1, width) rows that the per-sample
-    bundles and a batch of graphs read. Only
-    :func:`forward_node` fills ``losses``.
+    one per row. Every caller names its targets: x (N, D) is one shared
+    graph with any targets of it (node2's leak names every node, in
+    order); x (B, N, D) is a batch of graphs sharing anorm, one target
+    each. The row stacks ``at`` (anorm's rows) and ``xt`` (x's rows) are
+    gathered into buffers at every pass. ``mt`` (at @ x), ``ht`` (hidden
+    rows), ``st`` (sigma' there), ``logits``, ``q``, ``g2`` (softmax -
+    onehot), ``u`` (g2 @ out_weight) and ``g1`` (d loss / d pre-activation)
+    are (rows, width) buffers too, made here with the scratch, each
+    buffer's transpose, and the (rows, width, 1) columns and (rows, 1,
+    width) rows that the per-sample bundles and a batch of graphs read.
+    Only :func:`forward_node` fills ``losses``.
     """
 
     def __init__(self, params, x, anorm, targets, labels):
         x, anorm = _model_inputs(params, "node", x, anorm)
         n = x.shape[-2]
-        if x.ndim == 3 and targets is None:
-            raise ShapeError("a batch of node graphs needs one target each")
         if anorm.shape != (n, n):
             raise ShapeError(f"adjacency {anorm.shape} for features {x.shape}")
-        targets = None if targets is None else check_targets(targets, n)
-        rows = n if targets is None else len(targets)
+        targets = check_targets(targets, n)
+        rows = len(targets)
         if x.ndim == 3 and rows != x.shape[0]:
             raise ShapeError(f"{rows} targets for {x.shape[0]} graphs")
         labels = check_labels(labels, params.num_classes)
@@ -431,30 +430,27 @@ class NodeTrace:
         self._batch = x.ndim == 3
         width = {"d": x.shape[-1], "f": params.hidden_dim,
                  "k": params.num_classes, "n": n}
-        record = dict(_NODE_RECORD)
-        if targets is not None:
-            record.update(at="n", xt="d")
-            # the rows of x to gather: a batch's sample i reads row i of
-            # each stack
-            self._xi = targets if x.ndim == 2 else np.arange(rows) * n + targets
-            self._samples = np.arange(rows)
+        # the rows of x to gather: a batch's sample i reads row i of each
+        # stack
+        self._xi = targets if x.ndim == 2 else np.arange(rows) * n + targets
+        self._samples = np.arange(rows)
         bufs = {name: np.empty((rows, width[w]))
-                for name, w in {**record, **_NODE_SCRATCH}.items()}
-        for name in record:
+                for name, w in {**_NODE_RECORD, **_NODE_SCRATCH}.items()}
+        for name in _NODE_RECORD:
             setattr(self, name, bufs[name])
         self._scratch = SimpleNamespace(**{k: bufs[k] for k in _NODE_SCRATCH})
         self._t = SimpleNamespace(**{k: b.T for k, b in bufs.items()})
         self._col = SimpleNamespace(**{k: bufs[k][:, :, None]
-                                       for k in _NODE_COLS if k in bufs})
+                                       for k in _NODE_COLS})
         self._row = SimpleNamespace(**{k: bufs[k][:, None, :]
-                                       for k in _NODE_ROWS if k in bufs})
+                                       for k in _NODE_ROWS})
         self._onehot = onehot(labels, params.num_classes)
-        self.x = self.anorm = None
+        self.x = None
         self._bind(x, anorm)
 
     def _bind(self, x, anorm):
-        """Bind new inputs and make the views the passes read of each new
-        array; one bound already keeps its views."""
+        """Bind new inputs and make the views the passes read of new
+        features; features bound already keep their views."""
         self.losses = None
         if x is not self.x:
             self.x = x
@@ -463,13 +459,7 @@ class NodeTrace:
                 self._x_rows = x.reshape(-1, x.shape[-1])
             else:
                 self._x_rows, self._t.x = x, x.T
-            if self.targets is None:
-                self.xt = x
-                self._row.xt = x[:, None, :]
-        if anorm is not self.anorm:
-            self.anorm = anorm
-            if self.targets is None:
-                self.at, self._t.at = anorm, anorm.T
+        self.anorm = anorm
 
 
 def node_ctx(params, x, anorm, targets, labels, out=None):
@@ -495,9 +485,8 @@ def node_ctx(params, x, anorm, targets, labels, out=None):
     # np.dot. The ``take`` method skips np.take's Python wrapper; "clip"
     # skips the buffered copy that "raise" makes of ``out``, and the
     # indices are checked when the trace is built.
-    if ctx.targets is not None:
-        ctx.anorm.take(ctx.targets, 0, ctx.at, "clip")
-        ctx._x_rows.take(ctx._xi, 0, ctx.xt, "clip")
+    ctx.anorm.take(ctx.targets, 0, ctx.at, "clip")
+    ctx._x_rows.take(ctx._xi, 0, ctx.xt, "clip")
     if ctx._batch:  # one (1, N) @ (N, D) product per sample
         np.matmul(ctx._row.at, ctx.x, out=ctx._row.mt)
     else:
@@ -572,16 +561,11 @@ def _node_scatter(ctx, xtbar, want_features, want_adjacency):
             if xtbar is not None:
                 xbar[ctx._samples, ctx.targets] += xtbar
         return xbar, abar
-    # with every row a target (``targets`` None) nothing is scattered
     if want_features:
         xbar = np.dot(ctx._t.at, mtbar)
-        if xtbar is not None and ctx.targets is None:
-            xbar += xtbar
-        elif xtbar is not None:
+        if xtbar is not None:
             np.add.at(xbar, ctx.targets, xtbar)
-    if want_adjacency and ctx.targets is None:
-        abar = np.dot(mtbar, ctx._t.x)
-    elif want_adjacency:
+    if want_adjacency:
         abar = np.zeros(ctx._shapes[1])
         np.add.at(abar, ctx.targets, np.dot(mtbar, ctx._t.x))
     return xbar, abar
@@ -748,7 +732,8 @@ class GraphTrace:
         self._bind(x, anorm)
 
     def _bind(self, x, anorm):
-        """As :meth:`NodeTrace._bind`."""
+        """Bind new inputs and make the views the passes read of each new
+        array; one bound already keeps its views."""
         self.losses = None
         if x is not self._x_given:
             self._x_given = x

@@ -86,7 +86,10 @@ def row_dots(a, b):
 def reference_matcher(leaked_flat, kind):
     """The matcher's expressions on (S, P) rows with (S, 1) columns of
     reciprocal norms, allocating every temporary: the reference its
-    buffers must reproduce."""
+    buffers must reproduce. On a one-row leak each cosine dot is a (1, 1,
+    P) by (1, P, 1) ``np.matmul``, the per-row form the flat ``np.dot``
+    matcher replaced, so the test also pins that the two agree bit for
+    bit."""
     if kind == "l2":
         def match(dummy_flat):
             grad = dummy_flat - leaked_flat
@@ -120,10 +123,11 @@ def pairwise_matcher(leaked_flat):
 
 class TestMatcherOperands:
     """The buffered matcher gives the reference's bits on a one-row leak
-    (node1's, a graph's) and on several rows (node2's)."""
+    (node1's, a graph's), which the cosine objective matches as one flat
+    vector, and by L2 on several rows (node2's)."""
 
-    @pytest.mark.parametrize("kind", ["cosine", "l2"])
-    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("rows,kind", [(1, "cosine"), (1, "l2"),
+                                           (3, "l2")])
     def test_equals_the_reference(self, kind, rows):
         r = numkit.make_rng(17)
         leaked = r.standard_normal((rows, 57))
@@ -142,18 +146,6 @@ class TestMatcherOperands:
                 old_value, old_grad = pairwise_matcher(leaked)(dummy)
                 assert value == pytest.approx(old_value, rel=1e-13)
                 np.testing.assert_allclose(got, old_grad, rtol=1e-13)
-
-    @pytest.mark.parametrize("zero_row", [0, 2])
-    def test_zero_dummy_row_among_several_raises(self, zero_row):
-        r = numkit.make_rng(18)
-        leaked = r.standard_normal((3, 9))
-        dummy = r.standard_normal((3, 9))
-        match = attacks._matcher(leaked, "cosine", dummy,
-                                 np.empty_like(leaked))
-        match()
-        dummy[zero_row] = 0.0
-        with pytest.raises(DegenerateGradientError, match="dummy"):
-            match()
 
 
 def pairwise_smoothness(x, a):
@@ -392,11 +384,11 @@ def optimize_from(spec, params, record, x=None, a=None, leaked=None, **known):
     draw."""
     labels = np.array([models.infer_label(b) for b in record.bundles])
     if leaked is None and record.scenario == "node2":
-        leaked = attacks._layer_inputs(
-            params, record.bundles,
+        leaked = closed_form.recover_layer_inputs(
+            record.bundles, params.framework,
             x is not None and params.framework == "sage")
     elif leaked is None:
-        leaked = record.bundles
+        leaked = record.bundle
     n = 0 if a is None else len(a)
     objective = attacks._matching_objective(
         spec, params, leaked, labels,
@@ -421,7 +413,8 @@ def truth_inputs(params, x, a, own):
     """Every node's layer-input rows from the true features and adjacency,
     by the products the objective's rows pass runs."""
     m = np.dot(graphs.normalize_dense(a, params.norm_mode), x)
-    return attacks.LayerInputs(np.arange(len(x)), m, x.copy() if own else None)
+    return closed_form.LayerInputs(np.arange(len(x)), m,
+                                   x.copy() if own else None)
 
 
 class TestFixedPoints:
@@ -432,9 +425,8 @@ class TestFixedPoints:
         spec = attacks.AttackSpec(scenario="node1", iterations=8, d_tree=3)
         live = 1 + spec.d_tree
         objective = attacks._matching_objective(
-            spec, params, [record.bundle], g.labels[:1],
+            spec, params, record.bundle, g.labels[:1],
             x_shape=g.features[:live].shape,
-            targets=np.zeros(1, dtype=np.int64),
             anorm=graphs.normalize_dense(g.adjacency,
                                          params.norm_mode)[:live, :live])
         z, res = attacks._optimize(spec, objective, g.features[:live].ravel())
@@ -542,10 +534,11 @@ class TestFixedPoints:
             anorm = np.stack(mats) if len(gs) > 1 else mats[0]
         # of the spec, the objective reads only the matching loss's kind
         spec = attacks.AttackSpec(scenario="node2a", objective=objective)
-        leaked = record.bundles
         if scenario.startswith("node"):
             leaked = truth_inputs(params, x, a,
                                   opt_x and framework == "sage")
+        else:
+            leaked = record.bundle
         f = attacks._matching_objective(
             spec, params, leaked, labels,
             x_shape=x.shape if opt_x else None, n=n if opt_a else 0,
@@ -752,6 +745,24 @@ class TestIterativeAttacks:
             attack(zero, spec, params, known_features=g.features, rng=r)
 
     @pytest.mark.parametrize("framework", ["gcn", "sage"])
+    def test_attack_without_unknowns_raises(self, monkeypatch, framework):
+        """node2a on a one-node graph has no adjacency pair to optimize (a
+        one-node egonet of the CLI's default config): refused by name before
+        either step rule evaluates the objective."""
+        r = numkit.make_rng(23)
+        g = graphs.Graph(adjacency=np.zeros((1, 1)),
+                         features=r.standard_normal((1, 4)),
+                         labels=np.array([1]))
+        params = models.init_params(r, framework, "node", 4, 5, 3)
+        record = federated.leak(params, g, "node2")
+        for name in ("_adam", "_lbfgs"):
+            monkeypatch.setattr(attacks, name, no_iteration)
+        spec = attacks.AttackSpec(scenario="node2a", iterations=5)
+        with pytest.raises(UnrecoverableError, match="no unknowns"):
+            attacks.attack_node2(record, spec, params,
+                                 known_features=g.features, rng=r)
+
+    @pytest.mark.parametrize("framework", ["gcn", "sage"])
     def test_node_without_a_recoverable_row_is_left_out(self, framework):
         """A node whose bias-gradient entries are all within EPS_DIV of zero
         has no layer-input row and is left out: the rows are the other
@@ -764,9 +775,10 @@ class TestIterativeAttacks:
         bundles[3].tensors["conv1_bias"][:] = closed_form.EPS_DIV
         bundles[3].tensors["conv1_bias"][0] = -closed_form.EPS_DIV
         own = framework == "sage"
-        inputs = attacks._layer_inputs(params, bundles, own)
+        inputs = closed_form.recover_layer_inputs(bundles, framework, own)
         assert np.array_equal(inputs.keep, [0, 1, 2, 4, 5])
-        full = attacks._layer_inputs(params, bundles[:3] + bundles[4:], own)
+        full = closed_form.recover_layer_inputs(bundles[:3] + bundles[4:],
+                                                framework, own)
         for got, want in zip(inputs[1:], full[1:]):
             assert np.array_equal(got, want)
         spec = attacks.AttackSpec(scenario="node2c", alpha=1e-2, beta=1e-2)

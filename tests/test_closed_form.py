@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glg import closed_form, federated, graphs, models, numkit
+from glg import attacks, closed_form, federated, graphs, models, numkit
 from glg.errors import PartialRecoveryError, ShapeError, UnrecoverableError
 
 rng = numkit.make_rng(606)
@@ -152,6 +152,38 @@ class TestRecoverBothSage:
         with pytest.raises(PartialRecoveryError) as err:
             closed_form.recover_both_sage(bundles)
         assert err.value.failed_nodes == [3]
+
+
+    def test_runs_on_node2s_rows(self, monkeypatch):
+        """recover_both_sage and node2's attacks read one per-node loop: the
+        rows node2c matches are the features and aggregate rows it solves
+        with, and a zeroed bundle, left out of those rows, is named in the
+        partial-failure error."""
+        g, params, anorm, record = node_leak("sage", 6, 8, seed=11)
+        matched = []
+
+        def capture(spec, params, rng, leaked, *args):
+            matched.append(leaked)
+            raise RuntimeError("captured")
+        monkeypatch.setattr(attacks, "_attack_unknowns", capture)
+        with pytest.raises(RuntimeError, match="captured"):
+            attacks.attack_node2(record, attacks.AttackSpec("node2c"), params,
+                                 rng=numkit.make_rng(0))
+        rows = matched[0]
+        x, rec = closed_form.recover_both_sage(record.bundles)
+        assert np.array_equal(rows.keep, np.arange(6))
+        assert np.array_equal(rows.own, x)
+        want = closed_form.recover_adjacency_given_features(rows.agg, rows.own)
+        assert np.array_equal(rec.matrix, want.matrix)
+        bundles = list(record.bundles)
+        bundles[2] = models.GradientBundle(tensors={
+            k: np.zeros_like(t) for k, t in bundles[2].tensors.items()})
+        kept = closed_form.recover_layer_inputs(bundles, "sage", True)
+        assert np.array_equal(kept.keep, [0, 1, 3, 4, 5])
+        assert np.array_equal(kept.own, np.delete(rows.own, 2, axis=0))
+        with pytest.raises(PartialRecoveryError) as err:
+            closed_form.recover_both_sage(bundles)
+        assert err.value.failed_nodes == [2]
 
 
 class TestGraphAdjacencyChain:

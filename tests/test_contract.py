@@ -8,7 +8,7 @@ import pytest
 
 from glg import attacks, experiments, federated, graphs, metrics, models, numkit
 from glg.errors import (ConfigError, GlgError, NumericError, ShapeError,
-                        UndefinedMetricError)
+                        UndefinedMetricError, UnrecoverableError)
 
 rng = numkit.make_rng(3)
 NODE = models.init_params(rng, "sage", "node", 4, 3, 2)
@@ -17,6 +17,8 @@ GRAPH = models.init_params(rng, "sage", "graph", 4, 3, 2, num_nodes=6)
 LABELED = graphs.Graph(G.adjacency, G.features, graph_label=1)
 BUNDLE = federated.leak(NODE, G, "node1", targets=[0]).bundle
 GRAPH_BUNDLE = federated.leak(GRAPH, LABELED, "graph").bundle
+ONE_NODE = graphs.Graph(np.zeros((1, 1)), np.ones((1, 4)),
+                        labels=np.array([1]))
 MISSING = pathlib.Path(__file__).parent / "no-such-directory"
 
 
@@ -140,7 +142,10 @@ ROWS = {
         lambda: federated.client_gradients(
             GRAPH, federated.ClientShard(0, graphs=[LABELED, LABELED]),
             [True]), ShapeError),
-    # the leak record: a non-empty list of bundles from >= 1 samples
+    # the leak record: a known scenario, a non-empty list of bundles from
+    # >= 1 samples
+    "LeakRecord scenario node3": (lambda: federated.LeakRecord(
+        "node3", [BUNDLE]), ConfigError, "scenario"),
     "attack_batched batch_size True": (batched(True, [0]), ConfigError),
     "attack_batched batch_size 3.0": (batched(3.0, [0, 0, 0]), ConfigError),
     "attack_batched batch_size 0": (batched(0, np.zeros(0, dtype=np.int64)),
@@ -171,6 +176,12 @@ ROWS = {
     "attack_node2 empty leak": (lambda: attacks.attack_node2(
         federated.LeakRecord("node2", []), attacks.AttackSpec("node2b"), NODE,
         known_adjacency=G.adjacency, rng=rng), ShapeError, "no gradient"),
+    # an attack with nothing to optimize: node2a on a one-node graph
+    "attack_node2 node2a one-node graph": (lambda: attacks.attack_node2(
+        federated.leak(NODE, ONE_NODE, "node2"),
+        attacks.AttackSpec("node2a", iterations=3), NODE,
+        known_features=ONE_NODE.features, rng=rng), UnrecoverableError,
+        "no unknowns"),
     "aggregate_and_step learning_rate NaN": (step(np.nan), ConfigError),
     "aggregate_and_step learning_rate Inf": (step(np.inf), ConfigError),
     "aggregate_and_step learning_rate str": (step("0.1"), ConfigError),

@@ -380,41 +380,6 @@ class TestContractions:
             models.graph_matching_grad(ctx, params, v, True)
 
 
-class TestAllRowTargets:
-    """``targets=None`` gives the same bits as every row named in order."""
-
-    @pytest.mark.parametrize("framework", ["gcn", "sage"])
-    @pytest.mark.parametrize("want_adjacency,want_features", [
-        (True, True), (True, False), (False, True)])
-    def test_none_equals_arange(self, framework, want_adjacency,
-                                want_features):
-        g, params, anorm = make_node_setup(framework, n=7, seed=71)
-        mat = anorm.matrix
-        every = models.node_ctx(params, g.features, mat, None, g.labels)
-        named = models.node_ctx(params, g.features, mat, np.arange(7),
-                                g.labels)
-        # the row stacks are the inputs themselves, not gathered copies
-        assert every.at is mat and every.xt is g.features
-        for name in ("at", "xt", "mt", "ht", "st", "logits", "q", "g2", "g1",
-                     "u"):
-            assert np.array_equal(getattr(every, name), getattr(named, name))
-        stacks = models.node_bundles(every, params, per_sample=True)
-        want = models.node_bundles(named, params, per_sample=True)
-        assert stacks.keys() == want.keys()
-        for k in want:
-            assert np.array_equal(stacks[k], want[k])
-        v = random_covectors(numkit.make_rng(72),
-                             models.node_bundles(every, params))
-        got = models.node_matching_grad(every, params, v, want_adjacency,
-                                        want_features)
-        ref = models.node_matching_grad(named, params, v, want_adjacency,
-                                        want_features)
-        for got_arr, want_arr in zip(got, ref):
-            assert (got_arr is None) == (want_arr is None)
-            if want_arr is not None:
-                assert np.array_equal(got_arr, want_arr)
-
-
 class TestMeanBundle:
     """The node batch-mean pass against the mean of the per-sample stacks.
 
@@ -451,13 +416,14 @@ class TestMeanBundle:
 
 
 def node_case(framework, layout):
-    """A node trace: every row of an 8-node graph a target (node2's layout),
-    one target of a shared graph, or a batch of three graphs."""
+    """A node trace: every row of an 8-node graph a target, named in order
+    (node2's leak), one target of a shared graph, or a batch of three
+    graphs."""
     g, params, anorm = make_node_setup(framework, n=8, seed=81)
     r = numkit.make_rng(82)
     if layout == "every-row":
-        return models.node_ctx(params, g.features, anorm.matrix, None,
-                               g.labels), params
+        return models.node_ctx(params, g.features, anorm.matrix,
+                               np.arange(8), g.labels), params
     if layout == "one-target":
         return models.node_ctx(params, g.features, anorm.matrix, [5],
                                g.labels[[5]]), params
@@ -645,14 +611,15 @@ NODE_LAYOUTS = pytest.mark.parametrize("layout",
 
 def node_inputs(r, params, layout):
     """Features, normalized adjacency of an 8-node graph, targets and labels:
-    node1's layout (one explicit target), node2's (every row, ``None``) or a
-    batch of three graphs sharing the adjacency, one target each."""
+    node1's layout (one explicit target), node2's (every row, named in
+    order) or a batch of three graphs sharing the adjacency, one target
+    each."""
     g = graphs.synthetic_graph(r, 8, 2, params.feature_dim, num_classes=3)
     anorm = graphs.normalize_adjacency(g, params.norm_mode).matrix
     if layout == "one-target":
         return g.features, anorm, np.array([5]), np.array([1])
     if layout == "every-row":
-        return g.features, anorm, None, g.labels
+        return g.features, anorm, np.arange(8), g.labels
     x = r.standard_normal((3,) + g.features.shape)
     return x, anorm, np.array([0, 2, 7]), np.array([2, 0, 1])
 
@@ -771,6 +738,8 @@ class TestNodeTraceReuse:
         ([2.7], [1], "targets must be a vector of integers"),
         ([5], [-1], "label out of range"),
         ([5], [1.7], "labels must be a vector of integers"),
+        # every layout names its targets, node2's every row included
+        (None, [1], "targets must be a vector of integers"),
     ])
     def test_build_checks_targets_and_labels(self, targets, labels, match):
         r = numkit.make_rng(98)
@@ -911,9 +880,10 @@ def r_operator_case(layout, framework):
     ``model(s)`` the model that sample s reads. "node" and "graph" are at
     the bench's sizes: a d_tree = 10 dummy tree (111 nodes) with target 0,
     and one 8-node graph. The rest are small: every node of a 7-node graph
-    a target ("node-all"), 3 graphs sharing an adjacency with one target
-    each ("node-batch"), 3 targets gathered from one graph, one of them
-    twice ("node-targets"), and a batch of 3 graphs ("graph-batch")."""
+    a target, named in order ("node-all"), 3 graphs sharing an adjacency
+    with one target each ("node-batch"), 3 targets gathered from one graph,
+    one of them twice ("node-targets"), and a batch of 3 graphs
+    ("graph-batch")."""
     r = numkit.make_rng(120)
     if layout.startswith("node"):
         big = layout == "node"
@@ -926,7 +896,7 @@ def r_operator_case(layout, framework):
         if not big:
             targets, labels = [1, 5, 1], [2, 0, 3]
         if layout == "node-all":
-            targets, labels = None, [2, 0, 3, 1, 1, 0, 2]
+            targets, labels = np.arange(7), [2, 0, 3, 1, 1, 0, 2]
         if layout == "node-batch":
             x = r.standard_normal((3, 7, 10))
 
